@@ -36,8 +36,8 @@ type DeviceStats struct {
 // simulate runs one device instance to its first inference and extracts
 // its stats. Wasted-work accounting runs device-native (Device.TrackWasted
 // replicates the trace analysis arithmetic bit-exactly) instead of through
-// a per-device trace buffer, which would disqualify the fused kernel fast
-// path — a tracer must see every op.
+// a per-device trace buffer, which would cost a ring allocation and an
+// event per commit for a figure the device already carries.
 func simulate(ds DeviceSpec, m Model, rt core.Runtime, noFuse bool) (DeviceStats, error) {
 	power, err := ds.Power.New(ds.HarvestSeed)
 	if err != nil {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -121,11 +120,11 @@ func TestFusedScalarDifferential(t *testing.T) {
 
 // TestTrackWastedMatchesTraceAnalysis pins the device-native wasted-work
 // mirror to the trace subsystem's arithmetic: the same run observed
-// through a trace buffer (which forces the scalar path — a tracer must
-// see every op) must report the identical TotalWastedEnergyNJ, bit for
-// bit, as a fused run using Device.TrackWasted. This is what lets fleet
-// campaigns drop their per-device tracers without moving a single
-// reported number.
+// through an analysis-only trace buffer (whose commits arrive one per
+// scalar Progress or coalesced per fused span) must report the identical
+// TotalWastedEnergyNJ, bit for bit, as a run using Device.TrackWasted.
+// This is what lets fleet campaigns drop their per-device tracers without
+// moving a single reported number.
 func TestTrackWastedMatchesTraceAnalysis(t *testing.T) {
 	qm, x := intermittest.TinyModel(1)
 	qin := qm.QuantizeInput(x)
@@ -265,4 +264,113 @@ func TestFusedSnapshotCOWAndObserver(t *testing.T) {
 	})
 }
 
-var _ = fmt.Sprintf // keep fmt for schedule labels if extended
+// tracedObservation is one analysis-traced run as RunAll measures it: the
+// full RunResult with the trace aggregates filled in, the logits, the
+// per-charge-cycle analysis, and how many events the device emitted.
+type tracedObservation struct {
+	res    RunResult
+	logits []fixed.Q15
+	a      *trace.Analysis
+	events uint64
+	err    error
+}
+
+// tracedRun measures one cell through an analysis-only trace buffer with
+// fused kernels allowed (noFuse false) or pinned to the scalar path.
+func tracedRun(net string, qm *dnn.QuantModel, qin []fixed.Q15,
+	rt core.Runtime, pw PowerSpec, noFuse bool) tracedObservation {
+	buf := trace.NewAnalysisBuffer(256)
+	res, logits, a, err := measureTraced(net, qm, rt, pw, qin, buf, noFuse)
+	return tracedObservation{res: res, logits: logits, a: a,
+		events: uint64(buf.Len()) + buf.Drops(), err: err}
+}
+
+// tracedCompare asserts two traced observations are bit-identical.
+func tracedCompare(t *testing.T, label string, fused, scalar tracedObservation) {
+	t.Helper()
+	if (fused.err == nil) != (scalar.err == nil) ||
+		(fused.err != nil && fused.err.Error() != scalar.err.Error()) {
+		t.Errorf("%s: outcome diverges: fused=%v scalar=%v", label, fused.err, scalar.err)
+	}
+	if !reflect.DeepEqual(fused.logits, scalar.logits) {
+		t.Errorf("%s: logits diverge: fused=%v scalar=%v", label, fused.logits, scalar.logits)
+	}
+	if !reflect.DeepEqual(fused.res.Sections, scalar.res.Sections) {
+		t.Errorf("%s: per-section stats diverge", label)
+	}
+	fr, sr := fused.res, scalar.res
+	fr.Sections, sr.Sections = nil, nil
+	if !reflect.DeepEqual(fr, sr) {
+		t.Errorf("%s: RunResult diverges:\n fused  %+v\n scalar %+v", label, fr, sr)
+	}
+	if fc, sc := fused.a.Cycles, scalar.a.Cycles; !reflect.DeepEqual(fc, sc) {
+		i := 0
+		for i < len(fc) && i < len(sc) && reflect.DeepEqual(fc[i], sc[i]) {
+			i++
+		}
+		t.Errorf("%s: per-charge-cycle analysis diverges at cycle %d (%d vs %d cycles)", label, i, len(fc), len(sc))
+		if i < len(fc) && i < len(sc) {
+			t.Errorf("  fused  %+v\n  scalar %+v", fc[i], sc[i])
+		}
+	}
+}
+
+// TestTracedFusedDifferential is the oracle for tracing at fused speed: a
+// run observed by an analysis-only trace buffer (as every RunAll cell is)
+// keeps the fused kernels engaged, each funded span emitting one coalesced
+// commit, and must be bit-identical — logits, the full RunResult (stats,
+// per-section maps, commits, wasted cycles and energy), and every
+// per-charge-cycle Analysis record — to the same traced run with
+// Device.NoFuse pinning the scalar walk. It covers every runtime in both
+// executors on the tiny model under the fused oracle's power systems and
+// on a prepared network under the paper's four. SONIC and TAILS must
+// actually fuse under the tracer (fewer events than the scalar walk), so
+// the test cannot pass with fusion silently vetoed.
+//
+// CI greps for each executor's PASS line under -race.
+func TestTracedFusedDifferential(t *testing.T) {
+	qm, x := intermittest.TinyModel(1)
+	tiny := qm.QuantizeInput(x)
+	var tinyPowers []PowerSpec
+	for _, pw := range fusedPowers() {
+		mk := pw.mk
+		tinyPowers = append(tinyPowers, PowerSpec{Name: pw.name,
+			New: func(uint64) energy.System { return mk() }})
+	}
+	p := prepQuick(t, "har")
+	sets := []struct {
+		net    string
+		qm     *dnn.QuantModel
+		qin    []fixed.Q15
+		powers []PowerSpec
+	}{
+		{"tiny", qm, tiny, tinyPowers},
+		{p.Net, p.Model, p.Model.QuantizeInput(p.Input), Powers()},
+	}
+
+	for _, pair := range tapePairs() {
+		for _, rt := range []core.Runtime{pair.interp, pair.tape} {
+			label := pair.interp.Name()
+			if rt == pair.tape {
+				label += "-tape"
+			}
+			t.Run(label, func(t *testing.T) {
+				for _, set := range sets {
+					fusedCells := 0
+					for _, pw := range set.powers {
+						cell := set.net + "/" + pw.Name
+						fused := tracedRun(set.net, set.qm, set.qin, rt, pw, false)
+						scalar := tracedRun(set.net, set.qm, set.qin, rt, pw, true)
+						tracedCompare(t, cell, fused, scalar)
+						if fused.events < scalar.events {
+							fusedCells++
+						}
+					}
+					if name := rt.Name(); (name == "sonic" || name == "tails") && fusedCells == 0 {
+						t.Errorf("%s: fusion never engaged under the analysis tracer", set.net)
+					}
+				}
+			})
+		}
+	}
+}

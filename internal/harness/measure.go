@@ -132,7 +132,8 @@ type RunResult struct {
 // inferences — so the steady-state figure is what the paper's repeated
 // measurements observe. For continuous power SteadySec equals live time.
 func Measure(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec, input []fixed.Q15) (RunResult, error) {
-	return measure(net, qm, rt, p, input, nil, false)
+	res, _, err := measure(net, qm, rt, p, input, nil, false)
+	return res, err
 }
 
 // MeasureScalar is Measure with the fused bulk kernels pinned off
@@ -140,29 +141,40 @@ func Measure(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec, input
 // bit-identical to Measure's (enforced by TestFusedScalarDifferential);
 // the bench tool uses the pair to price the fused fast path.
 func MeasureScalar(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec, input []fixed.Q15) (RunResult, error) {
-	return measure(net, qm, rt, p, input, nil, true)
+	res, _, err := measure(net, qm, rt, p, input, nil, true)
+	return res, err
 }
 
 // MeasureTraced is Measure with execution tracing enabled: events are
 // recorded into buf (a fresh small ring if nil) and the run's wasted-work
 // analysis fills the RunResult's Commits/Wasted* fields. The returned
 // Analysis gives the full per-charge-cycle breakdown; its aggregates are
-// exact even when the ring overwrote old events.
+// exact even when the ring overwrote old events. A buffer subscribed only
+// to trace.AnalysisKinds (trace.NewAnalysisBuffer) keeps the fused kernels
+// engaged; a fully-subscribed one runs the scalar path.
 func MeasureTraced(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
 	input []fixed.Q15, buf *trace.Buffer) (RunResult, *trace.Analysis, error) {
 	if buf == nil {
 		buf = trace.NewBuffer(4096)
 	}
-	res, err := measure(net, qm, rt, p, input, buf, false)
+	res, _, a, err := measureTraced(net, qm, rt, p, input, buf, false)
+	return res, a, err
+}
+
+// measureTraced is MeasureTraced over a caller-provided buffer, with the
+// fusion veto and the logits exposed for the traced differential oracle.
+func measureTraced(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
+	input []fixed.Q15, buf *trace.Buffer, noFuse bool) (RunResult, []fixed.Q15, *trace.Analysis, error) {
+	res, logits, err := measure(net, qm, rt, p, input, buf, noFuse)
 	a := buf.Analysis()
 	res.Commits = a.Commits
 	res.WastedCycles = a.TotalWastedCycles
 	res.WastedEnergyNJ = a.TotalWastedEnergyNJ
-	return res, a, err
+	return res, logits, a, err
 }
 
 func measure(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
-	input []fixed.Q15, tracer *trace.Buffer, noFuse bool) (RunResult, error) {
+	input []fixed.Q15, tracer *trace.Buffer, noFuse bool) (RunResult, []fixed.Q15, error) {
 	dev := mcu.New(p.Make())
 	dev.NoFuse = noFuse
 	if tracer != nil {
@@ -170,7 +182,7 @@ func measure(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
 	}
 	img, err := core.Deploy(dev, qm)
 	if err != nil {
-		return RunResult{}, fmt.Errorf("harness: deploy %s: %w", net, err)
+		return RunResult{}, nil, fmt.Errorf("harness: deploy %s: %w", net, err)
 	}
 	logits, ierr := rt.Infer(img, input)
 	dev.FlushTrace() // runtimes flush on success; cover the DNC path too
@@ -190,13 +202,13 @@ func measure(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
 	if ierr != nil {
 		if errors.Is(ierr, mcu.ErrDoesNotComplete) {
 			res.Completed = false
-			return res, nil
+			return res, logits, nil
 		}
-		return res, ierr
+		return res, logits, ierr
 	}
 	res.Completed = true
 	res.Predicted = core.Argmax(logits)
-	return res, nil
+	return res, logits, nil
 }
 
 // harvestWatts returns the harvest power used to amortize recharging into

@@ -36,7 +36,39 @@ func BenchmarkDeviceOp(b *testing.B) {
 			dev.Op(OpFixedMul)
 		}
 	})
+	// An analysis-only tracer (the charge-cycle kinds every RunAll cell
+	// subscribes to) on a device that has attributed ops to 24 sections —
+	// eight layers × three phases, as a multi-layer net leaves behind —
+	// with a durable commit every four ops, as loop-continuation runtimes
+	// commit per iteration. Each commit event is timestamped, so this
+	// prices the per-event timestamp against the section count.
+	b.Run("analysis-traced", func(b *testing.B) {
+		dev := New(energy.Continuous{})
+		dev.SetTracer(&maskedTracer{mask: ChargeCycleKinds})
+		for l := 0; l < 8; l++ {
+			for _, ph := range []Phase{PhaseKernel, PhaseControl, PhaseTransition} {
+				dev.SetSection(string(rune('a'+l)), ph)
+				dev.Op(OpFixedMul)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dev.Op(OpFixedMul)
+			if i&3 == 3 {
+				dev.Progress()
+			}
+		}
+	})
 }
+
+// maskedTracer is countingTracer subscribed to a subset of event kinds.
+type maskedTracer struct {
+	countingTracer
+	mask uint32
+}
+
+func (t *maskedTracer) TraceMask() uint32 { return t.mask }
 
 // BenchmarkDeviceLoadStore measures the untraced memory-access path.
 func BenchmarkDeviceLoadStore(b *testing.B) {

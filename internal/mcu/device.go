@@ -151,10 +151,12 @@ type Device struct {
 	statsGen uint32
 
 	// costPJ caches the cost model's energies in integer picojoules, the
-	// unit Stats accumulates in (see SectionStats). Refreshed from Cost by
-	// NewWithMem; devices are constructed through New/NewWithMem and Cost
-	// is never mutated afterwards anywhere in the tree.
-	costPJ [NumOps]int64
+	// unit Stats accumulates in (see SectionStats), and costCyc its cycle
+	// counts. Refreshed from Cost by NewWithMem; devices are constructed
+	// through New/NewWithMem and Cost is never mutated afterwards anywhere
+	// in the tree.
+	costPJ  [NumOps]int64
+	costCyc [NumOps]int64
 
 	// powerPJ caches Power's optional integer-picojoule consume entry point
 	// (energy.PJConsumer), probed once at construction like costPJ. When
@@ -172,18 +174,26 @@ type Device struct {
 	// skips the per-call interface assertion.
 	bulkPower energy.BulkConsumer
 
-	// Wasted-work accounting (TrackWasted): pjNow mirrors the derived
-	// total consumed picojoules incrementally, commitNJ is the consumed
+	// cycNow and pjNow mirror the derived live-cycle count and total
+	// consumed picojoules incrementally: every accounting path (Op,
+	// account, ChargeBlock, ChargeTrain) adds its ops' costs, and every
+	// wholesale stats replacement (ResetStats, Restore, RestorePrefix)
+	// resyncs them from the per-section counts (resyncNow). They are the
+	// O(1) timestamps of trace events and the basis of wasted-work
+	// tracking, and hold at every op boundary whether or not anything
+	// reads them.
+	cycNow int64
+	pjNow  int64
+
+	// Wasted-work accounting (TrackWasted): commitNJ is the consumed
 	// energy at the last durable commit (or cycle start), and wastedNJ
 	// accumulates, per browned-out charge cycle, the energy spent after
 	// that cycle's last commit — the same arithmetic, on the same float64
 	// values, as trace.Buffer's online analysis, so a fleet run reads the
-	// figure off the device without paying for a tracer. The scalar fast
-	// path maintains pjNow unconditionally (one integer add), so tracking
-	// does not set slowOp; with tracking off the running value is
-	// meaningless and TrackWasted resyncs it from deriveNow on enable.
+	// figure off the device without paying for a tracer. It reads the
+	// pjNow mirror the fast path already maintains, so tracking does not
+	// set slowOp.
 	wastedTrack bool
-	pjNow       int64
 	commitNJ    float64
 	wastedNJ    float64
 
@@ -235,6 +245,7 @@ func NewWithMem(power energy.System, fram, sram *mem.Memory) *Device {
 	d := &Device{FRAM: fram, SRAM: sram, Cost: DefaultCostModel()}
 	for k := range d.costPJ {
 		d.costPJ[k] = energy.PicojoulesOf(d.Cost.Costs[k].EnergyNJ)
+		d.costCyc[k] = int64(d.Cost.Costs[k].Cycles)
 	}
 	d.bindPower(power)
 	d.stats.Sections = make(map[Section]*SectionStats)
@@ -287,7 +298,7 @@ func (d *Device) Stats() *Stats {
 }
 
 // finalizeStats recomputes the derived Stats fields from the per-section
-// op counts — the only accounting the hot paths maintain. The global
+// op counts — the only per-kind accounting the hot paths maintain. The global
 // per-kind OpCount is their sum (every charged op is attributed to exactly
 // one section), and LiveCycles and the energy accumulators are
 // Σ count[k]·cost[k] with integer per-kind costs, so deriving everything
@@ -300,7 +311,7 @@ func (d *Device) finalizeStats() {
 		for k, n := range ss.OpCount {
 			epj := n * d.costPJ[k]
 			ss.OpEnergyPJ[k] = epj
-			cyc += n * int64(d.Cost.Costs[k].Cycles)
+			cyc += n * d.costCyc[k]
 			pj += epj
 			tot[k] += n
 		}
@@ -317,17 +328,24 @@ func (d *Device) finalizeStats() {
 	d.stats.EnergyPJ = totPJ
 }
 
-// deriveNow returns the derived live-cycle count and total consumed energy
-// in picojoules without a full finalization — the tracer samples both per
-// event. Summed over sections (integer addition, so order-independent).
-func (d *Device) deriveNow() (cyc, pj int64) {
-	for _, ss := range d.stats.Sections {
-		for k, n := range ss.OpCount {
-			cyc += n * int64(d.Cost.Costs[k].Cycles)
-			pj += n * d.costPJ[k]
-		}
+// deriveNow returns the live-cycle count and total consumed energy in
+// picojoules — the tracer timestamps every event with both. It reads the
+// incremental mirrors, so it is O(1) however many sections the run has
+// attributed; at every op boundary they equal finalizeStats' derivation
+// (integer sums, so accumulation order cannot matter).
+func (d *Device) deriveNow() (cyc, pj int64) { return d.cycNow, d.pjNow }
+
+// resyncNow recomputes the (cycles, pJ) mirrors from the per-section op
+// counts after stats are replaced wholesale (ResetStats, Restore,
+// RestorePrefix) or wasted-work tracking is toggled — the one place the
+// full derivation still runs outside Stats(). A tracking device's
+// wasted-work baseline restarts at the resynced total.
+func (d *Device) resyncNow() {
+	d.finalizeStats()
+	d.cycNow, d.pjNow = d.stats.LiveCycles, d.stats.EnergyPJ
+	if d.wastedTrack {
+		d.commitNJ = float64(d.pjNow) * 1e-3
 	}
-	return cyc, pj
 }
 
 // opsNow derives the total charged-operation count from the per-section
@@ -349,7 +367,7 @@ func (d *Device) opsNow() int64 {
 // Wasted-work tracking does not force the slow path: its consumed-energy
 // mirror (pjNow) is one integer add the fast path maintains directly, so
 // a fleet device — which always tracks wasted work — still runs the
-// two-increment hot loop.
+// straight-line hot loop.
 func (d *Device) refreshSlowOp() {
 	d.slowOp = d.journal != nil || d.shadow != nil || d.batchTrace
 }
@@ -365,7 +383,8 @@ func (d *Device) ResetStats() {
 	d.batchOps = 0
 	d.opsInRegion = 0
 	d.opsTotal = 0
-	d.pjNow, d.commitNJ, d.wastedNJ = 0, 0, 0
+	d.commitNJ, d.wastedNJ = 0, 0
+	d.resyncNow()
 	d.secStats = nil // force SetSection to re-resolve into the fresh map
 	d.memoLayer, d.memoStats = "", [numMemoPhases]*SectionStats{}
 	d.statsGen++
@@ -378,45 +397,35 @@ func (d *Device) ResetStats() {
 // before its brown-out, summed over the run. The figure is computed with
 // the same float64 arithmetic as trace.Buffer's online analysis
 // (TotalWastedEnergyNJ), so callers that only need the aggregate — the
-// fleet engine — can skip attaching a tracer entirely, which keeps the
-// fused-kernel fast path engaged; scalar ops also stay on the two-
-// increment fast path, which carries the consumed-energy mirror itself.
-// Enable it before the run charges its first operation.
+// fleet engine — can skip attaching a tracer entirely; scalar ops also
+// stay on the straight-line fast path, which carries the consumed-energy
+// mirror itself. The mirror is maintained whether or not tracking is on;
+// enabling resyncs it and starts the baseline at the energy consumed so
+// far. Enable it before the run charges its first operation.
 func (d *Device) TrackWasted(on bool) {
 	d.wastedTrack = on
 	d.refreshSlowOp()
-	d.pjNow, d.commitNJ, d.wastedNJ = 0, 0, 0
-	if on {
-		_, pj := d.deriveNow()
-		d.pjNow = pj
-		d.commitNJ = float64(pj) * 1e-3
-	}
+	d.commitNJ, d.wastedNJ = 0, 0
+	d.resyncNow()
 }
 
 // WastedNJ reports the accumulated wasted (re-executed) energy in
 // nanojoules; zero unless TrackWasted is enabled.
 func (d *Device) WastedNJ() float64 { return d.wastedNJ }
 
-// resyncWasted recomputes the incremental consumed-energy mirror after a
-// wholesale stats replacement (snapshot restore, fork prefix rebuild).
-func (d *Device) resyncWasted() {
-	if d.wastedTrack {
-		_, pj := d.deriveNow()
-		d.pjNow = pj
-		d.commitNJ = float64(pj) * 1e-3
-	}
-}
-
 // CanFuse reports whether the fused-kernel fast path may engage: bulk
-// charging enabled, fusion not vetoed, and no journal, WAR tracker, or
-// tracer attached — every observer that needs to see the per-op stream.
-// The power system must be one of the two devirtualized kinds
-// (Intermittent or Continuous), whose whole-block funding is exact;
-// count-based fault-injection systems take the scalar path so failure
-// schedules keep their op-exact placement.
+// charging enabled, fusion not vetoed, no journal or WAR tracker attached
+// (both must see the per-op stream), and no tracer subscribed to any
+// event kind outside ChargeCycleKinds. An analysis-only tracer keeps
+// fusion on: ChargeBlock/ChargeTrain emit one coalesced commit per funded
+// span, which it aggregates exactly as it would the per-iteration commits
+// of the scalar walk. The power system must be one of the two
+// devirtualized kinds (Intermittent or Continuous), whose whole-block
+// funding is exact; count-based fault-injection systems take the scalar
+// path so failure schedules keep their op-exact placement.
 func (d *Device) CanFuse() bool {
 	return !d.ForceScalar && !d.NoFuse && d.journal == nil && d.shadow == nil &&
-		d.tracer == nil && (d.intPower != nil || d.contPower)
+		d.traceMask&^ChargeCycleKinds == 0 && (d.intPower != nil || d.contPower)
 }
 
 // SetSection changes the attribution label for subsequent operations.
@@ -559,10 +568,10 @@ func (d *Device) resolveSection(sec Section) *SectionStats {
 // Op charges one operation of kind k. If the energy buffer empties, the
 // operation does not take effect and the device browns out (panics with the
 // power-failure sentinel, recovered by Attempt). The common path is charge
-// plus two increments: everything an attached observer would need — the
-// journal tape, the opsTotal mirror, wasted-work and op-batch bookkeeping —
-// lives in the out-of-line opSlow body behind the one recomputed-on-attach
-// slowOp bit.
+// plus two increments and the (cycles, pJ) mirror adds: everything an
+// attached observer would need — the journal tape, the opsTotal mirror,
+// op-batch bookkeeping — lives in the out-of-line opSlow body behind the
+// one recomputed-on-attach slowOp bit.
 func (d *Device) Op(k OpKind) {
 	if d.slowOp {
 		d.opSlow(k)
@@ -579,6 +588,7 @@ func (d *Device) Op(k OpKind) {
 	}
 	d.secStats.OpCount[k]++
 	d.opsInRegion++
+	d.cycNow += d.costCyc[k]
 	d.pjNow += d.costPJ[k]
 }
 
@@ -599,6 +609,7 @@ func (d *Device) opSlow(k OpKind) {
 	d.opsTotal++
 	d.secStats.OpCount[k]++
 	d.opsInRegion++
+	d.cycNow += d.costCyc[k]
 	d.pjNow += d.costPJ[k]
 	if d.batchTrace {
 		d.batchOps++
@@ -630,20 +641,23 @@ func (d *Device) consume1(k OpKind) bool {
 	return d.Power.Consume(d.Cost.Costs[k].EnergyNJ)
 }
 
-// account records n funded operations of kind k. Only the op counts (and
-// the open commit region's size) are maintained per operation; cycles and
+// account records n funded operations of kind k. Only the op counts, the
+// open commit region's size and the running (cycles, pJ) totals are
+// maintained per operation; the per-section and per-kind cycles and
 // energy are fixed integer multiples of the counts and are derived in
-// finalizeStats, so one n-fold update is bit-identical to n single updates
-// — the invariant the bulk-charge fast path and the differential oracle
-// rely on.
+// finalizeStats, so one n-fold update is bit-identical to n single
+// updates — the invariant the bulk-charge fast path and the differential
+// oracle rely on.
 func (d *Device) account(k OpKind, n int) {
 	if d.slowOp {
 		d.accountSlow(k, n)
 		return
 	}
-	d.secStats.OpCount[k] += int64(n)
-	d.opsInRegion += int64(n)
-	d.pjNow += int64(n) * d.costPJ[k]
+	nn := int64(n)
+	d.secStats.OpCount[k] += nn
+	d.opsInRegion += nn
+	d.cycNow += nn * d.costCyc[k]
+	d.pjNow += nn * d.costPJ[k]
 }
 
 // accountSlow is account's full body behind the slowOp bit, mirroring
@@ -656,6 +670,7 @@ func (d *Device) accountSlow(k OpKind, n int) {
 	d.opsTotal += nn
 	d.secStats.OpCount[k] += nn
 	d.opsInRegion += nn
+	d.cycNow += nn * d.costCyc[k]
 	d.pjNow += nn * d.costPJ[k]
 	if d.batchTrace {
 		d.batchOps += n
@@ -885,7 +900,7 @@ func (d *Device) Progress() {
 	}
 	if d.tracer != nil {
 		d.flushOpBatch()
-		d.emit(TraceCommit, d.section.Layer, 0)
+		d.emit(TraceCommit, d.section.Layer, 1)
 	}
 }
 

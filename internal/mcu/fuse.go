@@ -15,9 +15,14 @@ package mcu
 // consumption, so logits, Stats, reboot placement, dead time, and
 // wasted-work figures are bit-exact with the scalar path.
 //
-// ChargeBlock is only legal when Device.CanFuse() holds: no journal, WAR
-// shadow, or tracer is attached, so there is no per-op observer to
-// notify, and the power system is one of the two devirtualized kinds.
+// ChargeBlock is only legal when Device.CanFuse() holds: no journal or WAR
+// shadow is attached, so there is no per-op observer to notify, and the
+// power system is one of the two devirtualized kinds. A tracer may be
+// attached if it subscribes only to ChargeCycleKinds: a funded span emits
+// one TraceCommit whose Arg counts the commits it stands for, timestamped
+// at the end of the last funded iteration — where the scalar walk's last
+// commit of the span sits — so the trace's charge-cycle aggregates are
+// exactly the scalar walk's.
 
 // BlockOp is one op kind charged N times per fused iteration, attributed
 // to the section Tok.
@@ -33,6 +38,7 @@ type BlockOp struct {
 type Block struct {
 	ops     []BlockOp
 	unitPJ  int64 // energy per iteration, integer picojoules
+	unitCyc int64 // live cycles per iteration
 	unitOps int64 // charged operations per iteration
 }
 
@@ -46,20 +52,23 @@ func (b *Block) UnitOps() int64 { return b.unitOps }
 func (d *Device) NewBlock(ops ...BlockOp) *Block {
 	b := &Block{ops: ops}
 	for _, op := range ops {
-		b.unitPJ += int64(op.N) * d.costPJ[op.Kind]
-		b.unitOps += int64(op.N)
+		n := int64(op.N)
+		b.unitPJ += n * d.costPJ[op.Kind]
+		b.unitCyc += n * d.costCyc[op.Kind]
+		b.unitOps += n
 	}
 	return b
 }
 
 // ChargeBlock funds up to n whole iterations of the block and returns how
 // many were funded, accounting exactly the funded iterations — op counts,
-// section attribution, commit bookkeeping (each fused iteration ends in a
-// Progress), and wasted-work tracking. It never charges a partial
-// iteration: when the return value m < n, the buffer holds whatever the
-// scalar path needs to re-derive the m+1-th iteration's failure point
-// itself. Callers must hold CanFuse() and must execute exactly m
-// iterations' worth of data movement after a successful charge.
+// the (cycles, pJ) mirrors, section attribution, commit bookkeeping (each
+// fused iteration ends in a Progress), wasted-work tracking, and one
+// coalesced commit event for an attached analysis tracer. It never charges
+// a partial iteration: when the return value m < n, the buffer holds
+// whatever the scalar path needs to re-derive the m+1-th iteration's
+// failure point itself. Callers must hold CanFuse() and must execute
+// exactly m iterations' worth of data movement after a successful charge.
 func (d *Device) ChargeBlock(b *Block, n int) int {
 	if n <= 0 {
 		return 0
@@ -73,7 +82,8 @@ func (d *Device) ChargeBlock(b *Block, n int) int {
 	}
 	// The scalar loop's last section switch per iteration is the final
 	// op's token; leave the device attributed there.
-	last := d.accountBlockOps(b, int64(m))
+	mm := int64(m)
+	last := d.accountBlockOps(b, mm)
 	d.section = last.sec
 	d.secStats = last.stats
 	// Commit bookkeeping: the first fused iteration closes the open
@@ -82,13 +92,24 @@ func (d *Device) ChargeBlock(b *Block, n int) int {
 	if first := d.opsInRegion + b.unitOps; first > d.stats.MaxRegionOps {
 		d.stats.MaxRegionOps = first
 	}
+	d.commitFused(b.unitCyc*mm, b.unitPJ*mm, m)
+	return m
+}
+
+// commitFused closes a funded span of commits whole iterations costing
+// cyc cycles and pj picojoules: the open region, the non-termination
+// counter, the mirrors, the wasted-work baseline, and the coalesced
+// commit event all land where the scalar walk's last commit of the span
+// leaves them.
+func (d *Device) commitFused(cyc, pj int64, commits int) {
 	d.opsInRegion = 0
 	d.rebootsSinceProgress = 0
+	d.cycNow += cyc
+	d.pjNow += pj
 	if d.wastedTrack {
-		d.pjNow += b.unitPJ * int64(m)
 		d.commitNJ = float64(d.pjNow) * 1e-3
 	}
-	return m
+	d.Emit(TraceCommit, d.section.Layer, int64(commits))
 }
 
 // accountBlockOps attributes mm funded iterations of the block's op
@@ -125,12 +146,13 @@ type TrainSeg struct {
 // re-executes on the scalar path and browns out at the identical op index
 // with identical partial energy. Accounting matches ChargeBlock's per
 // segment: the section is left at the last funded op's token, and the
-// commit bookkeeping treats every funded iteration as ending in a
-// Progress, exactly as the scalar walk would. Callers must hold CanFuse()
-// and execute exactly the funded iterations' data movement afterwards.
+// commit bookkeeping (one coalesced commit event included) treats every
+// funded iteration as ending in a Progress, exactly as the scalar walk
+// would. Callers must hold CanFuse() and execute exactly the funded
+// iterations' data movement afterwards.
 func (d *Device) ChargeTrain(segs []TrainSeg) int {
 	total := 0
-	var pjTotal, firstUnit, maxUnit int64
+	var pjTotal, cycTotal, firstUnit, maxUnit int64
 	var last *tokEntry
 	for si := range segs {
 		sg := &segs[si]
@@ -144,7 +166,8 @@ func (d *Device) ChargeTrain(segs []TrainSeg) int {
 				break
 			}
 		}
-		last = d.accountBlockOps(sg.Blk, int64(m))
+		mm := int64(m)
+		last = d.accountBlockOps(sg.Blk, mm)
 		// Region sizes: the train's first funded iteration closes the open
 		// region (handled below via firstUnit); every later iteration spans
 		// exactly its own block's unitOps.
@@ -157,7 +180,8 @@ func (d *Device) ChargeTrain(segs []TrainSeg) int {
 			maxUnit = sg.Blk.unitOps
 		}
 		total += m
-		pjTotal += sg.Blk.unitPJ * int64(m)
+		pjTotal += sg.Blk.unitPJ * mm
+		cycTotal += sg.Blk.unitCyc * mm
 		if m < sg.N {
 			break
 		}
@@ -173,11 +197,6 @@ func (d *Device) ChargeTrain(segs []TrainSeg) int {
 	if maxUnit > d.stats.MaxRegionOps {
 		d.stats.MaxRegionOps = maxUnit
 	}
-	d.opsInRegion = 0
-	d.rebootsSinceProgress = 0
-	if d.wastedTrack {
-		d.pjNow += pjTotal
-		d.commitNJ = float64(d.pjNow) * 1e-3
-	}
+	d.commitFused(cycTotal, pjTotal, total)
 	return total
 }

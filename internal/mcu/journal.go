@@ -369,7 +369,7 @@ func (j *Journal) RestorePrefix(fork *Device, b int64) error {
 	fork.secStats = nil
 	fork.memoLayer, fork.memoStats = "", [numMemoPhases]*SectionStats{}
 	fork.statsGen++
-	fork.resyncWasted()
+	fork.resyncNow()
 	fork.SetSection(sec.Layer, sec.Phase)
 
 	// WAR verdicts: every violation funded within the prefix.

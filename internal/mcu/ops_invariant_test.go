@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/energy"
+	"repro/internal/mem"
 )
 
 // TestOpsTotalMirrorsSectionCounts is the regression guard for the derived
@@ -72,4 +73,127 @@ func TestOpsTotalMirrorsSectionCounts(t *testing.T) {
 	check("war attach", true)
 	dev.Op(OpStoreFRAM)
 	check("war ops", true)
+}
+
+// checkNowMirrors asserts the O(1) (cycles, pJ) mirrors the tracer
+// timestamps events with equal both the full per-section derivation —
+// recomputed here from the raw op counts and the cost model — and
+// Stats().LiveCycles/EnergyPJ.
+func checkNowMirrors(t *testing.T, d *Device, label string) {
+	t.Helper()
+	var wantCyc, wantPJ int64
+	for _, ss := range d.stats.Sections {
+		for k, n := range ss.OpCount {
+			wantCyc += n * int64(d.Cost.Costs[k].Cycles)
+			wantPJ += n * energy.PicojoulesOf(d.Cost.Costs[k].EnergyNJ)
+		}
+	}
+	cyc, pj := d.deriveNow()
+	if cyc != wantCyc || pj != wantPJ {
+		t.Fatalf("%s: mirrors (%d cyc, %d pJ), per-section derivation (%d cyc, %d pJ)",
+			label, cyc, pj, wantCyc, wantPJ)
+	}
+	if st := d.Stats(); st.LiveCycles != cyc || st.EnergyPJ != pj {
+		t.Fatalf("%s: mirrors (%d cyc, %d pJ), Stats (%d cyc, %d pJ)",
+			label, cyc, pj, st.LiveCycles, st.EnergyPJ)
+	}
+}
+
+// TestNowMirrorsMatchDerivation is the regression guard for O(1) trace
+// timestamps: every accounting path (scalar, range, fused block and
+// train, observed slow path) must keep the incremental (cycles, pJ)
+// mirrors equal to the derivation from per-section op counts, and every
+// wholesale stats replacement (brown-out recovery, Reboot, ResetStats,
+// Reprovision, Restore, RestorePrefix, TrackWasted toggles) must leave
+// them resynced.
+func TestNowMirrorsMatchDerivation(t *testing.T) {
+	power := func() energy.System {
+		return energy.NewIntermittent(energy.Cap100uF, energy.ConstantHarvester{Watts: 1e-3})
+	}
+	layout := func(d *Device) (f, s *mem.Region) {
+		return d.FRAM.MustAlloc("f", 64, 2), d.SRAM.MustAlloc("s", 64, 2)
+	}
+	// workload charges through every accounting entry point.
+	workload := func(d *Device, f, s *mem.Region) {
+		tokK := d.SectionToken("conv", PhaseKernel)
+		tokC := d.SectionToken("conv", PhaseControl)
+		d.SetSection("conv", PhaseKernel)
+		d.Op(OpFixedMul)
+		d.Ops(OpAdd, 9)
+		d.LoadRange(f, 0, 8)
+		d.StoreRange(s, 0, make([]int64, 8))
+		d.MACRange(f, 0, s, 0, 16)
+		blk := d.NewBlock(
+			BlockOp{Tok: tokK, Kind: OpLoadFRAM, N: 3},
+			BlockOp{Tok: tokK, Kind: OpFixedMul, N: 2},
+			BlockOp{Tok: tokC, Kind: OpStoreFRAM, N: 1})
+		d.ChargeBlock(blk, 7)
+		blk2 := d.NewBlock(BlockOp{Tok: tokC, Kind: OpBranch, N: 4})
+		d.ChargeTrain([]TrainSeg{{Blk: blk, N: 3}, {Blk: blk2, N: 5}})
+		d.Progress()
+	}
+
+	dev := New(power())
+	f, s := layout(dev)
+	checkNowMirrors(t, dev, "fresh")
+	workload(dev, f, s)
+	checkNowMirrors(t, dev, "charging paths")
+	snap, err := dev.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Brown out mid-stream (the failing op is never accounted), reboot.
+	if dev.Attempt(func() {
+		for {
+			dev.Op(OpFixedMul)
+		}
+	}) {
+		t.Fatal("infinite loop completed")
+	}
+	checkNowMirrors(t, dev, "brown-out")
+	if err := dev.Reboot(); err != nil {
+		t.Fatal(err)
+	}
+	checkNowMirrors(t, dev, "reboot")
+
+	dev.TrackWasted(true)
+	checkNowMirrors(t, dev, "track on")
+	workload(dev, f, s)
+	dev.TrackWasted(false)
+	checkNowMirrors(t, dev, "track off")
+
+	if err := dev.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	checkNowMirrors(t, dev, "restore")
+	workload(dev, f, s)
+	checkNowMirrors(t, dev, "after restore")
+
+	dev.ResetStats()
+	checkNowMirrors(t, dev, "reset")
+	workload(dev, f, s)
+	checkNowMirrors(t, dev, "after reset")
+
+	dev.Reprovision(power())
+	checkNowMirrors(t, dev, "reprovision")
+	workload(dev, f, s)
+	checkNowMirrors(t, dev, "after reprovision")
+
+	// Observed slow path: a journaled golden run, then a fork restored to
+	// a mid-run prefix from it.
+	golden := New(energy.Continuous{})
+	gf, gs := layout(golden)
+	j := golden.StartJournal(16)
+	workload(golden, gf, gs)
+	golden.StopJournal()
+	checkNowMirrors(t, golden, "journaled")
+	fork := New(energy.Continuous{})
+	ff, fs := layout(fork)
+	if err := j.RestorePrefix(fork, j.MaxOp()/2); err != nil {
+		t.Fatal(err)
+	}
+	checkNowMirrors(t, fork, "restore prefix")
+	workload(fork, ff, fs)
+	checkNowMirrors(t, fork, "after restore prefix")
 }

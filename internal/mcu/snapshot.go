@@ -79,7 +79,7 @@ func (d *Device) Restore(s *DeviceSnapshot) error {
 	d.secStats = nil
 	d.memoLayer, d.memoStats = "", [numMemoPhases]*SectionStats{}
 	d.statsGen++
-	d.resyncWasted()
+	d.resyncNow()
 	d.SetSection(s.section.Layer, s.section.Phase)
 	if d.shadow != nil && s.shadow != nil {
 		d.shadow.Restore(s.shadow)

@@ -11,7 +11,10 @@ package mcu
 // branch on the operation hot path (see BenchmarkDeviceOp); when enabled,
 // per-operation costs are aggregated into op-batch events so the event
 // stream stays proportional to interesting transitions, not to every
-// simulated instruction.
+// simulated instruction. Event timestamps read the device's incremental
+// (cycles, pJ) mirrors, so an event costs O(1) however many sections the
+// run attributes to, and a tracer subscribed only to ChargeCycleKinds
+// leaves the fused-kernel fast path engaged (see CanFuse).
 
 // TraceKind enumerates the traceable event classes.
 type TraceKind uint8
@@ -49,9 +52,13 @@ const (
 	// TracePrivatize records a redo-log insertion (first write by a task
 	// to a task-shared location); Label is the region name, Arg the slot.
 	TracePrivatize
-	// TraceCommit records durable progress (Device.Progress): the point
-	// re-execution will not cross again. Wasted-work analysis measures
-	// from the last commit to the brown-out.
+	// TraceCommit records durable progress: the point re-execution will
+	// not cross again. Wasted-work analysis measures from the last commit
+	// to the brown-out. Arg is the number of commits the event represents:
+	// 1 for Device.Progress, m for a fused span of m whole iterations
+	// (ChargeBlock/ChargeTrain), which is timestamped at the span's last
+	// commit. Consumers count an Arg <= 0 as one commit, so hand-built
+	// streams without a count keep their meaning.
 	TraceCommit
 	// TraceLoopIndex records a loop-continuation cursor write (SONIC's
 	// per-iteration progress store); Arg is the packed cursor.
@@ -123,7 +130,8 @@ type Tracer interface {
 // then skips masked-out events before constructing them — on hot paths
 // (per-iteration loop-index stores, per-write privatize events) the
 // construction itself dominates tracing cost, so a consumer that only
-// needs the charge-cycle aggregation kinds avoids almost all of it.
+// needs the charge-cycle aggregation kinds avoids almost all of it — and,
+// masked to ChargeCycleKinds, keeps the fused kernels engaged.
 type TraceMasker interface {
 	Tracer
 	TraceMask() uint32
@@ -131,6 +139,15 @@ type TraceMasker interface {
 
 // TraceMaskAll is the event mask enabling every kind.
 const TraceMaskAll = uint32(1)<<NumTraceKinds - 1
+
+// ChargeCycleKinds is the event mask that delimits charge cycles and the
+// commits inside them: run start, durable commits, brown-outs, reboots,
+// and recharge completions — everything per-charge-cycle wasted-work
+// analysis needs (trace.AnalysisKinds). None of these kinds fires inside
+// a fused span except the commits, which the span emits coalesced, so a
+// tracer whose mask stays within this set does not disable fusion.
+const ChargeCycleKinds = uint32(1)<<TraceRunBegin | uint32(1)<<TraceCommit |
+	uint32(1)<<TraceBrownOut | uint32(1)<<TraceReboot | uint32(1)<<TraceRechargeDone
 
 // MaskOf builds an event mask from kinds.
 func MaskOf(kinds ...TraceKind) uint32 {

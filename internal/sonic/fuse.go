@@ -17,9 +17,10 @@ import (
 // oracle and TestTapeInterpreterDifferential prove it per runtime).
 
 // canFuse reports whether fused kernels may engage: the device allows it
-// (no tracer, journal, or WAR shadow; devirtualized power) and no
-// PutObserver is attached to FRAM, where all image state lives — an
-// observer must see every store, which only the scalar path issues.
+// (no journal or WAR shadow, at most an analysis-only tracer;
+// devirtualized power) and no PutObserver is attached to FRAM, where all
+// image state lives — an observer must see every store, which only the
+// scalar path issues.
 func (s *Exec) canFuse() bool {
 	return s.Dev.CanFuse() && !s.Dev.FRAM.Observed()
 }
@@ -80,8 +81,9 @@ func (s *Exec) fuseIters(b *mcu.Block, per, i, n int) int {
 
 // fuseCommit makes the final fused cursor durable. The scalar path
 // stores the cursor at every commit; only the last value survives, and
-// with no journal, tracer, or observer attached the intermediate stores
-// are unobservable, so one coalesced write leaves identical state.
+// with no journal or observer attached (and no tracer subscribed to
+// loop-index events) the intermediate stores are unobservable, so one
+// coalesced write leaves identical state.
 func (s *Exec) fuseCommit(c Cursor) {
 	s.Img.Ctl.Put(slotCursor, c.Pack())
 	if s.Every > 1 {

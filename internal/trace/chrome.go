@@ -159,7 +159,7 @@ func WriteChrome(w io.Writer, events []Event, o ChromeOptions) error {
 				return err
 			}
 		case mcu.TraceCommit:
-			if err := instant(runtimeTid, "commit", e, nil); err != nil {
+			if err := instant(runtimeTid, "commit", e, map[string]any{"commits": commitsOf(e)}); err != nil {
 				return err
 			}
 		case mcu.TraceRunBegin:

@@ -53,15 +53,16 @@ func NewBuffer(capacity int) *Buffer {
 
 // AnalysisKinds is the minimal event-kind mask the online wasted-work
 // aggregation needs: run start, durable commits, brown-outs, reboots, and
-// recharge completions.
-var AnalysisKinds = mcu.MaskOf(mcu.TraceRunBegin, mcu.TraceCommit,
-	mcu.TraceBrownOut, mcu.TraceReboot, mcu.TraceRechargeDone)
+// recharge completions — the device's charge-cycle set.
+const AnalysisKinds = mcu.ChargeCycleKinds
 
 // NewAnalysisBuffer returns a ring subscribed only to AnalysisKinds. Its
 // Analysis() aggregates (commits, wasted work, recharge time) are
 // identical to a fully-subscribed buffer's, but the device skips the
-// per-iteration event kinds entirely — the right tracer for harness
-// sweeps that only consume the aggregation, at a fraction of the cost.
+// per-iteration event kinds entirely and keeps its fused kernels engaged
+// (each funded span arrives as one coalesced commit) — the right tracer
+// for harness sweeps that only consume the aggregation, at close to
+// untraced speed.
 func NewAnalysisBuffer(capacity int) *Buffer {
 	b := NewBuffer(capacity)
 	b.mask = AnalysisKinds
@@ -122,7 +123,7 @@ func (b *Buffer) observe(e Event) {
 	}
 	switch e.Kind {
 	case mcu.TraceCommit:
-		b.cur.Commits++
+		b.cur.Commits += commitsOf(e)
 		b.cur.lastCommitC = e.Cycles
 		b.cur.lastCommitE = e.EnergyNJ
 	case mcu.TraceBrownOut:
@@ -139,6 +140,16 @@ func (b *Buffer) observe(e Event) {
 		b.cur.RechargeSec += e.DeadSec - b.lastD
 	}
 	b.lastC, b.lastE, b.lastD = e.Cycles, e.EnergyNJ, e.DeadSec
+}
+
+// commitsOf returns how many durable commits a TraceCommit event stands
+// for: its Arg (a fused span coalesces many), with Arg <= 0 — streams
+// that predate the count — counting as one.
+func commitsOf(e Event) int {
+	if e.Arg <= 0 {
+		return 1
+	}
+	return int(e.Arg)
 }
 
 func newCycle(index int, cycles int64, energy float64) ChargeCycle {

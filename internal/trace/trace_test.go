@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -98,8 +101,77 @@ func TestAnalysisSyntheticRun(t *testing.T) {
 	}
 }
 
+// TestCommitCounts pins the TraceCommit Arg rule: a coalesced commit from
+// a fused span counts Arg commits, a Progress commit (Arg 1) one, and a
+// legacy or hand-built commit without a count (Arg <= 0) also one — in the
+// online analysis, the Chrome commit instants, and the CSV rows alike.
+func TestCommitCounts(t *testing.T) {
+	b := NewBuffer(0)
+	b.TraceEvent(ev(mcu.TraceRunBegin, 0, 0, "sonic", 0))
+	b.TraceEvent(ev(mcu.TraceCommit, 50, 25, "conv1", 5)) // fused span of 5
+	b.TraceEvent(ev(mcu.TraceCommit, 60, 30, "conv1", 0)) // legacy, no count
+	b.TraceEvent(ev(mcu.TraceCommit, 70, 35, "conv1", 1)) // Progress
+	b.TraceEvent(ev(mcu.TraceBrownOut, 90, 45, "conv1", 0))
+	b.TraceEvent(ev(mcu.TraceReboot, 90, 45, "", 1))
+	b.TraceEvent(ev(mcu.TraceCommit, 130, 65, "fc", 3))
+	b.TraceEvent(ev(mcu.TraceCommit, 140, 70, "fc", -2)) // malformed: one
+
+	a := b.Analysis()
+	if len(a.Cycles) != 2 || a.Cycles[0].Commits != 7 || a.Cycles[1].Commits != 4 || a.Commits != 11 {
+		t.Fatalf("commits = %d total, per cycle %+v; want 7 + 4 = 11", a.Commits, a.Cycles)
+	}
+	// The coalesced commit's timestamp is its span's last commit, so
+	// wasted work still measures from the cycle's final commit.
+	if c0 := a.Cycles[0]; c0.WastedCycles != 20 || c0.WastedEnergyNJ != 10 {
+		t.Errorf("cycle 0 waste = %d cyc %.0f nJ, want 20/10", c0.WastedCycles, c0.WastedEnergyNJ)
+	}
+	want := []float64{5, 1, 1, 3, 1}
+
+	var buf bytes.Buffer
+	if err := WriteChrome(&buf, b.Events(), ChromeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var f chromeFile
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	var got []float64
+	for _, e := range f.TraceEvents {
+		if e.Name == "commit" {
+			n, _ := e.Args["commits"].(float64)
+			got = append(got, n)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("chrome commit counts = %v, want %v", got, want)
+	}
+
+	var csvBuf bytes.Buffer
+	if err := WriteCSV(&csvBuf, b.Events(), 16e6); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&csvBuf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = got[:0]
+	for _, r := range rows[1:] {
+		if r[0] == "commit" {
+			n, err := strconv.ParseFloat(r[7], 64)
+			if err != nil {
+				t.Fatalf("csv arg %q: %v", r[7], err)
+			}
+			got = append(got, n)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("csv commit counts = %v, want %v", got, want)
+	}
+}
+
 // TestAnalysisSurvivesWrap checks the aggregates stay exact when the ring
-// has long since overwritten the events they came from.
+// has long since overwritten the events they came from. Its commits carry
+// no count (Arg 0), as pre-coalescing streams did, and count one each.
 func TestAnalysisSurvivesWrap(t *testing.T) {
 	b := NewBuffer(8)
 	for i := int64(0); i < 100; i++ {
