@@ -1,15 +1,9 @@
 package harness
 
 import (
-	"fmt"
-	"math/rand/v2"
-	"testing"
-
 	"repro/internal/baseline"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/energy"
-	"repro/internal/intermittest"
 	"repro/internal/sonic"
 	"repro/internal/tails"
 )
@@ -32,63 +26,5 @@ func tapePairs() []tapePair {
 		{sonic.SONIC{}, sonic.SONIC{Tape: true}},
 		{tails.TAILS{}, tails.TAILS{Tape: true}},
 		{checkpoint.Checkpoint{Interval: 8}, checkpoint.Checkpoint{Interval: 8, Tape: true}},
-	}
-}
-
-// TestTapeInterpreterDifferential is the op-tape executor's oracle: for
-// every runtime, the tape path must reproduce the interpreted walk
-// bit-for-bit — logits, cycles, integer-picojoule energy, per-op counts,
-// per-section stats, reboot placement, and WAR shadow verdicts — under
-// continuous power and a fleet of fuzzed brown-out schedules, and under
-// both the bulk and the forced-scalar charging paths.
-//
-// Like the bulk/fork oracles, this is the safety net that makes the tape
-// legal to ship anywhere (fleet campaigns default paths, CLIs): CI greps
-// for each runtime's PASS line and rejects skips.
-func TestTapeInterpreterDifferential(t *testing.T) {
-	const fuzzedSchedules = 30
-	qm, x := intermittest.TinyModel(1)
-	qin := qm.QuantizeInput(x)
-
-	for _, pair := range tapePairs() {
-		pair := pair
-		t.Run(pair.interp.Name(), func(t *testing.T) {
-			// Continuous power, bulk charging: the pure compute path.
-			interp := diffRun(t, qm, qin, pair.interp, energy.Continuous{}, false)
-			tp := diffRun(t, qm, qin, pair.tape, energy.Continuous{}, false)
-			diffCompare(t, "cont", tp, interp)
-
-			// Forced-scalar charging on both executors: proves the tape
-			// composes with the bulk/scalar equivalence rather than
-			// depending on it.
-			interpScalar := diffRun(t, qm, qin, pair.interp, energy.Continuous{}, true)
-			tpScalar := diffRun(t, qm, qin, pair.tape, energy.Continuous{}, true)
-			diffCompare(t, "cont-scalar", tpScalar, interpScalar)
-
-			// Fuzzed brown-out schedules above the runtime's liveness
-			// floor, with a tail of tight gaps maximizing mid-kernel
-			// reboot coverage (same shape as TestBulkScalarDifferential).
-			totalOps := int64(0)
-			for _, n := range interp.Stats.OpCount {
-				totalOps += n
-			}
-			floor := int(2*interp.Stats.MaxRegionOps) + 50
-			rng := rand.New(rand.NewPCG(0x7a9e, uint64(totalOps)))
-			for s := 0; s < fuzzedSchedules; s++ {
-				gaps := make([]int, 1+rng.IntN(4))
-				for i := range gaps {
-					gaps[i] = floor + rng.IntN(int(totalOps))
-				}
-				if s%5 == 4 {
-					for i := range gaps {
-						gaps[i] = floor + rng.IntN(floor)
-					}
-				}
-				label := fmt.Sprintf("sched%02d%v", s, gaps)
-				interp := diffRun(t, qm, qin, pair.interp, energy.NewFailSchedule(gaps), false)
-				tp := diffRun(t, qm, qin, pair.tape, energy.NewFailSchedule(gaps), false)
-				diffCompare(t, label, tp, interp)
-			}
-		})
 	}
 }
