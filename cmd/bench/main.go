@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand/v2"
 	"os"
 	"reflect"
 	"runtime"
@@ -27,13 +26,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/dnn"
 	"repro/internal/energy"
-	"repro/internal/fixed"
 	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/intermittest"
 	"repro/internal/mcu"
 	"repro/internal/prof"
-	"repro/internal/sonic"
 )
 
 // preBulkFig9NsPerOp is BenchmarkFig9 at the commit before the bulk-charge
@@ -128,36 +125,16 @@ type report struct {
 		Deterministic bool         `json:"deterministic"`
 	} `json:"fleet"`
 
-	// Tape A/Bs the pre-decoded op-tape executors against the interpreted
-	// walk on the two workloads that dominate wall-clock: the Fig. 9
-	// measurement matrix and single-worker fleet throughput. Identical
-	// records that every matrix cell and the fleet summary were bit-equal
-	// between executors — the speedup only counts on identical results.
-	// The fleet A/B sweeps the real evaluation networks (mnist, har, okg)
-	// rather than the synthetic tiny model: the tiny fleet is dominated by
-	// per-device fixed costs (construction, deployment, trace analysis)
-	// that are identical in both executors, while the real networks carry
-	// the MAC volume the pre-decoded tables actually accelerate.
-	Tape struct {
-		Fig9InterpNsPerOp    int64    `json:"fig9_interp_ns_per_op"`
-		Fig9TapeNsPerOp      int64    `json:"fig9_tape_ns_per_op"`
-		Fig9Speedup          float64  `json:"fig9_speedup"`
-		FleetDevices         int      `json:"fleet_devices"`
-		FleetNets            []string `json:"fleet_nets"`
-		FleetInterpDevPerSec float64  `json:"fleet_interp_devices_per_sec"`
-		FleetTapeDevPerSec   float64  `json:"fleet_tape_devices_per_sec"`
-		FleetSpeedup         float64  `json:"fleet_speedup"`
-		Identical            bool     `json:"identical"`
-		Iterations           int      `json:"iterations"`
-	} `json:"tape"`
-
 	// Kernels A/Bs the fused bulk-loop kernels against the scalar
-	// op-by-op path (Device.NoFuse) at fixed executor choice — both sides
-	// run the tape executors, so the ratio isolates the fused fast path
-	// alone. Same discipline as Tape: paired alternating min-of-K, and the
-	// speedup only counts on bit-identical results (every Fig. 9 cell, and
-	// the fleet summary byte-for-byte). FleetWorkers reports the fused
-	// tape fleet's devices/sec at 1 and 4 workers.
+	// op-by-op path (Device.NoFuse), so the ratio isolates the fused fast
+	// path alone. Paired alternating min-of-K, and the speedup only counts
+	// on bit-identical results (every Fig. 9 cell, and the fleet summary
+	// byte-for-byte). The fleet A/B sweeps the real evaluation networks
+	// (mnist, har, okg): the tiny fleet is dominated by per-device fixed
+	// costs, while the real networks carry the MAC volume the kernels
+	// accelerate. FleetWorkers reports the fused fleet's devices/sec at 1
+	// and 4 workers; the 1-worker figure also feeds the PR7 and PR9
+	// throughput bars.
 	Kernels struct {
 		Fig9ScalarNsPerOp    int64        `json:"fig9_scalar_ns_per_op"`
 		Fig9FusedNsPerOp     int64        `json:"fig9_fused_ns_per_op"`
@@ -175,8 +152,8 @@ type report struct {
 
 	// Provision A/Bs pooled COW provisioning against per-device fresh
 	// deploys on the real networks, two ways. The fleet pair is the same
-	// 600-device sweep with Spec.Fresh flipped at fixed executor choice
-	// (fused tape on both sides): the end-to-end effect of device reuse,
+	// 600-device sweep with Spec.Fresh flipped (fused kernels on both
+	// sides): the end-to-end effect of device reuse,
 	// bounded by how small a slice of a device's wall time provisioning
 	// is once the bulk flash made fresh deploys cheap (Amdahl). The prov
 	// pair isolates the provisioning path itself — a fresh mcu.New +
@@ -207,28 +184,15 @@ type report struct {
 		Iterations          int      `json:"iterations"`
 	} `json:"provision"`
 
-	// Sparse is the sparse row-walk + op-path PR's section. The fleet
-	// figures restate the tape sweep's minimum against BENCH_PR9's
-	// recorded throughput (the >= 1.3x bar is asserted in-binary, on
-	// byte-identical summaries enforced by the paired harness). The layer
-	// pair isolates the CSR row walk itself: a synthetic sparse-heavy
-	// model — one large SparseDense layer holding nearly all the work —
-	// run on SONIC interpreted (per-nonzero row walk, binary row search)
-	// versus SONIC tape (compiled row-span trains through kern.CSRSpans),
-	// with logits and RunResults bit-equal between the executors.
+	// Sparse is the sparse row-walk + op-path PR's section: the fused
+	// 1-worker fleet sweep's minimum (Kernels) against BENCH_PR9's recorded
+	// throughput. The >= 1.3x bar is asserted in-binary, on byte-identical
+	// summaries enforced by the paired harness.
 	Sparse struct {
-		FleetDevices       int     `json:"fleet_devices"`
-		FleetTapeDevPerSec float64 `json:"fleet_tape_devices_per_sec"`
-		PR9FleetDevPerSec  float64 `json:"pr9_fleet_tape_devices_per_sec"`
-		FleetGain          float64 `json:"fleet_gain_vs_pr9"`
-		LayerRows          int     `json:"layer_rows"`
-		LayerCols          int     `json:"layer_cols"`
-		LayerNonzeros      int     `json:"layer_nonzeros"`
-		LayerInterpNsPerOp int64   `json:"layer_interp_ns_per_op"`
-		LayerTapeNsPerOp   int64   `json:"layer_tape_ns_per_op"`
-		LayerSpeedup       float64 `json:"layer_speedup"`
-		Identical          bool    `json:"identical"`
-		Iterations         int     `json:"iterations"`
+		FleetDevices      int     `json:"fleet_devices"`
+		FleetDevPerSec    float64 `json:"fleet_devices_per_sec"`
+		PR9FleetDevPerSec float64 `json:"pr9_fleet_tape_devices_per_sec"`
+		FleetGain         float64 `json:"fleet_gain_vs_pr9"`
 	} `json:"sparse"`
 }
 
@@ -346,50 +310,6 @@ func main() {
 		}
 	}
 
-	// Tape vs interpreter on the full matrix: identical cells, less time.
-	// The interpreted pass is re-timed here (rather than reusing the RunAll
-	// figure) so both sides run the identical Measure loop. The two
-	// executors alternate within each round and the minimum over rounds is
-	// reported: paired min-of-K discards scheduler and thermal noise that an
-	// averaged back-to-back comparison folds into the ratio.
-	matrixOnce := func(rts []core.Runtime) (time.Duration, []harness.RunResult) {
-		var results []harness.RunResult
-		start := time.Now()
-		for _, p := range prepped {
-			input := p.Model.QuantizeInput(p.Input)
-			for _, rt := range rts {
-				for _, pw := range harness.Powers() {
-					res, err := harness.Measure(p.Net, p.Model, rt, pw, input)
-					if err != nil {
-						fail(err)
-					}
-					results = append(results, res)
-				}
-			}
-		}
-		return time.Since(start), results
-	}
-	fmt.Fprintf(os.Stderr, "bench: Fig. 9 matrix interpreted vs tape, paired × %d...\n", *count)
-	var minInterp, minTape time.Duration
-	for i := 0; i < *count; i++ {
-		dI, resI := matrixOnce(harness.Runtimes())
-		dT, resT := matrixOnce(harness.TapeRuntimes())
-		if !reflect.DeepEqual(resI, resT) {
-			fail(fmt.Errorf("tape executors changed Fig. 9 results — bit-exactness broken"))
-		}
-		if i == 0 || dI < minInterp {
-			minInterp = dI
-		}
-		if i == 0 || dT < minTape {
-			minTape = dT
-		}
-	}
-	rep.Tape.Fig9InterpNsPerOp = minInterp.Nanoseconds()
-	rep.Tape.Fig9TapeNsPerOp = minTape.Nanoseconds()
-	rep.Tape.Fig9Speedup = float64(minInterp) / float64(minTape)
-	rep.Tape.Identical = true
-	rep.Tape.Iterations = *count
-
 	// Intermittence fuzz campaign, as CI runs it: every runtime plus the
 	// two negative controls, WAR shadow armed. Measured twice at identical
 	// sweep coverage — once with ForceScratch (the pre-fork path) and once
@@ -488,14 +408,9 @@ func main() {
 			fail(fmt.Errorf("fleet aggregates at %d workers differ from the 1-worker baseline", w))
 		}
 	}
-	// Tape vs interpreter on fleet throughput at one worker — the purest
-	// per-device simulation cost. The sweep runs the real evaluation
-	// networks (the tiny fleet above is all fixed per-device overhead,
-	// identical in both executors). The tape campaign must reproduce the
-	// interpreted summary byte-for-byte (Spec.Tape is an executor choice,
-	// not campaign identity) and sweep strictly more devices per second.
-	// Paired alternating min-of-K again: each round runs interpreted then
-	// tape under the same machine conditions, and the minima are compared.
+	// The real evaluation networks for the fleet A/Bs below: one worker
+	// is the purest per-device simulation cost, and the tiny fleet above
+	// is all fixed per-device overhead.
 	const realFleetDevices = 600
 	realModels := make(map[string]fleet.Model, len(prepped))
 	var realNets []string
@@ -513,23 +428,11 @@ func main() {
 			{Name: "cont", SystemSpec: energy.SystemSpec{Kind: "cont"}},
 		},
 	}
-	tapeSpec := realSpec
-	tapeSpec.Tape = true
-	fmt.Fprintf(os.Stderr, "bench: fleet campaign interpreted vs tape (%d real-network devices, 1 worker), paired × %d...\n",
-		realFleetDevices, *count)
-	var realSummary []byte
-	realMins, _ := pairedFleetMin(*count, 1, realModels, &realSummary, realSpec, tapeSpec)
-	minFleetInterp, minFleetTape := realMins[0], realMins[1]
-	rep.Tape.FleetDevices = realFleetDevices
-	rep.Tape.FleetNets = realNets
-	rep.Tape.FleetInterpDevPerSec = float64(realFleetDevices) / minFleetInterp.Seconds()
-	rep.Tape.FleetTapeDevPerSec = float64(realFleetDevices) / minFleetTape.Seconds()
-	rep.Tape.FleetSpeedup = float64(minFleetInterp) / float64(minFleetTape)
-
-	// Fused kernels vs scalar at fixed executor choice (tape on both
-	// sides): the Fig. 9 matrix through Measure vs MeasureScalar, and the
-	// real-network fleet with Spec.NoFuse flipped. Paired alternating
-	// min-of-K, bit-identical results required, as in the Tape section.
+	// Fused kernels vs scalar: the Fig. 9 matrix through Measure vs
+	// MeasureScalar, and the real-network fleet with Spec.NoFuse flipped.
+	// Paired alternating min-of-K: each round runs both sides under the
+	// same machine conditions and the minima are compared; bit-identical
+	// results required.
 	matrixMeasured := func(rts []core.Runtime, scalar bool) (time.Duration, []harness.RunResult) {
 		mfn := harness.Measure
 		if scalar {
@@ -551,11 +454,11 @@ func main() {
 		}
 		return time.Since(start), results
 	}
-	fmt.Fprintf(os.Stderr, "bench: Fig. 9 matrix fused vs scalar (tape executors), paired × %d...\n", *count)
+	fmt.Fprintf(os.Stderr, "bench: Fig. 9 matrix fused vs scalar, paired × %d...\n", *count)
 	var minFig9Fused, minFig9Scalar time.Duration
 	for i := 0; i < *count; i++ {
-		dS, resS := matrixMeasured(harness.TapeRuntimes(), true)
-		dF, resF := matrixMeasured(harness.TapeRuntimes(), false)
+		dS, resS := matrixMeasured(harness.Runtimes(), true)
+		dF, resF := matrixMeasured(harness.Runtimes(), false)
 		if !reflect.DeepEqual(resS, resF) {
 			fail(fmt.Errorf("fused kernels changed Fig. 9 results — bit-exactness broken"))
 		}
@@ -570,11 +473,12 @@ func main() {
 	rep.Kernels.Fig9FusedNsPerOp = minFig9Fused.Nanoseconds()
 	rep.Kernels.Fig9Speedup = float64(minFig9Scalar) / float64(minFig9Fused)
 
-	scalarTapeSpec := tapeSpec
-	scalarTapeSpec.NoFuse = true
+	scalarSpec := realSpec
+	scalarSpec.NoFuse = true
 	fmt.Fprintf(os.Stderr, "bench: fleet campaign fused vs scalar (%d real-network devices, 1 worker), paired × %d...\n",
 		realFleetDevices, *count)
-	kernelMins, _ := pairedFleetMin(*count, 1, realModels, &realSummary, scalarTapeSpec, tapeSpec)
+	var realSummary []byte
+	kernelMins, _ := pairedFleetMin(*count, 1, realModels, &realSummary, scalarSpec, realSpec)
 	minFleetScalar, minFleetFused := kernelMins[0], kernelMins[1]
 	rep.Kernels.FleetDevices = realFleetDevices
 	rep.Kernels.FleetNets = realNets
@@ -585,7 +489,7 @@ func main() {
 	rep.Kernels.Identical = true
 	rep.Kernels.Iterations = *count
 
-	// Fused tape fleet at 1 and 4 workers: the throughput a campaign
+	// Fused fleet at 1 and 4 workers: the throughput a campaign
 	// actually sees. The 1-worker point reuses the paired minimum above;
 	// 4 workers is measured here (byte-identical summary again required).
 	rep.Kernels.FleetWorkers = append(rep.Kernels.FleetWorkers, fleetPoint{
@@ -594,21 +498,21 @@ func main() {
 	})
 	fmt.Fprintf(os.Stderr, "bench: fleet campaign fused (%d real-network devices, 4 workers) × %d...\n",
 		realFleetDevices, *count)
-	fused4Mins, _ := pairedFleetMin(*count, 4, realModels, &realSummary, tapeSpec)
+	fused4Mins, _ := pairedFleetMin(*count, 4, realModels, &realSummary, realSpec)
 	minFleetFused4 := fused4Mins[0]
 	rep.Kernels.FleetWorkers = append(rep.Kernels.FleetWorkers, fleetPoint{
 		Workers: 4, NsPerOp: minFleetFused4.Nanoseconds(),
 		DevicesPerSec: float64(realFleetDevices) / minFleetFused4.Seconds(),
 	})
 
-	// Pooled COW provisioning vs per-device fresh deploys, fused tape on
-	// both sides. Paired alternating min-of-K: each round runs the fresh
-	// fleet then the pooled fleet under the same machine conditions.
-	freshTapeSpec := tapeSpec
-	freshTapeSpec.Fresh = true
+	// Pooled COW provisioning vs per-device fresh deploys, fused kernels
+	// on both sides. Paired alternating min-of-K: each round runs the
+	// fresh fleet then the pooled fleet under the same machine conditions.
+	freshSpec := realSpec
+	freshSpec.Fresh = true
 	fmt.Fprintf(os.Stderr, "bench: fleet campaign fresh vs pooled provisioning (%d real-network devices, 1 worker), paired × %d...\n",
 		realFleetDevices, *count)
-	provMins, provBest := pairedFleetMin(*count, 1, realModels, &realSummary, freshTapeSpec, tapeSpec)
+	provMins, provBest := pairedFleetMin(*count, 1, realModels, &realSummary, freshSpec, realSpec)
 	minFleetFresh, minFleetPooled := provMins[0], provMins[1]
 	if provBest[0].Provision.FreshDeploys != realFleetDevices || provBest[1].Provision.Restores != realFleetDevices {
 		fail(fmt.Errorf("provisioning counters off: fresh %+v pooled %+v",
@@ -686,92 +590,23 @@ func main() {
 	rep.Provision.ProvPooledDevPerSec = float64(nProv) / minProvPooled.Seconds()
 	rep.Provision.ProvSpeedup = float64(minProvFresh) / float64(minProvPooled)
 
-	// Sparse row-walk section. The fleet side restates the tape sweep's
-	// paired minimum (measured above, byte-identical summaries enforced)
-	// against BENCH_PR9's recorded figure. The layer pair isolates the
-	// row walk: SONIC interpreted (per-nonzero binary row search) versus
-	// SONIC tape (compiled row-span trains) on a model that is almost
-	// entirely one big SparseDense layer, at continuous power, with reps
-	// batched per timed side to stay well above timer resolution.
-	qmSparse, xSparse := sparseHeavyModel(*seed)
-	qs := &qmSparse.Layers[0]
-	inputSparse := qmSparse.QuantizeInput(xSparse)
-	contPow := harness.Powers()[0]
-	const sparseReps = 50
-	fmt.Fprintf(os.Stderr, "bench: sparse layer interpreted vs tape (SONIC, %dx%d, %d nonzeros), paired × %d...\n",
-		qs.Out, qs.In, int(qs.RowPtr[qs.Out]), *count)
-	sparseOnce := func(rt core.Runtime) (time.Duration, []harness.RunResult) {
-		results := make([]harness.RunResult, 0, sparseReps)
-		start := time.Now()
-		for r := 0; r < sparseReps; r++ {
-			res, err := harness.Measure("sparse-heavy", qmSparse, rt, contPow, inputSparse)
-			if err != nil {
-				fail(err)
-			}
-			results = append(results, res)
-		}
-		return time.Since(start), results
-	}
-	var minLayerInterp, minLayerTape time.Duration
-	for i := 0; i < *count; i++ {
-		dI, resI := sparseOnce(sonic.SONIC{})
-		dT, resT := sparseOnce(sonic.SONIC{Tape: true})
-		if !reflect.DeepEqual(resI, resT) {
-			fail(fmt.Errorf("tape row-span trains changed sparse-heavy results — bit-exactness broken"))
-		}
-		if i == 0 || dI < minLayerInterp {
-			minLayerInterp = dI
-		}
-		if i == 0 || dT < minLayerTape {
-			minLayerTape = dT
-		}
-	}
-	// RunResult equality covers stats and the prediction; pin the raw
-	// logits too, once per executor.
-	logitsOf := func(rt core.Runtime) []fixed.Q15 {
-		dev := mcu.New(energy.Continuous{})
-		img, err := core.Deploy(dev, qmSparse)
-		if err != nil {
-			fail(err)
-		}
-		lg, err := rt.Infer(img, inputSparse)
-		if err != nil {
-			fail(err)
-		}
-		return lg
-	}
-	if !reflect.DeepEqual(logitsOf(sonic.SONIC{}), logitsOf(sonic.SONIC{Tape: true})) {
-		fail(fmt.Errorf("tape row-span trains changed sparse-heavy logits — bit-exactness broken"))
-	}
+	// Sparse row-walk section: the fused 1-worker fleet minimum against
+	// BENCH_PR9's recorded figure.
 	rep.Sparse.FleetDevices = realFleetDevices
-	rep.Sparse.FleetTapeDevPerSec = rep.Tape.FleetTapeDevPerSec
+	rep.Sparse.FleetDevPerSec = rep.Kernels.FleetFusedDevPerSec
 	rep.Sparse.PR9FleetDevPerSec = pr9FleetTapeDevPerSec
-	rep.Sparse.FleetGain = rep.Tape.FleetTapeDevPerSec / pr9FleetTapeDevPerSec
-	rep.Sparse.LayerRows = qs.Out
-	rep.Sparse.LayerCols = qs.In
-	rep.Sparse.LayerNonzeros = int(qs.RowPtr[qs.Out])
-	rep.Sparse.LayerInterpNsPerOp = minLayerInterp.Nanoseconds() / sparseReps
-	rep.Sparse.LayerTapeNsPerOp = minLayerTape.Nanoseconds() / sparseReps
-	rep.Sparse.LayerSpeedup = float64(minLayerInterp) / float64(minLayerTape)
-	rep.Sparse.Identical = true
-	rep.Sparse.Iterations = *count
+	rep.Sparse.FleetGain = rep.Kernels.FleetFusedDevPerSec / pr9FleetTapeDevPerSec
 
-	// The tape path exists to be faster; a regression on either headline
-	// metric fails the bench outright.
-	if rep.Tape.Fig9Speedup <= 1.0 {
-		fail(fmt.Errorf("tape Fig. 9 matrix is not faster than interpreted (%.2fx)", rep.Tape.Fig9Speedup))
-	}
-	if rep.Tape.FleetSpeedup <= 1.0 {
-		fail(fmt.Errorf("tape fleet sweep is not faster than interpreted (%.2fx)", rep.Tape.FleetSpeedup))
-	}
+	// The fused path exists to be faster; a regression fails the bench
+	// outright.
 	if rep.Kernels.FleetSpeedup <= 1.0 {
 		fail(fmt.Errorf("fused fleet sweep is not faster than scalar (%.2fx)", rep.Kernels.FleetSpeedup))
 	}
-	// The fused-kernel PR's headline: the tape fleet sweep (now fused by
-	// default) must at least double the throughput BENCH_PR7 recorded.
-	if rep.Tape.FleetTapeDevPerSec < 2*pr7FleetTapeDevPerSec {
-		fail(fmt.Errorf("tape fleet sweep at %.0f devices/sec, want >= 2x PR7's %.0f",
-			rep.Tape.FleetTapeDevPerSec, pr7FleetTapeDevPerSec))
+	// The fused-kernel PR's headline: the fused fleet sweep must at least
+	// double the throughput BENCH_PR7 recorded.
+	if rep.Kernels.FleetFusedDevPerSec < 2*pr7FleetTapeDevPerSec {
+		fail(fmt.Errorf("fused fleet sweep at %.0f devices/sec, want >= 2x PR7's %.0f",
+			rep.Kernels.FleetFusedDevPerSec, pr7FleetTapeDevPerSec))
 	}
 	// The provisioning PR's headline: on the real networks, provisioning a
 	// pooled device must beat the fresh mcu.New + core.Deploy path by
@@ -793,17 +628,11 @@ func main() {
 	if rep.Provision.PagesSkipped == 0 {
 		fail(fmt.Errorf("pooled restores skipped no pages: dirty-region tracking inert"))
 	}
-	// The sparse PR's headline: the tape fleet sweep must clear 1.3x the
-	// throughput BENCH_PR9 recorded, on byte-identical summaries, and the
-	// compiled row-span trains must beat the interpreted row walk on the
-	// sparse-heavy layer.
+	// The sparse PR's headline: the fused fleet sweep must clear 1.3x the
+	// throughput BENCH_PR9 recorded, on byte-identical summaries.
 	if rep.Sparse.FleetGain < 1.3 {
-		fail(fmt.Errorf("tape fleet sweep at %.0f devices/sec is %.2fx of PR9's %.0f, want >= 1.3x",
-			rep.Sparse.FleetTapeDevPerSec, rep.Sparse.FleetGain, pr9FleetTapeDevPerSec))
-	}
-	if rep.Sparse.LayerSpeedup <= 1.0 {
-		fail(fmt.Errorf("sparse-layer tape pass is not faster than interpreted (%.2fx)",
-			rep.Sparse.LayerSpeedup))
+		fail(fmt.Errorf("fused fleet sweep at %.0f devices/sec is %.2fx of PR9's %.0f, want >= 1.3x",
+			rep.Sparse.FleetDevPerSec, rep.Sparse.FleetGain, pr9FleetTapeDevPerSec))
 	}
 
 	// Scaling is only meaningful with real parallel hardware: on >=4 CPUs,
@@ -838,11 +667,6 @@ func main() {
 		fmt.Printf("fleet: %d devices @ %d workers: %.0f devices/sec\n",
 			rep.Fleet.Devices, p.Workers, p.DevicesPerSec)
 	}
-	fmt.Printf("tape: fig9 %.3fs -> %.3fs (%.2fx)  fleet %.0f -> %.0f devices/sec (%.2fx)  identical=%v\n",
-		float64(rep.Tape.Fig9InterpNsPerOp)/1e9, float64(rep.Tape.Fig9TapeNsPerOp)/1e9,
-		rep.Tape.Fig9Speedup,
-		rep.Tape.FleetInterpDevPerSec, rep.Tape.FleetTapeDevPerSec, rep.Tape.FleetSpeedup,
-		rep.Tape.Identical)
 	fmt.Printf("kernels: fig9 %.3fs -> %.3fs (%.2fx)  fleet %.0f -> %.0f devices/sec (%.2fx)  identical=%v\n",
 		float64(rep.Kernels.Fig9ScalarNsPerOp)/1e9, float64(rep.Kernels.Fig9FusedNsPerOp)/1e9,
 		rep.Kernels.Fig9Speedup,
@@ -898,47 +722,6 @@ func pairedFleetMin(count, workers int, models map[string]fleet.Model, baseline 
 		}
 	}
 	return mins, best
-}
-
-// sparseHeavyModel builds the sparse-layer A/B's synthetic workload: a
-// 512-wide SparseDense layer at ~8% average density with naturally varied
-// row lengths — empty rows through double-average rows, as GENESIS-pruned
-// layers produce — followed by a small dense head, so the charged work is
-// dominated by the CSR row walk under test. Kept weights get solid
-// magnitudes so quantization retains the crafted structure.
-func sparseHeavyModel(seed uint64) (*dnn.QuantModel, []float64) {
-	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-	const in, out = 512, 512
-	avg := in * 8 / 100
-	d := dnn.NewDense(rng, out, in)
-	wd := d.W.Data()
-	for o := 0; o < out; o++ {
-		for i := 0; i < in; i++ {
-			wd[o*in+i] = (rng.Float64() - 0.5) * 0.01
-		}
-		for _, c := range rng.Perm(in)[:rng.IntN(2*avg+1)] {
-			v := 0.3 + rng.Float64()*0.6
-			if rng.IntN(2) == 0 {
-				v = -v
-			}
-			wd[o*in+c] = v
-		}
-	}
-	n := dnn.NewNetwork("sparse-heavy", dnn.Shape{1, 1, in})
-	n.Add(d, dnn.NewReLU(), dnn.NewDense(rng, 4, out))
-	n.Layers[0] = dnn.NewSparseDense(d, 0.1)
-	x := make([]float64, in)
-	for i := range x {
-		x[i] = rng.Float64()*1.6 - 0.8
-	}
-	qm, err := dnn.Quantize(n, [][]float64{x})
-	if err != nil {
-		fail(fmt.Errorf("sparse-heavy model does not quantize: %w", err))
-	}
-	if qm.Layers[0].Kind != dnn.QSparseDense {
-		fail(fmt.Errorf("sparse-heavy layer did not stay sparse"))
-	}
-	return qm, x
 }
 
 func fail(err error) {

@@ -31,7 +31,6 @@ func main() {
 		modelPath = flag.String("model", "", "quantized model file (from cmd/genesis)")
 		net       = flag.String("net", "har", "network/dataset if no -model given")
 		rtName    = flag.String("runtime", "sonic", "base, tile-N, sonic, tails, ckpt-N")
-		useTape   = flag.Bool("tape", false, "execute from the pre-decoded op tape (bit-exact with the interpreted walk, faster host simulation)")
 		pwName    = flag.String("power", "100uF",
 			"cont, 50mF, 1mF, 100uF, stoch-100uF, stoch-1mF, solar-100uF")
 		n           = flag.Int("n", 5, "number of test samples to classify")
@@ -53,7 +52,7 @@ func main() {
 	// Resolve names before any expensive model preparation: a typo in
 	// -runtime or -power should fail in milliseconds with the parse
 	// diagnostic, not after a GENESIS run.
-	rt, err := fleet.RuntimeByNameTape(*rtName, *useTape)
+	rt, err := fleet.RuntimeByName(*rtName)
 	if err != nil {
 		fail(err)
 	}

@@ -22,20 +22,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/dnn"
 	"repro/internal/fixed"
+	"repro/internal/kern"
 	"repro/internal/mcu"
 	"repro/internal/mem"
 	"repro/internal/tape"
 )
 
 // Base is the unprotected straight-line implementation.
-type Base struct {
-	// Tape selects the pre-decoded op-tape executor (internal/tape): the
-	// model compiles once per process and the conv weight decode plus all
-	// per-attempt allocations leave the retry path. The issued op stream
-	// is bit-exact with the interpreted walk
-	// (TestTapeInterpreterDifferential).
-	Tape bool
-}
+type Base struct{}
 
 // Name identifies the runtime.
 func (Base) Name() string { return "base" }
@@ -60,24 +54,16 @@ func (b Base) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15, 
 			return nil, err
 		}
 	}
-	var prog *tape.Program
-	var sc *tape.Scratch
-	if b.Tape {
-		prog = tape.Get(img.Model)
-		sc = prog.GetScratch()
-		defer prog.PutScratch(sc)
-	}
+	// The compiled program supplies the conv weight decode and pooled
+	// scratch, so a brown-out retry re-derives and allocates nothing.
+	prog := tape.Get(img.Model)
+	sc := prog.GetScratch()
+	defer prog.PutScratch(sc)
 	var outB bool
 	err := dev.Run(func() {
 		parity := false // input in ActA
-		if prog != nil {
-			for li := range img.Layers {
-				parity = tapeBaseLayer(dev, img, prog, li, parity, sc)
-			}
-		} else {
-			for li := range img.Layers {
-				parity = baseLayer(dev, img, li, parity)
-			}
+		for li := range img.Layers {
+			parity = baseLayer(dev, img, prog, li, parity, sc)
 		}
 		outB = parity
 	})
@@ -98,32 +84,31 @@ func actBufs(img *core.Image, parity bool) (*mem.Region, *mem.Region) {
 
 // baseLayer executes one layer with register-state loops, returning the new
 // buffer parity.
-func baseLayer(dev *mcu.Device, img *core.Image, li int, parity bool) bool {
+func baseLayer(dev *mcu.Device, img *core.Image, prog *tape.Program, li int,
+	parity bool, sc *tape.Scratch) bool {
 	l := &img.Layers[li]
 	q := l.Q
+	tl := &prog.Layers[li]
 	src, dst := actBufs(img, parity)
-	name := core.LayerName(img.Model, li)
-	dev.SetSection(name, mcu.PhaseControl)
+	dev.SetSection(tl.Name, mcu.PhaseControl)
 
 	switch q.Kind {
 	case dnn.QConv:
-		baseConv(dev, img, l, name, src, dst)
+		baseConv(dev, img, prog, l, tl, src, dst, sc)
 	case dnn.QDense:
-		baseDense(dev, l, name, src, dst)
+		baseDense(dev, l, tl.Name, src, dst)
 	case dnn.QSparseDense:
-		baseSparseDense(dev, l, name, src, dst)
+		baseSparseDense(dev, l, tl.Name, src, dst)
 	case dnn.QReLU:
-		dev.SetSection(name, mcu.PhaseKernel)
+		dev.SetSection(tl.Name, mcu.PhaseKernel)
 		n := q.InShape.Len()
 		dev.Ops(mcu.OpBranch, n)
 		dev.LoadRange(src, 0, n)
-		vals := make([]int64, n)
-		for i := 0; i < n; i++ {
-			vals[i] = int64(fixed.ReLU(fixed.Q15(src.Get(i))))
-		}
+		vals := sc.Out[:n]
+		kern.ReLU(vals, src.ROWords(), 0, 0, n)
 		dev.StoreRange(dst, 0, vals)
 	case dnn.QPool:
-		basePool(dev, q, name, src, dst)
+		basePool(dev, q, tl.Name, src, dst)
 	case dnn.QFlatten:
 		return parity // identity: no copy, no parity flip
 	}
@@ -133,13 +118,16 @@ func baseLayer(dev *mcu.Device, img *core.Image, li int, parity bool) bool {
 // baseConv computes a (possibly pruned) convolution one output at a time,
 // accumulating in a register. The weight traversal order matches the host
 // reference exactly.
-func baseConv(dev *mcu.Device, img *core.Image, l *core.LayerImage, name string,
-	src, dst *mem.Region) {
+//
+// Each filter element's (kx, ky, ci, f) decode comes from the program's
+// WSrc/WAccBase tables, and the zero/row/finalize buffers from scratch.
+func baseConv(dev *mcu.Device, img *core.Image, prog *tape.Program,
+	l *core.LayerImage, tl *tape.Layer, src, dst *mem.Region, sc *tape.Scratch) {
 	q := l.Q
-	h, w := q.InShape[1], q.InShape[2]
+	w := q.InShape[2]
 	oh, ow := q.OutShape[1], q.OutShape[2]
-	positions := oh * ow
-	dev.SetSection(name, mcu.PhaseKernel)
+	positions := tl.Positions
+	dev.SetSection(tl.Name, mcu.PhaseKernel)
 
 	// Zero the wide accumulators, then sweep filter elements, then
 	// finalize. Even Base uses the filter-element-major order (it is also
@@ -150,29 +138,24 @@ func baseConv(dev *mcu.Device, img *core.Image, l *core.LayerImage, name string,
 	// positions do not fit in registers, so they live in AccA like
 	// everyone else's — but without double buffering or index writes.
 	acc := img.AccA
-	zeros := make([]int64, q.F*positions)
-	dev.Ops(mcu.OpBranch, len(zeros))
-	dev.StoreRange(acc, 0, zeros)
-	row := make([]int64, ow)
+	n := q.F * positions
+	dev.Ops(mcu.OpBranch, n)
+	dev.StoreRange(acc, 0, prog.Zeros(n))
+	row := sc.Row[:ow]
+	// Charges stay bulk (MACRange/StoreRange); the value computation runs
+	// over the raw backing words — Get has no side effects, so the hoist
+	// is unconditionally equivalent.
+	srcW, accW := src.ROWords(), acc.ROWords()
 	apply := func(widx int) {
 		wv := fixed.Q15(dev.Load(l.W, widx))
-		kx := widx % q.KW
-		ky := (widx / q.KW) % q.KH
-		ci := (widx / (q.KW * q.KH)) % q.C
-		f := widx / (q.KW * q.KH * q.C)
-		base := f * positions
+		srcRow := int(tl.WSrc[widx])
+		accRow := int(tl.WAccBase[widx])
 		for oy := 0; oy < oh; oy++ {
-			srcRow := (ci*h+oy+ky)*w + kx
-			accRow := base + oy*ow
-			// One macro-op MAC per output row: same per-element op
-			// multiset as the scalar loop, charged in bulk.
 			dev.MACRange(src, srcRow, acc, accRow, ow)
-			for ox := 0; ox < ow; ox++ {
-				x := fixed.Q15(src.Get(srcRow + ox))
-				a := fixed.Acc(acc.Get(accRow + ox))
-				row[ox] = int64(a.MAC(wv, x))
-			}
+			kern.MACRow(row, accW, srcW, accRow, srcRow, ow, int64(wv))
 			dev.StoreRange(acc, accRow, row)
+			srcRow += w
+			accRow += ow
 		}
 	}
 	if l.NZ != nil {
@@ -187,17 +170,14 @@ func baseConv(dev *mcu.Device, img *core.Image, l *core.LayerImage, name string,
 		}
 	}
 	// Finalize: bias and rescale into Q15 activations.
-	out := make([]int64, positions)
+	out := sc.Out[:positions]
 	for f := 0; f < q.F; f++ {
 		b := fixed.Q15(dev.Load(l.B, f))
 		base := f * positions
 		dev.Ops(mcu.OpBranch, positions)
 		dev.LoadRange(acc, base, positions)
 		dev.Ops(mcu.OpFixedAdd, positions)
-		for i := 0; i < positions; i++ {
-			a := fixed.Acc(acc.Get(base + i))
-			out[i] = int64(a.AddQ(b).SatShiftSigned(q.Shift))
-		}
+		kern.FinalizeConst(out, accW, int64(b), 0, base, positions, q.Shift)
 		dev.StoreRange(dst, base, out)
 	}
 }

@@ -43,10 +43,6 @@ type Checkpoint struct {
 	Interval int
 	// RegWords overrides the modelled dump size (default DefaultRegWords).
 	RegWords int
-	// Tape selects the pre-decoded op-tape kernels (sonic.TapeLayerFn);
-	// the checkpoint policy itself is unchanged, and the op stream is
-	// bit-exact with the interpreted walk.
-	Tape bool
 }
 
 // Name identifies the runtime, e.g. "ckpt-64".
@@ -70,22 +66,18 @@ func (c Checkpoint) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed
 	if reg == 0 {
 		reg = DefaultRegWords
 	}
-	e := &sonic.Exec{Img: img, Dev: img.Dev, Every: c.Interval, RegWords: reg}
+	e := &sonic.Exec{Img: img, Dev: img.Dev, Prog: tape.Get(img.Model), Every: c.Interval, RegWords: reg}
 	e.Dev.Emit(mcu.TraceRunBegin, c.Name(), int64(c.Interval))
 	if atReboot != nil {
 		if err := atReboot(); err != nil {
 			return nil, err
 		}
 	}
-	var layerFn sonic.LayerFn = func(s *sonic.Exec, li int, parity bool, start sonic.Cursor) {
-		s.RunLayerSoftware(li, parity, start)
-	}
-	if c.Tape {
-		layerFn = sonic.TapeLayerFn(tape.Get(img.Model))
-	}
+	// The checkpoint policy lives in Exec.Every, not in the layer walk, so
+	// SONIC's software kernels run unchanged.
 	if err := e.Dev.Run(func() {
 		e.ResetVolatile()
-		e.Run(layerFn)
+		e.Run((*sonic.Exec).RunLayerSoftware)
 	}); err != nil {
 		return nil, err
 	}

@@ -97,7 +97,8 @@ type Aggregates struct {
 	WastedNJ  float64 // total re-executed energy across the fleet
 	// Ops is the fleet-wide charged-op total. It feeds the serving API's
 	// throughput counters and is deliberately NOT part of Summary, whose
-	// byte-identical form across executors is load-bearing for A/B checks.
+	// byte-identical form across executor knobs (NoFuse, Fresh) is
+	// load-bearing for A/B checks.
 	Ops int64
 
 	IMpJ       *Sketch // inferences per millijoule, completed devices
@@ -250,7 +251,7 @@ func NewCampaign(spec Spec, models map[string]Model) (*Campaign, error) {
 	}
 	c := &Campaign{spec: spec, models: models, rts: make(map[string]core.Runtime)}
 	for _, name := range spec.Runtimes {
-		rt, err := RuntimeByNameTape(name, spec.Tape)
+		rt, err := RuntimeByName(name)
 		if err != nil {
 			return nil, err
 		}

@@ -17,9 +17,9 @@ import (
 // evaluation networks (MNIST, HAR, OkGoogle in quick mode) instead of the
 // synthetic tiny model the other fleet tests use: the campaign engine must
 // handle real layer mixes (sparse convs, LEA tiles, pooling) through the
-// same Spec cross-product, and the op-tape campaign must reproduce the
-// interpreted campaign's aggregates bit-for-bit on them. CI runs this as
-// the real-network fleet smoke.
+// same Spec cross-product, and the fused-kernel campaign must reproduce
+// the scalar campaign's (Spec.NoFuse) aggregates bit-for-bit on them. CI
+// runs this as the real-network fleet smoke.
 func TestFleetRealNetworks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-network fleet sweep needs quick-mode GENESIS preparation")
@@ -44,32 +44,32 @@ func TestFleetRealNetworks(t *testing.T) {
 			{Name: "cont", SystemSpec: energy.SystemSpec{Kind: "cont"}},
 		},
 	}
-	interp, err := fleet.Run(context.Background(), spec, models, 2)
+	fused, err := fleet.Run(context.Background(), spec, models, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if interp.Done != spec.Devices {
-		t.Fatalf("swept %d of %d devices", interp.Done, spec.Devices)
+	if fused.Done != spec.Devices {
+		t.Fatalf("swept %d of %d devices", fused.Done, spec.Devices)
 	}
-	sum := interp.Agg.Summary()
+	sum := fused.Agg.Summary()
 	if sum.Completed == 0 {
 		t.Fatal("no device completed an inference on the real networks")
 	}
 
-	tapeSpec := spec
-	tapeSpec.Tape = true
-	tape, err := fleet.Run(context.Background(), tapeSpec, models, 2)
+	scalarSpec := spec
+	scalarSpec.NoFuse = true
+	scalar, err := fleet.Run(context.Background(), scalarSpec, models, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tape.Agg.Summary(), sum) {
+	if !reflect.DeepEqual(scalar.Agg.Summary(), sum) {
 		a, _ := json.Marshal(sum)
-		b, _ := json.Marshal(tape.Agg.Summary())
-		t.Fatalf("tape fleet aggregates diverge on real networks:\ninterp %s\ntape   %s", a, b)
+		b, _ := json.Marshal(scalar.Agg.Summary())
+		t.Fatalf("scalar fleet aggregates diverge on real networks:\nfused  %s\nscalar %s", a, b)
 	}
-	if !reflect.DeepEqual(tape.Agg.IMpJ.Centroids(), interp.Agg.IMpJ.Centroids()) ||
-		!reflect.DeepEqual(tape.Agg.RebootHist.Counts(), interp.Agg.RebootHist.Counts()) {
-		t.Fatal("tape fleet sketches/histograms diverge on real networks")
+	if !reflect.DeepEqual(scalar.Agg.IMpJ.Centroids(), fused.Agg.IMpJ.Centroids()) ||
+		!reflect.DeepEqual(scalar.Agg.RebootHist.Counts(), fused.Agg.RebootHist.Counts()) {
+		t.Fatal("scalar fleet sketches/histograms diverge on real networks")
 	}
 }
 
@@ -103,7 +103,6 @@ func TestProvisionedFleetBitIdentical(t *testing.T) {
 			{Name: "rf-100uF", SystemSpec: energy.SystemSpec{Kind: "const", CapFarads: 100e-6}},
 			{Name: "cont", SystemSpec: energy.SystemSpec{Kind: "cont"}},
 		},
-		Tape: true,
 	}
 	type print struct {
 		Summary  fleet.Summary

@@ -64,24 +64,19 @@ type Spec struct {
 	// affects sketch compression points, so changing it may change
 	// aggregate bits (never their statistical meaning).
 	Shards int `json:"shards,omitempty"`
-	// Tape selects the pre-decoded op-tape executors for every runtime of
-	// the campaign. The tape path is bit-exact with the interpreted walk
-	// (see TestTapeInterpreterDifferential), so it does not participate in
-	// the content hash: the same results, just faster.
-	Tape bool `json:"tape,omitempty"`
+
 	// NoFuse forces the scalar op-by-op execution path even where the
 	// fused bulk kernels could engage. Fused and scalar paths are
-	// bit-exact (TestFusedScalarDifferential), so like Tape this is an
-	// executor choice, not campaign identity, and stays out of the hash.
-	// It exists for A/B verification and benchmarking.
-	NoFuse bool `json:"no_fuse,omitempty"`
+	// bit-exact (TestFusedScalarDifferential), so this is an executor
+	// choice, not campaign identity: it stays off the JSON wire and out of
+	// the hash. It exists for A/B verification and benchmarking.
+	NoFuse bool `json:"-"`
 	// Fresh disables pooled COW provisioning: every device pays a full
 	// mcu.New + core.Deploy instead of a restore-in-place into its
 	// worker's device pool. Provisioned and fresh fleets are bit-identical
-	// (TestProvisionedFleetBitIdentical), so like Tape and NoFuse this is
-	// an executor choice, not campaign identity, and stays out of the
-	// hash. It exists for A/B verification and benchmarking.
-	Fresh bool `json:"fresh,omitempty"`
+	// (TestProvisionedFleetBitIdentical), so like NoFuse this is an
+	// executor choice kept off the wire and out of the hash.
+	Fresh bool `json:"-"`
 }
 
 // DefaultShards is the logical shard count campaigns default to — enough
@@ -170,8 +165,8 @@ func (s *Spec) Validate(models map[string]Model) error {
 }
 
 // Hash returns the campaign's content address: a hex sha256 over every
-// result-affecting spec field (all of them — even Shards, which fixes the
-// aggregation grouping). Identical specs hash identically, which is what
+// result-affecting spec field (all wire fields — even Shards, which fixes
+// the aggregation grouping). Identical specs hash identically, which is what
 // lets the serving front-end answer duplicate jobs from cache without
 // re-running a single device.
 //
@@ -185,9 +180,6 @@ func (s *Spec) Hash() string {
 	// no maps, so the encoding is canonical.
 	norm := *s
 	norm.Shards = s.shardCount()
-	norm.Tape = false   // executor choice, not campaign identity
-	norm.NoFuse = false // likewise bit-exact, see TestFusedScalarDifferential
-	norm.Fresh = false  // likewise bit-exact, see TestProvisionedFleetBitIdentical
 	buf, err := json.Marshal(&norm)
 	if err != nil {
 		panic("fleet: spec does not marshal: " + err.Error())
@@ -212,21 +204,13 @@ type Model struct {
 // RuntimeByName resolves a runtime name to a fresh instance: the fixed
 // Fig. 9 set plus parameterized "tile-N" and "ckpt-N" forms.
 func RuntimeByName(name string) (core.Runtime, error) {
-	return RuntimeByNameTape(name, false)
-}
-
-// RuntimeByNameTape is RuntimeByName with the pre-decoded op-tape
-// executor selected: every resolved runtime gets its Tape knob set, so a
-// whole fleet can A/B the tape against the interpreted walk from one
-// spec field.
-func RuntimeByNameTape(name string, tape bool) (core.Runtime, error) {
 	switch name {
 	case "base":
-		return baseline.Base{Tape: tape}, nil
+		return baseline.Base{}, nil
 	case "sonic":
-		return sonic.SONIC{Tape: tape}, nil
+		return sonic.SONIC{}, nil
 	case "tails":
-		return tails.TAILS{Tape: tape}, nil
+		return tails.TAILS{}, nil
 	}
 	// A malformed parameter on a recognized "tile-"/"ckpt-" prefix is not
 	// an unknown runtime: report what is actually wrong with it.
@@ -238,7 +222,7 @@ func RuntimeByNameTape(name string, tape bool) (core.Runtime, error) {
 		if size <= 0 {
 			return nil, fmt.Errorf("fleet: runtime %q: tile size must be positive, got %d", name, size)
 		}
-		return baseline.Tile{TileSize: size, Tape: tape}, nil
+		return baseline.Tile{TileSize: size}, nil
 	}
 	if n, ok := strings.CutPrefix(name, "ckpt-"); ok {
 		iv, err := strconv.Atoi(n)
@@ -248,7 +232,7 @@ func RuntimeByNameTape(name string, tape bool) (core.Runtime, error) {
 		if iv <= 0 {
 			return nil, fmt.Errorf("fleet: runtime %q: checkpoint interval must be positive, got %d", name, iv)
 		}
-		return checkpoint.Checkpoint{Interval: iv, Tape: tape}, nil
+		return checkpoint.Checkpoint{Interval: iv}, nil
 	}
 	return nil, fmt.Errorf("fleet: unknown runtime %q", name)
 }

@@ -4,11 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/baseline"
-	"repro/internal/checkpoint"
 	"repro/internal/energy"
-	"repro/internal/sonic"
-	"repro/internal/tails"
 )
 
 // TestFleetSpecHashShardNormalization is the dedup regression for the
@@ -44,12 +40,12 @@ func TestFleetSpecHashShardNormalization(t *testing.T) {
 		t.Fatal("different effective shard counts hash identically")
 	}
 
-	// The tape knob selects an executor proven bit-exact with the
-	// interpreted walk; it is not campaign identity.
-	taped := testSpec(100)
-	taped.Tape = true
-	if zero.Hash() != taped.Hash() {
-		t.Fatal("Tape changed the content hash despite identical results")
+	// The executor knobs select paths proven bit-exact with the defaults;
+	// they are not campaign identity.
+	knobs := testSpec(100)
+	knobs.NoFuse, knobs.Fresh = true, true
+	if zero.Hash() != knobs.Hash() {
+		t.Fatal("executor knobs changed the content hash despite identical results")
 	}
 }
 
@@ -77,38 +73,6 @@ func TestFleetRuntimeByNameErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("RuntimeByName(%q) = %q, want it to contain %q", tc.name, err, tc.want)
-		}
-	}
-}
-
-// TestFleetRuntimeByNameTape checks the tape knob threads into every
-// resolvable runtime without changing its name.
-func TestFleetRuntimeByNameTape(t *testing.T) {
-	for _, name := range []string{"base", "tile-8", "tile-32", "tile-128", "sonic", "tails", "ckpt-8"} {
-		rt, err := RuntimeByNameTape(name, true)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if rt.Name() != name {
-			t.Fatalf("RuntimeByNameTape(%q).Name() = %q", name, rt.Name())
-		}
-		var tape bool
-		switch r := rt.(type) {
-		case baseline.Base:
-			tape = r.Tape
-		case baseline.Tile:
-			tape = r.Tape
-		case sonic.SONIC:
-			tape = r.Tape
-		case tails.TAILS:
-			tape = r.Tape
-		case checkpoint.Checkpoint:
-			tape = r.Tape
-		default:
-			t.Fatalf("%s resolved to unexpected type %T", name, rt)
-		}
-		if !tape {
-			t.Fatalf("RuntimeByNameTape(%q, true) left the tape knob off", name)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dnn"
 	"repro/internal/energy"
@@ -14,6 +15,12 @@ import (
 	"repro/internal/intermittest"
 	"repro/internal/mcu"
 )
+
+// oracleRuntimes is every runtime the differential oracles cover: the six
+// Fig. 9 implementations plus the checkpoint baseline.
+func oracleRuntimes() []core.Runtime {
+	return append(Runtimes(), checkpoint.Checkpoint{Interval: 8})
+}
 
 // diffObservation is everything a run makes observable: the logits, the
 // completion outcome, the full device statistics, and the WAR shadow

@@ -79,42 +79,52 @@ func fusedPowers() []struct {
 	}
 }
 
+// oracleRow is one oracle subtest: a runtime on one corpus model.
+type oracleRow struct {
+	label string
+	m     corpusModel
+	rt    core.Runtime
+}
+
+// oracleRows labels one row per runtime and corpus model: "<runtime>" on
+// the tiny model, and "<runtime>-tape" on the adversarial CSR model, whose
+// sparse layer drives the compiled tape's span-table train through every
+// row shape.
+func oracleRows() []oracleRow {
+	models := corpusModels()
+	var rows []oracleRow
+	for _, rt := range oracleRuntimes() {
+		rows = append(rows,
+			oracleRow{rt.Name(), models[0], rt},
+			oracleRow{rt.Name() + "-tape", models[1], rt})
+	}
+	return rows
+}
+
 // TestFusedScalarDifferential is the fused-kernel fast path's oracle: for
-// every runtime in both executors, under continuous power and real
-// capacitor/harvester brown-out cycles, a run with fused bulk kernels
-// allowed must be bit-identical — logits, cycles, integer-picojoule
-// energy, per-op counts, per-section stats, MaxRegionOps, reboot count,
-// dead time, and the wasted-work figure — to the same run with
-// Device.NoFuse pinning the scalar op-by-op path.
+// every runtime on both corpus models (oracleRows), under continuous power
+// and real capacitor/harvester brown-out cycles, a run with fused bulk
+// kernels allowed must be bit-identical — logits, cycles,
+// integer-picojoule energy, per-op counts, per-section stats,
+// MaxRegionOps, reboot count, dead time, and the wasted-work figure — to
+// the same run with Device.NoFuse pinning the scalar op-by-op path.
 //
-// Like the bulk/tape oracles, CI greps for each runtime's PASS line and
+// Like the bulk and corpus oracles, CI greps for each row's PASS line and
 // rejects skips.
 func TestFusedScalarDifferential(t *testing.T) {
-	qm, x := intermittest.TinyModel(1)
-	qin := qm.QuantizeInput(x)
-
-	for _, pair := range tapePairs() {
-		pair := pair
-		for _, ex := range []struct {
-			label string
-			rt    core.Runtime
-		}{
-			{pair.interp.Name(), pair.interp},
-			{pair.interp.Name() + "-tape", pair.tape},
-		} {
-			ex := ex
-			t.Run(ex.label, func(t *testing.T) {
-				for _, pw := range fusedPowers() {
-					fused := fusedRun(t, qm, qin, ex.rt, pw.mk(), false)
-					scalar := fusedRun(t, qm, qin, ex.rt, pw.mk(), true)
-					diffCompare(t, pw.name, fused.diffObservation, scalar.diffObservation)
-					if fused.WastedNJ != scalar.WastedNJ {
-						t.Errorf("%s: WastedNJ diverges: fused=%v scalar=%v",
-							pw.name, fused.WastedNJ, scalar.WastedNJ)
-					}
+	for _, row := range oracleRows() {
+		row := row
+		t.Run(row.label, func(t *testing.T) {
+			for _, pw := range fusedPowers() {
+				fused := fusedRun(t, row.m.qm, row.m.qin, row.rt, pw.mk(), false)
+				scalar := fusedRun(t, row.m.qm, row.m.qin, row.rt, pw.mk(), true)
+				diffCompare(t, pw.name, fused.diffObservation, scalar.diffObservation)
+				if fused.WastedNJ != scalar.WastedNJ {
+					t.Errorf("%s: WastedNJ diverges: fused=%v scalar=%v",
+						pw.name, fused.WastedNJ, scalar.WastedNJ)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -129,8 +139,7 @@ func TestTrackWastedMatchesTraceAnalysis(t *testing.T) {
 	qm, x := intermittest.TinyModel(1)
 	qin := qm.QuantizeInput(x)
 
-	for _, pair := range tapePairs() {
-		rt := pair.tape
+	for _, rt := range oracleRuntimes() {
 		t.Run(rt.Name(), func(t *testing.T) {
 			power := func() energy.System {
 				return energy.NewIntermittent(energy.Cap100uF, energy.ConstantHarvester{Watts: 1e-3})
@@ -208,7 +217,7 @@ func (c *putCounter) OnPut(*mem.Region, int, int64) { c.n++ }
 func TestFusedSnapshotCOWAndObserver(t *testing.T) {
 	qm, x := intermittest.TinyModel(1)
 	qin := qm.QuantizeInput(x)
-	rt := sonic.SONIC{Tape: true}
+	rt := sonic.SONIC{}
 
 	t.Run("snapshot-cow", func(t *testing.T) {
 		dev := mcu.New(energy.Continuous{})
@@ -321,56 +330,53 @@ func tracedCompare(t *testing.T, label string, fused, scalar tracedObservation) 
 // commit, and must be bit-identical — logits, the full RunResult (stats,
 // per-section maps, commits, wasted cycles and energy), and every
 // per-charge-cycle Analysis record — to the same traced run with
-// Device.NoFuse pinning the scalar walk. It covers every runtime in both
-// executors on the tiny model under the fused oracle's power systems and
-// on a prepared network under the paper's four. SONIC and TAILS must
-// actually fuse under the tracer (fewer events than the scalar walk), so
-// the test cannot pass with fusion silently vetoed.
+// Device.NoFuse pinning the scalar walk. Each runtime's "<runtime>" row
+// covers the tiny model under the fused oracle's power systems and a
+// prepared network under the paper's four; its "<runtime>-tape" row
+// covers the adversarial CSR model under the fused oracle's power
+// systems. SONIC and TAILS must actually fuse under the tracer (fewer
+// events than the scalar walk), so the test cannot pass with fusion
+// silently vetoed.
 //
-// CI greps for each executor's PASS line under -race.
+// CI greps for each row's PASS line under -race.
 func TestTracedFusedDifferential(t *testing.T) {
-	qm, x := intermittest.TinyModel(1)
-	tiny := qm.QuantizeInput(x)
-	var tinyPowers []PowerSpec
+	var fusedSpecs []PowerSpec
 	for _, pw := range fusedPowers() {
 		mk := pw.mk
-		tinyPowers = append(tinyPowers, PowerSpec{Name: pw.name,
+		fusedSpecs = append(fusedSpecs, PowerSpec{Name: pw.name,
 			New: func(uint64) energy.System { return mk() }})
 	}
-	p := prepQuick(t, "har")
-	sets := []struct {
+	type set struct {
 		net    string
 		qm     *dnn.QuantModel
 		qin    []fixed.Q15
 		powers []PowerSpec
-	}{
-		{"tiny", qm, tiny, tinyPowers},
-		{p.Net, p.Model, p.Model.QuantizeInput(p.Input), Powers()},
 	}
+	p := prepQuick(t, "har")
+	prepared := set{p.Net, p.Model, p.Model.QuantizeInput(p.Input), Powers()}
 
-	for _, pair := range tapePairs() {
-		for _, rt := range []core.Runtime{pair.interp, pair.tape} {
-			label := pair.interp.Name()
-			if rt == pair.tape {
-				label += "-tape"
-			}
-			t.Run(label, func(t *testing.T) {
-				for _, set := range sets {
-					fusedCells := 0
-					for _, pw := range set.powers {
-						cell := set.net + "/" + pw.Name
-						fused := tracedRun(set.net, set.qm, set.qin, rt, pw, false)
-						scalar := tracedRun(set.net, set.qm, set.qin, rt, pw, true)
-						tracedCompare(t, cell, fused, scalar)
-						if fused.events < scalar.events {
-							fusedCells++
-						}
-					}
-					if name := rt.Name(); (name == "sonic" || name == "tails") && fusedCells == 0 {
-						t.Errorf("%s: fusion never engaged under the analysis tracer", set.net)
+	for _, row := range oracleRows() {
+		rt := row.rt
+		sets := []set{{row.m.qm.Name, row.m.qm, row.m.qin, fusedSpecs}}
+		if row.m.qm.Name == "tiny" {
+			sets = append(sets, prepared)
+		}
+		t.Run(row.label, func(t *testing.T) {
+			for _, set := range sets {
+				fusedCells := 0
+				for _, pw := range set.powers {
+					cell := set.net + "/" + pw.Name
+					fused := tracedRun(set.net, set.qm, set.qin, rt, pw, false)
+					scalar := tracedRun(set.net, set.qm, set.qin, rt, pw, true)
+					tracedCompare(t, cell, fused, scalar)
+					if fused.events < scalar.events {
+						fusedCells++
 					}
 				}
-			})
-		}
+				if name := rt.Name(); (name == "sonic" || name == "tails") && fusedCells == 0 {
+					t.Errorf("%s: fusion never engaged under the analysis tracer", set.net)
+				}
+			}
+		})
 	}
 }

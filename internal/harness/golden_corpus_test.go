@@ -21,7 +21,8 @@ import (
 )
 
 // goldenCorpusPath holds the frozen observations of the interpreted layer
-// walk: one record per (model, runtime, run).
+// walk, the second executor every runtime carried until the compiled-tape
+// walk replaced it: one record per (model, runtime, run).
 const goldenCorpusPath = "testdata/golden_corpus.json"
 
 // corpusRecord is one frozen run. Digest covers the whole observation
@@ -148,12 +149,6 @@ func (o diffObservation) digest() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// record freezes an observation as a corpus record.
-func (o diffObservation) record(model, runtime, run string, gaps []int) corpusRecord {
-	return corpusRecord{Model: model, Runtime: runtime, Run: run, Gaps: gaps,
-		Digest: o.digest(), Logits: o.Logits, DNC: o.DNC, Reboots: o.Stats.Reboots}
-}
-
 // loadCorpus reads the corpus, grouped by (model, runtime) in file order.
 func loadCorpus(t *testing.T) map[[2]string][]corpusRecord {
 	t.Helper()
@@ -185,8 +180,9 @@ func checkCorpus(t *testing.T, recs []corpusRecord, m corpusModel, rt core.Runti
 		t.Fatalf("corpus holds %d runs for %s/%s, want %d", len(recs), m.qm.Name, rt.Name(), corpusRuns)
 	}
 	for _, rec := range recs {
-		got := corpusObserve(t, m.qm, m.qin, rt, rec.Run, rec.Gaps).record(rec.Model, rec.Runtime, rec.Run, rec.Gaps)
-		if got.Digest == rec.Digest {
+		got := corpusObserve(t, m.qm, m.qin, rt, rec.Run, rec.Gaps)
+		digest := got.digest()
+		if digest == rec.Digest {
 			continue
 		}
 		label := fmt.Sprintf("%s%v", rec.Run, rec.Gaps)
@@ -195,35 +191,34 @@ func checkCorpus(t *testing.T, recs []corpusRecord, m corpusModel, rt core.Runti
 			t.Errorf("%s: logits diverge: got %v, corpus %v", label, got.Logits, rec.Logits)
 		case got.DNC != rec.DNC:
 			t.Errorf("%s: completion diverges: got dnc=%v, corpus dnc=%v", label, got.DNC, rec.DNC)
-		case got.Reboots != rec.Reboots:
-			t.Errorf("%s: reboots diverge: got %d, corpus %d", label, got.Reboots, rec.Reboots)
+		case got.Stats.Reboots != rec.Reboots:
+			t.Errorf("%s: reboots diverge: got %d, corpus %d", label, got.Stats.Reboots, rec.Reboots)
 		default:
 			t.Errorf("%s: observation digest diverges (stats, sections or WAR records): got %s, corpus %s",
-				label, got.Digest, rec.Digest)
+				label, digest, rec.Digest)
 		}
 	}
 }
 
-// TestTapeInterpreterDifferential holds every runtime to the frozen
-// golden corpus of the interpreted layer walk (testdata/golden_corpus.json):
-// for both corpus models, three continuous-power runs (WAR shadow armed;
-// the same forced scalar; no shadow, so fused kernels engage) and thirty
-// fuzzed brown-out schedules must reproduce the recorded observation —
-// logits, completion, full Stats including per-section maps, reboot
-// placement, and WAR records — bit for bit, under both executors.
+// TestTapeInterpreterDifferential holds the compiled-tape walk to the
+// frozen corpus of the interpreted walk (testdata/golden_corpus.json): for
+// every runtime and both corpus models, three continuous-power runs (WAR
+// shadow armed; the same forced scalar; no shadow, so fused kernels
+// engage) and thirty fuzzed brown-out schedules must reproduce the
+// recorded observation — logits, completion, full Stats including
+// per-section maps, reboot placement, and WAR records — bit for bit. The
+// corpus file is never regenerated: it is the interpreted walk's evidence.
 //
 // CI greps for each runtime × model PASS line and rejects skips.
 func TestTapeInterpreterDifferential(t *testing.T) {
 	corpus := loadCorpus(t)
-	for _, pair := range tapePairs() {
-		pair := pair
-		t.Run(pair.interp.Name(), func(t *testing.T) {
+	for _, rt := range oracleRuntimes() {
+		rt := rt
+		t.Run(rt.Name(), func(t *testing.T) {
 			for _, m := range corpusModels() {
 				m := m
 				t.Run(m.qm.Name, func(t *testing.T) {
-					recs := corpus[[2]string{m.qm.Name, pair.interp.Name()}]
-					checkCorpus(t, recs, m, pair.interp)
-					checkCorpus(t, recs, m, pair.tape)
+					checkCorpus(t, corpus[[2]string{m.qm.Name, rt.Name()}], m, rt)
 				})
 			}
 		})

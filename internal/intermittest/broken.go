@@ -6,6 +6,7 @@ import (
 	"repro/internal/fixed"
 	"repro/internal/mcu"
 	"repro/internal/sonic"
+	"repro/internal/tape"
 )
 
 // Broken is the campaign's deliberately unsafe negative control: a SONIC
@@ -34,7 +35,7 @@ func (Broken) Infer(img *core.Image, input []fixed.Q15) ([]fixed.Q15, error) {
 // the negative control too — its corrupted logits must survive forking
 // bit-for-bit for the sweep's verdicts to stay trustworthy.
 func (Broken) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15, error) {
-	e := &sonic.Exec{Img: img, Dev: img.Dev}
+	e := &sonic.Exec{Img: img, Dev: img.Dev, Prog: tape.Get(img.Model)}
 	e.Dev.Emit(mcu.TraceRunBegin, "broken", 0)
 	if atReboot != nil {
 		if err := atReboot(); err != nil {
@@ -60,12 +61,14 @@ func brokenLayer(s *sonic.Exec, li int, parity bool, start sonic.Cursor) {
 	dev := s.Dev
 	src, dst := sonic.ActBufs(s.Img, parity)
 	acc := s.Img.AccA
-	name := core.LayerName(s.Img.Model, li)
+	name := s.Prog.Layers[li].Name
+	tokK := dev.SectionToken(name, mcu.PhaseKernel)
+	tokC := dev.SectionToken(name, mcu.PhaseControl)
 	switch start.Pass {
 	case 0:
 		// Zero the in-place accumulator (write-only, idempotent — the bug
 		// is not here).
-		s.MapLayer(name, start, q.Out, func(o int) {
+		s.MapLayerTok(tokK, tokC, start, q.Out, func(o int) {
 			dev.Store(acc, o, 0)
 		})
 		start = sonic.Cursor{Layer: start.Layer, Pass: 1}
@@ -93,7 +96,7 @@ func brokenLayer(s *sonic.Exec, li int, parity bool, start sonic.Cursor) {
 		s.Transition(name, start)
 		fallthrough
 	default:
-		s.MapLayer(name, start, q.Out, func(o int) {
+		s.MapLayerTok(tokK, tokC, start, q.Out, func(o int) {
 			bq := fixed.Q15(dev.Load(l.B, o))
 			a := fixed.Acc(dev.Load(acc, o))
 			dev.Op(mcu.OpFixedAdd)

@@ -13,35 +13,36 @@ import (
 // TestSparseAdversarialCampaign sweeps a brown-out across every operation
 // boundary of the adversarial CSR model — hitting every row boundary,
 // every multi-row advance over empty rows, and every undo-log arm point
-// (the rd > pos resume) of every row shape — for all seven runtimes under
-// both executors, with the WAR shadow tracker armed. The tape executors'
-// fused row-span trains must survive exactly where the interpreted walk
-// does; CI greps for each runtime's PASS line, so a skip or a dropped
-// subtest fails the build.
+// (the rd > pos resume) of every row shape — for all seven runtimes, twice.
+// The "<runtime>" sweep arms the WAR shadow tracker. The "<runtime>-tape"
+// sweep leaves it off and simulates every boundary from scratch, so the
+// continuous-power golden run executes the fused span-table train and
+// every brown-out replay must land on its logits. CI greps for each
+// subtest's PASS line, so a skip or a dropped subtest fails the build.
 func TestSparseAdversarialCampaign(t *testing.T) {
 	qm, x := AdversarialCSRModel(1)
 	for _, tc := range []struct {
-		rt   core.Runtime
-		tape bool
+		rt    core.Runtime
+		fused bool
 	}{
-		{baseline.Base{}, false}, {baseline.Base{Tape: true}, true},
-		{baseline.Tile{TileSize: 8}, false}, {baseline.Tile{TileSize: 8, Tape: true}, true},
-		{baseline.Tile{TileSize: 32}, false}, {baseline.Tile{TileSize: 32, Tape: true}, true},
-		{baseline.Tile{TileSize: 128}, false}, {baseline.Tile{TileSize: 128, Tape: true}, true},
-		{sonic.SONIC{}, false}, {sonic.SONIC{Tape: true}, true},
-		{tails.TAILS{}, false}, {tails.TAILS{Tape: true}, true},
-		{checkpoint.Checkpoint{Interval: 8}, false}, {checkpoint.Checkpoint{Interval: 8, Tape: true}, true},
+		{baseline.Base{}, false}, {baseline.Base{}, true},
+		{baseline.Tile{TileSize: 8}, false}, {baseline.Tile{TileSize: 8}, true},
+		{baseline.Tile{TileSize: 32}, false}, {baseline.Tile{TileSize: 32}, true},
+		{baseline.Tile{TileSize: 128}, false}, {baseline.Tile{TileSize: 128}, true},
+		{sonic.SONIC{}, false}, {sonic.SONIC{}, true},
+		{tails.TAILS{}, false}, {tails.TAILS{}, true},
+		{checkpoint.Checkpoint{Interval: 8}, false}, {checkpoint.Checkpoint{Interval: 8}, true},
 	} {
-		rt := tc.rt
+		rt, fused := tc.rt, tc.fused
 		name := rt.Name()
-		if tc.tape {
+		if fused {
 			name += "-tape"
 		}
 		t.Run(name, func(t *testing.T) {
 			// The naive baseline is the negative control: it must fail
 			// somewhere, proving the sweep has teeth on this model too.
 			unsafe := rt.Name() == "base"
-			rep, err := SweepRuntime(qm, x, rt, Options{CheckWAR: !unsafe})
+			rep, err := SweepRuntime(qm, x, rt, Options{CheckWAR: !unsafe && !fused, ForceScratch: fused})
 			if err != nil {
 				t.Fatal(err)
 			}

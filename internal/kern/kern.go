@@ -1,7 +1,7 @@
 // Package kern holds the allocation-free fixed-point compute kernels of
 // the fused fast path: bulk loops over the raw int64 word slices backing
 // mem.Region storage (Region.Words), replacing per-word Get/Put calls and
-// per-element fixed-point helper dispatch in the tape executors' inner
+// per-element fixed-point helper dispatch in the layer walks' inner
 // loops.
 //
 // Every kernel computes exactly what the corresponding scalar loop

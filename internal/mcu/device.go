@@ -488,13 +488,13 @@ func phaseMemoIndex(p Phase) int {
 // Section returns the current attribution label.
 func (d *Device) Section() (string, Phase) { return d.section.Layer, d.section.Phase }
 
-// SectionTok is a pre-resolved section handle. The op-tape executors flip
+// SectionTok is a pre-resolved section handle. The layer walks flip
 // attribution twice per inner-loop iteration; resolving the (layer, phase)
 // pair once per layer and switching by token replaces the per-iteration
 // string construction and comparison with an index load. The accounting is
 // identical to SetSection's — tokens cache pointers into the same
-// stats.Sections entries — so the attributed Stats are bit-exact with the
-// interpreted walk's.
+// stats.Sections entries — so the attributed Stats are bit-exact with a
+// SetSection walk's.
 type SectionTok int
 
 // tokEntry caches one token's resolved stats. gen guards against stats
@@ -508,10 +508,10 @@ type tokEntry struct {
 
 // SectionToken registers a (layer, phase) pair and returns its handle.
 // Tokens are device-local (stats pointers are per-device) and cheap; the
-// tape executors resolve a layer's phases once per layer visit. The stats
+// layer walks resolve a layer's phases once per layer visit. The stats
 // entry is materialized lazily, on the first switch — exactly when
 // SetSection would create it — so a run that dies before ever entering the
-// section leaves the same Sections map the interpreted walk would.
+// section leaves the same Sections map a SetSection walk would.
 func (d *Device) SectionToken(layer string, phase Phase) SectionTok {
 	// Dedupe on (layer, phase): executors re-register on every layer visit
 	// (once per reboot attempt), and handing back the existing token keeps

@@ -2,7 +2,7 @@ package mcu
 
 // Fused-kernel charging: the charge-then-compute half of the fast path.
 //
-// A tape executor's inner loop charges the same multiset of operations on
+// A layer walk's inner loop charges the same multiset of operations on
 // every iteration and ends each iteration at a durable commit (Progress).
 // A Block captures that per-iteration op profile once; ChargeBlock then
 // funds and accounts as many whole iterations as the energy buffer can

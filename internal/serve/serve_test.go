@@ -209,16 +209,33 @@ func TestServeShardSpellingDedup(t *testing.T) {
 		t.Fatalf("shard spelling re-simulated the fleet: before=%+v after=%+v", before, after)
 	}
 
-	// The tape knob is an executor choice with proven-identical results;
-	// it must hit the same cache entry too.
-	taped := tinySpec(300)
-	taped.Tape = true
-	td, code := postSpec(t, ts, taped)
-	if code != http.StatusOK || td.ID != first.ID || !td.Deduped {
-		t.Fatalf("tape-flagged duplicate not served from cache: code=%d doc=%+v", code, td)
+	// Executor choices are not on the wire: a spec naming one is rejected
+	// outright rather than silently deduplicated or run.
+	for _, knob := range []string{"tape", "no_fuse", "fresh"} {
+		var doc map[string]any
+		raw, err := json.Marshal(tinySpec(300))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc[knob] = true
+		body, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("spec carrying %q: status %d, want 400", knob, resp.StatusCode)
+		}
 	}
 	if got := s.Stats(); got.CampaignsRun != before.CampaignsRun {
-		t.Fatalf("tape knob re-simulated: %+v", got)
+		t.Fatalf("executor-knob specs ran a campaign: %+v", got)
 	}
 
 	// A genuinely different shard grouping is NOT a duplicate.

@@ -13,8 +13,8 @@ import (
 // points, CSR row advances, mid-checkpoint-period entries) — runs on the
 // unchanged scalar path, so brown-outs land at the identical op index
 // with identical partial energy consumption, and logits, Stats, reboot
-// placement, and WAR records stay bit-exact (the fused differential
-// oracle and TestTapeInterpreterDifferential prove it per runtime).
+// placement, and WAR records stay bit-exact (TestFusedScalarDifferential
+// and the golden corpus prove it per runtime).
 
 // canFuse reports whether fused kernels may engage: the device allows it
 // (no journal or WAR shadow, at most an analysis-only tracer;

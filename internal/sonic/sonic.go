@@ -33,11 +33,6 @@ import (
 // unmodified activations between buffers").
 type SONIC struct {
 	SparseViaBuffering bool
-
-	// Tape selects the pre-decoded op-tape executor for the conv and
-	// pooling kernels (see TapeLayerFn). Bit-exact with the interpreted
-	// walk; it only changes host simulation speed.
-	Tape bool
 }
 
 // Name identifies the runtime.
@@ -93,18 +88,15 @@ func (s SONIC) Infer(img *core.Image, input []fixed.Q15) ([]fixed.Q15, error) {
 // continuation needs no special resume handling — recovering from whatever
 // the restored cursor says is exactly its normal reboot path.
 func (s SONIC) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15, error) {
-	e := &Exec{Img: img, Dev: img.Dev, SparseViaBuffering: s.SparseViaBuffering}
+	e := &Exec{Img: img, Dev: img.Dev, Prog: tape.Get(img.Model), SparseViaBuffering: s.SparseViaBuffering}
 	e.Dev.Emit(mcu.TraceRunBegin, s.Name(), 0)
 	if atReboot != nil {
 		if err := atReboot(); err != nil {
 			return nil, err
 		}
 	}
-	var layerFn LayerFn = runLayerSONIC
-	if s.Tape {
-		layerFn = TapeLayerFn(tape.Get(img.Model))
-	}
-	if err := e.Dev.Run(func() { e.ResetVolatile(); e.Run(layerFn) }); err != nil {
+	// SONIC runs every layer on the software kernels.
+	if err := e.Dev.Run(func() { e.ResetVolatile(); e.Run((*Exec).RunLayerSoftware) }); err != nil {
 		return nil, err
 	}
 	e.Dev.FlushTrace()
@@ -128,6 +120,9 @@ func FinalParity(qm *dnn.QuantModel) bool {
 type Exec struct {
 	Img *core.Image
 	Dev *mcu.Device
+	// Prog is the image model's compiled program (tape.Get): the layer
+	// walks read their pre-decoded tables and section labels from it.
+	Prog *tape.Program
 
 	// SparseViaBuffering selects the ablated sparse-FC kernel.
 	SparseViaBuffering bool
@@ -153,11 +148,6 @@ func (s *Exec) ResetVolatile() { s.sinceCk = 0 }
 // reading activations from src and writing to dst. SONIC and TAILS supply
 // different implementations for the compute-heavy layers.
 type LayerFn func(s *Exec, li int, parity bool, start Cursor)
-
-// runLayerSONIC is SONIC's all-software layer dispatch.
-func runLayerSONIC(s *Exec, li int, parity bool, start Cursor) {
-	s.RunLayerSoftware(li, parity, start)
-}
 
 // Checkpoint writes the packed cursor — SONIC's per-iteration progress
 // store, the "unsafe" direct NV write that loop continuation legalizes.
@@ -233,20 +223,21 @@ func (s *Exec) Run(layerFn LayerFn) {
 // SONIC's software kernels.
 func (s *Exec) RunLayerSoftware(li int, parity bool, start Cursor) {
 	l := &s.Img.Layers[li]
+	tl := &s.Prog.Layers[li]
 	src, dst := ActBufs(s.Img, parity)
-	name := core.LayerName(s.Img.Model, li)
+	name := tl.Name
 	s.Dev.SetSection(name, mcu.PhaseControl)
 
 	switch l.Q.Kind {
 	case dnn.QConv:
-		s.convLayer(l, name, src, dst, start)
+		s.convLayer(l, tl, src, dst, start)
 	case dnn.QDense:
 		s.denseLayer(l, name, src, dst, start)
 	case dnn.QSparseDense:
 		if s.SparseViaBuffering {
 			s.sparseLayerBuffered(l, name, src, dst, start)
 		} else {
-			s.sparseLayer(l, name, src, dst, start)
+			s.sparseLayer(l, tl, src, dst, start)
 		}
 	case dnn.QReLU:
 		tokK := s.Dev.SectionToken(name, mcu.PhaseKernel)
@@ -267,23 +258,7 @@ func (s *Exec) RunLayerSoftware(li int, parity bool, start Cursor) {
 			s.Dev.Store(dst, i, int64(v))
 		})
 	case dnn.QPool:
-		q := l.Q
-		c0, h, w := q.InShape[0], q.InShape[1], q.InShape[2]
-		oh, ow := h/q.Window, w/q.Window
-		s.MapLayer(name, start, c0*oh*ow, func(i int) {
-			ox := i % ow
-			oy := (i / ow) % oh
-			ci := i / (ow * oh)
-			best := fixed.MinusOne
-			for ky := 0; ky < q.Window; ky++ {
-				for kx := 0; kx < q.Window; kx++ {
-					s.Dev.Op(mcu.OpBranch)
-					v := fixed.Q15(s.Dev.Load(src, (ci*h+oy*q.Window+ky)*w+ox*q.Window+kx))
-					best = fixed.Max(best, v)
-				}
-			}
-			s.Dev.Store(dst, i, int64(best))
-		})
+		s.poolLayer(l, tl, src, dst, start)
 	case dnn.QFlatten:
 		// identity: nothing to execute
 	}
@@ -304,117 +279,6 @@ func AccBufs(img *core.Image, pos int) (dest, inter *mem.Region) {
 		return img.AccA, img.AccB
 	}
 	return img.AccB, img.AccA
-}
-
-// mapLayer runs an elementwise pass (ReLU, pooling) with loop continuation
-// on the single index i.
-func (s *Exec) MapLayer(name string, start Cursor, n int, body func(i int)) {
-	dev := s.Dev
-	for i := start.I; i < n; i++ {
-		dev.SetSection(name, mcu.PhaseKernel)
-		dev.Op(mcu.OpBranch)
-		body(i)
-		dev.SetSection(name, mcu.PhaseControl)
-		s.Checkpoint(Cursor{Layer: start.Layer, Pass: start.Pass, I: i + 1})
-	}
-}
-
-// convLayer is the loop-ordered-buffering convolution of Fig. 7/Listing 1.
-// The outer loop (pos) walks filter elements — the NZ list for pruned
-// filters, every element for dense ones. Each inner iteration applies the
-// current filter element to one output position, reading only the
-// *previous* generation's partials (inter) and writing only the current
-// generation's (dest): no location is both read and written, so every
-// iteration is idempotent.
-//
-// Because loops are ordered so a filter's elements are consecutive, each
-// filter's output block alternates buffers independently of the others:
-// the first element of a filter writes without reading (so no generation
-// crosses filters), and the finalize pass picks up each filter's partials
-// from the parity of its last element.
-func (s *Exec) convLayer(l *core.LayerImage, name string, src, dst *mem.Region, start Cursor) {
-	q := l.Q
-	h, w := q.InShape[1], q.InShape[2]
-	oh, ow := q.OutShape[1], q.OutShape[2]
-	positions := oh * ow
-	elemsPerFilter := q.C * q.KH * q.KW
-	elems := l.W.Len()
-	if l.NZ != nil {
-		elems = l.NZ.Len()
-	}
-	dev := s.Dev
-
-	if start.Pass == 0 {
-		for pos := start.Pos; pos < elems; pos++ {
-			// Task entry (Task_Convolve): load the filter element into
-			// volatile registers. Re-executed after every power failure.
-			dev.SetSection(name, mcu.PhaseControl)
-			widx := pos
-			first := pos == 0
-			if l.NZ != nil {
-				widx = int(dev.Load(l.NZ, pos))
-				if pos > 0 {
-					prev := int(dev.Load(l.NZ, pos-1))
-					first = prev/elemsPerFilter != widx/elemsPerFilter
-				}
-			} else {
-				first = widx%elemsPerFilter == 0
-			}
-			wv := fixed.Q15(dev.Load(l.W, widx))
-			kx := widx % q.KW
-			ky := (widx / q.KW) % q.KH
-			ci := (widx / (q.KW * q.KH)) % q.C
-			f := widx / elemsPerFilter
-			base := f * positions
-			dest, inter := AccBufs(s.Img, pos)
-
-			iStart := 0
-			if pos == start.Pos {
-				iStart = start.I
-			}
-			for i := iStart; i < positions; i++ {
-				dev.SetSection(name, mcu.PhaseKernel)
-				dev.Op(mcu.OpBranch)
-				oy, ox := i/ow, i%ow
-				x := fixed.Q15(dev.Load(src, (ci*h+oy+ky)*w+ox+kx))
-				dev.Op(mcu.OpFixedMul)
-				var a fixed.Acc
-				if !first {
-					a = fixed.Acc(dev.Load(inter, base+i))
-					dev.Op(mcu.OpFixedAdd)
-				}
-				dev.Store(dest, base+i, int64(a.MAC(wv, x)))
-				dev.SetSection(name, mcu.PhaseControl)
-				s.Checkpoint(Cursor{Layer: start.Layer, Pos: pos, I: i + 1})
-			}
-			// Task_Next_Filter: swap buffers, reset i, advance pos — one
-			// atomic word store since parity is derived from pos.
-			s.Transition(name, Cursor{Layer: start.Layer, Pos: pos + 1})
-		}
-		start = Cursor{Layer: start.Layer, Pass: 1}
-		s.Transition(name, start)
-	}
-
-	// Finalize pass: add bias and rescale each filter's final-generation
-	// partials into Q15 activations. Fully-pruned filters (FinPar == -1)
-	// have no partials and produce bias only.
-	s.MapLayer(name, start, q.F*positions, func(i int) {
-		f := i / positions
-		var par int64
-		if l.FinPar != nil {
-			par = dev.Load(l.FinPar, f)
-		} else {
-			par = int64(((f+1)*elemsPerFilter - 1) & 1)
-		}
-		bq := fixed.Q15(dev.Load(l.B, f))
-		var a fixed.Acc
-		if par >= 0 {
-			final, _ := AccBufs(s.Img, int(par))
-			a = fixed.Acc(dev.Load(final, i))
-			dev.Op(mcu.OpFixedAdd)
-		}
-		dev.Store(dst, i, int64(a.AddQ(bq).SatShiftSigned(q.Shift)))
-	})
 }
 
 // denseLayer applies loop-ordered buffering to a dense fully-connected
@@ -507,138 +371,6 @@ func (s *Exec) denseLayer(l *core.LayerImage, name string, src, dst *mem.Region,
 	})
 }
 
-// sparseLayer runs a sparse fully-connected layer with sparse undo-logging
-// (§6.2.2): partials accumulate in place in AccA; before each modification
-// the original value is copied to a canonical slot and the read index
-// advances, so an interrupted update resumes from the buffered original.
-// Work per iteration is proportional to the modifications made — one
-// nonzero — not to the output size, which is why SONIC prefers it to
-// loop-ordered buffering here.
-func (s *Exec) sparseLayer(l *core.LayerImage, name string, src, dst *mem.Region, start Cursor) {
-	q := l.Q
-	dev := s.Dev
-	acc := s.Img.AccA
-	ctl := s.Img.Ctl
-	nnz := len(q.W)
-	tokK := dev.SectionToken(name, mcu.PhaseKernel)
-	tokC := dev.SectionToken(name, mcu.PhaseControl)
-	fuse := s.canFuse()
-	var per int
-
-	switch start.Pass {
-	case 0:
-		// Zero the in-place accumulator (write-only, idempotent), and
-		// rearm the undo-log read index (idempotent: re-zeroing after a
-		// failure here is harmless because pass 1 has not started).
-		var blkZero *mcu.Block
-		if fuse {
-			blkZero, per = s.unitBlock(tokC,
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
-		}
-		accW := acc.Words()
-		s.fuseMap(tokK, tokC, blkZero, per, start, q.Out, func(i0, m int) {
-			kern.Zero(accW, i0, m)
-		}, func(o int) {
-			dev.Store(acc, o, 0)
-		})
-		dev.Store(ctl, slotRead, 0)
-		start = Cursor{Layer: start.Layer, Pass: 1}
-		s.Transition(name, start)
-		fallthrough
-	case 1:
-		// row is carried in the cursor's i field so the CSR walk resumes
-		// without rescanning RowPtr from zero.
-		//
-		// Fused per-row runs: within one CSR row the charge profile is
-		// uniform — one branch, the row-boundary probe, the undo-log
-		// read-index load and (once the log is armed) the three-store
-		// two-phase update, the weight/column/activation loads, and the
-		// always-forced commit. Row advances and the one resume
-		// iteration whose read index is already past (rd > pos) are
-		// non-uniform and run scalar.
-		var blkRow *mcu.Block
-		if fuse {
-			blkRow = s.forceUnitBlock(tokC,
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 7},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 3},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1})
-		}
-		row := start.I
-		for pos := start.Pos; pos < nnz; {
-			if fuse {
-				rowEnd := int(l.RowPtr.Get(row + 1))
-				if rowEnd > nnz {
-					rowEnd = nnz
-				}
-				if rowEnd > pos && int(ctl.Get(slotRead)) <= pos {
-					if m := s.Dev.ChargeBlock(blkRow, rowEnd-pos); m > 0 {
-						final, canon := kern.CSRRow(l.W.ROWords(), l.Cols.ROWords(), src.ROWords(), pos, m, acc.Get(row))
-						pos += m
-						ctl.Put(slotCanonical, canon)
-						ctl.Put(slotRead, int64(pos))
-						acc.Put(row, final)
-						s.fuseCommit(Cursor{Layer: start.Layer, Pass: 1, Pos: pos, I: row})
-						continue
-					}
-				}
-			}
-			dev.SetSectionTok(tokK)
-			dev.Op(mcu.OpBranch)
-			// Advance row until RowPtr[row+1] > pos.
-			for int(dev.Load(l.RowPtr, row+1)) <= pos {
-				dev.Op(mcu.OpBranch)
-				row++
-			}
-			// Sparse undo-logging two-phase update.
-			rd := int(dev.Load(ctl, slotRead))
-			if rd <= pos {
-				orig := dev.Load(acc, row)
-				dev.Store(ctl, slotCanonical, orig)
-				dev.Store(ctl, slotRead, int64(pos+1))
-				// The original value is now durable: overwriting acc[row]
-				// is recoverable, not a WAR hazard.
-				dev.MarkLogged(acc, row)
-			}
-			canon := fixed.Acc(dev.Load(ctl, slotCanonical))
-			wv := fixed.Q15(dev.Load(l.W, pos))
-			col := int(dev.Load(l.Cols, pos))
-			x := fixed.Q15(dev.Load(src, col))
-			dev.Op(mcu.OpFixedMul)
-			dev.Op(mcu.OpFixedAdd)
-			dev.Store(acc, row, int64(canon.MAC(wv, x)))
-			dev.SetSectionTok(tokC)
-			// Sparse undo-logging is only idempotent one iteration deep,
-			// so even checkpointing runtimes commit the cursor here.
-			s.ForceCheckpoint(Cursor{Layer: start.Layer, Pass: 1, Pos: pos + 1, I: row})
-			pos++
-		}
-		start = Cursor{Layer: start.Layer, Pass: 2}
-		s.Transition(name, start)
-		fallthrough
-	default:
-		var blkFin *mcu.Block
-		if fuse {
-			blkFin, per = s.unitBlock(tokC,
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 2},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
-		}
-		accW, bW, dstW := acc.ROWords(), l.B.ROWords(), dst.Words()
-		s.fuseMap(tokK, tokC, blkFin, per, start, q.Out, func(i0, m int) {
-			kern.FinalizeVec(dstW, accW, bW, i0, i0, m, q.Shift)
-		}, func(o int) {
-			bq := fixed.Q15(dev.Load(l.B, o))
-			a := fixed.Acc(dev.Load(acc, o))
-			dev.Op(mcu.OpFixedAdd)
-			dev.Store(dst, o, int64(a.AddQ(bq).SatShiftSigned(q.Shift)))
-		})
-	}
-}
-
 // sparseLayerBuffered is the ablation of sparse undo-logging: the sparse
 // fully-connected layer computed with loop-ordered buffering, as a dense
 // layer would be. Each outer iteration applies one nonzero weight, but must
@@ -698,7 +430,9 @@ func (s *Exec) sparseLayerBuffered(l *core.LayerImage, name string, src, dst *me
 	if nnz > 0 {
 		final, _ = AccBufs(s.Img, nnz-1)
 	}
-	s.MapLayer(name, start, q.Out, func(o int) {
+	tokK := dev.SectionToken(name, mcu.PhaseKernel)
+	tokC := dev.SectionToken(name, mcu.PhaseControl)
+	s.MapLayerTok(tokK, tokC, start, q.Out, func(o int) {
 		bq := fixed.Q15(dev.Load(l.B, o))
 		var a fixed.Acc
 		if final != nil {

@@ -2,7 +2,6 @@ package sonic
 
 import (
 	"repro/internal/core"
-	"repro/internal/dnn"
 	"repro/internal/fixed"
 	"repro/internal/kern"
 	"repro/internal/mcu"
@@ -10,54 +9,27 @@ import (
 	"repro/internal/tape"
 )
 
-// TapeLayerFn returns a LayerFn executing convolution and pooling layers
-// from the compiled program's pre-decoded tables — the layers whose
-// interpreted kernels pay a div/mod coordinate decode on every inner
-// iteration — and everything else through the software kernels, which are
-// already decode-free. The issued op stream (every charged load, section
-// switch, and cursor commit) is identical to runLayerSONIC's, so logits,
-// Stats, reboot placement, and WAR records are bit-exact
-// (TestTapeInterpreterDifferential, the fork oracle).
+// convLayer is the loop-ordered-buffering convolution of Fig. 7/Listing 1.
+// The outer loop (pos) walks filter elements — the NZ list for pruned
+// filters, every element for dense ones. Each inner iteration applies the
+// current filter element to one output position, reading only the
+// *previous* generation's partials (inter) and writing only the current
+// generation's (dest): no location is both read and written, so every
+// iteration is idempotent.
 //
-// Checkpointing runtimes reuse it unchanged: the checkpoint policy lives
-// in Exec.Every, not in the layer walk.
-func TapeLayerFn(p *tape.Program) LayerFn {
-	return func(s *Exec, li int, parity bool, start Cursor) {
-		l := &s.Img.Layers[li]
-		switch l.Q.Kind {
-		case dnn.QConv:
-			tl := &p.Layers[li]
-			src, dst := ActBufs(s.Img, parity)
-			s.Dev.SetSection(tl.Name, mcu.PhaseControl)
-			s.tapeConvLayer(l, tl, src, dst, start)
-		case dnn.QPool:
-			tl := &p.Layers[li]
-			src, dst := ActBufs(s.Img, parity)
-			s.Dev.SetSection(tl.Name, mcu.PhaseControl)
-			s.tapePoolLayer(l, tl, src, dst, start)
-		case dnn.QSparseDense:
-			if s.SparseViaBuffering {
-				s.RunLayerSoftware(li, parity, start)
-				break
-			}
-			tl := &p.Layers[li]
-			src, dst := ActBufs(s.Img, parity)
-			s.Dev.SetSection(tl.Name, mcu.PhaseControl)
-			s.tapeSparseLayer(l, tl, src, dst, start)
-		default:
-			s.RunLayerSoftware(li, parity, start)
-		}
-	}
-}
-
-// tapeConvLayer is convLayer with every coordinate decode read from the
-// program: the filter-element decode (kx/ky/ci/f) comes from WSrc and
-// WAccBase, the first-element-of-filter test from First, the inner
-// position decode (oy, ox) from PosOff, and the finalize filter decode
-// from FilterOf. The NZ boundary probe loads are still issued — they are
-// charged device work — but their values feed nothing the tables don't
-// already answer.
-func (s *Exec) tapeConvLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Region, start Cursor) {
+// Because loops are ordered so a filter's elements are consecutive, each
+// filter's output block alternates buffers independently of the others:
+// the first element of a filter writes without reading (so no generation
+// crosses filters), and the finalize pass picks up each filter's partials
+// from the parity of its last element.
+//
+// Every coordinate decode comes from the compiled program: the
+// filter-element decode (kx/ky/ci/f) from WSrc and WAccBase, the
+// first-element-of-filter test from First, the inner position decode
+// (oy, ox) from PosOff, and the finalize filter decode from FilterOf. The
+// NZ boundary probe loads are still issued — they are charged device work
+// — but their values feed nothing the tables don't already answer.
+func (s *Exec) convLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Region, start Cursor) {
 	q := l.Q
 	positions := tl.Positions
 	dev := s.Dev
@@ -98,6 +70,8 @@ func (s *Exec) tapeConvLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.R
 	if start.Pass == 0 {
 		for pos := start.Pos; pos < tl.Elems; pos++ {
 			dev.SetSectionTok(tokC)
+			// Task entry (Task_Convolve): load the filter element into
+			// volatile registers. Re-executed after every power failure.
 			widx := pos
 			if l.NZ != nil {
 				widx = int(dev.Load(l.NZ, pos))
@@ -146,6 +120,8 @@ func (s *Exec) tapeConvLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.R
 				s.Checkpoint(Cursor{Layer: start.Layer, Pos: pos, I: i + 1})
 				i++
 			}
+			// Task_Next_Filter: swap buffers, reset i, advance pos — one
+			// atomic word store since parity is derived from pos.
 			s.Transition(name, Cursor{Layer: start.Layer, Pos: pos + 1})
 		}
 		start = Cursor{Layer: start.Layer, Pass: 1}
@@ -227,31 +203,30 @@ func (s *Exec) tapeConvLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.R
 	}
 }
 
-// tapeSparseLayer is sparseLayer with the CSR row walk fused end-to-end:
-// instead of charging one row at a time (re-probing RowPtr at every row
-// boundary on the host), it builds a charge *train* over the compiled span
-// tables — one variable-profile segment per row remainder plus one
-// boundary segment per row advance, with the advance's extra branch and
-// probe-load ops pre-derived from consecutive SpRow differences — and
-// funds the whole remaining layer in a single ChargeTrain call.
-// kern.CSRSpans then executes exactly the funded iterations across row
-// boundaries, committing each touched row's accumulator and one coalesced
-// cursor at the end. ChargeTrain drains the same integer pJ at the same
-// iteration boundaries as per-row ChargeBlock and the scalar walk, so
-// brown-outs land at identical op indices with identical partial energy
-// and the interpreted path remains a bit-exact oracle
-// (TestTapeInterpreterDifferential, the fork oracle).
+// sparseLayer runs a sparse fully-connected layer with sparse undo-logging
+// (§6.2.2): partials accumulate in place in AccA; before each modification
+// the original value is copied to a canonical slot and the read index
+// advances, so an interrupted update resumes from the buffered original.
+// Work per iteration is proportional to the modifications made — one
+// nonzero — not to the output size, which is why SONIC prefers it to
+// loop-ordered buffering here.
 //
-// The one resume iteration whose undo-log read index is already past
-// (rd > pos) stays scalar, exactly as in sparseLayer; after it executes,
-// rd == pos and the train resumes.
-func (s *Exec) tapeSparseLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Region, start Cursor) {
-	if !s.canFuse() {
-		// Observed or scalar-forced device: the interpreted walk already
-		// issues the canonical scalar op stream.
-		s.sparseLayer(l, tl.Name, src, dst, start)
-		return
-	}
+// When fusion may engage, the CSR row walk runs as one charge *train* over
+// the compiled span tables — one variable-profile segment per row
+// remainder plus one boundary segment per row advance, with the advance's
+// extra branch and probe-load ops pre-derived from consecutive SpRow
+// differences — funded for the whole remaining layer in a single
+// ChargeTrain call. kern.CSRSpans then executes exactly the funded
+// iterations across row boundaries, committing each touched row's
+// accumulator and one coalesced cursor at the end. ChargeTrain drains the
+// same integer pJ at the same iteration boundaries as the scalar walk, so
+// brown-outs land at identical op indices with identical partial energy.
+//
+// The first unfunded iteration, the one resume iteration whose undo-log
+// read index is already past (rd > pos), and every iteration on an
+// observed or scalar-forced device run scalar; after the rd > pos
+// iteration executes, rd == pos and the train resumes.
+func (s *Exec) sparseLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Region, start Cursor) {
 	q := l.Q
 	dev := s.Dev
 	acc := s.Img.AccA
@@ -260,15 +235,22 @@ func (s *Exec) tapeSparseLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem
 	name := tl.Name
 	tokK := dev.SectionToken(name, mcu.PhaseKernel)
 	tokC := dev.SectionToken(name, mcu.PhaseControl)
+	fuse := s.canFuse()
 	var per int
 
 	switch start.Pass {
 	case 0:
-		blkZero, perZ := s.unitBlock(tokC,
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
+		// Zero the in-place accumulator (write-only, idempotent), and
+		// rearm the undo-log read index (idempotent: re-zeroing after a
+		// failure here is harmless because pass 1 has not started).
+		var blkZero *mcu.Block
+		if fuse {
+			blkZero, per = s.unitBlock(tokC,
+				mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
+				mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
+		}
 		accW := acc.Words()
-		s.fuseMap(tokK, tokC, blkZero, perZ, start, q.Out, func(i0, m int) {
+		s.fuseMap(tokK, tokC, blkZero, per, start, q.Out, func(i0, m int) {
 			kern.Zero(accW, i0, m)
 		}, func(o int) {
 			dev.Store(acc, o, 0)
@@ -278,16 +260,23 @@ func (s *Exec) tapeSparseLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem
 		s.Transition(name, start)
 		fallthrough
 	case 1:
-		// In-row iteration profile (identical to sparseLayer's blkRow): one
-		// branch, seven loads (the failing RowPtr probe, the read index,
-		// the original partial, the canonical slot, weight, column,
-		// activation), the three-store two-phase update, and the MAC.
-		blkRow := s.forceUnitBlock(tokC,
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 7},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 3},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1})
+		// row is carried in the cursor's i field so the CSR walk resumes
+		// without rescanning RowPtr from zero.
+		//
+		// In-row iteration profile: one branch, seven loads (the failing
+		// RowPtr probe, the read index, the original partial, the
+		// canonical slot, weight, column, activation), the three-store
+		// two-phase update, and the MAC. Sparse undo-logging commits every
+		// iteration, so the profile always ends in a forced checkpoint.
+		var blkRow *mcu.Block
+		if fuse {
+			blkRow = s.forceUnitBlock(tokC,
+				mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
+				mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 7},
+				mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 3},
+				mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
+				mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1})
+		}
 		// Boundary iterations add one successful RowPtr probe (a branch
 		// and a load) per row advanced; cache one block per distinct
 		// advance count (networks have very few).
@@ -317,7 +306,7 @@ func (s *Exec) tapeSparseLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem
 		var segs []mcu.TrainSeg
 		row := start.I
 		for pos := start.Pos; pos < nnz; {
-			if int(ctl.Get(slotRead)) <= pos {
+			if fuse && int(ctl.Get(slotRead)) <= pos {
 				// Build the remaining layer as a segment train from the
 				// live (pos, row) state; ChargeTrain funds a prefix.
 				si := int(spanOf[pos])
@@ -347,20 +336,22 @@ func (s *Exec) tapeSparseLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem
 					continue
 				}
 			}
-			// Scalar iteration: the brown-out boundary (first unfunded
-			// iteration) and the rd > pos resume, verbatim from
-			// sparseLayer.
+			// Scalar iteration.
 			dev.SetSectionTok(tokK)
 			dev.Op(mcu.OpBranch)
+			// Advance row until RowPtr[row+1] > pos.
 			for int(dev.Load(l.RowPtr, row+1)) <= pos {
 				dev.Op(mcu.OpBranch)
 				row++
 			}
+			// Sparse undo-logging two-phase update.
 			rd := int(dev.Load(ctl, slotRead))
 			if rd <= pos {
 				orig := dev.Load(acc, row)
 				dev.Store(ctl, slotCanonical, orig)
 				dev.Store(ctl, slotRead, int64(pos+1))
+				// The original value is now durable: overwriting acc[row]
+				// is recoverable, not a WAR hazard.
 				dev.MarkLogged(acc, row)
 			}
 			canon := fixed.Acc(dev.Load(ctl, slotCanonical))
@@ -371,6 +362,8 @@ func (s *Exec) tapeSparseLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem
 			dev.Op(mcu.OpFixedAdd)
 			dev.Store(acc, row, int64(canon.MAC(wv, x)))
 			dev.SetSectionTok(tokC)
+			// Sparse undo-logging is only idempotent one iteration deep,
+			// so even checkpointing runtimes commit the cursor here.
 			s.ForceCheckpoint(Cursor{Layer: start.Layer, Pass: 1, Pos: pos + 1, I: row})
 			pos++
 		}
@@ -379,11 +372,13 @@ func (s *Exec) tapeSparseLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem
 		fallthrough
 	default:
 		var blkFin *mcu.Block
-		blkFin, per = s.unitBlock(tokC,
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 2},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
+		if fuse {
+			blkFin, per = s.unitBlock(tokC,
+				mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
+				mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 2},
+				mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1},
+				mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
+		}
 		accW, bW, dstW := acc.ROWords(), l.B.ROWords(), dst.Words()
 		s.fuseMap(tokK, tokC, blkFin, per, start, q.Out, func(i0, m int) {
 			kern.FinalizeVec(dstW, accW, bW, i0, i0, m, q.Shift)
@@ -396,9 +391,9 @@ func (s *Exec) tapeSparseLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem
 	}
 }
 
-// MapLayerTok is MapLayer with the per-iteration kernel/control section
-// flips going through pre-resolved tokens. The op stream (branch charge,
-// body, checkpoint) is identical to MapLayer's.
+// MapLayerTok runs an elementwise pass with loop continuation on the
+// single index i, flipping each iteration's kernel/control attribution
+// through pre-resolved section tokens.
 func (s *Exec) MapLayerTok(tokK, tokC mcu.SectionTok, start Cursor, n int, body func(i int)) {
 	dev := s.Dev
 	for i := start.I; i < n; i++ {
@@ -410,10 +405,9 @@ func (s *Exec) MapLayerTok(tokK, tokC mcu.SectionTok, start Cursor, n int, body 
 	}
 }
 
-// tapePoolLayer is RunLayerSoftware's pooling case with the window-origin
-// decode ((ci, oy, ox) from i — three div/mods per output) read from
-// PoolBase.
-func (s *Exec) tapePoolLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Region, start Cursor) {
+// poolLayer computes max pooling, one output element per iteration, with
+// each window's origin read from the program's PoolBase table.
+func (s *Exec) poolLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Region, start Cursor) {
 	q := l.Q
 	w := q.InShape[2]
 	poolBase := tl.PoolBase

@@ -39,11 +39,6 @@ import (
 type TAILS struct {
 	SoftwareLEA bool // compute vector ops with CPU MACs instead of LEA
 	SoftwareDMA bool // move blocks with CPU load/store instead of DMA
-
-	// Tape selects the pre-decoded op-tape executors (see tapeLayerFn).
-	// Bit-exact with the interpreted walk; it only changes host
-	// simulation speed.
-	Tape bool
 }
 
 // Name identifies the runtime.
@@ -126,7 +121,7 @@ func (t TAILS) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15,
 	}
 	defer dev.SRAM.Release(sc.coef)
 
-	s := &sonic.Exec{Img: img, Dev: dev}
+	s := &sonic.Exec{Img: img, Dev: dev, Prog: tape.Get(img.Model)}
 	dev.Emit(mcu.TraceRunBegin, t.Name(), 0)
 	if atReboot != nil {
 		if err := atReboot(); err != nil {
@@ -134,9 +129,6 @@ func (t TAILS) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15,
 		}
 	}
 	layerFn := t.layerFn(sc)
-	if t.Tape {
-		layerFn = t.tapeLayerFn(sc, tape.Get(img.Model))
-	}
 	if err := dev.Run(func() {
 		s.ResetVolatile()
 		t.calibrate(s, sc)
@@ -221,13 +213,13 @@ func (t TAILS) calibrate(s *sonic.Exec, sc *scratch) {
 func (t TAILS) layerFn(sc *scratch) sonic.LayerFn {
 	return func(s *sonic.Exec, li int, parity bool, start sonic.Cursor) {
 		l := &s.Img.Layers[li]
+		tl := &s.Prog.Layers[li]
 		src, dst := sonic.ActBufs(s.Img, parity)
-		name := core.LayerName(s.Img.Model, li)
 		switch {
 		case l.Q.Kind == dnn.QConv && l.NZ == nil:
-			t.convLayer(s, sc, l, name, src, dst, start)
+			t.convLayer(s, sc, l, tl, src, dst, start)
 		case l.Q.Kind == dnn.QDense:
-			t.denseLayer(s, sc, l, name, src, dst, start)
+			t.denseLayer(s, sc, l, tl.Name, src, dst, start)
 		default:
 			// Sparse convolutions and sparse fully-connected layers run in
 			// software exactly like SONIC. (The paper pads sparse filters
@@ -429,101 +421,4 @@ func (t TAILS) denseLayer(s *sonic.Exec, sc *scratch, l *core.LayerImage, name s
 		dev.Store(dst, o, int64(acc.AddQ(bq).SatShiftSigned(q.Shift)))
 		s.Checkpoint(sonic.Cursor{Layer: start.Layer, Pos: o + 1})
 	}
-}
-
-// convLayer computes a 2-D convolution as iterated 1-D FIR convolutions
-// (§7.2), with loop-ordered buffering at row granularity for idempotence.
-// Generations are (channel, kernel-row) pairs; each inner iteration
-// convolves one input row with one weight row and accumulates into the
-// opposite partial buffer. Activations are pre-shifted in software so that
-// LEA's fixed Q15 output lands in the layer's final scale.
-func (t TAILS) convLayer(s *sonic.Exec, sc *scratch, l *core.LayerImage, name string,
-	src, dst *mem.Region, start sonic.Cursor) {
-	q := l.Q
-	dev := s.Dev
-	h, w := q.InShape[1], q.InShape[2]
-	oh, ow := q.OutShape[1], q.OutShape[2]
-	gens := q.C * q.KH // generations: one per (channel, kernel row)
-	rows := q.F * oh   // inner iterations per generation
-	preShift := q.Shift
-	if preShift < 0 {
-		preShift = 0
-	}
-	postShift := -q.Shift
-	if postShift < 0 {
-		postShift = 0
-	}
-	ct := tile(s)
-	if ct > ow {
-		ct = ow
-	}
-
-	if start.Pass == 0 {
-		chunks := (ow + ct - 1) / ct
-		for pos := start.Pos; pos < gens; pos++ {
-			dev.SetSection(name, mcu.PhaseControl)
-			ci, ky := pos/q.KH, pos%q.KH
-			dest, inter := sonic.AccBufs(s.Img, pos)
-			iStart := 0
-			if pos == start.Pos {
-				iStart = start.I
-			}
-			// One iteration processes one calibrated chunk of one output
-			// row, so the progress unit is exactly what calibration sized
-			// to the energy buffer.
-			for i := iStart; i < rows*chunks; i++ {
-				row, ck := i/chunks, i%chunks
-				f, oy := row/oh, row%oh
-				c0 := ck * ct
-				n := ct
-				if c0+n > ow {
-					n = ow - c0
-				}
-				dev.SetSection(name, mcu.PhaseControl)
-				// Weight row for (f, ci, ky): KW taps. Pruned filters are
-				// used densely (zero-padded), as §7.2 describes.
-				t.blockIn(dev, sc.coef, 0, l.W, ((f*q.C+ci)*q.KH+ky)*q.KW, q.KW)
-				rowBase := f*oh*ow + oy*ow
-				// Input segment covering n outputs: n+KW-1 samples.
-				t.blockIn(dev, sc.in, 0, src, (ci*h+oy+ky)*w+c0, n+q.KW-1)
-				preShiftRow(dev, sc.in, 0, n+q.KW-1, preShift)
-				dev.SetSection(name, mcu.PhaseKernel)
-				t.fir(dev, sc.out, 0, sc.in, 0, sc.coef, 0, q.KW, n)
-				dev.SetSection(name, mcu.PhaseControl)
-				if pos > 0 {
-					t.blockIn(dev, sc.out, n, inter, rowBase+c0, n)
-					dev.SetSection(name, mcu.PhaseKernel)
-					t.addv(dev, sc.out, 0, sc.out, 0, sc.out, n, n)
-					dev.SetSection(name, mcu.PhaseControl)
-				}
-				t.blockOut(dev, dest, rowBase+c0, sc.out, 0, n)
-				s.Checkpoint(sonic.Cursor{Layer: start.Layer, Pos: pos, I: i + 1})
-			}
-			s.Transition(name, sonic.Cursor{Layer: start.Layer, Pos: pos + 1})
-		}
-		start = sonic.Cursor{Layer: start.Layer, Pass: 1}
-		s.Transition(name, start)
-	}
-
-	// Finalize: post-shift (if the output scale is finer than LEA's) and
-	// bias addition, elementwise in software.
-	final, _ := sonic.AccBufs(s.Img, gens-1)
-	s.MapLayer(name, start, q.F*oh*ow, func(i int) {
-		f := i / (oh * ow)
-		v := fixed.Q15(dev.Load(final, i))
-		if postShift > 0 {
-			dev.Op(mcu.OpAdd)
-			wide := int64(v) << uint(postShift)
-			if wide > int64(fixed.One) {
-				v = fixed.One
-			} else if wide < int64(fixed.MinusOne) {
-				v = fixed.MinusOne
-			} else {
-				v = fixed.Q15(wide)
-			}
-		}
-		bq := shiftBias(dev, fixed.Q15(dev.Load(l.B, f)), q.Shift)
-		dev.Op(mcu.OpFixedAdd)
-		dev.Store(dst, i, int64(fixed.Add(v, bq)))
-	})
 }

@@ -2,7 +2,6 @@ package tails
 
 import (
 	"repro/internal/core"
-	"repro/internal/dnn"
 	"repro/internal/fixed"
 	"repro/internal/mcu"
 	"repro/internal/mem"
@@ -10,36 +9,23 @@ import (
 	"repro/internal/tape"
 )
 
-// tapeLayerFn is layerFn executing from the compiled program: the LEA
-// convolution reads its row/generation decodes from tables, the dense
-// kernel (already decode-free) runs unchanged, and every software
-// fallback goes through sonic.TapeLayerFn — the same dispatch order as
-// the interpreted walk, issuing the identical op stream.
-func (t TAILS) tapeLayerFn(sc *scratch, p *tape.Program) sonic.LayerFn {
-	swFn := sonic.TapeLayerFn(p)
-	return func(s *sonic.Exec, li int, parity bool, start sonic.Cursor) {
-		l := &s.Img.Layers[li]
-		switch {
-		case l.Q.Kind == dnn.QConv && l.NZ == nil:
-			src, dst := sonic.ActBufs(s.Img, parity)
-			t.tapeConvLayer(s, sc, l, &p.Layers[li], src, dst, start)
-		case l.Q.Kind == dnn.QDense:
-			src, dst := sonic.ActBufs(s.Img, parity)
-			t.denseLayer(s, sc, l, p.Layers[li].Name, src, dst, start)
-		default:
-			swFn(s, li, parity, start)
-		}
-	}
-}
-
-// tapeConvLayer is convLayer with the per-iteration coordinate decodes
-// read from the program. The calibrated tile size — and therefore the
+// convLayer computes a 2-D convolution as iterated 1-D FIR convolutions
+// (§7.2), with loop-ordered buffering at row granularity for idempotence.
+// Generations are (channel, kernel-row) pairs; each inner iteration
+// convolves one calibrated chunk of one input row with one weight row and
+// accumulates into the opposite partial buffer, so the progress unit is
+// exactly what calibration sized to the energy buffer. Activations are
+// pre-shifted in software so that LEA's fixed Q15 output lands in the
+// layer's final scale.
+//
+// The per-iteration coordinate decodes come from the compiled program.
+// The calibrated tile size — and therefore the
 // chunks-per-row count — is device state, not model state, so the inner
 // (row, chunk) split stays a live counter pair (one div/mod at resume,
 // increments after); the (f, oy) and (ci, ky) decodes and the derived
 // coefficient/input/accumulator offsets all come from the row and
 // generation tables.
-func (t TAILS) tapeConvLayer(s *sonic.Exec, sc *scratch, l *core.LayerImage, tl *tape.Layer,
+func (t TAILS) convLayer(s *sonic.Exec, sc *scratch, l *core.LayerImage, tl *tape.Layer,
 	src, dst *mem.Region, start sonic.Cursor) {
 	q := l.Q
 	dev := s.Dev
@@ -86,8 +72,11 @@ func (t TAILS) tapeConvLayer(s *sonic.Exec, sc *scratch, l *core.LayerImage, tl 
 					n = ow - c0
 				}
 				dev.SetSectionTok(tokC)
+				// Weight row for (f, ci, ky): KW taps. Pruned filters are
+				// used densely (zero-padded), as §7.2 describes.
 				t.blockIn(dev, sc.coef, 0, l.W, int(rowCoef[row])+coefOff, q.KW)
 				rowBase := int(rowAcc[row])
+				// Input segment covering n outputs: n+KW-1 samples.
 				t.blockIn(dev, sc.in, 0, src, genSrc+int(rowSrcY[row])+c0, n+q.KW-1)
 				preShiftRow(dev, sc.in, 0, n+q.KW-1, preShift)
 				dev.SetSectionTok(tokK)
@@ -112,6 +101,8 @@ func (t TAILS) tapeConvLayer(s *sonic.Exec, sc *scratch, l *core.LayerImage, tl 
 		s.Transition(tl.Name, start)
 	}
 
+	// Finalize: post-shift (if the output scale is finer than LEA's) and
+	// bias addition, elementwise in software.
 	final, _ := sonic.AccBufs(s.Img, gens-1)
 	// Fused finalize: the per-element charge profile is uniform across the
 	// whole layer (post-shift presence is a layer property, and shiftBias

@@ -6,12 +6,11 @@
 // every inference (or, for Base, on every brown-out retry).
 //
 // A Program changes *how fast the host simulates*, never *what the device
-// does*: executors built on these tables issue the exact op stream —
-// every charged Load/Store/Op, every section transition, every commit
-// point — that the interpreted layer walk issues, so logits, Stats,
-// reboot placement, and WAR records are bit-identical. The equivalence is
-// enforced per runtime by TestTapeInterpreterDifferential (harness), the
-// fork oracle, and the intermittest campaign.
+// does*: the tables only hold values a layer walk would otherwise derive
+// per iteration, so every charged Load/Store/Op, section transition and
+// commit point is the same. TestTapeInterpreterDifferential (harness)
+// holds every runtime's logits, Stats, reboot placement and WAR records
+// to a frozen golden corpus.
 //
 // Programs are immutable after Compile and safe to share across
 // goroutines; per-inference mutable workspace comes from the program's
@@ -244,7 +243,7 @@ func compileConv(q *dnn.QuantLayer, tl *Layer) {
 // compileSparse fills the CSR span tables: one span per row owning at
 // least one nonzero, in nonzero order, with the position→span back-map
 // used to resume mid-layer. Row lengths are clamped to the nonzero count
-// exactly as the interpreted walk clamps RowPtr[row+1].
+// exactly as the scalar row walk clamps RowPtr[row+1].
 func compileSparse(q *dnn.QuantLayer, tl *Layer) {
 	nnz := int32(len(q.W))
 	tl.SpanOf = make([]int32, nnz)
