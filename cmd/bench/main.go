@@ -125,9 +125,11 @@ type report struct {
 		Deterministic bool         `json:"deterministic"`
 	} `json:"fleet"`
 
-	// Kernels A/Bs the fused bulk-loop kernels against the scalar
-	// op-by-op path (Device.NoFuse), so the ratio isolates the fused fast
-	// path alone. Paired alternating min-of-K, and the speedup only counts
+	// Kernels A/Bs the default execution against the Scalar reference path
+	// (Device.Scalar: no fused kernels, no batched charging, no
+	// devirtualized power system, every op charged through one interface
+	// call), so the ratio prices all the fast paths together, not fusion
+	// alone. Paired alternating min-of-K, and the speedup only counts
 	// on bit-identical results (every Fig. 9 cell, and the fleet summary
 	// byte-for-byte). The fleet A/B sweeps the real evaluation networks
 	// (mnist, har, okg): the tiny fleet is dominated by per-device fixed
@@ -428,8 +430,8 @@ func main() {
 			{Name: "cont", SystemSpec: energy.SystemSpec{Kind: "cont"}},
 		},
 	}
-	// Fused kernels vs scalar: the Fig. 9 matrix through Measure vs
-	// MeasureScalar, and the real-network fleet with Spec.NoFuse flipped.
+	// Fast paths vs the Scalar reference: the Fig. 9 matrix through Measure
+	// vs MeasureScalar, and the real-network fleet with Spec.Scalar flipped.
 	// Paired alternating min-of-K: each round runs both sides under the
 	// same machine conditions and the minima are compared; bit-identical
 	// results required.
@@ -474,7 +476,7 @@ func main() {
 	rep.Kernels.Fig9Speedup = float64(minFig9Scalar) / float64(minFig9Fused)
 
 	scalarSpec := realSpec
-	scalarSpec.NoFuse = true
+	scalarSpec.Scalar = true
 	fmt.Fprintf(os.Stderr, "bench: fleet campaign fused vs scalar (%d real-network devices, 1 worker), paired × %d...\n",
 		realFleetDevices, *count)
 	var realSummary []byte

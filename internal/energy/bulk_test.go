@@ -6,25 +6,66 @@ import (
 	"testing"
 )
 
-// scalarConsumeN replays ConsumeN's contract through the scalar interface:
-// sequential Consume(e) calls, also charging the op that fails, returning
-// how many were funded. This is the reference ConsumeN is checked against.
-func scalarConsumeN(s System, e float64, n int) int {
+// refConsume is the per-op reference ConsumeN is checked against: one op
+// of pj picojoules charged with each system's original scalar arithmetic,
+// written out independently of the batched code under test. It reports
+// whether the op was funded.
+func refConsume(s System, pj int64) bool {
+	switch s := s.(type) {
+	case Continuous:
+		return true
+	case *Intermittent:
+		s.remainingPJ -= pj
+		return s.remainingPJ >= 0
+	case *FailAfterOps:
+		if s.limit <= 0 {
+			return true // exhausted schedule: behave as continuous
+		}
+		s.count++
+		if s.count >= s.limit {
+			s.failed = true
+			return false
+		}
+		return true
+	case *FailSchedule:
+		if s.cycle >= len(s.Gaps) {
+			return true // exhausted schedule: behave as continuous
+		}
+		gap := max(s.Gaps[s.cycle], 1)
+		s.count++
+		return s.count < gap
+	case *Recorder:
+		ok := refConsume(s.Inner, pj)
+		s.ops++
+		if s.ops%s.SampleEvery == 0 || !ok {
+			s.points = append(s.points, TracePoint{OpIndex: s.ops,
+				LevelNJ: float64(max(s.Inner.remainingPJ, 0)) * 1e-3, DeadSec: s.dead})
+		}
+		return ok
+	}
+	panic("refConsume: no reference for this system")
+}
+
+// refConsumeN replays ConsumeN's contract one op at a time through
+// refConsume: sequential charges, also charging the op that fails,
+// returning how many were funded.
+func refConsumeN(s System, pj int64, n int) int {
 	for i := 0; i < n; i++ {
-		if !s.Consume(e) {
+		if !refConsume(s, pj) {
 			return i
 		}
 	}
 	return n
 }
 
-// bulkSystem pairs a system with an equally-configured twin so the bulk
-// path on one can be replayed scalar on the other.
+// bulkPair pairs a system with an equally-configured twin so the batched
+// path on one can be replayed op by op on the other.
 type bulkPair struct {
 	name   string
-	bulk   System                                 // driven through ConsumeN
-	scalar System                                 // driven through sequential Consume
+	bulk   System                                 // driven through ConsumeN (and ConsumePJ)
+	ref    System                                 // driven through refConsume
 	level  func(a, b System) (int64, int64, bool) // internal state, if any
+	single func(pj int64) bool                    // a concrete per-op entry point, if any
 }
 
 func intLevel(a, b System) (int64, int64, bool) {
@@ -34,72 +75,72 @@ func intLevel(a, b System) (int64, int64, bool) {
 func pairs() []bulkPair {
 	rf := ConstantHarvester{Watts: DefaultRFWatts}
 	mkRec := func() System { return NewRecorder(NewIntermittent(Cap100uF, rf), 7) }
+	im := NewIntermittent(Cap100uF, rf)
 	return []bulkPair{
-		{name: "continuous", bulk: Continuous{}, scalar: Continuous{}},
+		{name: "continuous", bulk: Continuous{}, ref: Continuous{}},
 		{name: "intermittent",
-			bulk:   NewIntermittent(Cap100uF, rf),
-			scalar: NewIntermittent(Cap100uF, rf),
-			level:  intLevel},
+			bulk:   im,
+			ref:    NewIntermittent(Cap100uF, rf),
+			level:  intLevel,
+			single: im.ConsumePJ},
 		{name: "fail-after-ops",
-			bulk:   NewFailAfterOps(137, 61),
-			scalar: NewFailAfterOps(137, 61)},
+			bulk: NewFailAfterOps(137, 61),
+			ref:  NewFailAfterOps(137, 61)},
 		{name: "fail-schedule",
-			bulk:   NewFailSchedule([]int{97, 13, 1, 250}),
-			scalar: NewFailSchedule([]int{97, 13, 1, 250})},
-		{name: "recorder", bulk: mkRec(), scalar: mkRec(),
+			bulk: NewFailSchedule([]int{97, 13, 1, 250}),
+			ref:  NewFailSchedule([]int{97, 13, 1, 250})},
+		{name: "recorder", bulk: mkRec(), ref: mkRec(),
 			level: func(a, b System) (int64, int64, bool) {
 				return a.(*Recorder).Inner.remainingPJ, b.(*Recorder).Inner.remainingPJ, true
 			}},
 	}
 }
 
-// TestConsumeNMatchesScalar is the bulk path's property test: for every
-// power system, an arbitrary interleaving of ConsumeN batches, single
-// Consume calls, and recharges leaves the system in a state bit-identical
-// to the same interleaving with each batch unrolled into sequential scalar
-// calls — including the funded count of every partial batch (the failing
-// op's exact index) and, for Recorder, the recorded sample points.
+// TestConsumeNMatchesScalar is the property test of the one charge entry
+// point: for every power system, an arbitrary interleaving of ConsumeN
+// batches, one-op ConsumeN calls, Intermittent.ConsumePJ calls (the
+// device's devirtualized per-op charge) and recharges leaves the system in
+// a state bit-identical to the same interleaving replayed op by op through
+// the independent per-op reference — including the funded count of every
+// partial batch (the failing op's exact index) and, for Recorder, the
+// recorded sample points.
 func TestConsumeNMatchesScalar(t *testing.T) {
 	costs := []float64{0, 0.1, 2.5, 10.4, 32.1, 100}
 	for _, p := range pairs() {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
-			bc, ok := p.bulk.(BulkConsumer)
-			if !ok {
-				t.Fatalf("%T does not implement BulkConsumer", p.bulk)
-			}
 			rng := rand.New(rand.NewPCG(0xb01c, 0xcafe))
-			midBatchFails := 0
-			for step := 0; step < 4000; step++ {
+			midBatchFails, singles := 0, 0
+			for step := 0; step < 6000; step++ {
 				e := costs[rng.IntN(len(costs))]
-				if rng.IntN(4) == 0 { // single scalar op on both twins
-					ra, rb := p.bulk.Consume(e), p.scalar.Consume(e)
-					if ra != rb {
-						t.Fatalf("step %d: Consume(%v): bulk=%v scalar=%v", step, e, ra, rb)
-					}
-					if !ra {
-						p.bulk.Recharge()
-						p.scalar.Recharge()
+				pj := PicojoulesOf(e)
+				n := 1
+				if rng.IntN(4) != 0 {
+					n = 1 + rng.IntN(64)
+				}
+				var got int
+				if n == 1 && p.single != nil && rng.IntN(2) == 0 {
+					singles++
+					if p.single(pj) {
+						got = 1
 					}
 				} else {
-					n := 1 + rng.IntN(64)
-					got := bc.ConsumeN(e, n)
-					want := scalarConsumeN(p.scalar, e, n)
-					if got != want {
-						t.Fatalf("step %d: ConsumeN(%v, %d): bulk funded %d, scalar funded %d",
-							step, e, n, got, want)
+					got = p.bulk.ConsumeN(pj, n)
+				}
+				if want := refConsumeN(p.ref, pj, n); got != want {
+					t.Fatalf("step %d: %d op(s) of %d pJ: funded %d, reference funded %d",
+						step, n, pj, got, want)
+				}
+				if got < n {
+					if got > 0 {
+						midBatchFails++
 					}
-					if got < n {
-						if got > 0 {
-							midBatchFails++
-						}
-						p.bulk.Recharge()
-						p.scalar.Recharge()
-					}
+					p.bulk.Recharge()
+					p.ref.Recharge()
 				}
 				if p.level != nil {
-					if a, b, ok := p.level(p.bulk, p.scalar); ok && a != b {
-						t.Fatalf("step %d: level diverged: bulk=%d scalar=%d pJ", step, a, b)
+					if a, b, ok := p.level(p.bulk, p.ref); ok && a != b {
+						t.Fatalf("step %d: level diverged: bulk=%d reference=%d pJ", step, a, b)
 					}
 				}
 			}
@@ -108,10 +149,13 @@ func TestConsumeNMatchesScalar(t *testing.T) {
 			if _, cont := p.bulk.(Continuous); !cont && midBatchFails == 0 {
 				t.Fatalf("no mid-batch failure was exercised; property vacuous")
 			}
+			if p.single != nil && singles == 0 {
+				t.Fatalf("the per-op entry point was never exercised")
+			}
 			if rb, ok := p.bulk.(*Recorder); ok {
-				rs := p.scalar.(*Recorder)
+				rs := p.ref.(*Recorder)
 				if len(rb.Trace()) == 0 || !reflect.DeepEqual(rb.Trace(), rs.Trace()) {
-					t.Fatalf("recorder traces diverge: bulk %d points, scalar %d points",
+					t.Fatalf("recorder traces diverge: bulk %d points, reference %d points",
 						len(rb.Trace()), len(rs.Trace()))
 				}
 			}
@@ -119,42 +163,60 @@ func TestConsumeNMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestConsumePJMatchesConsume checks the per-op integer fast path: for
-// every system implementing PJConsumer, ConsumePJ(PicojoulesOf(e)) returns
-// the same verdict and leaves the same state as Consume(e).
+// TestConsumePJMatchesConsume checks each system's per-op charge against
+// the per-op reference (the scalar Consume bodies): Intermittent.ConsumePJ,
+// the device's devirtualized per-op charge, and for every other system the
+// one-op ConsumeN(pj, 1) call that Device.Scalar charges through. A stream
+// of single ops with recharges on failure must fund exactly the ops the
+// reference funds and leave the same level and, for Recorder, the same
+// sample points. Every eighth op on a capacitor-backed system costs the
+// remaining level give or take one picojoule, so the >= 0 brown-out
+// boundary is hit exactly.
 func TestConsumePJMatchesConsume(t *testing.T) {
+	costs := []float64{0, 0.1, 2.5, 10.4, 32.1, 100}
 	for _, p := range pairs() {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
-			pc, ok := p.bulk.(PJConsumer)
-			if _, rec := p.bulk.(*Recorder); rec {
-				// Recorder deliberately opts out: its per-op sampling needs
-				// the Consume entry point so the device never bypasses it.
-				if ok {
-					t.Fatalf("Recorder must not implement PJConsumer")
+			one := p.single
+			if one == nil {
+				one = func(pj int64) bool { return p.bulk.ConsumeN(pj, 1) == 1 }
+			}
+			rng := rand.New(rand.NewPCG(0x9e37, 0x79b9))
+			fails, boundary := 0, 0
+			for step := 0; step < 6000; step++ {
+				pj := PicojoulesOf(costs[rng.IntN(len(costs))])
+				if p.level != nil && rng.IntN(8) == 0 {
+					// Land on the brown-out boundary: drain the level
+					// exactly, or miss it by one picojoule either way.
+					_, lvl, _ := p.level(p.bulk, p.ref)
+					pj, boundary = max(lvl+int64(rng.IntN(3))-1, 0), boundary+1
 				}
-				return
-			}
-			if !ok {
-				t.Fatalf("%T does not implement PJConsumer", p.bulk)
-			}
-			rng := rand.New(rand.NewPCG(0x9a55, 0xfeed))
-			costs := []float64{0.1, 2.5, 10.4, 100}
-			for step := 0; step < 20000; step++ {
-				e := costs[rng.IntN(len(costs))]
-				ra := pc.ConsumePJ(PicojoulesOf(e))
-				rb := p.scalar.Consume(e)
-				if ra != rb {
-					t.Fatalf("step %d: ConsumePJ(%v)=%v Consume=%v", step, e, ra, rb)
+				got, want := one(pj), refConsume(p.ref, pj)
+				if got != want {
+					t.Fatalf("step %d: op of %d pJ funded=%v, reference funded=%v", step, pj, got, want)
+				}
+				if !got {
+					fails++
+					p.bulk.Recharge()
+					p.ref.Recharge()
 				}
 				if p.level != nil {
-					if a, b, ok := p.level(p.bulk, p.scalar); ok && a != b {
-						t.Fatalf("step %d: level diverged: %d vs %d pJ", step, a, b)
+					if a, b, ok := p.level(p.bulk, p.ref); ok && a != b {
+						t.Fatalf("step %d: level diverged: per-op=%d reference=%d pJ", step, a, b)
 					}
 				}
-				if !ra {
-					p.bulk.Recharge()
-					p.scalar.Recharge()
+			}
+			if _, cont := p.bulk.(Continuous); !cont && fails == 0 {
+				t.Fatalf("no failure was exercised; property vacuous")
+			}
+			if p.level != nil && boundary == 0 {
+				t.Fatalf("the brown-out boundary was never exercised")
+			}
+			if rb, ok := p.bulk.(*Recorder); ok {
+				rs := p.ref.(*Recorder)
+				if len(rb.Trace()) == 0 || !reflect.DeepEqual(rb.Trace(), rs.Trace()) {
+					t.Fatalf("recorder traces diverge: per-op %d points, reference %d points",
+						len(rb.Trace()), len(rs.Trace()))
 				}
 			}
 		})

@@ -16,14 +16,20 @@ import (
 	"math/rand/v2"
 )
 
-// System supplies energy to a device. Consume is called once per simulated
-// operation with that operation's energy cost; it returns false when the
-// buffer is exhausted and the device browns out. Recharge refills the
-// buffer and returns the time spent dead.
+// System supplies energy to a device. ConsumeN is the one charge entry
+// point: the device model calls it with a batch of equally priced
+// operations (a single op is a batch of one) and learns how many were
+// funded. Recharge refills the buffer and returns the time spent dead.
 type System interface {
-	// Consume drains e nanojoules. A false return means power failed
-	// during this operation (its effects must not be observed).
-	Consume(e float64) bool
+	// ConsumeN charges up to n operations of pj integer picojoules each,
+	// in order, and returns how many were funded. A short batch (the
+	// return value < n) also charges the failing op, whose effects must
+	// not be observed: after the call the system's state is exactly what
+	// n sequential one-op charges, stopped at the first failure, would
+	// have left. Every implementation in this package is analytic, O(1)
+	// per call, which is what makes O(1)-per-kernel-loop accounting
+	// possible.
+	ConsumeN(pj int64, n int) int
 	// Recharge refills the buffer after a failure and returns dead time
 	// in seconds.
 	Recharge() float64
@@ -32,31 +38,6 @@ type System interface {
 	BufferEnergy() float64
 	// Reset restores the initial (fully charged) state.
 	Reset()
-}
-
-// BulkConsumer is an optional System extension used by the device model's
-// bulk-charge fast path: ConsumeN charges n operations of eachNJ nanojoules
-// in one call and returns how many of them were funded. Its contract is
-// exact equivalence with the scalar path — after ConsumeN the system's
-// state (and any recorded samples) must be bit-identical to what funded
-// sequential Consume(eachNJ) calls would have left, plus one further
-// failing call when funded < n, because the scalar device also charges the
-// op that browns out. Implementations are analytic (O(1) per call), which
-// is what makes O(1)-per-kernel-loop accounting possible.
-type BulkConsumer interface {
-	ConsumeN(eachNJ float64, n int) int
-}
-
-// PJConsumer is an optional System extension used by the device model's
-// per-operation fast path: ConsumePJ drains an already-quantized integer
-// picojoule cost, skipping the float→pJ conversion Consume performs on
-// every call. Its contract is exact equivalence with Consume(e) where
-// pj == PicojoulesOf(e) — both paths perform the identical integer
-// subtraction, so which one the device uses is unobservable in results.
-// Recorder deliberately does not implement it: its per-op level sampling
-// needs the Consume entry point.
-type PJConsumer interface {
-	ConsumePJ(pj int64) bool
 }
 
 // pjOf converts a nanojoule cost to integer picojoules. All capacitor
@@ -68,21 +49,15 @@ type PJConsumer interface {
 func pjOf(e float64) int64 { return int64(math.Round(e * 1000)) }
 
 // PicojoulesOf converts a nanojoule figure to the integer picojoules this
-// package accounts in — exposed so the device model quantizes its cost
-// table with the same rounding the capacitor applies to Consume.
+// package accounts in — exposed so callers quantize op costs with the
+// same rounding the capacitor applies to its own buffer size.
 func PicojoulesOf(e float64) int64 { return pjOf(e) }
 
 // Continuous is mains-like power: never fails.
 type Continuous struct{}
 
-// Consume always succeeds.
-func (Continuous) Consume(float64) bool { return true }
-
 // ConsumeN funds every op.
-func (Continuous) ConsumeN(_ float64, n int) int { return n }
-
-// ConsumePJ always succeeds.
-func (Continuous) ConsumePJ(int64) bool { return true }
+func (Continuous) ConsumeN(_ int64, n int) int { return n }
 
 // Recharge is never needed and returns 0.
 func (Continuous) Recharge() float64 { return 0 }
@@ -220,30 +195,19 @@ func NewIntermittent(c Capacitor, h Harvester) *Intermittent {
 	return p
 }
 
-// Consume drains e nJ, failing when the buffer empties.
-func (p *Intermittent) Consume(e float64) bool {
-	p.remainingPJ -= pjOf(e)
-	return p.remainingPJ >= 0
-}
-
-// ConsumePJ drains an already-quantized cost: the same subtraction as
-// Consume, minus the per-call float→pJ conversion.
+// ConsumePJ charges one op of pj picojoules and reports whether it was
+// funded: ConsumeN(pj, 1) == 1 without the division. It is a concrete
+// method, not part of System, so the device model's devirtualized
+// per-op charge inlines to one integer subtract.
 func (p *Intermittent) ConsumePJ(pj int64) bool {
 	p.remainingPJ -= pj
 	return p.remainingPJ >= 0
 }
 
-// ConsumeN drains up to n ops of e nJ analytically: the funded count is
-// floor(remaining/cost), and a partial batch also charges the failing op,
-// exactly as the scalar loop does.
-func (p *Intermittent) ConsumeN(e float64, n int) int {
-	return p.ConsumeNPJ(pjOf(e), n)
-}
-
-// ConsumeNPJ is ConsumeN for an already-quantized per-op cost — the same
-// arithmetic minus the per-call float→pJ conversion, for callers that
-// cache pjOf(e) (the device model's costPJ table).
-func (p *Intermittent) ConsumeNPJ(dec int64, n int) int {
+// ConsumeN drains up to n ops of dec picojoules analytically: the funded
+// count is floor(remaining/dec), and a partial batch also charges the
+// failing op, exactly as n sequential ConsumePJ calls would.
+func (p *Intermittent) ConsumeN(dec int64, n int) int {
 	if dec <= 0 {
 		if p.remainingPJ >= 0 {
 			return n
@@ -337,8 +301,8 @@ func (p *Intermittent) String() string {
 }
 
 // FailAfterOps is a deterministic fault-injection source: power fails after
-// exactly N successful Consume calls, regardless of energy, then every M
-// calls after each recharge. Dead time is zero. Used by correctness tests
+// exactly N successfully charged ops, regardless of energy, then every M
+// ops after each recharge. Dead time is zero. Used by correctness tests
 // to place failures at exact operation boundaries.
 type FailAfterOps struct {
 	First  int // ops before the first failure
@@ -357,26 +321,11 @@ func NewFailAfterOps(first, period int) *FailAfterOps {
 	return f
 }
 
-// Consume counts operations and fails at the configured boundaries.
-func (f *FailAfterOps) Consume(float64) bool {
-	if f.limit <= 0 {
-		return true // exhausted schedule: behave as continuous
-	}
-	f.count++
-	if f.count >= f.limit {
-		f.failed = true
-		return false
-	}
-	return true
-}
-
-// ConsumePJ counts one operation; the cost is irrelevant to this source.
-func (f *FailAfterOps) ConsumePJ(int64) bool { return f.Consume(0) }
-
 // ConsumeN counts a batch of up to n ops, stopping at the configured
-// boundary. The op arithmetic is count-exact: a partial batch advances the
-// counter past the failing op, exactly as the scalar loop does.
-func (f *FailAfterOps) ConsumeN(_ float64, n int) int {
+// boundary; the cost is irrelevant to this source. The op arithmetic is
+// count-exact: a partial batch advances the counter past the failing op,
+// exactly as n one-op charges would.
+func (f *FailAfterOps) ConsumeN(_ int64, n int) int {
 	if f.limit <= 0 {
 		return n // exhausted schedule: behave as continuous
 	}
@@ -412,7 +361,7 @@ func (f *FailAfterOps) Reset() {
 }
 
 // FailSchedule is a deterministic multi-failure fault-injection source: the
-// k-th charge cycle browns out on its Gaps[k]-th Consume call, regardless
+// k-th charge cycle browns out on its Gaps[k]-th charged op, regardless
 // of energy. When the schedule is exhausted the source
 // behaves as continuous power, so every run terminates and can be checked
 // against a golden result. Dead time is zero. Fuzzers decode their input
@@ -432,26 +381,10 @@ func NewFailSchedule(gaps []int) *FailSchedule {
 	return &FailSchedule{Gaps: gaps}
 }
 
-// Consume counts operations and fails at the current cycle's boundary.
-func (f *FailSchedule) Consume(float64) bool {
-	if f.cycle >= len(f.Gaps) {
-		return true // exhausted schedule: behave as continuous
-	}
-	gap := f.Gaps[f.cycle]
-	if gap < 1 {
-		gap = 1
-	}
-	f.count++
-	return f.count < gap
-}
-
-// ConsumePJ counts one operation; the cost is irrelevant to this source.
-func (f *FailSchedule) ConsumePJ(int64) bool { return f.Consume(0) }
-
 // ConsumeN counts a batch of up to n ops against the current cycle's
 // boundary, with the same count-exact partial-batch semantics as
 // FailAfterOps.ConsumeN.
-func (f *FailSchedule) ConsumeN(_ float64, n int) int {
+func (f *FailSchedule) ConsumeN(_ int64, n int) int {
 	if f.cycle >= len(f.Gaps) {
 		return n // exhausted schedule: behave as continuous
 	}
@@ -524,7 +457,7 @@ func (h *TraceHarvester) PowerW() float64 {
 
 // TracePoint is one sample of the energy buffer's state over a run.
 type TracePoint struct {
-	OpIndex int     // Consume calls so far
+	OpIndex int     // ops charged so far
 	LevelNJ float64 // remaining buffered energy
 	DeadSec float64 // cumulative recharge time so far
 }
@@ -549,26 +482,14 @@ func NewRecorder(inner *Intermittent, sampleEvery int) *Recorder {
 	return &Recorder{Inner: inner, SampleEvery: sampleEvery}
 }
 
-// Consume forwards to the wrapped system and samples the level.
-func (r *Recorder) Consume(e float64) bool {
-	ok := r.Inner.Consume(e)
-	r.ops++
-	if r.ops%r.SampleEvery == 0 || !ok {
-		r.points = append(r.points, TracePoint{OpIndex: r.ops,
-			LevelNJ: float64(max(r.Inner.remainingPJ, 0)) * 1e-3, DeadSec: r.dead})
-	}
-	return ok
-}
-
 // ConsumeN forwards a batch to the wrapped capacitor and reconstructs the
 // intermediate sample points analytically: the level after the j-th op of
-// the batch is start − j·cost, so the recorded trace is bit-identical to
-// n sequential Consume calls — including the unconditional sample at a
-// mid-batch failure — without walking every op.
-func (r *Recorder) ConsumeN(e float64, n int) int {
+// the batch is start − j·dec, so the recorded trace is bit-identical to
+// sampling after each of n one-op charges — every SampleEvery-th op plus
+// the failing op unconditionally — without walking every op.
+func (r *Recorder) ConsumeN(dec int64, n int) int {
 	start := r.Inner.remainingPJ
-	dec := pjOf(e)
-	funded := r.Inner.ConsumeN(e, n)
+	funded := r.Inner.ConsumeN(dec, n)
 	consumed := funded
 	failed := funded < n
 	if failed {

@@ -6,6 +6,10 @@ import (
 	"testing/quick"
 )
 
+// consume charges one op of e nanojoules through the one System entry
+// point and reports whether it was funded.
+func consume(s System, e float64) bool { return s.ConsumeN(PicojoulesOf(e), 1) == 1 }
+
 func TestCapacitorUsableEnergy(t *testing.T) {
 	// 100 uF between 1.88 V and 1.8 V: 0.5 * 1e-4 * (3.5344 - 3.24) J.
 	got := Cap100uF.UsableNJ()
@@ -22,7 +26,7 @@ func TestCapacitorUsableEnergy(t *testing.T) {
 func TestContinuousNeverFails(t *testing.T) {
 	var c Continuous
 	for i := 0; i < 1000; i++ {
-		if !c.Consume(1e12) {
+		if !consume(c, 1e12) {
 			t.Fatal("continuous power must never fail")
 		}
 	}
@@ -38,7 +42,7 @@ func TestIntermittentFailsWhenDrained(t *testing.T) {
 	p := NewIntermittent(Cap100uF, ConstantHarvester{Watts: DefaultRFWatts})
 	budget := p.BufferEnergy()
 	n := 0
-	for p.Consume(100) { // 100 nJ ops
+	for consume(p, 100) { // 100 nJ ops
 		n++
 		if n > 10_000_000 {
 			t.Fatal("never failed")
@@ -52,7 +56,7 @@ func TestIntermittentFailsWhenDrained(t *testing.T) {
 
 func TestIntermittentRechargeTime(t *testing.T) {
 	p := NewIntermittent(Cap100uF, ConstantHarvester{Watts: 1e-3}) // 1 mW
-	for p.Consume(1000) {
+	for consume(p, 1000) {
 	}
 	dead := p.Recharge()
 	// Refill ~450.5 uJ at 1 mW -> ~0.45 s.
@@ -61,7 +65,7 @@ func TestIntermittentRechargeTime(t *testing.T) {
 		t.Errorf("recharge time = %v, want ~%v", dead, want)
 	}
 	// After recharge, the buffer is full again.
-	if !p.Consume(p.BufferEnergy() - 1) {
+	if !consume(p, p.BufferEnergy()-1) {
 		t.Error("buffer should be full after recharge")
 	}
 }
@@ -70,7 +74,7 @@ func TestIntermittentPartialRecharge(t *testing.T) {
 	p := NewIntermittent(Cap1mF, ConstantHarvester{Watts: 1e-3})
 	// Drain only half, then recharge: dead time should be ~half of full.
 	half := p.BufferEnergy() / 2
-	if !p.Consume(half) {
+	if !consume(p, half) {
 		t.Fatal("half drain should succeed")
 	}
 	dead := p.Recharge()
@@ -90,7 +94,7 @@ func TestBufferBoundProperty(t *testing.T) {
 		cost := float64(opCost%5000) + 1
 		p := NewIntermittent(Cap100uF, ConstantHarvester{Watts: 1e-3})
 		total := 0.0
-		for p.Consume(cost) {
+		for consume(p, cost) {
 			total += cost
 		}
 		return pjOf(total) <= pjOf(p.BufferEnergy())
@@ -130,32 +134,32 @@ func TestSolarHarvesterBounds(t *testing.T) {
 func TestFailAfterOpsSchedule(t *testing.T) {
 	f := NewFailAfterOps(3, 2)
 	// First window: ops 1,2 succeed, op 3 fails.
-	if !f.Consume(0) || !f.Consume(0) {
+	if !consume(f, 0) || !consume(f, 0) {
 		t.Fatal("first two ops should succeed")
 	}
-	if f.Consume(0) {
+	if consume(f, 0) {
 		t.Fatal("third op should fail")
 	}
 	if f.Recharge() != 0 {
 		t.Error("fault injection has zero dead time")
 	}
 	// Next windows: every 2 ops.
-	if !f.Consume(0) {
+	if !consume(f, 0) {
 		t.Fatal("op after recharge should succeed")
 	}
-	if f.Consume(0) {
+	if consume(f, 0) {
 		t.Fatal("second op should fail (period 2)")
 	}
 }
 
 func TestFailAfterOpsZeroPeriodBecomesContinuous(t *testing.T) {
 	f := NewFailAfterOps(1, 0)
-	if f.Consume(0) {
+	if consume(f, 0) {
 		t.Fatal("should fail on first op")
 	}
 	f.Recharge()
 	for i := 0; i < 100; i++ {
-		if !f.Consume(0) {
+		if !consume(f, 0) {
 			t.Fatal("period 0 should never fail again")
 		}
 	}
@@ -163,16 +167,16 @@ func TestFailAfterOpsZeroPeriodBecomesContinuous(t *testing.T) {
 
 func TestResets(t *testing.T) {
 	p := NewIntermittent(Cap100uF, ConstantHarvester{Watts: 1e-3})
-	for p.Consume(1e5) {
+	for consume(p, 1e5) {
 	}
 	p.Reset()
-	if !p.Consume(p.BufferEnergy() / 2) {
+	if !consume(p, p.BufferEnergy()/2) {
 		t.Error("reset should refill")
 	}
 	f := NewFailAfterOps(2, 5)
-	f.Consume(0)
+	consume(f, 0)
 	f.Reset()
-	if !f.Consume(0) {
+	if !consume(f, 0) {
 		t.Error("reset should rearm first window")
 	}
 }
@@ -202,7 +206,7 @@ func TestRecorderSawtooth(t *testing.T) {
 	r := NewRecorder(inner, 10)
 	// Drain through two full charge cycles.
 	for cycles := 0; cycles < 2; {
-		if !r.Consume(100) {
+		if !consume(r, 100) {
 			r.Recharge()
 			cycles++
 		}
@@ -245,7 +249,7 @@ func TestRecorderWithDevice(t *testing.T) {
 	// The recorder satisfies energy.System and can power a device.
 	inner := NewIntermittent(Cap100uF, ConstantHarvester{Watts: 1e-3})
 	var sys System = NewRecorder(inner, 5)
-	if !sys.Consume(1) {
+	if !consume(sys, 1) {
 		t.Fatal("first op should succeed")
 	}
 }
@@ -254,27 +258,27 @@ func TestFailScheduleBoundaries(t *testing.T) {
 	f := NewFailSchedule([]int{3, 2})
 	// Cycle 0: ops 1,2 succeed, op 3 fails.
 	for i := 0; i < 2; i++ {
-		if !f.Consume(1) {
+		if !consume(f, 1) {
 			t.Fatalf("cycle 0 op %d failed early", i+1)
 		}
 	}
-	if f.Consume(1) {
+	if consume(f, 1) {
 		t.Fatal("cycle 0 did not fail at gap 3")
 	}
 	if d := f.Recharge(); d != 0 {
 		t.Fatalf("fault-injection recharge took %v dead seconds", d)
 	}
 	// Cycle 1: op 1 succeeds, op 2 fails.
-	if !f.Consume(1) {
+	if !consume(f, 1) {
 		t.Fatal("cycle 1 op 1 failed early")
 	}
-	if f.Consume(1) {
+	if consume(f, 1) {
 		t.Fatal("cycle 1 did not fail at gap 2")
 	}
 	f.Recharge()
 	// Schedule exhausted: continuous from here on.
 	for i := 0; i < 1000; i++ {
-		if !f.Consume(1) {
+		if !consume(f, 1) {
 			t.Fatal("exhausted schedule failed")
 		}
 	}
@@ -283,16 +287,16 @@ func TestFailScheduleBoundaries(t *testing.T) {
 	}
 	// Reset restores the full schedule.
 	f.Reset()
-	f.Consume(1)
-	f.Consume(1)
-	if f.Consume(1) {
+	consume(f, 1)
+	consume(f, 1)
+	if consume(f, 1) {
 		t.Fatal("reset did not restore the schedule")
 	}
 }
 
 func TestFailScheduleClampsNonPositiveGaps(t *testing.T) {
 	f := NewFailSchedule([]int{0})
-	if f.Consume(1) {
+	if consume(f, 1) {
 		t.Fatal("gap 0 must clamp to 1 and fail the first op")
 	}
 }
@@ -302,7 +306,7 @@ func TestObservedHarvestWConstant(t *testing.T) {
 	if w := p.ObservedHarvestW(); w != 0 {
 		t.Fatalf("ObservedHarvestW before any recharge = %v, want 0", w)
 	}
-	p.Consume(p.Cap.UsableNJ() + 1) // drain past empty
+	consume(p, p.Cap.UsableNJ()+1) // drain past empty
 	p.Recharge()
 	if w := p.ObservedHarvestW(); math.Abs(w-DefaultRFWatts) > 1e-12 {
 		t.Fatalf("observed %v W, want the constant %v W", w, DefaultRFWatts)
@@ -321,7 +325,7 @@ func TestObservedHarvestWVariable(t *testing.T) {
 	p := NewIntermittent(Cap100uF, trace)
 	e := p.Cap.UsableNJ()
 	for i := 0; i < 2; i++ {
-		p.Consume(e + 1)
+		consume(p, e+1)
 		p.Recharge()
 	}
 	// Mean power is energy-weighted: 2E harvested over E*1e-9*(1/1e-3+1/3e-3)
@@ -335,7 +339,7 @@ func TestObservedHarvestWVariable(t *testing.T) {
 func TestRecorderForwardsObservedHarvest(t *testing.T) {
 	p := NewIntermittent(Cap100uF, ConstantHarvester{Watts: DefaultRFWatts})
 	r := NewRecorder(p, 4)
-	r.Consume(p.Cap.UsableNJ() + 1)
+	consume(r, p.Cap.UsableNJ()+1)
 	r.Recharge()
 	if w := r.ObservedHarvestW(); math.Abs(w-DefaultRFWatts) > 1e-12 {
 		t.Fatalf("recorder observed %v W, want %v W", w, DefaultRFWatts)

@@ -11,7 +11,7 @@ type SystemState interface {
 }
 
 // Snapshotter is the optional System extension behind deterministic
-// simulation forking: SnapshotState captures everything Consume/Recharge
+// simulation forking: SnapshotState captures everything ConsumeN/Recharge
 // have accumulated, so a restored system continues bit-identically to one
 // that never stopped. All of this package's systems implement it.
 type Snapshotter interface {

@@ -6,24 +6,17 @@ import (
 	"testing"
 )
 
-// drive applies a deterministic mixed prefix of scalar, bulk, and recharge
-// traffic to a power system.
+// drive applies a deterministic mixed prefix of single-op, batched, and
+// recharge traffic to a power system.
 func drive(s System, seed uint64, ops int) {
 	rng := rand.New(rand.NewPCG(seed, mixSeed(seed)))
 	for i := 0; i < ops; i++ {
-		switch rng.IntN(5) {
-		case 0:
-			if b, ok := s.(BulkConsumer); ok {
-				if n := 1 + rng.IntN(40); b.ConsumeN(3.5, n) < n {
-					s.Recharge()
-				}
-				continue
-			}
-			fallthrough
-		default:
-			if !s.Consume(3.5) {
-				s.Recharge()
-			}
+		n := 1
+		if rng.IntN(5) == 0 {
+			n = 1 + rng.IntN(40)
+		}
+		if s.ConsumeN(PicojoulesOf(3.5), n) < n {
+			s.Recharge()
 		}
 	}
 }
@@ -42,7 +35,7 @@ func observe(s System, probe System) []any {
 	if probe != nil {
 		pat := make([]bool, 200)
 		for i := range pat {
-			pat[i] = probe.Consume(3.5)
+			pat[i] = consume(probe, 3.5)
 			if !pat[i] {
 				probe.Recharge()
 			}

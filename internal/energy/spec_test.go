@@ -42,7 +42,7 @@ func TestSystemSpecDeterministicPerSeed(t *testing.T) {
 	drain := func(sys System) []float64 {
 		var deads []float64
 		for i := 0; i < 5; i++ {
-			for sys.Consume(100) {
+			for consume(sys, 100) {
 			}
 			deads = append(deads, sys.Recharge())
 		}
@@ -96,7 +96,7 @@ func TestSystemSpecKinds(t *testing.T) {
 	}
 	// Zero watts defaults to the paper's RF harvester power (observed
 	// harvest is averaged over recharges, so drain once first).
-	for im.Consume(100) {
+	for consume(im, 100) {
 	}
 	im.Recharge()
 	if got := im.ObservedHarvestW(); got != DefaultRFWatts {

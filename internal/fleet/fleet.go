@@ -38,13 +38,13 @@ type DeviceStats struct {
 // replicates the trace analysis arithmetic bit-exactly) instead of through
 // a per-device trace buffer, which would cost a ring allocation and an
 // event per commit for a figure the device already carries.
-func simulate(ds DeviceSpec, m Model, rt core.Runtime, noFuse bool) (DeviceStats, error) {
+func simulate(ds DeviceSpec, m Model, rt core.Runtime, scalar bool) (DeviceStats, error) {
 	power, err := ds.Power.New(ds.HarvestSeed)
 	if err != nil {
 		return DeviceStats{}, err
 	}
 	dev := mcu.New(power)
-	dev.NoFuse = noFuse
+	dev.Scalar = scalar
 	dev.TrackWasted(true)
 	img, err := core.Deploy(dev, m.QM)
 	if err != nil {
@@ -97,7 +97,7 @@ type Aggregates struct {
 	WastedNJ  float64 // total re-executed energy across the fleet
 	// Ops is the fleet-wide charged-op total. It feeds the serving API's
 	// throughput counters and is deliberately NOT part of Summary, whose
-	// byte-identical form across executor knobs (NoFuse, Fresh) is
+	// byte-identical form across executor knobs (Scalar, Fresh) is
 	// load-bearing for A/B checks.
 	Ops int64
 
@@ -387,7 +387,7 @@ func (c *Campaign) runShard(ctx context.Context, s int, pool *pool) error {
 			return err
 		}
 		ds := c.spec.Device(i)
-		st, err := pool.simulate(ds, c.models[ds.Model], c.rts[ds.Runtime], c.spec.NoFuse)
+		st, err := pool.simulate(ds, c.models[ds.Model], c.rts[ds.Runtime], c.spec.Scalar)
 		if err != nil {
 			return err
 		}

@@ -95,7 +95,7 @@ func NewSlot(p *Prototype) (*Slot, error) {
 // power system, leaving the device indistinguishable — for everything a
 // simulation can observe — from a freshly constructed, freshly deployed
 // one (TestProvisionedFleetBitIdentical, TestPoolPurityAfterBrownOut).
-func (s *Slot) Provision(power energy.System, noFuse bool, st *ProvisionStats) error {
+func (s *Slot) Provision(power energy.System, scalar bool, st *ProvisionStats) error {
 	fst, err := s.proto.fram.RestoreInPlace(s.dev.FRAM, s.framHint)
 	if err != nil {
 		return fmt.Errorf("fleet: provisioning %s FRAM: %w", s.proto.model.Net, err)
@@ -105,7 +105,7 @@ func (s *Slot) Provision(power energy.System, noFuse bool, st *ProvisionStats) e
 		return fmt.Errorf("fleet: provisioning %s SRAM: %w", s.proto.model.Net, err)
 	}
 	s.dev.Reprovision(power)
-	s.dev.NoFuse = noFuse
+	s.dev.Scalar = scalar
 	s.dev.TrackWasted(true)
 	st.Restores++
 	st.PagesCopied += int64(fst.Copied + sst.Copied)
@@ -131,10 +131,10 @@ func (c *Campaign) newPool() *pool {
 // simulate runs one device instance through this worker's pool — or, for
 // a Fresh campaign, through the fresh-deploy path — and extracts its
 // stats. Pooled and fresh simulations are bit-identical.
-func (p *pool) simulate(ds DeviceSpec, m Model, rt core.Runtime, noFuse bool) (DeviceStats, error) {
+func (p *pool) simulate(ds DeviceSpec, m Model, rt core.Runtime, scalar bool) (DeviceStats, error) {
 	if p.fresh {
 		p.stats.FreshDeploys++
-		return simulate(ds, m, rt, noFuse)
+		return simulate(ds, m, rt, scalar)
 	}
 	sl := p.slots[ds.Model]
 	if sl == nil {
@@ -149,7 +149,7 @@ func (p *pool) simulate(ds DeviceSpec, m Model, rt core.Runtime, noFuse bool) (D
 	if err != nil {
 		return DeviceStats{}, err
 	}
-	if err := sl.Provision(power, noFuse, &p.stats); err != nil {
+	if err := sl.Provision(power, scalar, &p.stats); err != nil {
 		return DeviceStats{}, fmt.Errorf("fleet: device %d: %w", ds.Index, err)
 	}
 	return runDevice(sl.dev, sl.img, ds, m, rt)

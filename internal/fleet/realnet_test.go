@@ -18,8 +18,8 @@ import (
 // synthetic tiny model the other fleet tests use: the campaign engine must
 // handle real layer mixes (sparse convs, LEA tiles, pooling) through the
 // same Spec cross-product, and the fused-kernel campaign must reproduce
-// the scalar campaign's (Spec.NoFuse) aggregates bit-for-bit on them. CI
-// runs this as the real-network fleet smoke.
+// the Scalar reference campaign's (Spec.Scalar) aggregates bit-for-bit on
+// them. CI runs this as the real-network fleet smoke.
 func TestFleetRealNetworks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-network fleet sweep needs quick-mode GENESIS preparation")
@@ -57,7 +57,7 @@ func TestFleetRealNetworks(t *testing.T) {
 	}
 
 	scalarSpec := spec
-	scalarSpec.NoFuse = true
+	scalarSpec.Scalar = true
 	scalar, err := fleet.Run(context.Background(), scalarSpec, models, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func TestFleetSpecHashShardNormalization(t *testing.T) {
 	// The executor knobs select paths proven bit-exact with the defaults;
 	// they are not campaign identity.
 	knobs := testSpec(100)
-	knobs.NoFuse, knobs.Fresh = true, true
+	knobs.Scalar, knobs.Fresh = true, true
 	if zero.Hash() != knobs.Hash() {
 		t.Fatal("executor knobs changed the content hash despite identical results")
 	}

@@ -35,13 +35,12 @@ type diffObservation struct {
 }
 
 // diffRun executes one inference on a fresh device and captures the full
-// observation. scalar selects the pre-optimization per-op charging path via
-// Device.ForceScalar.
+// observation. scalar selects the Device.Scalar reference path.
 func diffRun(t *testing.T, qm *dnn.QuantModel, qin []fixed.Q15,
 	rt core.Runtime, power energy.System, scalar bool) diffObservation {
 	t.Helper()
 	dev := mcu.New(power)
-	dev.ForceScalar = scalar
+	dev.Scalar = scalar
 	dev.EnableWARCheck()
 	img, err := core.Deploy(dev, qm)
 	if err != nil {
@@ -107,11 +106,12 @@ func diffCompare(t *testing.T, label string, fast, scalar diffObservation) {
 }
 
 // TestBulkScalarDifferential is the bulk-charge fast path's oracle: for
-// every Fig. 9 runtime, under continuous power and 50 fuzzed brown-out
-// schedules each, a run with the O(1) bulk accounting must be bit-identical
-// — logits, cycles, integer-picojoule energy, per-op counts, per-section
-// stats, MaxRegionOps, reboot count, and WAR shadow verdicts — to the same
-// run with Device.ForceScalar pinning the original per-op charging path.
+// every runtime (oracleRuntimes), under continuous power and 50 fuzzed
+// brown-out schedules each, a run with the O(1) batched charging must be
+// bit-identical — logits, cycles, integer-picojoule energy, per-op counts,
+// per-section stats, MaxRegionOps, reboot count, and WAR shadow verdicts —
+// to the same run on the Device.Scalar reference path, which charges every
+// op one at a time through the power system's interface.
 //
 // This test is the safety net for the whole optimization and must never be
 // skipped (CI greps for its presence in -v output).
@@ -120,7 +120,7 @@ func TestBulkScalarDifferential(t *testing.T) {
 	qm, x := intermittest.TinyModel(1)
 	qin := qm.QuantizeInput(x)
 
-	for _, rt := range Runtimes() {
+	for _, rt := range oracleRuntimes() {
 		rt := rt
 		t.Run(rt.Name(), func(t *testing.T) {
 			// Continuous power: the pure compute path, no reboots.

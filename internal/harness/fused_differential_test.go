@@ -24,15 +24,16 @@ type fusedObservation struct {
 	WastedNJ float64
 }
 
-// fusedRun executes one inference with fused kernels allowed (noFuse
-// false) or pinned to the scalar path (noFuse true). Unlike diffRun it
-// attaches no WAR shadow — a shadow tracker is one of the conditions that
-// (correctly) disables fusion, so the fused path would never engage.
+// fusedRun executes one inference with every fast path allowed (scalar
+// false) or on the Device.Scalar reference path (scalar true). Unlike
+// diffRun it attaches no WAR shadow — a shadow tracker is one of the
+// conditions that (correctly) disables fusion, so the fused path would
+// never engage.
 func fusedRun(t *testing.T, qm *dnn.QuantModel, qin []fixed.Q15,
-	rt core.Runtime, power energy.System, noFuse bool) fusedObservation {
+	rt core.Runtime, power energy.System, scalar bool) fusedObservation {
 	t.Helper()
 	dev := mcu.New(power)
-	dev.NoFuse = noFuse
+	dev.Scalar = scalar
 	dev.TrackWasted(true)
 	img, err := core.Deploy(dev, qm)
 	if err != nil {
@@ -107,7 +108,7 @@ func oracleRows() []oracleRow {
 // kernels allowed must be bit-identical — logits, cycles,
 // integer-picojoule energy, per-op counts, per-section stats,
 // MaxRegionOps, reboot count, dead time, and the wasted-work figure — to
-// the same run with Device.NoFuse pinning the scalar op-by-op path.
+// the same run on the Device.Scalar reference path.
 //
 // Like the bulk and corpus oracles, CI greps for each row's PASS line and
 // rejects skips.
@@ -285,11 +286,11 @@ type tracedObservation struct {
 }
 
 // tracedRun measures one cell through an analysis-only trace buffer with
-// fused kernels allowed (noFuse false) or pinned to the scalar path.
+// every fast path allowed (scalar false) or on the Scalar reference path.
 func tracedRun(net string, qm *dnn.QuantModel, qin []fixed.Q15,
-	rt core.Runtime, pw PowerSpec, noFuse bool) tracedObservation {
+	rt core.Runtime, pw PowerSpec, scalar bool) tracedObservation {
 	buf := trace.NewAnalysisBuffer(256)
-	res, logits, a, err := measureTraced(net, qm, rt, pw, qin, buf, noFuse)
+	res, logits, a, err := measureTraced(net, qm, rt, pw, qin, buf, scalar)
 	return tracedObservation{res: res, logits: logits, a: a,
 		events: uint64(buf.Len()) + buf.Drops(), err: err}
 }
@@ -329,8 +330,8 @@ func tracedCompare(t *testing.T, label string, fused, scalar tracedObservation) 
 // keeps the fused kernels engaged, each funded span emitting one coalesced
 // commit, and must be bit-identical — logits, the full RunResult (stats,
 // per-section maps, commits, wasted cycles and energy), and every
-// per-charge-cycle Analysis record — to the same traced run with
-// Device.NoFuse pinning the scalar walk. Each runtime's "<runtime>" row
+// per-charge-cycle Analysis record — to the same traced run on the
+// Device.Scalar reference path. Each runtime's "<runtime>" row
 // covers the tiny model under the fused oracle's power systems and a
 // prepared network under the paper's four; its "<runtime>-tape" row
 // covers the adversarial CSR model under the fused oracle's power

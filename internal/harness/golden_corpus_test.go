@@ -42,7 +42,7 @@ type corpusRecord struct {
 // Run kinds besides the fuzzed schedules, whose Run is "schedNN".
 const (
 	runCont       = "cont"        // continuous power, WAR shadow armed
-	runContScalar = "cont-scalar" // the same with Device.ForceScalar
+	runContScalar = "cont-scalar" // the same on the Device.Scalar reference path
 	runContFused  = "cont-fused"  // continuous power, no shadow: fusion engages
 )
 
@@ -70,7 +70,7 @@ func corpusObserve(t *testing.T, qm *dnn.QuantModel, qin []fixed.Q15, rt core.Ru
 		power = energy.NewFailSchedule(gaps)
 	}
 	dev := mcu.New(power)
-	dev.ForceScalar = run == runContScalar
+	dev.Scalar = run == runContScalar
 	if run != runContFused {
 		dev.EnableWARCheck()
 	}

@@ -122,10 +122,11 @@ func Measure(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec, input
 	return res, err
 }
 
-// MeasureScalar is Measure with the fused bulk kernels pinned off
-// (Device.NoFuse), forcing the scalar op-by-op path. Results are
-// bit-identical to Measure's (enforced by TestFusedScalarDifferential);
-// the bench tool uses the pair to price the fused fast path.
+// MeasureScalar is Measure on the Device.Scalar reference path: no fused
+// kernels, every op charged one at a time through the power system's
+// interface. Results are bit-identical to Measure's (enforced by
+// TestFusedScalarDifferential); the bench tool uses the pair to price the
+// fast paths.
 func MeasureScalar(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec, input []fixed.Q15) (RunResult, error) {
 	res, _, err := measure(net, qm, rt, p, input, nil, true)
 	return res, err
@@ -148,10 +149,11 @@ func MeasureTraced(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
 }
 
 // measureTraced is MeasureTraced over a caller-provided buffer, with the
-// fusion veto and the logits exposed for the traced differential oracle.
+// Scalar reference knob and the logits exposed for the traced
+// differential oracle.
 func measureTraced(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
-	input []fixed.Q15, buf *trace.Buffer, noFuse bool) (RunResult, []fixed.Q15, *trace.Analysis, error) {
-	res, logits, err := measure(net, qm, rt, p, input, buf, noFuse)
+	input []fixed.Q15, buf *trace.Buffer, scalar bool) (RunResult, []fixed.Q15, *trace.Analysis, error) {
+	res, logits, err := measure(net, qm, rt, p, input, buf, scalar)
 	a := buf.Analysis()
 	res.Commits = a.Commits
 	res.WastedCycles = a.TotalWastedCycles
@@ -160,9 +162,9 @@ func measureTraced(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
 }
 
 func measure(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
-	input []fixed.Q15, tracer *trace.Buffer, noFuse bool) (RunResult, []fixed.Q15, error) {
+	input []fixed.Q15, tracer *trace.Buffer, scalar bool) (RunResult, []fixed.Q15, error) {
 	dev := mcu.New(p.Make())
-	dev.NoFuse = noFuse
+	dev.Scalar = scalar
 	if tracer != nil {
 		dev.SetTracer(tracer)
 	}

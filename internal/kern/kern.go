@@ -8,7 +8,7 @@
 // computes, using the same fixed-point primitives (or their verbatim
 // integer expansions — Acc.MAC is a plain int64 multiply-add), so the
 // values a fused span writes are bit-identical to the scalar path's. The
-// energy side of the contract lives in mcu.ChargeBlock: callers charge a
+// energy side of the contract lives in mcu.ChargeTrain: callers charge a
 // whole number of loop iterations first, then invoke a kernel for exactly
 // that many, so these functions do no accounting and never fail.
 //

@@ -117,17 +117,13 @@ type Device struct {
 	// system energy. StoreIndex honours the flag.
 	JITIndexCheckpoint bool
 
-	// ForceScalar disables the bulk-charge fast path: Ops and the Range
-	// helpers charge one op at a time through the scalar Consume loop.
-	// The differential oracle (internal/intermittest) flips this knob to
-	// prove the two paths produce bit-identical results.
-	ForceScalar bool
-
-	// NoFuse disables the fused-kernel fast path (CanFuse returns false)
-	// while keeping the bulk-charge path: executors fall back to their
-	// per-word scalar loops. The fused/scalar differential oracle and the
-	// cmd/bench A/B pairs flip this knob.
-	NoFuse bool
+	// Scalar pins the reference execution path the differential oracles
+	// compare every fast path against: fused kernels off (CanFuse returns
+	// false, so executors run their per-word loops), and every op — bulk
+	// batches included — charged one at a time through the
+	// Power.ConsumeN(pj, 1) interface call, bypassing the devirtualized
+	// capacitor and continuous-power shortcuts.
+	Scalar bool
 
 	stats    Stats
 	section  Section
@@ -158,25 +154,17 @@ type Device struct {
 	costPJ  [NumOps]int64
 	costCyc [NumOps]int64
 
-	// powerPJ caches Power's optional integer-picojoule consume entry point
-	// (energy.PJConsumer), probed once at construction like costPJ. When
-	// present, per-op charging skips the float→pJ conversion inside
-	// Consume; the integer subtraction performed is identical either way.
-	// intPower/contPower additionally devirtualize the two concrete power
-	// systems every simulated run uses, so the per-op charge compiles to an
-	// inlined integer subtract instead of an interface call.
-	powerPJ   energy.PJConsumer
+	// intPower/contPower devirtualize the two concrete power systems every
+	// simulated run uses, probed once per bound power system (bindPower)
+	// like costPJ: a capacitor's per-op charge compiles to an inlined
+	// integer subtract instead of an interface call, and continuous power
+	// charges nothing. Any other system is charged through Power.ConsumeN.
 	intPower  *energy.Intermittent
 	contPower bool
 
-	// bulkPower caches Power's optional bulk entry point
-	// (energy.BulkConsumer), probed once at construction so chargeOps
-	// skips the per-call interface assertion.
-	bulkPower energy.BulkConsumer
-
 	// cycNow and pjNow mirror the derived live-cycle count and total
 	// consumed picojoules incrementally: every accounting path (Op,
-	// account, ChargeBlock, ChargeTrain) adds its ops' costs, and every
+	// account, ChargeTrain) adds its ops' costs, and every
 	// wholesale stats replacement (ResetStats, Restore, RestorePrefix)
 	// resyncs them from the per-section counts (resyncNow). They are the
 	// O(1) timestamps of trace events and the basis of wasted-work
@@ -221,9 +209,9 @@ type Device struct {
 	opsInRegion          int64
 
 	// slowOp gates Op's out-of-line body: true while any per-op observer
-	// or incremental mirror is attached (journal, WAR shadow, wasted-work
-	// tracking, op-batch tracing). Recomputed by refreshSlowOp at every
-	// attach/detach point, so the hot path tests one bool instead of four.
+	// is attached (journal, WAR shadow, op-batch tracing). Wasted-work
+	// tracking does not set it (see refreshSlowOp). Recomputed at every
+	// attach/detach point, so the hot path tests one bool instead of three.
 	slowOp bool
 
 	// opsTotal is the op-position coordinate the snapshot/fork machinery
@@ -257,8 +245,6 @@ func NewWithMem(power energy.System, fram, sram *mem.Memory) *Device {
 // caches that depend on its concrete type.
 func (d *Device) bindPower(power energy.System) {
 	d.Power = power
-	d.powerPJ, _ = power.(energy.PJConsumer)
-	d.bulkPower, _ = power.(energy.BulkConsumer)
 	d.intPower, d.contPower = nil, false
 	switch p := power.(type) {
 	case *energy.Intermittent:
@@ -327,13 +313,6 @@ func (d *Device) finalizeStats() {
 	d.stats.LiveCycles = totCyc
 	d.stats.EnergyPJ = totPJ
 }
-
-// deriveNow returns the live-cycle count and total consumed energy in
-// picojoules — the tracer timestamps every event with both. It reads the
-// incremental mirrors, so it is O(1) however many sections the run has
-// attributed; at every op boundary they equal finalizeStats' derivation
-// (integer sums, so accumulation order cannot matter).
-func (d *Device) deriveNow() (cyc, pj int64) { return d.cycNow, d.pjNow }
 
 // resyncNow recomputes the (cycles, pJ) mirrors from the per-section op
 // counts after stats are replaced wholesale (ResetStats, Restore,
@@ -413,18 +392,18 @@ func (d *Device) TrackWasted(on bool) {
 // nanojoules; zero unless TrackWasted is enabled.
 func (d *Device) WastedNJ() float64 { return d.wastedNJ }
 
-// CanFuse reports whether the fused-kernel fast path may engage: bulk
-// charging enabled, fusion not vetoed, no journal or WAR tracker attached
-// (both must see the per-op stream), and no tracer subscribed to any
-// event kind outside ChargeCycleKinds. An analysis-only tracer keeps
-// fusion on: ChargeBlock/ChargeTrain emit one coalesced commit per funded
-// span, which it aggregates exactly as it would the per-iteration commits
-// of the scalar walk. The power system must be one of the two
-// devirtualized kinds (Intermittent or Continuous), whose whole-block
-// funding is exact; count-based fault-injection systems take the scalar
-// path so failure schedules keep their op-exact placement.
+// CanFuse reports whether the fused-kernel fast path may engage: not the
+// Scalar reference path, no journal or WAR tracker attached (both must see
+// the per-op stream), and no tracer subscribed to any event kind outside
+// ChargeCycleKinds. An analysis-only tracer keeps fusion on: ChargeTrain
+// emits one coalesced commit per funded span, which it aggregates exactly
+// as it would the per-iteration commits of the scalar walk. The power
+// system must be one of the two devirtualized kinds (Intermittent or
+// Continuous), whose whole-block funding is exact; count-based
+// fault-injection systems take the scalar path so failure schedules keep
+// their op-exact placement.
 func (d *Device) CanFuse() bool {
-	return !d.ForceScalar && !d.NoFuse && d.journal == nil && d.shadow == nil &&
+	return !d.Scalar && d.journal == nil && d.shadow == nil &&
 		d.traceMask&^ChargeCycleKinds == 0 && (d.intPower != nil || d.contPower)
 }
 
@@ -577,13 +556,14 @@ func (d *Device) Op(k OpKind) {
 		d.opSlow(k)
 		return
 	}
-	// The devirtualized intermittent charge is open-coded (an inlined
-	// integer subtract); everything else goes through consume1.
-	if p := d.intPower; p != nil && !d.ForceScalar {
+	// The devirtualized charges are open-coded: a capacitor's is an
+	// inlined integer subtract, continuous power's is nothing, and only
+	// other systems (or the Scalar reference path) pay an interface call.
+	if p := d.intPower; p != nil && !d.Scalar {
 		if !p.ConsumePJ(d.costPJ[k]) {
 			d.brownOut(k)
 		}
-	} else if !d.consume1(k) {
+	} else if (!d.contPower || d.Scalar) && d.Power.ConsumeN(d.costPJ[k], 1) == 0 {
 		d.brownOut(k)
 	}
 	d.secStats.OpCount[k]++
@@ -599,11 +579,11 @@ func (d *Device) opSlow(k OpKind) {
 	if j := d.journal; j != nil {
 		j.onOp(k)
 	}
-	if p := d.intPower; p != nil && !d.ForceScalar {
+	if p := d.intPower; p != nil && !d.Scalar {
 		if !p.ConsumePJ(d.costPJ[k]) {
 			d.brownOut(k)
 		}
-	} else if !d.consume1(k) {
+	} else if (!d.contPower || d.Scalar) && d.Power.ConsumeN(d.costPJ[k], 1) == 0 {
 		d.brownOut(k)
 	}
 	d.opsTotal++
@@ -617,28 +597,6 @@ func (d *Device) opSlow(k OpKind) {
 			d.flushOpBatch()
 		}
 	}
-}
-
-// consume1 charges one op of kind k against the power system, preferring
-// the integer-picojoule entry point when the system provides one — through
-// the devirtualized concrete types where possible, so the common charge is
-// an inlined integer subtract. With ForceScalar set it pins the original
-// float Consume call, so the differential oracle exercises the unoptimized
-// path end to end.
-func (d *Device) consume1(k OpKind) bool {
-	if d.ForceScalar {
-		return d.Power.Consume(d.Cost.Costs[k].EnergyNJ)
-	}
-	if d.intPower != nil {
-		return d.intPower.ConsumePJ(d.costPJ[k])
-	}
-	if d.contPower {
-		return true
-	}
-	if d.powerPJ != nil {
-		return d.powerPJ.ConsumePJ(d.costPJ[k])
-	}
-	return d.Power.Consume(d.Cost.Costs[k].EnergyNJ)
 }
 
 // account records n funded operations of kind k. Only the op counts, the
@@ -696,44 +654,31 @@ func (d *Device) brownOut(k OpKind) {
 }
 
 // chargeOps charges up to n operations of kind k and returns how many were
-// funded, accounting exactly the funded prefix. When the power system
-// implements energy.BulkConsumer (every system in this tree does) and
-// ForceScalar is off, the whole batch costs O(1); otherwise it falls back
-// to the scalar loop. Callers apply the funded prefix's effects and brown
-// out when the return value is short.
+// funded, accounting exactly the funded prefix: one analytic ConsumeN for
+// the whole batch (devirtualized on a capacitor, free on continuous
+// power), or under Scalar n one-op charges accounted one at a time.
+// Callers apply the funded prefix's effects and brown out when the return
+// value is short.
 func (d *Device) chargeOps(k OpKind, n int) int {
-	if !d.ForceScalar {
-		// Devirtualized fast paths mirroring Op's: the intermittent system
-		// charges through the cached integer-pJ cost (ConsumeNPJ uses the
-		// same pjOf quantization as the costPJ table, so the arithmetic is
-		// bit-identical to ConsumeN), and continuous power funds everything.
-		if p := d.intPower; p != nil {
-			funded := p.ConsumeNPJ(d.costPJ[k], n)
-			if funded > 0 {
-				d.account(k, funded)
+	if d.Scalar {
+		for i := 0; i < n; i++ {
+			if d.Power.ConsumeN(d.costPJ[k], 1) == 0 {
+				return i
 			}
-			return funded
+			d.account(k, 1)
 		}
-		if d.contPower {
-			d.account(k, n)
-			return n
-		}
+		return n
 	}
-	e := d.Cost.Costs[k].EnergyNJ
-	if b := d.bulkPower; b != nil && !d.ForceScalar {
-		funded := b.ConsumeN(e, n)
-		if funded > 0 {
-			d.account(k, funded)
-		}
-		return funded
+	funded := n
+	if p := d.intPower; p != nil {
+		funded = p.ConsumeN(d.costPJ[k], n)
+	} else if !d.contPower {
+		funded = d.Power.ConsumeN(d.costPJ[k], n)
 	}
-	for i := 0; i < n; i++ {
-		if !d.consume1(k) {
-			return i
-		}
-		d.account(k, 1)
+	if funded > 0 {
+		d.account(k, funded)
 	}
-	return n
+	return funded
 }
 
 // Ops charges n operations of kind k through the bulk fast path: O(1)

@@ -4,18 +4,19 @@ package mcu
 //
 // A layer walk's inner loop charges the same multiset of operations on
 // every iteration and ends each iteration at a durable commit (Progress).
-// A Block captures that per-iteration op profile once; ChargeBlock then
+// A Block captures that per-iteration op profile once; ChargeTrain then
 // funds and accounts as many whole iterations as the energy buffer can
-// pay for in O(ops-per-block) time, and the caller executes exactly that
-// many iterations as one tight loop over raw memory words (internal/kern)
-// before handing control back to the scalar path. Because only whole
+// pay for in O(ops-per-block) time per segment, and the caller executes
+// exactly that many iterations as one tight loop over raw memory words
+// (internal/kern) before handing control back to the scalar path. A
+// uniform loop is a one-segment train. Because only whole
 // iterations are ever funded — never the partial one — the first unfunded
 // iteration re-executes on the scalar path, charges op by op, and browns
 // out at the identical op index with the identical partial energy
 // consumption, so logits, Stats, reboot placement, dead time, and
 // wasted-work figures are bit-exact with the scalar path.
 //
-// ChargeBlock is only legal when Device.CanFuse() holds: no journal or WAR
+// ChargeTrain is only legal when Device.CanFuse() holds: no journal or WAR
 // shadow is attached, so there is no per-op observer to notify, and the
 // power system is one of the two devirtualized kinds. A tracer may be
 // attached if it subscribes only to ChargeCycleKinds: a funded span emits
@@ -58,42 +59,6 @@ func (d *Device) NewBlock(ops ...BlockOp) *Block {
 		b.unitOps += n
 	}
 	return b
-}
-
-// ChargeBlock funds up to n whole iterations of the block and returns how
-// many were funded, accounting exactly the funded iterations — op counts,
-// the (cycles, pJ) mirrors, section attribution, commit bookkeeping (each
-// fused iteration ends in a Progress), wasted-work tracking, and one
-// coalesced commit event for an attached analysis tracer. It never charges
-// a partial iteration: when the return value m < n, the buffer holds
-// whatever the scalar path needs to re-derive the m+1-th iteration's
-// failure point itself. Callers must hold CanFuse() and must execute
-// exactly m iterations' worth of data movement after a successful charge.
-func (d *Device) ChargeBlock(b *Block, n int) int {
-	if n <= 0 {
-		return 0
-	}
-	m := n
-	if p := d.intPower; p != nil {
-		m = p.FundWhole(b.unitPJ, n)
-		if m == 0 {
-			return 0
-		}
-	}
-	// The scalar loop's last section switch per iteration is the final
-	// op's token; leave the device attributed there.
-	mm := int64(m)
-	last := d.accountBlockOps(b, mm)
-	d.section = last.sec
-	d.secStats = last.stats
-	// Commit bookkeeping: the first fused iteration closes the open
-	// region (opsInRegion + one iteration); every later one spans exactly
-	// one iteration, which can only be smaller.
-	if first := d.opsInRegion + b.unitOps; first > d.stats.MaxRegionOps {
-		d.stats.MaxRegionOps = first
-	}
-	d.commitFused(b.unitCyc*mm, b.unitPJ*mm, m)
-	return m
 }
 
 // commitFused closes a funded span of commits whole iterations costing
@@ -144,11 +109,12 @@ type TrainSeg struct {
 // arithmetic the scalar path performs op by op, and only whole iterations
 // are ever funded — never a partial one — so the first unfunded iteration
 // re-executes on the scalar path and browns out at the identical op index
-// with identical partial energy. Accounting matches ChargeBlock's per
-// segment: the section is left at the last funded op's token, and the
-// commit bookkeeping (one coalesced commit event included) treats every
-// funded iteration as ending in a Progress, exactly as the scalar walk
-// would. Callers must hold CanFuse() and execute exactly the funded
+// with identical partial energy. Accounting covers exactly the funded
+// iterations — op counts, the (cycles, pJ) mirrors, section attribution
+// (the device is left at the last funded op's token), wasted-work
+// tracking, and commit bookkeeping (one coalesced commit event included),
+// treating every funded iteration as ending in a Progress, exactly as the
+// scalar walk would. Callers must hold CanFuse() and execute exactly the funded
 // iterations' data movement afterwards.
 func (d *Device) ChargeTrain(segs []TrainSeg) int {
 	total := 0

@@ -21,9 +21,11 @@ const DefaultSnapStride = 2048
 // events, and WAR violations.
 //
 // The recording run must never brown out (use Continuous power) and must
-// use the bulk charge path (ForceScalar off): bulk batches account their
-// ops before applying their effects, which is what guarantees every
-// snapshot lands on a consistent op boundary.
+// not run on the Scalar reference path: a batched charge accounts the
+// whole batch before applying any of its effects, which is what
+// guarantees every snapshot lands on a consistent op boundary, whereas
+// Scalar accounts a batch op by op, so a snapshot could fall inside a
+// batch whose funded effects are still pending.
 //
 // After the run, RestorePrefix reconstructs onto a fresh, identically
 // deployed device the exact state a from-scratch run would reach at its
@@ -100,8 +102,8 @@ func (d *Device) StartJournal(stride int) *Journal {
 	if d.journal != nil {
 		panic("mcu: journal already recording")
 	}
-	if d.ForceScalar {
-		panic("mcu: journal recording requires the bulk charge path")
+	if d.Scalar {
+		panic("mcu: journal recording requires the batched charge path (Scalar off)")
 	}
 	if stride <= 0 {
 		stride = DefaultSnapStride

@@ -15,7 +15,7 @@ import (
 //
 //	opsTotal == opsNow() == Σ_k Stats().OpCount[k]
 //
-// across scalar ops, bulk ChargeBlock/ChargeTrain charges, section
+// across scalar ops, fused ChargeTrain charges, section
 // switches, and observer attach/detach.
 func TestOpsTotalMirrorsSectionCounts(t *testing.T) {
 	dev := New(energy.Continuous{})
@@ -44,8 +44,8 @@ func TestOpsTotalMirrorsSectionCounts(t *testing.T) {
 	blk := dev.NewBlock(
 		BlockOp{Tok: tokA, Kind: OpLoadFRAM, N: 2},
 		BlockOp{Tok: tokB, Kind: OpStoreFRAM, N: 1})
-	if m := dev.ChargeBlock(blk, 5); m != 5 {
-		t.Fatalf("ChargeBlock funded %d of 5", m)
+	if m := dev.ChargeTrain([]TrainSeg{{Blk: blk, N: 5}}); m != 5 {
+		t.Fatalf("one-segment ChargeTrain funded %d of 5", m)
 	}
 	blk2 := dev.NewBlock(BlockOp{Tok: tokB, Kind: OpBranch, N: 3})
 	if n := dev.ChargeTrain([]TrainSeg{{Blk: blk, N: 2}, {Blk: blk2, N: 4}}); n != 6 {
@@ -88,7 +88,7 @@ func checkNowMirrors(t *testing.T, d *Device, label string) {
 			wantPJ += n * energy.PicojoulesOf(d.Cost.Costs[k].EnergyNJ)
 		}
 	}
-	cyc, pj := d.deriveNow()
+	cyc, pj := d.cycNow, d.pjNow
 	if cyc != wantCyc || pj != wantPJ {
 		t.Fatalf("%s: mirrors (%d cyc, %d pJ), per-section derivation (%d cyc, %d pJ)",
 			label, cyc, pj, wantCyc, wantPJ)
@@ -100,8 +100,8 @@ func checkNowMirrors(t *testing.T, d *Device, label string) {
 }
 
 // TestNowMirrorsMatchDerivation is the regression guard for O(1) trace
-// timestamps: every accounting path (scalar, range, fused block and
-// train, observed slow path) must keep the incremental (cycles, pJ)
+// timestamps: every accounting path (scalar, range, one- and
+// multi-segment fused trains, observed slow path) must keep the incremental (cycles, pJ)
 // mirrors equal to the derivation from per-section op counts, and every
 // wholesale stats replacement (brown-out recovery, Reboot, ResetStats,
 // Reprovision, Restore, RestorePrefix, TrackWasted toggles) must leave
@@ -127,7 +127,7 @@ func TestNowMirrorsMatchDerivation(t *testing.T) {
 			BlockOp{Tok: tokK, Kind: OpLoadFRAM, N: 3},
 			BlockOp{Tok: tokK, Kind: OpFixedMul, N: 2},
 			BlockOp{Tok: tokC, Kind: OpStoreFRAM, N: 1})
-		d.ChargeBlock(blk, 7)
+		d.ChargeTrain([]TrainSeg{{Blk: blk, N: 7}})
 		blk2 := d.NewBlock(BlockOp{Tok: tokC, Kind: OpBranch, N: 4})
 		d.ChargeTrain([]TrainSeg{{Blk: blk, N: 3}, {Blk: blk2, N: 5}})
 		d.Progress()

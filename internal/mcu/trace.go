@@ -56,7 +56,7 @@ const (
 	// not cross again. Wasted-work analysis measures from the last commit
 	// to the brown-out. Arg is the number of commits the event represents:
 	// 1 for Device.Progress, m for a fused span of m whole iterations
-	// (ChargeBlock/ChargeTrain), which is timestamped at the span's last
+	// (ChargeTrain), which is timestamped at the span's last
 	// commit. Consumers count an Arg <= 0 as one commit, so hand-built
 	// streams without a count keep their meaning.
 	TraceCommit
@@ -210,11 +210,10 @@ func (d *Device) emit(k TraceKind, label string, arg int64) {
 	if d.levelFn != nil {
 		level = d.levelFn()
 	}
-	cyc, pj := d.deriveNow()
 	d.tracer.TraceEvent(TraceEvent{
 		Kind:     k,
-		Cycles:   cyc,
-		EnergyNJ: float64(pj) * 1e-3,
+		Cycles:   d.cycNow,
+		EnergyNJ: float64(d.pjNow) * 1e-3,
 		DeadSec:  d.stats.DeadSeconds,
 		LevelNJ:  level,
 		Label:    label,

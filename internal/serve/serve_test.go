@@ -211,7 +211,7 @@ func TestServeShardSpellingDedup(t *testing.T) {
 
 	// Executor choices are not on the wire: a spec naming one is rejected
 	// outright rather than silently deduplicated or run.
-	for _, knob := range []string{"tape", "no_fuse", "fresh"} {
+	for _, knob := range []string{"tape", "no_fuse", "scalar", "fresh"} {
 		var doc map[string]any
 		raw, err := json.Marshal(tinySpec(300))
 		if err != nil {

@@ -6,9 +6,10 @@ import (
 
 // Fused execution of the loop-continuation kernels: each uniform inner
 // loop's per-iteration charge profile is captured as an mcu.Block, the
-// device funds a whole number of iterations in one call
-// (mcu.ChargeBlock), and the data movement for exactly those iterations
-// runs as one bulk loop over raw memory words (internal/kern). The
+// device funds a whole number of iterations in one call (a one-segment
+// mcu.ChargeTrain; the sparse walk's heterogeneous row spans are
+// multi-segment trains), and the data movement for exactly those
+// iterations runs as one bulk loop over raw memory words (internal/kern). The
 // first unfunded iteration — and every non-uniform iteration (resume
 // points, CSR row advances, mid-checkpoint-period entries) — runs on the
 // unchanged scalar path, so brown-outs land at the identical op index
@@ -76,7 +77,7 @@ func (s *Exec) fuseIters(b *mcu.Block, per, i, n int) int {
 	if units <= 0 {
 		return 0
 	}
-	return s.Dev.ChargeBlock(b, units) * per
+	return s.Dev.ChargeTrain([]mcu.TrainSeg{{Blk: b, N: units}}) * per
 }
 
 // fuseCommit makes the final fused cursor durable. The scalar path
