@@ -48,7 +48,6 @@ func main() {
 		limit    = flag.Int("limit", 0, "max op count for exhaustive sweeps (0 = default)")
 		maxB     = flag.Int("max", 0, "boundaries sampled above -limit (0 = default)")
 		stride   = flag.Int("snap-stride", 0, "op stride of the golden snapshot train (0 = default)")
-		scratch  = flag.Bool("force-scratch", false, "disable snapshot-and-fork: simulate every check from scratch")
 	)
 	flag.Parse()
 	if err := profiler.Start(); err != nil {
@@ -59,7 +58,7 @@ func main() {
 	opt := intermittest.Options{
 		Seed: *seed, CheckWAR: *war,
 		ExhaustiveLimit: *limit, MaxBoundaries: *maxB,
-		SnapStride: *stride, ForceScratch: *scratch,
+		SnapStride: *stride,
 	}
 
 	rts := runtimesByName(*rtName)

@@ -11,8 +11,9 @@ import (
 )
 
 // epochsRun counts completed training epochs process-wide. It exists so the
-// warm-cache path can prove it performed zero training (see cmd/bench and
-// the CI warm-cache step).
+// warm-cache path can prove it performed zero training (see cmd/paper's
+// "training epochs run" line, which the CI warm-cache step checks, and the
+// benchmark's dnn.train_epochs metric).
 var epochsRun atomic.Int64
 
 // EpochsRun returns the number of training epochs completed by this process.

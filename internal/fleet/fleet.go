@@ -33,30 +33,14 @@ type DeviceStats struct {
 	Ops int64
 }
 
-// simulate runs one device instance to its first inference and extracts
-// its stats. Wasted-work accounting runs device-native (Device.TrackWasted
-// replicates the trace analysis arithmetic bit-exactly) instead of through
-// a per-device trace buffer, which would cost a ring allocation and an
-// event per commit for a figure the device already carries.
-func simulate(ds DeviceSpec, m Model, rt core.Runtime, scalar bool) (DeviceStats, error) {
-	power, err := ds.Power.New(ds.HarvestSeed)
-	if err != nil {
-		return DeviceStats{}, err
-	}
-	dev := mcu.New(power)
-	dev.Scalar = scalar
-	dev.TrackWasted(true)
-	img, err := core.Deploy(dev, m.QM)
-	if err != nil {
-		return DeviceStats{}, fmt.Errorf("fleet: deploy %s on device %d: %w", m.Net, ds.Index, err)
-	}
-	return runDevice(dev, img, ds, m, rt)
-}
-
 // runDevice drives one prepared (deployed, powered) device through its
-// inference and extracts the per-device stats. It is shared between the
-// fresh-deploy path above and the pooled provisioning path, so the two
-// can only diverge in how the device was prepared — which the
+// inference and extracts the per-device stats. Wasted-work accounting runs
+// device-native (Device.TrackWasted replicates the trace analysis
+// arithmetic bit-exactly) instead of through a per-device trace buffer,
+// which would cost a ring allocation and an event per commit for a figure
+// the device already carries. The fleet oracles' fresh-deploy reference
+// drives its devices through runDevice too, so pooled and fresh
+// campaigns can only diverge in how the device was prepared — which the
 // provisioned-≡-fresh oracle pins down.
 func runDevice(dev *mcu.Device, img *core.Image, ds DeviceSpec, m Model, rt core.Runtime) (DeviceStats, error) {
 	_, ierr := rt.Infer(img, m.Input)
@@ -96,9 +80,8 @@ type Aggregates struct {
 	EnergyPJ  int64   // total consumed, integer picojoules (order-free sum)
 	WastedNJ  float64 // total re-executed energy across the fleet
 	// Ops is the fleet-wide charged-op total. It feeds the serving API's
-	// throughput counters and is deliberately NOT part of Summary, whose
-	// byte-identical form across executor knobs (Scalar, Fresh) is
-	// load-bearing for A/B checks.
+	// throughput counters and is deliberately NOT part of Summary, the
+	// campaign's wire-format result.
 	Ops int64
 
 	IMpJ       *Sketch // inferences per millijoule, completed devices
@@ -235,7 +218,7 @@ type Campaign struct {
 	spec   Spec
 	models map[string]Model
 	rts    map[string]core.Runtime
-	protos map[string]*Prototype // nil when spec.Fresh
+	protos map[string]*Prototype
 	shards []*shard
 	done   atomic.Int64
 
@@ -249,7 +232,8 @@ func NewCampaign(spec Spec, models map[string]Model) (*Campaign, error) {
 	if err := spec.Validate(models); err != nil {
 		return nil, err
 	}
-	c := &Campaign{spec: spec, models: models, rts: make(map[string]core.Runtime)}
+	c := &Campaign{spec: spec, models: models, rts: make(map[string]core.Runtime),
+		protos: make(map[string]*Prototype, len(spec.Models))}
 	for _, name := range spec.Runtimes {
 		rt, err := RuntimeByName(name)
 		if err != nil {
@@ -257,27 +241,24 @@ func NewCampaign(spec Spec, models map[string]Model) (*Campaign, error) {
 		}
 		c.rts[name] = rt
 	}
-	if !spec.Fresh {
-		c.protos = make(map[string]*Prototype, len(spec.Models))
-		for _, name := range spec.Models {
-			if _, ok := c.protos[name]; ok {
-				continue
-			}
-			m := c.models[name]
-			if m.Proto != nil {
-				// A registry-cached prototype (the serve model cache builds
-				// one per prepared model) saves even the campaign's single
-				// prototype deploy.
-				c.protos[name] = m.Proto
-				continue
-			}
-			proto, err := NewPrototype(m)
-			if err != nil {
-				return nil, err
-			}
-			c.protos[name] = proto
-			c.prov.Prototypes++
+	for _, name := range spec.Models {
+		if _, ok := c.protos[name]; ok {
+			continue
 		}
+		m := c.models[name]
+		if m.Proto != nil {
+			// A registry-cached prototype (the serve model cache builds one
+			// per prepared model) saves even the campaign's single
+			// prototype deploy.
+			c.protos[name] = m.Proto
+			continue
+		}
+		proto, err := NewPrototype(m)
+		if err != nil {
+			return nil, err
+		}
+		c.protos[name] = proto
+		c.prov.Prototypes++
 	}
 	c.shards = make([]*shard, spec.shardCount())
 	for i := range c.shards {
@@ -387,7 +368,7 @@ func (c *Campaign) runShard(ctx context.Context, s int, pool *pool) error {
 			return err
 		}
 		ds := c.spec.Device(i)
-		st, err := pool.simulate(ds, c.models[ds.Model], c.rts[ds.Runtime], c.spec.Scalar)
+		st, err := pool.simulate(ds, c.models[ds.Model], c.rts[ds.Runtime])
 		if err != nil {
 			return err
 		}

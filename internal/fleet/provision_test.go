@@ -12,23 +12,15 @@ import (
 )
 
 // TestProvisionedTinyFleetBitIdentical is the provisioned-≡-fresh oracle
-// on the synthetic tiny model: a Fresh campaign (every device pays
-// mcu.New + core.Deploy) and the default pooled campaign must produce
-// bit-identical aggregates at every worker count. The real-network form
-// lives in realnet_test.go as TestProvisionedFleetBitIdentical.
+// on the synthetic tiny model: the fresh reference campaign (referenceRun:
+// every device pays mcu.New + core.Deploy) and pooled campaigns must
+// produce bit-identical aggregates at every worker count. The
+// real-network form lives in realnet_test.go as
+// TestProvisionedFleetBitIdentical.
 func TestProvisionedTinyFleetBitIdentical(t *testing.T) {
 	models := testModels(1)
 	spec := testSpec(600)
-	freshSpec := spec
-	freshSpec.Fresh = true
-	base, err := Run(context.Background(), freshSpec, models, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Provision.FreshDeploys != 600 || base.Provision.Restores != 0 || base.Provision.Prototypes != 0 {
-		t.Fatalf("fresh campaign provisioning counters off: %+v", base.Provision)
-	}
-	want := fingerprintOf(base)
+	want := fingerprintOf(referenceRun(t, spec, models, false))
 
 	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
 		t.Run(subtestName("workers", workers), func(t *testing.T) {
@@ -40,7 +32,7 @@ func TestProvisionedTinyFleetBitIdentical(t *testing.T) {
 				t.Fatalf("pooled workers=%d aggregates differ from fresh baseline:\ngot  %+v\nwant %+v", workers, got, want)
 			}
 			p := r.Provision
-			if p.Restores != 600 || p.FreshDeploys != 0 {
+			if p.Restores != 600 {
 				t.Fatalf("pooled campaign provisioning counters off: %+v", p)
 			}
 			if p.Prototypes != 1 {
@@ -72,7 +64,7 @@ func TestPoolPurityAfterBrownOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &pool{protos: map[string]*Prototype{"tiny": proto}, slots: make(map[string]*Slot)}
+	p := &pool{protos: map[string]*Prototype{"tiny": proto}, slots: make(map[string]*slot)}
 
 	// tile-128 tasks exceed a 20 µF constant-charge budget, so the run
 	// reboots until the device gives up — leaving maximal mid-flight
@@ -83,7 +75,7 @@ func TestPoolPurityAfterBrownOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	dnc := DeviceSpec{Index: 0, Model: "tiny", Runtime: "tile-128", Power: rf, HarvestSeed: deviceSeed(1, 0)}
-	st, err := p.simulate(dnc, m, rt128, false)
+	st, err := p.simulate(dnc, m, rt128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +84,7 @@ func TestPoolPurityAfterBrownOut(t *testing.T) {
 	}
 
 	sl := p.slots["tiny"]
-	if err := sl.Provision(energy.Continuous{}, false, &p.stats); err != nil {
+	if err := sl.provision(energy.Continuous{}, &p.stats); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sl.dev.FRAM.Snapshot(nil, nil), proto.fram) {
@@ -116,7 +108,7 @@ func TestPoolPurityAfterBrownOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.simulate(ok, m, rtOK, false)
+	got, err := p.simulate(ok, m, rtOK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +144,13 @@ func TestProvisioningAllocsConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &pool{protos: map[string]*Prototype{"tiny": proto}, slots: make(map[string]*Slot)}
-	if _, err := p.simulate(ds, m, rt, false); err != nil { // cold: slot deploy
+	p := &pool{protos: map[string]*Prototype{"tiny": proto}, slots: make(map[string]*slot)}
+	if _, err := p.simulate(ds, m, rt); err != nil { // cold: slot deploy
 		t.Fatal(err)
 	}
 	sl := p.slots["tiny"]
 	provAllocs := testing.AllocsPerRun(10, func() {
-		if err := sl.Provision(energy.Continuous{}, false, &p.stats); err != nil {
+		if err := sl.provision(energy.Continuous{}, &p.stats); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -167,13 +159,12 @@ func TestProvisioningAllocsConstant(t *testing.T) {
 	}
 
 	pooled := testing.AllocsPerRun(10, func() {
-		if _, err := p.simulate(ds, m, rt, false); err != nil {
+		if _, err := p.simulate(ds, m, rt); err != nil {
 			t.Fatal(err)
 		}
 	})
-	freshPool := &pool{fresh: true}
 	fresh := testing.AllocsPerRun(10, func() {
-		if _, err := freshPool.simulate(ds, m, rt, false); err != nil {
+		if _, err := simulate(ds, m, rt, false); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -64,20 +64,6 @@ type Spec struct {
 	// affects sketch compression points, so changing it may change
 	// aggregate bits (never their statistical meaning).
 	Shards int `json:"shards,omitempty"`
-
-	// Scalar runs every device on the Scalar reference path
-	// (mcu.Device.Scalar): no fused kernels, every op charged one at a time
-	// through the power system's interface. The fast and reference paths
-	// are bit-exact (TestFusedScalarDifferential), so this is an executor
-	// choice, not campaign identity: it stays off the JSON wire and out of
-	// the hash. It exists for A/B verification and benchmarking.
-	Scalar bool `json:"-"`
-	// Fresh disables pooled COW provisioning: every device pays a full
-	// mcu.New + core.Deploy instead of a restore-in-place into its
-	// worker's device pool. Provisioned and fresh fleets are bit-identical
-	// (TestProvisionedFleetBitIdentical), so like Scalar this is an
-	// executor choice kept off the wire and out of the hash.
-	Fresh bool `json:"-"`
 }
 
 // DefaultShards is the logical shard count campaigns default to — enough

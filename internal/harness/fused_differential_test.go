@@ -381,3 +381,43 @@ func TestTracedFusedDifferential(t *testing.T) {
 		})
 	}
 }
+
+// TestFig9RealNetworksFusedScalar is the fused-vs-Scalar oracle on the
+// paper's Fig. 9 matrix itself: every untraced Measure cell — the three
+// evaluation networks in quick mode × the six Fig. 9 runtimes × the four
+// paper powers, 72 cells — must be bit-identical, full RunResult and
+// logits, to the same cell measured on the Device.Scalar reference path.
+// CI greps for its PASS line.
+func TestFig9RealNetworksFusedScalar(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-network Fig. 9 matrix needs quick-mode GENESIS preparation")
+	}
+	cells := 0
+	for _, net := range Networks() {
+		p := prepQuick(t, net)
+		qin := p.Model.QuantizeInput(p.Input)
+		for _, rt := range Runtimes() {
+			for _, pw := range Powers() {
+				cell := net + "/" + rt.Name() + "/" + pw.Name
+				fused, fl, err := measure(net, p.Model, rt, pw, qin, nil, false)
+				if err != nil {
+					t.Fatalf("%s: %v", cell, err)
+				}
+				scalar, sl, err := measure(net, p.Model, rt, pw, qin, nil, true)
+				if err != nil {
+					t.Fatalf("%s: scalar: %v", cell, err)
+				}
+				if !reflect.DeepEqual(fl, sl) {
+					t.Errorf("%s: logits diverge: fused=%v scalar=%v", cell, fl, sl)
+				}
+				if !reflect.DeepEqual(fused, scalar) {
+					t.Errorf("%s: RunResult diverges:\n fused  %+v\n scalar %+v", cell, fused, scalar)
+				}
+				cells++
+			}
+		}
+	}
+	if cells != 72 {
+		t.Fatalf("swept %d Fig. 9 cells, want 72", cells)
+	}
+}

@@ -122,16 +122,6 @@ func Measure(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec, input
 	return res, err
 }
 
-// MeasureScalar is Measure on the Device.Scalar reference path: no fused
-// kernels, every op charged one at a time through the power system's
-// interface. Results are bit-identical to Measure's (enforced by
-// TestFusedScalarDifferential); the bench tool uses the pair to price the
-// fast paths.
-func MeasureScalar(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec, input []fixed.Q15) (RunResult, error) {
-	res, _, err := measure(net, qm, rt, p, input, nil, true)
-	return res, err
-}
-
 // MeasureTraced is Measure with execution tracing enabled: events are
 // recorded into buf (a fresh small ring if nil) and the run's wasted-work
 // analysis fills the RunResult's Commits/Wasted* fields. The returned
@@ -161,6 +151,9 @@ func measureTraced(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
 	return res, logits, a, err
 }
 
+// measure is the one measurement path behind Measure and MeasureTraced.
+// The oracles reach the Device.Scalar reference path through it (scalar
+// true); tracer may be nil.
 func measure(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
 	input []fixed.Q15, tracer *trace.Buffer, scalar bool) (RunResult, []fixed.Q15, error) {
 	dev := mcu.New(p.Make())

@@ -100,12 +100,12 @@ func TestForkDifferentialOracle(t *testing.T) {
 		}
 		t.Run(label, func(t *testing.T) {
 			t.Parallel()
-			scratch, err := NewCheckerOpt(qm, x, rt, Options{CheckWAR: true, ForceScratch: true})
+			scratch, err := NewCheckerOpt(qm, x, rt, Options{CheckWAR: true, forceScratch: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if scratch.Forks() {
-				t.Fatal("ForceScratch checker still forks")
+				t.Fatal("forceScratch checker still forks")
 			}
 			// A short stride forces many snapshots, so sampled boundaries
 			// land in many distinct restore windows.

@@ -50,10 +50,11 @@ type Options struct {
 	// (<= 0 selects mcu.DefaultSnapStride). Denser trains shorten per-fork
 	// replay at the cost of recording more pages.
 	SnapStride int
-	// ForceScratch pins the original from-scratch path: no journal is
-	// recorded and every Check simulates the whole run. The fork oracle
-	// flips this knob to prove both paths are bit-identical.
-	ForceScratch bool
+	// forceScratch pins the from-scratch reference path: no journal is
+	// recorded and every Check simulates the whole run. Only the fork
+	// oracle and the sparse campaign's fused-golden sweep set it, to prove
+	// both paths bit-identical.
+	forceScratch bool
 }
 
 func (o Options) withDefaults() Options {
@@ -155,7 +156,7 @@ func (r *Report) String() string {
 // against it. It is safe for concurrent Check calls.
 //
 // The golden run doubles as the recording run for snapshot-and-fork
-// checking: when the runtime implements core.Resumer (and ForceScratch is
+// checking: when the runtime implements core.Resumer (and forceScratch is
 // off), the golden device journals a snapshot train plus op-exact effect
 // logs, and every subsequent Check whose first failure lands inside the
 // recorded range restores the nearest snapshot and simulates only the
@@ -187,8 +188,8 @@ func NewChecker(qm *dnn.QuantModel, x []float64, rt core.Runtime, checkWAR bool)
 	return NewCheckerOpt(qm, x, rt, Options{CheckWAR: checkWAR})
 }
 
-// NewCheckerOpt is NewChecker with full campaign options (snapshot stride,
-// ForceScratch).
+// NewCheckerOpt is NewChecker with full campaign options (snapshot
+// stride, sampling limits).
 func NewCheckerOpt(qm *dnn.QuantModel, x []float64, rt core.Runtime, opt Options) (*Checker, error) {
 	c := &Checker{qm: qm, qin: qm.QuantizeInput(x), rt: rt, checkWAR: opt.CheckWAR}
 	dev := mcu.New(energy.Continuous{})
@@ -201,7 +202,7 @@ func NewCheckerOpt(qm *dnn.QuantModel, x []float64, rt core.Runtime, opt Options
 	}
 	resumer, canFork := rt.(core.Resumer)
 	var j *mcu.Journal
-	if canFork && !opt.ForceScratch {
+	if canFork && !opt.forceScratch {
 		j = dev.StartJournal(opt.SnapStride)
 	}
 	want, err := rt.Infer(img, c.qin)
@@ -226,7 +227,7 @@ func NewCheckerOpt(qm *dnn.QuantModel, x []float64, rt core.Runtime, opt Options
 }
 
 // Forks reports whether Check serves single-prefix schedules from the
-// golden journal (false when the runtime cannot resume or ForceScratch
+// golden journal (false when the runtime cannot resume or forceScratch
 // pinned the original path).
 func (c *Checker) Forks() bool { return c.journal != nil }
 
@@ -313,7 +314,7 @@ func (r *ScheduleResult) String() string {
 // lands inside the recorded run, the check forks: the device is restored
 // to the recorded prefix at that boundary (first reboot included) and only
 // the suffix — plus any later failures in the schedule — is simulated.
-// Otherwise (no journal, ForceScratch, or a first gap beyond the run) the
+// Otherwise (no journal, forceScratch, or a first gap beyond the run) the
 // whole schedule is simulated from scratch. Both paths are bit-identical.
 func (c *Checker) Check(gaps []int) *ScheduleResult {
 	res := &ScheduleResult{Runtime: c.rt.Name(), Gaps: gaps}

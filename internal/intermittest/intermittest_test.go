@@ -148,6 +148,18 @@ func TestBrokenNegativeControl(t *testing.T) {
 			t.Errorf("broken: WAR on unexpected region %s[%d]", v.Region, v.Index)
 		}
 	}
+
+	// WAR-armed sweep on the snapshot-and-fork path: every run, wherever
+	// its brown-out lands, executes the in-place dense accumulation, so
+	// every boundary must be flagged — one that comes back clean means the
+	// fork path lost WAR coverage.
+	rw, err := SweepRuntime(qm, x, Broken{}, Options{CheckWAR: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rw.Swept == 0 || len(rw.WARBounds) != rw.Swept {
+		t.Errorf("broken: WAR flagged at %d of %d boundaries, want all", len(rw.WARBounds), rw.Swept)
+	}
 }
 
 // TestMinimize shrinks a failing multi-failure schedule down to a minimal

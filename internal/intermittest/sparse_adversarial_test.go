@@ -42,7 +42,7 @@ func TestSparseAdversarialCampaign(t *testing.T) {
 			// The naive baseline is the negative control: it must fail
 			// somewhere, proving the sweep has teeth on this model too.
 			unsafe := rt.Name() == "base"
-			rep, err := SweepRuntime(qm, x, rt, Options{CheckWAR: !unsafe && !fused, ForceScratch: fused})
+			rep, err := SweepRuntime(qm, x, rt, Options{CheckWAR: !unsafe && !fused, forceScratch: fused})
 			if err != nil {
 				t.Fatal(err)
 			}

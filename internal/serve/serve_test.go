@@ -707,7 +707,7 @@ func TestServeStatsEndpoint(t *testing.T) {
 		t.Fatalf("stats counters off: %+v", doc)
 	}
 	p := doc.Stats.Provision
-	if p.Restores != 64 || p.FreshDeploys != 0 {
+	if p.Restores != 64 {
 		t.Fatalf("served campaign did not provision from the pool: %+v", p)
 	}
 	if p.Prototypes != 0 {
