@@ -46,15 +46,6 @@ const tileCursorSlot = 0
 // pass body: tiny chunks don't amortize the Range machinery.
 const minBulk = 4
 
-// loadKind returns the load op kind for a region's memory (the tile
-// rangeFns charge repeated or strided loads of read-only data in bulk).
-func loadKind(r *mem.Region) mcu.OpKind {
-	if r.Kind() == mem.FRAM {
-		return mcu.OpLoadFRAM
-	}
-	return mcu.OpLoadSRAM
-}
-
 // Infer builds the task graph over the deployed image and drives it to
 // completion.
 func (t Tile) Infer(img *core.Image, input []fixed.Q15) ([]fixed.Q15, error) {
@@ -87,7 +78,10 @@ func (t Tile) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15, 
 		}
 	}
 
-	b := tileBuilder{img: img, rt: rt, k: t.TileSize, prog: tape.Get(img.Model)}
+	// Fused forms are built only for devices that can run them, so a
+	// run that never fuses allocates nothing for them.
+	b := tileBuilder{img: img, rt: rt, k: t.TileSize, prog: tape.Get(img.Model),
+		fuse: img.Dev.CanFuse() && !img.Dev.FRAM.Observed()}
 	outB, err := b.build()
 	if err != nil {
 		return nil, err
@@ -117,9 +111,16 @@ type passFn func(c *task.Ctx, iter int)
 // scalar body's.
 type rangeFn func(c *task.Ctx, lo, hi int)
 
+// fuseFn is a rangeFn's fused form: it walks the same chunks of
+// iterations [lo, hi) through a task.Fuse, recording their charges while
+// planning — and reporting false when some chunk would not take the bulk
+// branch — or computing and writing their values while applying.
+type fuseFn func(f *task.Fuse, lo, hi int) bool
+
 // addPassFn registers a pass: name, layer label, iteration count, scalar
-// body, and optional bulk range body (nil for scalar-only passes).
-type addPassFn func(name, layer string, n int, f passFn, fr rangeFn)
+// body, and optional bulk range body and fused form (nil for scalar-only
+// passes).
+type addPassFn func(name, layer string, n int, f passFn, fr rangeFn, fz fuseFn)
 
 // tileBuilder assembles the per-layer pass tasks. Because the layer graph
 // is static, each task closes over its source/destination buffers; only
@@ -130,27 +131,27 @@ type tileBuilder struct {
 	k   int
 	// prog supplies the pre-decoded per-layer tables and section labels.
 	prog *tape.Program
+	// fuse builds each bulk pass's fused form; cursor stages the fused
+	// tasks' one-word cursor writes.
+	fuse   bool
+	cursor [1]int64
 }
 
 // build creates all tasks in execution order; task 0 is the entry. It
 // returns the parity of the buffer holding the final output.
 func (b *tileBuilder) build() (bool, error) {
 	parity := false
-	var passes []struct {
+	type pass struct {
 		name  string
 		layer string
 		n     int
 		f     passFn
 		fr    rangeFn
+		fz    fuseFn
 	}
-	addPass := func(name, layer string, n int, f passFn, fr rangeFn) {
-		passes = append(passes, struct {
-			name  string
-			layer string
-			n     int
-			f     passFn
-			fr    rangeFn
-		}{name, layer, n, f, fr})
+	var passes []pass
+	addPass := func(name, layer string, n int, f passFn, fr rangeFn, fz fuseFn) {
+		passes = append(passes, pass{name, layer, n, f, fr, fz})
 	}
 
 	for li := range b.img.Layers {
@@ -178,6 +179,23 @@ func (b *tileBuilder) build() (bool, error) {
 				c.Write(dst, i, int64(v))
 			}
 			vals := make([]int64, b.k)
+			var reluFuse fuseFn
+			if b.fuse {
+				reluFuse = func(f *task.Fuse, lo, hi int) bool {
+					nn := hi - lo
+					if nn < minBulk {
+						return false
+					}
+					f.Ops(mcu.OpBranch, nn)
+					if !f.Read(src, lo, nn) {
+						return false
+					}
+					if !f.Planning() {
+						kern.ReLU(vals, src.ROWords(), 0, lo, nn)
+					}
+					return f.Write(dst, lo, vals[:nn])
+				}
+			}
 			addPass("relu", layer, n, reluIter, func(c *task.Ctx, lo, hi int) {
 				nn := hi - lo
 				if nn < minBulk || !c.Fresh(src, lo, nn) || !c.Fresh(dst, lo, nn) {
@@ -190,7 +208,7 @@ func (b *tileBuilder) build() (bool, error) {
 				c.ReadRange(src, lo, nn)
 				kern.ReLU(vals, src.ROWords(), 0, lo, nn)
 				c.WriteRange(dst, lo, vals[:nn])
-			})
+			}, reluFuse)
 			parity = !parity
 		case dnn.QPool:
 			b.poolPass(addPass, q, tl, src, dst)
@@ -203,6 +221,9 @@ func (b *tileBuilder) build() (bool, error) {
 	// Materialize each pass as one self-transitioning task over a shared
 	// cursor in the control block. Each pass's two attribution sections
 	// are pre-resolved into tokens, so no activation constructs a Section.
+	// A pass with a bulk form also gets a fused form (task.SetFused): the
+	// same task — cursor read, body chunks, cursor write — walked through
+	// a task.Fuse.
 	ctl := b.img.Ctl
 	for pi := range passes {
 		p := passes[pi]
@@ -243,6 +264,31 @@ func (b *tileBuilder) build() (bool, error) {
 				c.Write(ctl, tileCursorSlot, int64(end))
 			}
 			return to
+		})
+		if p.fz == nil {
+			continue
+		}
+		b.rt.SetFused(self, p.layer, func(f *task.Fuse, j int) (task.ID, bool) {
+			// Planning walks dispatches ahead of the cursor; applying
+			// advances it one dispatch at a time.
+			base := int(ctl.Get(tileCursorSlot))
+			if f.Planning() {
+				base += j * b.k
+			}
+			end := min(base+b.k, p.n)
+			f.Section(tokC)
+			f.Read(ctl, tileCursorSlot, 1)
+			f.Section(tokK)
+			if !p.fz(f, base, end) {
+				return 0, false
+			}
+			f.Section(tokC)
+			to := self
+			b.cursor[0] = int64(end)
+			if end >= p.n {
+				to, b.cursor[0] = next, 0 // reset for next pass
+			}
+			return to, f.Write(ctl, tileCursorSlot, b.cursor[:])
 		})
 	}
 	return parity, nil
@@ -287,23 +333,7 @@ func (b *tileBuilder) convPasses(addPass addPassFn,
 	}
 
 	if l.NZ != nil {
-		total := q.F * positions
-		zeroIter := func(c *task.Ctx, i int) {
-			c.Dev().Op(mcu.OpBranch)
-			c.Write(acc, i, 0)
-		}
-		zeros := make([]int64, b.k)
-		addPass("conv-zero", layer, total, zeroIter, func(c *task.Ctx, lo, hi int) {
-			n := hi - lo
-			if n < minBulk || !c.Fresh(acc, lo, n) {
-				for i := lo; i < hi; i++ {
-					zeroIter(c, i)
-				}
-				return
-			}
-			c.Dev().Ops(mcu.OpBranch, n)
-			c.WriteRange(acc, lo, zeros[:n])
-		})
+		b.zeroPass(addPass, "conv-zero", layer, q.F*positions)
 	}
 
 	// accIter is the scalar conv-acc body; accRange (dense weights only)
@@ -314,20 +344,14 @@ func (b *tileBuilder) convPasses(addPass addPassFn,
 		apply(c, it/positions, it%positions)
 	}
 	var accRange rangeFn
+	var accFuse fuseFn
 	if l.NZ == nil {
 		vals := make([]int64, b.k)
-		wKind := loadKind(l.W)
+		wKind := mcu.LoadOp(l.W)
 		accRange = func(c *task.Ctx, lo, hi int) {
 			dev := c.Dev()
 			for lo < hi {
-				e, i0 := lo/positions, lo%positions
-				n := hi - lo
-				if m := positions - i0; m < n {
-					n = m // one filter element
-				}
-				if m := ow - i0%ow; m < n {
-					n = m // one output row: contiguous source loads
-				}
+				e, i0, n := convChunk(lo, hi, positions, ow)
 				first := wFirst[e]
 				pos0 := int(wAcc[e]) + i0
 				// For accumulating chunks the privatization probe and the
@@ -367,8 +391,45 @@ func (b *tileBuilder) convPasses(addPass addPassFn,
 				lo += n
 			}
 		}
+		if b.fuse {
+			srcKind := mcu.LoadOp(src)
+			accFuse = func(f *task.Fuse, lo, hi int) bool {
+				for lo < hi {
+					e, i0, n := convChunk(lo, hi, positions, ow)
+					if n < minBulk {
+						return false
+					}
+					first := wFirst[e]
+					pos0 := int(wAcc[e]) + i0
+					f.Ops(mcu.OpBranch, n)
+					f.Ops(wKind, n)
+					f.Ops(srcKind, n)
+					f.Ops(mcu.OpFixedMul, n)
+					if !first {
+						if !f.Read(acc, pos0, n) {
+							return false
+						}
+						f.Ops(mcu.OpFixedAdd, n)
+					}
+					if !f.Planning() {
+						wv := int64(fixed.Q15(l.W.Get(e)))
+						srcStart := int(wSrc[e]) + int(posTab[i0])
+						if !first {
+							kern.MACRow(vals, acc.ROWords(), src.ROWords(), pos0, srcStart, n, wv)
+						} else {
+							kern.MulRow(vals, src.ROWords(), srcStart, n, wv)
+						}
+					}
+					if !f.Write(acc, pos0, vals[:n]) {
+						return false
+					}
+					lo += n
+				}
+				return true
+			}
+		}
 	}
-	addPass("conv-acc", layer, tl.Elems*positions, accIter, accRange)
+	addPass("conv-acc", layer, tl.Elems*positions, accIter, accRange, accFuse)
 
 	finIter := func(c *task.Ctx, i int) {
 		dev := c.Dev()
@@ -380,7 +441,33 @@ func (b *tileBuilder) convPasses(addPass addPassFn,
 		c.Write(dst, i, int64(a.AddQ(bq).SatShiftSigned(q.Shift)))
 	}
 	finVals := make([]int64, b.k)
-	bKind := loadKind(l.B)
+	bKind := mcu.LoadOp(l.B)
+	var finFuse fuseFn
+	if b.fuse {
+		finFuse = func(f *task.Fuse, lo, hi int) bool {
+			for lo < hi {
+				n := min(hi-lo, positions-lo%positions) // one filter
+				if n < minBulk {
+					return false
+				}
+				f.Ops(mcu.OpBranch, n)
+				f.Ops(bKind, n)
+				if !f.Read(acc, lo, n) {
+					return false
+				}
+				f.Ops(mcu.OpFixedAdd, n)
+				if !f.Planning() {
+					bq := int64(fixed.Q15(l.B.Get(lo / positions)))
+					kern.FinalizeConst(finVals, acc.ROWords(), bq, 0, lo, n, q.Shift)
+				}
+				if !f.Write(dst, lo, finVals[:n]) {
+					return false
+				}
+				lo += n
+			}
+			return true
+		}
+	}
 	addPass("conv-fin", layer, q.F*positions, finIter, func(c *task.Ctx, lo, hi int) {
 		dev := c.Dev()
 		for lo < hi {
@@ -405,7 +492,24 @@ func (b *tileBuilder) convPasses(addPass addPassFn,
 			c.WriteRange(dst, lo, finVals[:n])
 			lo += n
 		}
-	})
+	}, finFuse)
+}
+
+// convChunk splits iterations [lo, hi) of a dense conv-acc pass over
+// positions outputs per filter element, rows of ow, at the first
+// filter-element or output-row boundary, so every chunk is uniform in op
+// kinds and contiguous in memory. It returns the chunk's filter element,
+// first output position and length.
+func convChunk(lo, hi, positions, ow int) (e, i0, n int) {
+	e, i0 = lo/positions, lo%positions
+	n = hi - lo
+	if m := positions - i0; m < n {
+		n = m // one filter element
+	}
+	if m := ow - i0%ow; m < n {
+		n = m // one output row: contiguous source loads
+	}
+	return e, i0, n
 }
 
 // densePasses emits the accumulate and finalize passes for a dense
@@ -430,7 +534,42 @@ func (b *tileBuilder) densePasses(addPass addPassFn,
 		c.Write(acc, o, int64(a.MAC(wv, x)))
 	}
 	vals := make([]int64, b.k)
-	wKind, srcKind := loadKind(l.W), loadKind(src)
+	wKind, srcKind := mcu.LoadOp(l.W), mcu.LoadOp(src)
+	var accFuse fuseFn
+	if b.fuse {
+		accFuse = func(f *task.Fuse, lo, hi int) bool {
+			for lo < hi {
+				i, o0 := lo/q.Out, lo%q.Out
+				n := min(hi-lo, q.Out-o0) // one input element
+				if n < minBulk {
+					return false
+				}
+				f.Ops(mcu.OpBranch, n)
+				f.Ops(srcKind, n)
+				f.Ops(wKind, n)
+				f.Ops(mcu.OpFixedMul, n)
+				if i > 0 {
+					if !f.Read(acc, o0, n) {
+						return false
+					}
+					f.Ops(mcu.OpFixedAdd, n)
+				}
+				if !f.Planning() {
+					x := int64(fixed.Q15(src.Get(i)))
+					if i > 0 {
+						kern.DenseRow(vals, acc.ROWords(), l.W.ROWords(), o0, o0*q.In+i, q.In, n, x)
+					} else {
+						kern.DenseRowFirst(vals, l.W.ROWords(), o0*q.In+i, q.In, n, x)
+					}
+				}
+				if !f.Write(acc, o0, vals[:n]) {
+					return false
+				}
+				lo += n
+			}
+			return true
+		}
+	}
 	addPass("fc-acc", layer, q.In*q.Out, accIter, func(c *task.Ctx, lo, hi int) {
 		dev := c.Dev()
 		for lo < hi {
@@ -461,7 +600,48 @@ func (b *tileBuilder) densePasses(addPass addPassFn,
 			c.WriteRange(acc, o0, vals[:n])
 			lo += n
 		}
-	})
+	}, accFuse)
+	b.finPass(addPass, "fc-fin", l, layer, dst)
+}
+
+// zeroPass emits a pass clearing the first n task-shared partials.
+func (b *tileBuilder) zeroPass(addPass addPassFn, name, layer string, n int) {
+	acc := b.img.AccA
+	zeroIter := func(c *task.Ctx, i int) {
+		c.Dev().Op(mcu.OpBranch)
+		c.Write(acc, i, 0)
+	}
+	zeros := make([]int64, b.k)
+	var zeroFuse fuseFn
+	if b.fuse {
+		zeroFuse = func(f *task.Fuse, lo, hi int) bool {
+			n := hi - lo
+			if n < minBulk {
+				return false
+			}
+			f.Ops(mcu.OpBranch, n)
+			return f.Write(acc, lo, zeros[:n])
+		}
+	}
+	addPass(name, layer, n, zeroIter, func(c *task.Ctx, lo, hi int) {
+		n := hi - lo
+		if n < minBulk || !c.Fresh(acc, lo, n) {
+			for i := lo; i < hi; i++ {
+				zeroIter(c, i)
+			}
+			return
+		}
+		c.Dev().Ops(mcu.OpBranch, n)
+		c.WriteRange(acc, lo, zeros[:n])
+	}, zeroFuse)
+}
+
+// finPass emits the finalize pass of a fully-connected layer, dense or
+// sparse: output o is its partial plus bias o, shifted and saturated.
+func (b *tileBuilder) finPass(addPass addPassFn, name string,
+	l *core.LayerImage, layer string, dst *mem.Region) {
+	q := l.Q
+	acc := b.img.AccA
 	finIter := func(c *task.Ctx, o int) {
 		dev := c.Dev()
 		dev.Op(mcu.OpBranch)
@@ -471,7 +651,27 @@ func (b *tileBuilder) densePasses(addPass addPassFn,
 		c.Write(dst, o, int64(a.AddQ(bq).SatShiftSigned(q.Shift)))
 	}
 	finVals := make([]int64, b.k)
-	addPass("fc-fin", layer, q.Out, finIter, func(c *task.Ctx, lo, hi int) {
+	var finFuse fuseFn
+	if b.fuse {
+		bKind := mcu.LoadOp(l.B)
+		finFuse = func(f *task.Fuse, lo, hi int) bool {
+			n := hi - lo
+			if n < minBulk {
+				return false
+			}
+			f.Ops(mcu.OpBranch, n)
+			f.Ops(bKind, n)
+			if !f.Read(acc, lo, n) {
+				return false
+			}
+			f.Ops(mcu.OpFixedAdd, n)
+			if !f.Planning() {
+				kern.FinalizeVec(finVals, acc.ROWords(), l.B.ROWords(), 0, lo, n, q.Shift)
+			}
+			return f.Write(dst, lo, finVals[:n])
+		}
+	}
+	addPass(name, layer, q.Out, finIter, func(c *task.Ctx, lo, hi int) {
 		dev := c.Dev()
 		n := hi - lo
 		if n < minBulk || !c.Fresh(acc, lo, n) || !c.Fresh(dst, lo, n) {
@@ -486,7 +686,7 @@ func (b *tileBuilder) densePasses(addPass addPassFn,
 		dev.Ops(mcu.OpFixedAdd, n)
 		kern.FinalizeVec(finVals, acc.ROWords(), l.B.ROWords(), 0, lo, n, q.Shift)
 		c.WriteRange(dst, lo, finVals[:n])
-	})
+	}, finFuse)
 }
 
 // sparsePasses emits zero-init, per-nonzero accumulate, and finalize passes
@@ -497,22 +697,7 @@ func (b *tileBuilder) sparsePasses(addPass addPassFn,
 	l *core.LayerImage, layer string, src, dst *mem.Region) {
 	q := l.Q
 	acc := b.img.AccA
-	zeroIter := func(c *task.Ctx, o int) {
-		c.Dev().Op(mcu.OpBranch)
-		c.Write(acc, o, 0)
-	}
-	zeros := make([]int64, b.k)
-	addPass("spfc-zero", layer, q.Out, zeroIter, func(c *task.Ctx, lo, hi int) {
-		n := hi - lo
-		if n < minBulk || !c.Fresh(acc, lo, n) {
-			for o := lo; o < hi; o++ {
-				zeroIter(c, o)
-			}
-			return
-		}
-		c.Dev().Ops(mcu.OpBranch, n)
-		c.WriteRange(acc, lo, zeros[:n])
-	})
+	b.zeroPass(addPass, "spfc-zero", layer, q.Out)
 	// Row lookup per nonzero: the device walks RowPtr lazily by keeping a
 	// "current row" volatile variable... but volatile state cannot span
 	// tasks, so each iteration binary-searches RowPtr. This is what a real
@@ -536,8 +721,8 @@ func (b *tileBuilder) sparsePasses(addPass addPassFn,
 	// and the probe loop is charged from its host-counted step count. The
 	// op multiset per iteration is identical to the scalar body's.
 	rowPtr := q.RowPtr
-	rowPtrKind := loadKind(l.RowPtr)
-	wKind, colsKind, srcKind := loadKind(l.W), loadKind(l.Cols), loadKind(src)
+	rowPtrKind := mcu.LoadOp(l.RowPtr)
+	wKind, colsKind, srcKind := mcu.LoadOp(l.W), mcu.LoadOp(l.Cols), mcu.LoadOp(src)
 	accRange := func(c *task.Ctx, lo, hi int) {
 		dev := c.Dev()
 		wW, colsW, srcW := l.W.ROWords(), l.Cols.ROWords(), src.ROWords()
@@ -569,32 +754,37 @@ func (b *tileBuilder) sparsePasses(addPass addPassFn,
 			lo += n
 		}
 	}
-	addPass("spfc-acc", layer, len(q.W), accIter, accRange)
-	finIter := func(c *task.Ctx, o int) {
-		dev := c.Dev()
-		dev.Op(mcu.OpBranch)
-		bq := fixed.Q15(dev.Load(l.B, o))
-		a := fixed.Acc(c.Read(acc, o))
-		dev.Op(mcu.OpFixedAdd)
-		c.Write(dst, o, int64(a.AddQ(bq).SatShiftSigned(q.Shift)))
-	}
-	finVals := make([]int64, b.k)
-	addPass("spfc-fin", layer, q.Out, finIter, func(c *task.Ctx, lo, hi int) {
-		dev := c.Dev()
-		n := hi - lo
-		if n < minBulk || !c.Fresh(acc, lo, n) || !c.Fresh(dst, lo, n) {
-			for o := lo; o < hi; o++ {
-				finIter(c, o)
+	var accFuse fuseFn
+	if b.fuse {
+		accFuse = func(f *task.Fuse, lo, hi int) bool {
+			for lo < hi {
+				row := hostRowOf(rowPtr, lo)
+				n := min(hi-lo, int(rowPtr[row+1])-lo) // one row's nonzeros
+				if n < minBulk {
+					return false
+				}
+				s := searchSteps(q.Out, row)
+				f.Ops(mcu.OpBranch, n*(1+s))
+				f.Ops(rowPtrKind, n*s)
+				f.Ops(wKind, n)
+				f.Ops(colsKind, n)
+				f.Ops(srcKind, n)
+				f.Ops(mcu.OpFixedMul, n)
+				f.Ops(mcu.OpFixedAdd, n)
+				var a int64
+				if !f.Planning() {
+					a = acc.Get(row) + kern.CSRRowSum(l.W.ROWords(), l.Cols.ROWords(), src.ROWords(), lo, n)
+				}
+				if !f.Accumulate(acc, row, n, a) {
+					return false
+				}
+				lo += n
 			}
-			return
+			return true
 		}
-		dev.Ops(mcu.OpBranch, n)
-		dev.LoadRange(l.B, lo, n)
-		c.ReadRange(acc, lo, n)
-		dev.Ops(mcu.OpFixedAdd, n)
-		kern.FinalizeVec(finVals, acc.ROWords(), l.B.ROWords(), 0, lo, n, q.Shift)
-		c.WriteRange(dst, lo, finVals[:n])
-	})
+	}
+	addPass("spfc-acc", layer, len(q.W), accIter, accRange, accFuse)
+	b.finPass(addPass, "spfc-fin", l, layer, dst)
 }
 
 // hostRowOf returns the row owning nonzero p — sparseRowOf's answer,
@@ -663,5 +853,5 @@ func (b *tileBuilder) poolPass(addPass addPassFn,
 			}
 		}
 		c.Write(dst, i, int64(best))
-	}, nil)
+	}, nil, nil)
 }

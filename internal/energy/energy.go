@@ -236,19 +236,23 @@ func (p *Intermittent) ConsumeN(dec int64, n int) int {
 // failing iteration's partial consumption (and with it the recharge
 // deficit and dead time) is produced by the same code on both paths.
 func (p *Intermittent) FundWhole(unitPJ int64, n int) int {
+	m := p.Whole(unitPJ, n)
+	if unitPJ > 0 {
+		p.remainingPJ -= int64(m) * unitPJ
+	}
+	return m
+}
+
+// Whole is FundWhole's count without the drain: how many whole blocks of
+// unitPJ picojoules, up to n, the capacitor could fund now.
+func (p *Intermittent) Whole(unitPJ int64, n int) int {
 	if p.remainingPJ < 0 {
 		return 0
 	}
 	if unitPJ <= 0 {
 		return n
 	}
-	funded := p.remainingPJ / unitPJ
-	if funded >= int64(n) {
-		p.remainingPJ -= int64(n) * unitPJ
-		return n
-	}
-	p.remainingPJ -= funded * unitPJ
-	return int(funded)
+	return int(min(p.remainingPJ/unitPJ, int64(n)))
 }
 
 // Recharge refills the capacitor and returns the dead time, computed from

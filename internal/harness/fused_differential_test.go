@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/dnn"
 	"repro/internal/energy"
@@ -18,10 +19,63 @@ import (
 
 // fusedObservation extends diffObservation with the device-native
 // wasted-work figure, which the fused path must also reproduce bit-exactly
-// (it commits once per funded span instead of once per op).
+// (it commits once per funded span instead of once per op), and with the
+// final nonvolatile memory image (nvImage).
 type fusedObservation struct {
 	diffObservation
 	WastedNJ float64
+	NV       []int64
+}
+
+// nvRuntime runs a runtime through core.Resumer and records the device's
+// FRAM regions from the atReboot hook, which every runtime calls once its
+// set-up has allocated them. Reading those regions after the run gives
+// the final nonvolatile memory image — including the regions a runtime
+// releases before returning, such as the task runtime's redo log and
+// control state, whose dead log words no other observation sees.
+type nvRuntime struct {
+	core.Runtime
+	regions []*mem.Region
+}
+
+func (r *nvRuntime) Infer(img *core.Image, input []fixed.Q15) ([]fixed.Q15, error) {
+	if err := img.LoadInput(input); err != nil {
+		return nil, err
+	}
+	return r.Runtime.(core.Resumer).ResumeInfer(img, func() error {
+		fram := img.Dev.FRAM
+		r.regions = r.regions[:0]
+		for i := 0; i < fram.Regions(); i++ {
+			r.regions = append(r.regions, fram.RegionAt(i))
+		}
+		return nil
+	})
+}
+
+// nvImage returns the recorded regions' words, concatenated in bank
+// order.
+func (r *nvRuntime) nvImage() []int64 {
+	var out []int64
+	for _, reg := range r.regions {
+		out = append(out, reg.ROWords()...)
+	}
+	return out
+}
+
+// nvCompare asserts two final FRAM images are bit-identical, naming the
+// first differing word.
+func nvCompare(t *testing.T, label string, fused, scalar []int64) {
+	t.Helper()
+	if len(fused) != len(scalar) {
+		t.Errorf("%s: FRAM image size diverges: fused=%d scalar=%d words", label, len(fused), len(scalar))
+		return
+	}
+	for i := range fused {
+		if fused[i] != scalar[i] {
+			t.Errorf("%s: FRAM image diverges at word %d: fused=%d scalar=%d", label, i, fused[i], scalar[i])
+			return
+		}
+	}
 }
 
 // fusedRun executes one inference with every fast path allowed (scalar
@@ -39,13 +93,15 @@ func fusedRun(t *testing.T, qm *dnn.QuantModel, qin []fixed.Q15,
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
-	logits, ierr := rt.Infer(img, qin)
+	nv := &nvRuntime{Runtime: rt}
+	logits, ierr := nv.Infer(img, qin)
 	obs := fusedObservation{
 		diffObservation: diffObservation{
 			Logits: logits,
 			Stats:  *dev.Stats(),
 		},
 		WastedNJ: dev.WastedNJ(),
+		NV:       nv.nvImage(),
 	}
 	if ierr != nil {
 		if errors.Is(ierr, mcu.ErrDoesNotComplete) {
@@ -107,8 +163,8 @@ func oracleRows() []oracleRow {
 // and real capacitor/harvester brown-out cycles, a run with fused bulk
 // kernels allowed must be bit-identical — logits, cycles,
 // integer-picojoule energy, per-op counts, per-section stats,
-// MaxRegionOps, reboot count, dead time, and the wasted-work figure — to
-// the same run on the Device.Scalar reference path.
+// MaxRegionOps, reboot count, dead time, the wasted-work figure, and the
+// final FRAM image — to the same run on the Device.Scalar reference path.
 //
 // Like the bulk and corpus oracles, CI greps for each row's PASS line and
 // rejects skips.
@@ -124,6 +180,7 @@ func TestFusedScalarDifferential(t *testing.T) {
 					t.Errorf("%s: WastedNJ diverges: fused=%v scalar=%v",
 						pw.name, fused.WastedNJ, scalar.WastedNJ)
 				}
+				nvCompare(t, pw.name, fused.NV, scalar.NV)
 			}
 		})
 	}
@@ -276,12 +333,14 @@ func TestFusedSnapshotCOWAndObserver(t *testing.T) {
 
 // tracedObservation is one analysis-traced run as RunAll measures it: the
 // full RunResult with the trace aggregates filled in, the logits, the
-// per-charge-cycle analysis, and how many events the device emitted.
+// per-charge-cycle analysis, how many events the device emitted, and the
+// final FRAM image.
 type tracedObservation struct {
 	res    RunResult
 	logits []fixed.Q15
 	a      *trace.Analysis
 	events uint64
+	nv     []int64
 	err    error
 }
 
@@ -290,9 +349,10 @@ type tracedObservation struct {
 func tracedRun(net string, qm *dnn.QuantModel, qin []fixed.Q15,
 	rt core.Runtime, pw PowerSpec, scalar bool) tracedObservation {
 	buf := trace.NewAnalysisBuffer(256)
-	res, logits, a, err := measureTraced(net, qm, rt, pw, qin, buf, scalar)
+	nv := &nvRuntime{Runtime: rt}
+	res, logits, a, err := measureTraced(net, qm, nv, pw, qin, buf, scalar)
 	return tracedObservation{res: res, logits: logits, a: a,
-		events: uint64(buf.Len()) + buf.Drops(), err: err}
+		events: uint64(buf.Len()) + buf.Drops(), nv: nv.nvImage(), err: err}
 }
 
 // tracedCompare asserts two traced observations are bit-identical.
@@ -313,6 +373,7 @@ func tracedCompare(t *testing.T, label string, fused, scalar tracedObservation) 
 	if !reflect.DeepEqual(fr, sr) {
 		t.Errorf("%s: RunResult diverges:\n fused  %+v\n scalar %+v", label, fr, sr)
 	}
+	nvCompare(t, label, fused.nv, scalar.nv)
 	if fc, sc := fused.a.Cycles, scalar.a.Cycles; !reflect.DeepEqual(fc, sc) {
 		i := 0
 		for i < len(fc) && i < len(sc) && reflect.DeepEqual(fc[i], sc[i]) {
@@ -329,9 +390,9 @@ func tracedCompare(t *testing.T, label string, fused, scalar tracedObservation) 
 // run observed by an analysis-only trace buffer (as every RunAll cell is)
 // keeps the fused kernels engaged, each funded span emitting one coalesced
 // commit, and must be bit-identical — logits, the full RunResult (stats,
-// per-section maps, commits, wasted cycles and energy), and every
-// per-charge-cycle Analysis record — to the same traced run on the
-// Device.Scalar reference path. Each runtime's "<runtime>" row
+// per-section maps, commits, wasted cycles and energy), every
+// per-charge-cycle Analysis record, and the final FRAM image — to the same
+// traced run on the Device.Scalar reference path. Each runtime's "<runtime>" row
 // covers the tiny model under the fused oracle's power systems and a
 // prepared network under the paper's four; its "<runtime>-tape" row
 // covers the adversarial CSR model under the fused oracle's power
@@ -385,9 +446,9 @@ func TestTracedFusedDifferential(t *testing.T) {
 // TestFig9RealNetworksFusedScalar is the fused-vs-Scalar oracle on the
 // paper's Fig. 9 matrix itself: every untraced Measure cell — the three
 // evaluation networks in quick mode × the six Fig. 9 runtimes × the four
-// paper powers, 72 cells — must be bit-identical, full RunResult and
-// logits, to the same cell measured on the Device.Scalar reference path.
-// CI greps for its PASS line.
+// paper powers, 72 cells — must be bit-identical, full RunResult, logits
+// and final FRAM image, to the same cell measured on the Device.Scalar
+// reference path. CI greps for its PASS line.
 func TestFig9RealNetworksFusedScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-network Fig. 9 matrix needs quick-mode GENESIS preparation")
@@ -399,14 +460,16 @@ func TestFig9RealNetworksFusedScalar(t *testing.T) {
 		for _, rt := range Runtimes() {
 			for _, pw := range Powers() {
 				cell := net + "/" + rt.Name() + "/" + pw.Name
-				fused, fl, err := measure(net, p.Model, rt, pw, qin, nil, false)
+				fnv, snv := &nvRuntime{Runtime: rt}, &nvRuntime{Runtime: rt}
+				fused, fl, err := measure(net, p.Model, fnv, pw, qin, nil, false)
 				if err != nil {
 					t.Fatalf("%s: %v", cell, err)
 				}
-				scalar, sl, err := measure(net, p.Model, rt, pw, qin, nil, true)
+				scalar, sl, err := measure(net, p.Model, snv, pw, qin, nil, true)
 				if err != nil {
 					t.Fatalf("%s: scalar: %v", cell, err)
 				}
+				nvCompare(t, cell, fnv.nvImage(), snv.nvImage())
 				if !reflect.DeepEqual(fl, sl) {
 					t.Errorf("%s: logits diverge: fused=%v scalar=%v", cell, fl, sl)
 				}
@@ -419,5 +482,66 @@ func TestFig9RealNetworksFusedScalar(t *testing.T) {
 	}
 	if cells != 72 {
 		t.Fatalf("swept %d Fig. 9 cells, want 72", cells)
+	}
+}
+
+// TestFusedFraction pins how much of a run the fused path carries, as
+// Device.FusedOps counts it: on the tiny model, the Tile-N task runtime
+// and SONIC must fund more than their row's floor of all charged ops
+// through ChargeTrain under continuous power and a real capacitor, and
+// exactly none on the Scalar reference path or under an op-count fault
+// injector (energy.FailSchedule, which CanFuse refuses: brown-out replays
+// never fuse). CI greps for each row's PASS line.
+func TestFusedFraction(t *testing.T) {
+	qm, x := intermittest.TinyModel(1)
+	qin := qm.QuantizeInput(x)
+	run := func(rt core.Runtime, power energy.System, scalar bool) (fused, total, maxRegion int64) {
+		dev := mcu.New(power)
+		dev.Scalar = scalar
+		img, err := core.Deploy(dev, qm)
+		if err != nil {
+			t.Fatalf("deploy: %v", err)
+		}
+		if _, err := rt.Infer(img, qin); err != nil && !errors.Is(err, mcu.ErrDoesNotComplete) {
+			t.Fatalf("infer: %v", err)
+		}
+		st := dev.Stats()
+		for _, n := range st.OpCount {
+			total += n
+		}
+		return dev.FusedOps(), total, st.MaxRegionOps
+	}
+	rows := []struct {
+		rt    core.Runtime
+		floor float64
+	}{
+		{baseline.Tile{TileSize: 8}, 0.35},
+		{baseline.Tile{TileSize: 32}, 0.30},
+		{baseline.Tile{TileSize: 128}, 0.50},
+		{sonic.SONIC{}, 0.90},
+	}
+	for _, row := range rows {
+		t.Run(row.rt.Name(), func(t *testing.T) {
+			var maxRegion int64
+			for _, pw := range fusedPowers() {
+				if pw.name != "cont" && pw.name != "rf-100uF" {
+					continue
+				}
+				fused, total, mr := run(row.rt, pw.mk(), false)
+				maxRegion = max(maxRegion, mr)
+				frac := float64(fused) / float64(total)
+				t.Logf("%s: %d of %d ops fused (%.3f)", pw.name, fused, total, frac)
+				if frac <= row.floor {
+					t.Errorf("%s: fused fraction %.3f, want > %.2f", pw.name, frac, row.floor)
+				}
+				if fused, _, _ := run(row.rt, pw.mk(), true); fused != 0 {
+					t.Errorf("%s: Scalar run fused %d ops, want 0", pw.name, fused)
+				}
+			}
+			gap := int(2*maxRegion) + 50
+			if fused, _, _ := run(row.rt, energy.NewFailSchedule([]int{gap, gap, gap}), false); fused != 0 {
+				t.Errorf("FailSchedule run fused %d ops, want 0", fused)
+			}
+		})
 	}
 }

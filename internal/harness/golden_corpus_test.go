@@ -208,6 +208,8 @@ func checkCorpus(t *testing.T, recs []corpusRecord, m corpusModel, rt core.Runti
 // recorded observation — logits, completion, full Stats including
 // per-section maps, reboot placement, and WAR records — bit for bit. The
 // corpus file is never regenerated: it is the interpreted walk's evidence.
+// For the same reason it holds no FRAM image; the fused oracles compare
+// final FRAM images fused against Scalar instead (nvRuntime).
 //
 // CI greps for each runtime × model PASS line and rejects skips.
 func TestTapeInterpreterDifferential(t *testing.T) {

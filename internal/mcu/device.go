@@ -221,6 +221,16 @@ type Device struct {
 	// observers that need it resync it from opsNow when they attach.
 	opsTotal int64
 	journal  *Journal
+
+	// fusedOps counts the operations charged through ChargeTrain since the
+	// last ResetStats (FusedOps). It is kept out of Stats, so a fused run
+	// and its Scalar reference report identical Stats.
+	fusedOps int64
+
+	// blocks interns the charge profiles NewBlock has built, by a hash of
+	// their op lists. Tokens and costs never change on a device, so a
+	// block stays valid for the device's life.
+	blocks map[uint64][]*Block
 }
 
 // New returns a device with the standard MSP430FR5994 memory sizes.
@@ -362,6 +372,7 @@ func (d *Device) ResetStats() {
 	d.batchOps = 0
 	d.opsInRegion = 0
 	d.opsTotal = 0
+	d.fusedOps = 0
 	d.commitNJ, d.wastedNJ = 0, 0
 	d.resyncNow()
 	d.secStats = nil // force SetSection to re-resolve into the fresh map
@@ -392,6 +403,12 @@ func (d *Device) TrackWasted(on bool) {
 // nanojoules; zero unless TrackWasted is enabled.
 func (d *Device) WastedNJ() float64 { return d.wastedNJ }
 
+// FusedOps reports how many of the charged operations since the last
+// ResetStats were funded through ChargeTrain, the fused path; the rest
+// went through Op, Ops and the Range macro-ops. It is zero on the Scalar
+// reference path and whenever CanFuse is false.
+func (d *Device) FusedOps() int64 { return d.fusedOps }
+
 // CanFuse reports whether the fused-kernel fast path may engage: not the
 // Scalar reference path, no journal or WAR tracker attached (both must see
 // the per-op stream), and no tracer subscribed to any event kind outside
@@ -401,7 +418,11 @@ func (d *Device) WastedNJ() float64 { return d.wastedNJ }
 // system must be one of the two devirtualized kinds (Intermittent or
 // Continuous), whose whole-block funding is exact; count-based
 // fault-injection systems take the scalar path so failure schedules keep
-// their op-exact placement.
+// their op-exact placement. When it holds, SONIC-family loops and tile
+// tasks whose bodies are all bulk chunks run as ChargeTrain spans; other
+// tile tasks (short chunks, privatized re-writes, pool) and the first
+// unfunded iteration of any span charge per op or per bulk range as
+// before.
 func (d *Device) CanFuse() bool {
 	return !d.Scalar && d.journal == nil && d.shadow == nil &&
 		d.traceMask&^ChargeCycleKinds == 0 && (d.intPower != nil || d.contPower)
@@ -693,16 +714,16 @@ func (d *Device) Ops(k OpKind, n int) {
 	}
 }
 
-// loadOp returns the load op kind for a region's memory.
-func loadOp(r *mem.Region) OpKind {
+// LoadOp returns the op kind a load from region r charges.
+func LoadOp(r *mem.Region) OpKind {
 	if r.Kind() == mem.FRAM {
 		return OpLoadFRAM
 	}
 	return OpLoadSRAM
 }
 
-// storeOp returns the store op kind for a region's memory.
-func storeOp(r *mem.Region) OpKind {
+// StoreOp returns the op kind a store to region r charges.
+func StoreOp(r *mem.Region) OpKind {
 	if r.Kind() == mem.FRAM {
 		return OpStoreFRAM
 	}
@@ -711,7 +732,7 @@ func storeOp(r *mem.Region) OpKind {
 
 // Load reads region word i, charging the memory's access cost.
 func (d *Device) Load(r *mem.Region, i int) int64 {
-	d.Op(loadOp(r))
+	d.Op(LoadOp(r))
 	if d.shadow != nil {
 		d.shadowRead(r, i)
 	}
@@ -721,7 +742,7 @@ func (d *Device) Load(r *mem.Region, i int) int64 {
 // Store writes region word i, charging the memory's access cost. The write
 // does not occur if power fails on this operation.
 func (d *Device) Store(r *mem.Region, i int, v int64) {
-	d.Op(storeOp(r))
+	d.Op(StoreOp(r))
 	if d.shadow != nil {
 		d.shadowWrite(r, i)
 	}
@@ -737,7 +758,7 @@ func (d *Device) LoadRange(r *mem.Region, i, n int) {
 	if n <= 0 {
 		return
 	}
-	k := loadOp(r)
+	k := LoadOp(r)
 	funded := d.chargeOps(k, n)
 	if d.shadow != nil {
 		for j := 0; j < funded; j++ {
@@ -759,7 +780,7 @@ func (d *Device) StoreRange(r *mem.Region, i int, vs []int64) {
 	if n == 0 {
 		return
 	}
-	k := storeOp(r)
+	k := StoreOp(r)
 	funded := d.chargeOps(k, n)
 	if d.journal == nil && d.shadow == nil {
 		// No write-log ordering or WAR records to maintain: the funded

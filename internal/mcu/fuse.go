@@ -1,5 +1,7 @@
 package mcu
 
+import "slices"
+
 // Fused-kernel charging: the charge-then-compute half of the fast path.
 //
 // A layer walk's inner loop charges the same multiset of operations on
@@ -15,6 +17,18 @@ package mcu
 // out at the identical op index with the identical partial energy
 // consumption, so logits, Stats, reboot placement, dead time, and
 // wasted-work figures are bit-exact with the scalar path.
+//
+// Two executors build trains. SONIC, TAILS and the checkpointing runtime
+// fund loop iterations that each end at a cursor commit (internal/sonic).
+// The Alpaca-style task runtime funds whole tasks — prologue, all-bulk
+// body, redo-log appends, two-phase commit (internal/task): a tile task
+// fuses only when every chunk of its body takes the bulk path, so short
+// chunks, re-writes of privatized words and scalar-only passes stay per
+// op. Fusing changes how many ops one call charges, not the device's
+// charging tiers: ChargeTrain funds whole iterations and books a commit
+// per iteration; Op, Ops and the Range macro-ops charge the failing op and
+// do not commit. Fundable sizes a train before it is charged, and
+// FusedOps counts what trains charged.
 //
 // ChargeTrain is only legal when Device.CanFuse() holds: no journal or WAR
 // shadow is attached, so there is no per-op observer to notify, and the
@@ -34,8 +48,8 @@ type BlockOp struct {
 }
 
 // Block is the pre-computed per-iteration charge profile of one fused
-// loop. Build it once per layer visit with NewBlock; it is device-local
-// (section tokens are) and immutable.
+// loop, obtained from NewBlock; it is device-local (section tokens are)
+// and immutable.
 type Block struct {
 	ops     []BlockOp
 	unitPJ  int64 // energy per iteration, integer picojoules
@@ -46,18 +60,36 @@ type Block struct {
 // UnitOps returns the charged operations per fused iteration.
 func (b *Block) UnitOps() int64 { return b.unitOps }
 
-// NewBlock builds the charge profile for one fused-loop iteration. The
+// NewBlock returns the charge profile for one fused-loop iteration. The
 // listed ops must be exactly the multiset the scalar iteration charges,
 // and the last entry's token must be the section the scalar iteration
-// would leave active at its commit.
+// would leave active at its commit. Blocks are interned per device: an op
+// list equal to an earlier one returns that block, so executors may ask
+// for a block on every layer visit or task, and across the runs of a
+// reused device, without allocating. The ops slice is not retained.
 func (d *Device) NewBlock(ops ...BlockOp) *Block {
-	b := &Block{ops: ops}
+	h := uint64(14695981039346656037) // FNV-1a over the op list
+	for _, op := range ops {
+		for _, v := range [3]uint64{uint64(op.Tok), uint64(op.Kind), uint64(op.N)} {
+			h = (h ^ v) * 1099511628211
+		}
+	}
+	for _, b := range d.blocks[h] {
+		if slices.Equal(b.ops, ops) {
+			return b
+		}
+	}
+	b := &Block{ops: slices.Clone(ops)}
 	for _, op := range ops {
 		n := int64(op.N)
 		b.unitPJ += n * d.costPJ[op.Kind]
 		b.unitCyc += n * d.costCyc[op.Kind]
 		b.unitOps += n
 	}
+	if d.blocks == nil {
+		d.blocks = make(map[uint64][]*Block)
+	}
+	d.blocks[h] = append(d.blocks[h], b)
 	return b
 }
 
@@ -93,6 +125,17 @@ func (d *Device) accountBlockOps(b *Block, mm int64) *tokEntry {
 		e.stats.OpCount[op.Kind] += int64(op.N) * mm
 	}
 	return &d.toks[b.ops[len(b.ops)-1].Tok]
+}
+
+// Fundable reports how many whole iterations of b, up to n, ChargeTrain
+// could fund now: its count without the charge. Callers that must plan
+// each iteration before charging it size their trains with it. Legal
+// only while CanFuse() holds.
+func (d *Device) Fundable(b *Block, n int) int {
+	if p := d.intPower; p != nil {
+		return p.Whole(b.unitPJ, n)
+	}
+	return n
 }
 
 // TrainSeg is one homogeneous stretch of a fused block train: N
@@ -134,6 +177,7 @@ func (d *Device) ChargeTrain(segs []TrainSeg) int {
 		}
 		mm := int64(m)
 		last = d.accountBlockOps(sg.Blk, mm)
+		d.fusedOps += sg.Blk.unitOps * mm
 		// Region sizes: the train's first funded iteration closes the open
 		// region (handled below via firstUnit); every later iteration spans
 		// exactly its own block's unitOps.

@@ -22,6 +22,7 @@ type DeviceSnapshot struct {
 	opsInRegion          int64
 	rebootsSinceProgress int
 	batchOps             int
+	fusedOps             int64
 
 	shadow        *mem.ShadowSnapshot
 	warViolations []WARViolation
@@ -47,6 +48,7 @@ func (d *Device) Snapshot() (*DeviceSnapshot, error) {
 		opsInRegion:          d.opsInRegion,
 		rebootsSinceProgress: d.rebootsSinceProgress,
 		batchOps:             d.batchOps,
+		fusedOps:             d.fusedOps,
 		warCount:             d.warCount,
 		warViolations:        append([]WARViolation(nil), d.warViolations...),
 	}
@@ -74,6 +76,7 @@ func (d *Device) Restore(s *DeviceSnapshot) error {
 	d.opsInRegion = s.opsInRegion
 	d.rebootsSinceProgress = s.rebootsSinceProgress
 	d.batchOps = s.batchOps
+	d.fusedOps = s.fusedOps
 	d.warCount = s.warCount
 	d.warViolations = append([]WARViolation(nil), s.warViolations...)
 	d.secStats = nil

@@ -13,6 +13,16 @@
 // This reproduces the cost structure the paper attributes to prior
 // task-based systems: every write pays dynamic buffering, every transition
 // pays commit plus dispatch, and every failure wastes the partial task.
+//
+// The simulated costs are the same whichever way the host executes a
+// task. A task is one atomic commit region, so when the device may fuse
+// (mcu.Device.CanFuse, and no observer on FRAM) Run funds runs of whole
+// tasks through mcu.ChargeTrain and applies their effects over raw words
+// (fuse.go). Only tasks with a fused form (SetFused) whose every chunk
+// would take the bulk path — fresh ReadRange, WriteRange and AccumulateRow
+// calls — fuse. A task with a short chunk, a re-write of a word it already
+// privatized, or no bulk form (a tile pool pass) runs per op, as does the
+// first task a train cannot fund, which browns out at the identical op.
 package task
 
 import (
@@ -105,6 +115,10 @@ func (rt *Runtime) regionID(r *mem.Region) int {
 type taskEntry struct {
 	name string
 	f    Func
+
+	// fused is the task's fused form (SetFused); nil for tasks that
+	// always run per op.
+	fused *fusedTask
 }
 
 // DefaultLogEntries is the redo-log capacity if the caller does not size it.
@@ -187,11 +201,13 @@ func (rt *Runtime) Start(entry ID) {
 // It returns mcu.ErrDoesNotComplete if some task cannot finish within the
 // device's energy buffer.
 func (rt *Runtime) Run() error {
+	var fz *Fuse
 	return rt.dev.Run(func() {
 		// Reboot path: a failure during commit must finish the commit by
 		// replaying the (idempotent) redo log.
 		if rt.dev.Load(rt.state, stPhase) == phaseCommit {
 			rt.replayAndFinish()
+			fz.forget()
 		}
 		// One Ctx serves every dispatch: it escapes into the task bodies,
 		// so allocating it per task would otherwise dominate the steady
@@ -199,6 +215,20 @@ func (rt *Runtime) Run() error {
 		// per inference).
 		ctx := Ctx{rt: rt}
 		for {
+			// Fused path: fund and apply runs of whole tasks while the
+			// device may fuse and no observer watches FRAM, where all
+			// task state lives; the dispatch it stops at runs per op
+			// below. Task ids are peeked free of charge; the fused tasks
+			// charge their own prologue loads of them.
+			for next := ID(rt.state.Get(stCur)); next != Done && rt.tasks[next].fused != nil &&
+				rt.dev.CanFuse() && !rt.dev.FRAM.Observed(); next = ID(rt.state.Get(stCur)) {
+				if fz == nil {
+					fz = &Fuse{rt: rt}
+				}
+				if !fz.run(next) {
+					break
+				}
+			}
 			cur := ID(rt.dev.Load(rt.state, stCur))
 			if cur == Done {
 				return
@@ -213,6 +243,7 @@ func (rt *Runtime) Run() error {
 			rt.clearWriteSet()
 			next := rt.tasks[cur].f(&ctx)
 			rt.commit(next)
+			fz.forget()
 		}
 	})
 }
