@@ -214,14 +214,14 @@ func (rt *Runtime) Run() error {
 		// state heap traffic of a pooled fleet (thousands of dispatches
 		// per inference).
 		ctx := Ctx{rt: rt}
+		// Fused tasks need a device that may fuse and no observer on
+		// FRAM, where all task state lives.
+		canFuse := rt.dev.CanFuse() && !rt.dev.FRAM.Observed()
 		for {
-			// Fused path: fund and apply runs of whole tasks while the
-			// device may fuse and no observer watches FRAM, where all
-			// task state lives; the dispatch it stops at runs per op
-			// below. Task ids are peeked free of charge; the fused tasks
-			// charge their own prologue loads of them.
-			for next := ID(rt.state.Get(stCur)); next != Done && rt.tasks[next].fused != nil &&
-				rt.dev.CanFuse() && !rt.dev.FRAM.Observed(); next = ID(rt.state.Get(stCur)) {
+			// Fused path: fund and apply runs of whole tasks; the dispatch
+			// it stops at runs per op below. Task ids are peeked free of
+			// charge; the fused tasks charge their own prologue loads.
+			for next := ID(rt.state.Get(stCur)); canFuse && next != Done && rt.tasks[next].fused != nil; next = ID(rt.state.Get(stCur)) {
 				if fz == nil {
 					fz = &Fuse{rt: rt}
 				}
