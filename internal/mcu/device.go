@@ -228,9 +228,10 @@ type Device struct {
 	fusedOps int64
 
 	// blocks interns the charge profiles NewBlock has built, by a hash of
-	// their op lists. Tokens and costs never change on a device, so a
-	// block stays valid for the device's life.
-	blocks map[uint64][]*Block
+	// their op lists (colliding blocks chain through Block.next). Tokens
+	// and costs never change on a device, so a block stays valid for the
+	// device's life.
+	blocks map[uint64]*Block
 }
 
 // New returns a device with the standard MSP430FR5994 memory sizes.
@@ -527,6 +528,9 @@ func (d *Device) SectionToken(layer string, phase Phase) SectionTok {
 	d.toks = append(d.toks, tokEntry{sec: Section{Layer: layer, Phase: phase}})
 	return SectionTok(len(d.toks) - 1)
 }
+
+// InSection reports whether t's section is the current one.
+func (d *Device) InSection(t SectionTok) bool { return d.toks[t].sec == d.section }
 
 // SetSectionTok is SetSection through a pre-resolved handle: the same
 // section change, layer-transition trace events, and journal record, with

@@ -52,9 +52,10 @@ type BlockOp struct {
 // and immutable.
 type Block struct {
 	ops     []BlockOp
-	unitPJ  int64 // energy per iteration, integer picojoules
-	unitCyc int64 // live cycles per iteration
-	unitOps int64 // charged operations per iteration
+	unitPJ  int64  // energy per iteration, integer picojoules
+	unitCyc int64  // live cycles per iteration
+	unitOps int64  // charged operations per iteration
+	next    *Block // the next interned block with the same hash
 }
 
 // UnitOps returns the charged operations per fused iteration.
@@ -74,12 +75,12 @@ func (d *Device) NewBlock(ops ...BlockOp) *Block {
 			h = (h ^ v) * 1099511628211
 		}
 	}
-	for _, b := range d.blocks[h] {
+	for b := d.blocks[h]; b != nil; b = b.next {
 		if slices.Equal(b.ops, ops) {
 			return b
 		}
 	}
-	b := &Block{ops: slices.Clone(ops)}
+	b := &Block{ops: slices.Clone(ops), next: d.blocks[h]}
 	for _, op := range ops {
 		n := int64(op.N)
 		b.unitPJ += n * d.costPJ[op.Kind]
@@ -87,9 +88,9 @@ func (d *Device) NewBlock(ops ...BlockOp) *Block {
 		b.unitOps += n
 	}
 	if d.blocks == nil {
-		d.blocks = make(map[uint64][]*Block)
+		d.blocks = make(map[uint64]*Block)
 	}
-	d.blocks[h] = append(d.blocks[h], b)
+	d.blocks[h] = b
 	return b
 }
 

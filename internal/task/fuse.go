@@ -44,18 +44,10 @@ type FuseFunc func(f *Fuse, j int) (next ID, ok bool)
 
 // SetFused attaches fz as task id's fused form. layer is the section layer
 // the task's body is attributed to, whose transition section carries the
-// prologue and commit ops.
+// commit ops.
 func (rt *Runtime) SetFused(id ID, layer string, fz FuseFunc) {
-	rt.tasks[id].fused = &fusedTask{fz: fz, layer: layer}
-}
-
-// fusedTask is a task's fused form, its body's section layer, and the
-// token of that layer's transition section once hasTokT is set.
-type fusedTask struct {
-	fz      FuseFunc
-	layer   string
-	tokT    mcu.SectionTok
-	hasTokT bool
+	e := &rt.tasks[id]
+	e.fused, e.tokT = fz, rt.dev.SectionToken(layer, mcu.PhaseTransition)
 }
 
 // maxFuseBatch bounds how many dispatches one ChargeTrain call covers.
@@ -105,6 +97,14 @@ type Fuse struct {
 	next []ID  // planned dispatches' transition targets
 	ents []int // and their redo-log entry counts
 
+	// Backing arrays for the Fuse's slices, so its batches allocate
+	// nothing.
+	segsBuf [maxFuseBatch]mcu.TrainSeg
+	nextBuf [maxFuseBatch]ID
+	entsBuf [maxFuseBatch]int
+	spanBuf [8]span
+	opsBuf  [32]mcu.BlockOp
+
 	// pend is the plan of the dispatch a train could not fund, which the
 	// per-op path attempts next and browns out on. Until a commit moves
 	// the state on, the next run re-uses it instead of planning the same
@@ -127,6 +127,14 @@ func (f *Fuse) forget() {
 	if f != nil {
 		f.hasPend = false
 	}
+}
+
+// newFuse returns the fused-task executor of one Run of rt.
+func newFuse(rt *Runtime) *Fuse {
+	f := &Fuse{rt: rt}
+	f.segs, f.next, f.ents = f.segsBuf[:0], f.nextBuf[:0], f.entsBuf[:0]
+	f.spans, f.ops = f.spanBuf[:0], f.opsBuf[:0]
+	return f
 }
 
 // Planning reports whether the current walk records charges (true) or
@@ -310,18 +318,15 @@ func (f *Fuse) build(tokP mcu.SectionTok) *mcu.Block {
 // fuse the next task.
 func (f *Fuse) run(cur ID) bool {
 	rt, dev := f.rt, f.rt.dev
-	e := rt.tasks[cur].fused
-	if !e.hasTokT {
-		e.tokT, e.hasTokT = dev.SectionToken(e.layer, mcu.PhaseTransition), true
-	}
+	fused, tokT := rt.tasks[cur].fused, rt.tasks[cur].tokT
 	// The first dispatch's prologue is charged to the section left active
 	// before it — usually the previous task's commit section, but another
 	// layer's, or the one a brown-out interrupted, in the first task of a
 	// pass or of an attempt; every later one's to the previous dispatch's
 	// commit section.
-	tokT, tokP := e.tokT, e.tokT
-	if layer, ph := dev.Section(); ph != mcu.PhaseTransition || layer != e.layer {
-		tokP = dev.SectionToken(layer, ph)
+	tokP := tokT
+	if !dev.InSection(tokT) {
+		tokP = dev.SectionToken(dev.Section())
 	}
 	for {
 		f.planning = true
@@ -334,7 +339,7 @@ func (f *Fuse) run(cur ID) bool {
 			} else {
 				f.beginPlan(tokT)
 				var ok bool
-				if next, ok = e.fz(f, j); !ok || f.entries > rt.cap {
+				if next, ok = fused(f, j); !ok || f.entries > rt.cap {
 					stop = true
 					break
 				}
@@ -376,7 +381,7 @@ func (f *Fuse) run(cur ID) bool {
 		}
 		for j := 0; j < m; j++ {
 			f.n, f.skip = 0, f.ents[j]
-			e.fz(f, j)
+			fused(f, j)
 			next := int64(f.next[j])
 			f.state[stPhase], f.state[stCur], f.state[stNext], f.state[stCount] = phaseExec, next, next, 0
 		}

@@ -116,9 +116,10 @@ type taskEntry struct {
 	name string
 	f    Func
 
-	// fused is the task's fused form (SetFused); nil for tasks that
-	// always run per op.
-	fused *fusedTask
+	// fused is the task's fused form (SetFused), nil for tasks that
+	// always run per op, and tokT its layer's transition section.
+	fused FuseFunc
+	tokT  mcu.SectionTok
 }
 
 // DefaultLogEntries is the redo-log capacity if the caller does not size it.
@@ -223,7 +224,7 @@ func (rt *Runtime) Run() error {
 			// charge; the fused tasks charge their own prologue loads.
 			for next := ID(rt.state.Get(stCur)); canFuse && next != Done && rt.tasks[next].fused != nil; next = ID(rt.state.Get(stCur)) {
 				if fz == nil {
-					fz = &Fuse{rt: rt}
+					fz = newFuse(rt)
 				}
 				if !fz.run(next) {
 					break
