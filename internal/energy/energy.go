@@ -81,6 +81,10 @@ func (c Capacitor) UsableNJ() float64 {
 	return 0.5 * c.C * (c.VOn*c.VOn - c.VOff*c.VOff) * 1e9
 }
 
+// UsablePJ returns the usable buffered energy in the integer picojoules
+// an Intermittent accounts in.
+func (c Capacitor) UsablePJ() int64 { return pjOf(c.UsableNJ()) }
+
 // CapBank returns a capacitor bank of the paper's evaluated sizes (§8:
 // 100 µF, 1 mF, 50 mF) with the narrow unregulated operating window of
 // MSP430-class energy-harvesting frontends (turn-on 1.88 V, brown-out
@@ -178,6 +182,12 @@ func (h *SolarHarvester) PowerW() float64 {
 // Intermittent is a capacitor-buffered harvesting power system. The buffer
 // level is tracked in integer picojoules (see pjOf) so the bulk path's
 // n-fold subtraction is bit-identical to n scalar subtractions.
+//
+// Only the capacitor decides which ops are funded: Recharge always refills
+// to the usable energy, and the harvester sets nothing but the dead time.
+// So an op stream runs identically on every Intermittent with the same
+// usable energy (ExecKey), and a run's dead time on any harvester follows
+// from its deficit tape (RecordDeficits, DeficitTape.Dead).
 type Intermittent struct {
 	Cap       Capacitor
 	Harvester Harvester
@@ -186,6 +196,8 @@ type Intermittent struct {
 	usablePJ    int64
 	harvestedNJ float64
 	deadSec     float64
+	recording   bool
+	tape        DeficitTape
 }
 
 // NewIntermittent returns a power system with the capacitor fully charged.
@@ -260,15 +272,68 @@ func (p *Intermittent) Whole(unitPJ int64, n int) int {
 func (p *Intermittent) Recharge() float64 {
 	deficitPJ := p.usablePJ - max(p.remainingPJ, 0)
 	p.remainingPJ = p.usablePJ
-	w := p.Harvester.PowerW()
+	if p.recording {
+		p.tape = p.tape.add(deficitPJ)
+	}
+	d := DeadTime(deficitPJ, p.Harvester.PowerW())
+	p.harvestedNJ += float64(deficitPJ) * 1e-3
+	p.deadSec += d
+	return d
+}
+
+// DeadTime is the time in seconds a harvester delivering w watts takes to
+// refill deficitPJ picojoules. Recharge and DeficitTape.Dead both evaluate
+// it, so a replayed dead time is bit-identical to the recharged one.
+func DeadTime(deficitPJ int64, w float64) float64 {
 	if w <= 0 {
 		panic("energy: harvester produced non-positive power")
 	}
-	deficit := float64(deficitPJ) * 1e-3 // nJ
-	d := deficit * 1e-9 / w
-	p.harvestedNJ += deficit
-	p.deadSec += d
-	return d
+	return float64(deficitPJ) * 1e-3 * 1e-9 / w
+}
+
+// RecordDeficits starts recording the deficit tape, empty. Recording is
+// off by default, so runs that never read the tape never grow it.
+func (p *Intermittent) RecordDeficits() {
+	p.recording = true
+	p.tape = nil
+}
+
+// Deficits returns the deficits recorded since RecordDeficits or the last
+// Reset.
+func (p *Intermittent) Deficits() DeficitTape { return p.tape }
+
+// DeficitTape is the sequence of deficits an Intermittent's recharges
+// refilled, in order, run-length encoded. The device model browns out
+// only on an op the capacitor cannot fund, which leaves it empty, so a
+// device run's tape is one run of its reboot count at the usable energy.
+type DeficitTape []deficitRun
+
+// deficitRun is n consecutive recharges of pj picojoules each.
+type deficitRun struct {
+	pj int64
+	n  int
+}
+
+func (t DeficitTape) add(pj int64) DeficitTape {
+	if k := len(t); k > 0 && t[k-1].pj == pj {
+		t[k-1].n++
+		return t
+	}
+	return append(t, deficitRun{pj: pj, n: 1})
+}
+
+// Dead replays the tape on h: DeadTime of every deficit at h's power for
+// that cycle, summed in order from zero. On a harvester that draws the
+// same power sequence as the recording run's, it bit-equals the sum of
+// that run's Recharge returns.
+func (t DeficitTape) Dead(h Harvester) float64 {
+	var dead float64
+	for _, r := range t {
+		for range r.n {
+			dead += DeadTime(r.pj, h.PowerW())
+		}
+	}
+	return dead
 }
 
 // ObservedHarvestW reports the mean harvest power actually seen by the run
@@ -291,12 +356,14 @@ func (p *Intermittent) BufferEnergy() float64 { return p.Cap.UsableNJ() }
 // samples it to render the sawtooth voltage/energy track of Fig. 6.
 func (p *Intermittent) LevelNJ() float64 { return float64(max(p.remainingPJ, 0)) * 1e-3 }
 
-// Reset refills the capacitor and discards harvest observations.
+// Reset refills the capacitor and discards harvest observations and the
+// deficit tape.
 func (p *Intermittent) Reset() {
-	p.usablePJ = pjOf(p.Cap.UsableNJ())
+	p.usablePJ = p.Cap.UsablePJ()
 	p.remainingPJ = p.usablePJ
 	p.harvestedNJ = 0
 	p.deadSec = 0
+	p.tape = nil
 }
 
 // String describes the power system.

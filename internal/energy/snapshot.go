@@ -1,6 +1,9 @@
 package energy
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // SystemState is an opaque, immutable capture of a power system's
 // instantaneous state, produced by a Snapshotter and reinstated with
@@ -41,11 +44,14 @@ type intermittentState struct {
 	usablePJ    int64
 	harvestedNJ float64
 	deadSec     float64
+	recording   bool
+	tape        DeficitTape
 }
 
-// SnapshotState captures the buffer level and harvest observations.
+// SnapshotState captures the buffer level, harvest observations and the
+// deficit tape.
 func (p *Intermittent) SnapshotState() SystemState {
-	return intermittentState{p.remainingPJ, p.usablePJ, p.harvestedNJ, p.deadSec}
+	return intermittentState{p.remainingPJ, p.usablePJ, p.harvestedNJ, p.deadSec, p.recording, slices.Clone(p.tape)}
 }
 
 func (st intermittentState) restoreTo(s System) bool {
@@ -57,6 +63,8 @@ func (st intermittentState) restoreTo(s System) bool {
 	p.usablePJ = st.usablePJ
 	p.harvestedNJ = st.harvestedNJ
 	p.deadSec = st.deadSec
+	p.recording = st.recording
+	p.tape = slices.Clone(st.tape)
 	return true
 }
 

@@ -3,6 +3,7 @@ package energy
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -27,7 +28,7 @@ func drive(s System, seed uint64, ops int) {
 func observe(s System, probe System) []any {
 	obs := []any{s.BufferEnergy()}
 	if p, ok := s.(*Intermittent); ok {
-		obs = append(obs, p.LevelNJ(), p.ObservedHarvestW())
+		obs = append(obs, p.LevelNJ(), p.ObservedHarvestW(), slices.Clone(p.Deficits()))
 	}
 	if r, ok := s.(*Recorder); ok {
 		obs = append(obs, r.LevelNJ(), append([]TracePoint(nil), r.Trace()...))
@@ -47,13 +48,16 @@ func observe(s System, probe System) []any {
 
 // TestSnapshotRoundTripAllSystems: after an arbitrary op prefix, snapshot,
 // run further, restore — the observable state (buffer pJ, schedule cursor,
-// recorded trace) and all forward behavior must be bit-identical to the
+// recorded trace, deficit tape) and all forward behavior must be bit-identical to the
 // snapshot instant.
 func TestSnapshotRoundTripAllSystems(t *testing.T) {
 	mk := func() []System {
+		taped := NewIntermittent(Cap100uF, ConstantHarvester{DefaultRFWatts})
+		taped.RecordDeficits()
 		return []System{
 			Continuous{},
 			NewIntermittent(Cap100uF, ConstantHarvester{DefaultRFWatts}),
+			taped,
 			NewFailAfterOps(137, 41),
 			NewFailSchedule([]int{120, 75, 300}),
 			NewRecorder(NewIntermittent(Cap100uF, ConstantHarvester{DefaultRFWatts}), 16),

@@ -56,6 +56,19 @@ func (s SystemSpec) Validate() error {
 // kinds ignore it, so equal (spec, seed) pairs always yield systems with
 // identical behavior.
 func (s SystemSpec) New(seed uint64) (System, error) {
+	h, err := s.NewHarvester(seed)
+	if err != nil {
+		return nil, err
+	}
+	if h == nil {
+		return Continuous{}, nil
+	}
+	return NewIntermittent(CapBank(s.CapFarads), h), nil
+}
+
+// NewHarvester constructs the harvester of the system New builds from the
+// same seed, drawing the same power sequence; it is nil for "cont".
+func (s SystemSpec) NewHarvester(seed uint64) (Harvester, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -63,25 +76,38 @@ func (s SystemSpec) New(seed uint64) (System, error) {
 	if w == 0 {
 		w = DefaultRFWatts
 	}
-	cap := CapBank(s.CapFarads)
 	switch s.Kind {
 	case "cont":
-		return Continuous{}, nil
+		return nil, nil
 	case "const":
-		return NewIntermittent(cap, ConstantHarvester{Watts: w}), nil
+		return ConstantHarvester{Watts: w}, nil
 	case "stoch":
 		sigma := s.Sigma
 		if sigma == 0 {
 			sigma = 0.4
 		}
-		return NewIntermittent(cap, NewStochasticHarvester(w, sigma, seed)), nil
+		return NewStochasticHarvester(w, sigma, seed), nil
 	case "solar":
-		return NewIntermittent(cap, NewSolarHarvester(w, seed)), nil
+		return NewSolarHarvester(w, seed), nil
 	default: // "trace", already validated
-		h, err := NewTraceHarvester(s.Trace)
-		if err != nil {
-			return nil, err
-		}
-		return NewIntermittent(cap, h), nil
+		return NewTraceHarvester(s.Trace)
 	}
+}
+
+// ExecKey is all of a power system that a run on it can observe besides
+// time: continuous power, or an Intermittent's usable energy. Systems
+// with equal keys fund every op stream identically whatever their
+// harvesters; only the dead time differs, and a deficit tape replays it.
+type ExecKey struct {
+	Continuous bool
+	UsablePJ   int64 // zero for continuous power
+}
+
+// ExecKey returns the execution key of the system New builds, for any
+// seed. The spec must be valid.
+func (s SystemSpec) ExecKey() ExecKey {
+	if s.Kind == "cont" {
+		return ExecKey{Continuous: true}
+	}
+	return ExecKey{UsablePJ: CapBank(s.CapFarads).UsablePJ()}
 }

@@ -219,6 +219,7 @@ type Campaign struct {
 	models map[string]Model
 	rts    map[string]core.Runtime
 	protos map[string]*Prototype
+	execs  []*execSlot
 	shards []*shard
 	done   atomic.Int64
 
@@ -260,6 +261,7 @@ func NewCampaign(spec Spec, models map[string]Model) (*Campaign, error) {
 		c.protos[name] = proto
 		c.prov.Prototypes++
 	}
+	c.execs = newExecTable(&c.spec)
 	c.shards = make([]*shard, spec.shardCount())
 	for i := range c.shards {
 		c.shards[i] = &shard{agg: newAggregates()}
@@ -317,11 +319,12 @@ func (c *Campaign) Run(ctx context.Context, workers int) (*Result, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Each worker provisions its devices from a private pool: one
-			// reusable device per model, rewound by COW restore between
-			// devices. Pool state never crosses workers, and the simulation
-			// a device runs is bit-identical to a fresh deploy, so shard
-			// results stay a pure function of (spec, index).
+			// Each worker simulates the executions it reaches first on a
+			// private pool: one reusable device per model, rewound by COW
+			// restore between executions. Pool state never crosses
+			// workers, and an execution is bit-identical to a fresh deploy
+			// whichever device ran it, so shard results stay a pure
+			// function of (spec, index).
 			pool := c.newPool()
 			defer func() {
 				c.provMu.Lock()
@@ -358,8 +361,8 @@ func (c *Campaign) Run(ctx context.Context, workers int) (*Result, error) {
 	return c.Snapshot()
 }
 
-// runShard simulates every device of shard s in index order, provisioning
-// each from the owning worker's pool.
+// runShard folds in every device of shard s in index order, simulating
+// each execution the shard reaches first on the owning worker's pool.
 func (c *Campaign) runShard(ctx context.Context, s int, pool *pool) error {
 	sh := c.shards[s]
 	stride := len(c.shards)
@@ -368,7 +371,7 @@ func (c *Campaign) runShard(ctx context.Context, s int, pool *pool) error {
 			return err
 		}
 		ds := c.spec.Device(i)
-		st, err := pool.simulate(ds, c.models[ds.Model], c.rts[ds.Runtime])
+		st, err := c.device(ds, pool)
 		if err != nil {
 			return err
 		}

@@ -258,6 +258,8 @@ func TestFleetSpecValidation(t *testing.T) {
 		"unknown-runtime": func(s *Spec) { s.Runtimes = []string{"quantum"} },
 		"no-powers":       func(s *Spec) { s.Powers = nil },
 		"bad-power":       func(s *Spec) { s.Powers[0].CapFarads = -1 },
+		// One combination past the bound: 4 runtimes x 1025 power classes.
+		"too-many-combinations": func(s *Spec) { s.Powers = repeatPower(s.Powers[0], MaxCombinations/4+1) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := testSpec(10)
@@ -271,6 +273,18 @@ func TestFleetSpecValidation(t *testing.T) {
 	if err := s.Validate(models); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
+	s.Powers = repeatPower(s.Powers[0], MaxCombinations/4)
+	if err := s.Validate(models); err != nil {
+		t.Fatalf("spec at exactly MaxCombinations rejected: %v", err)
+	}
+}
+
+func repeatPower(p PowerClass, n int) []PowerClass {
+	out := make([]PowerClass, n)
+	for i := range out {
+		out[i] = p
+	}
+	return out
 }
 
 func TestFleetRuntimeByName(t *testing.T) {

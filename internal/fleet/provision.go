@@ -40,7 +40,7 @@ func NewPrototype(m Model) (*Prototype, error) {
 type ProvisionStats struct {
 	Prototypes   int64 `json:"prototypes"`    // prototype deploys (one per campaign model, shared)
 	SlotDeploys  int64 `json:"slot_deploys"`  // pool-slot cold deploys (≤ workers × models)
-	Restores     int64 `json:"restores"`      // devices provisioned by COW restore-in-place
+	Restores     int64 `json:"restores"`      // executions provisioned by COW restore-in-place (one per distinct execution)
 	PagesCopied  int64 `json:"pages_copied"`  // snapshot pages rewritten during restores
 	PagesClean   int64 `json:"pages_clean"`   // pages compared and found untouched
 	PagesSkipped int64 `json:"pages_skipped"` // pages skipped wholesale (region never written)
@@ -123,24 +123,52 @@ func (c *Campaign) newPool() *pool {
 	return &pool{protos: c.protos, slots: make(map[string]*slot, len(c.protos))}
 }
 
-// simulate runs one device instance through this worker's pool and
-// extracts its stats, bit-identically to a fresh deploy.
-func (p *pool) simulate(ds DeviceSpec, m Model, rt core.Runtime) (DeviceStats, error) {
+// execution is one distinct simulation of a campaign: the stats of the
+// device that ran it, its live seconds to the first inference, and the
+// deficit tape of its recharges. Every device of the campaign with the
+// same model, runtime and power execution key shares it (newExecTable).
+type execution struct {
+	st   DeviceStats
+	live float64
+	tape energy.DeficitTape
+}
+
+// simulate runs one execution on this worker's pool: device ds is
+// provisioned into the model's slot with its own power system, recording
+// deficits, and run to its first inference, bit-identically to a fresh
+// deploy. A runtime panic becomes the returned error, naming the device,
+// so one bad job cannot take down the process that runs it.
+func (p *pool) simulate(ds DeviceSpec, m Model, rt core.Runtime) (ex execution, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("fleet: device %d (%s/%s/%s): runtime panic: %v", ds.Index, m.Net, ds.Runtime, ds.Power.Name, r)
+		}
+	}()
 	sl := p.slots[ds.Model]
 	if sl == nil {
-		var err error
 		if sl, err = newSlot(p.protos[ds.Model]); err != nil {
-			return DeviceStats{}, err
+			return ex, err
 		}
 		p.slots[ds.Model] = sl
 		p.stats.SlotDeploys++
 	}
 	power, err := ds.Power.New(ds.HarvestSeed)
 	if err != nil {
-		return DeviceStats{}, err
+		return ex, err
+	}
+	ip, _ := power.(*energy.Intermittent)
+	if ip != nil {
+		ip.RecordDeficits()
 	}
 	if err := sl.provision(power, &p.stats); err != nil {
-		return DeviceStats{}, fmt.Errorf("fleet: device %d: %w", ds.Index, err)
+		return ex, fmt.Errorf("fleet: device %d: %w", ds.Index, err)
 	}
-	return runDevice(sl.dev, sl.img, ds, m, rt)
+	if ex.st, err = runDevice(sl.dev, sl.img, ds, m, rt); err != nil {
+		return ex, err
+	}
+	ex.live = sl.dev.Stats().LiveSeconds(sl.dev.Cost.ClockHz)
+	if ip != nil {
+		ex.tape = ip.Deficits()
+	}
+	return ex, nil
 }

@@ -32,7 +32,7 @@ func TestProvisionedTinyFleetBitIdentical(t *testing.T) {
 				t.Fatalf("pooled workers=%d aggregates differ from fresh baseline:\ngot  %+v\nwant %+v", workers, got, want)
 			}
 			p := r.Provision
-			if p.Restores != 600 {
+			if p.Restores != distinctExecutions(spec) {
 				t.Fatalf("pooled campaign provisioning counters off: %+v", p)
 			}
 			if p.Prototypes != 1 {
@@ -75,11 +75,11 @@ func TestPoolPurityAfterBrownOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	dnc := DeviceSpec{Index: 0, Model: "tiny", Runtime: "tile-128", Power: rf, HarvestSeed: deviceSeed(1, 0)}
-	st, err := p.simulate(dnc, m, rt128)
+	ex, err := p.simulate(dnc, m, rt128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Completed || st.Reboots == 0 {
+	if st := ex.st; st.Completed || st.Reboots == 0 {
 		t.Fatalf("residue generator broke: tile-128 on rf-20uF completed=%v reboots=%d", st.Completed, st.Reboots)
 	}
 
@@ -116,11 +116,11 @@ func TestPoolPurityAfterBrownOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Completed {
+	if !got.st.Completed {
 		t.Fatal("sonic on rf-20uF should complete")
 	}
-	if !reflect.DeepEqual(got, wantSt) {
-		t.Fatalf("post-brown-out pooled device stats = %+v, fresh = %+v", got, wantSt)
+	if !reflect.DeepEqual(got.st, wantSt) {
+		t.Fatalf("post-brown-out pooled device stats = %+v, fresh = %+v", got.st, wantSt)
 	}
 }
 

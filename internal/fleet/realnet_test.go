@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/energy"
@@ -104,9 +105,37 @@ func TestProvisionedFleetBitIdentical(t *testing.T) {
 				b, _ := json.Marshal(got.Summary)
 				t.Fatalf("provisioned fleet (workers=%d) diverges from fresh:\nfresh       %s\nprovisioned %s", workers, a, b)
 			}
-			if p := r.Provision; p.Restores != int64(spec.Devices) || p.Prototypes != int64(len(spec.Models)) {
+			if p := r.Provision; p.Restores != distinctExecutions(spec) || p.Prototypes != int64(len(spec.Models)) {
 				t.Fatalf("provisioning counters off: %+v", r.Provision)
 			}
 		})
+	}
+}
+
+// TestFleetRuntimePanicFailsCampaign is the regression for a runtime that
+// panics mid-inference: tile-100000 passes Spec.Validate but overflows the
+// task runtime's redo log on mnist. The panic, raised in a worker
+// goroutine, must come back as the campaign's error naming the device
+// instead of killing the process.
+func TestFleetRuntimePanicFailsCampaign(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs the quick-mode mnist network")
+	}
+	_, models := realNetCampaign(t)
+	spec := Spec{
+		Devices:  1,
+		Seed:     1,
+		Models:   []string{"mnist"},
+		Runtimes: []string{"tile-100000"},
+		Powers:   []PowerClass{{Name: "cont", SystemSpec: energy.SystemSpec{Kind: "cont"}}},
+	}
+	r, err := Run(context.Background(), spec, models, 2)
+	if err == nil {
+		t.Fatalf("panicking runtime finished the campaign: %+v", r.Agg.Summary())
+	}
+	for _, want := range []string{"device 0 (mnist/tile-100000/cont)", "panic", "redo log overflow"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("campaign error %q does not contain %q", err, want)
+		}
 	}
 }

@@ -3,15 +3,34 @@
 // system, network, and runtime — across a sharded worker pool, streaming
 // per-device metrics into aggregate statistics (IMpJ and latency quantile
 // sketches, reboot and wasted-energy histograms) whose memory stays
-// O(workers + shards), never O(fleet).
+// O(workers + shards + executions), never O(fleet). The execution table
+// holds one entry per Models × Runtimes × Powers combination, at most
+// MaxCombinations, and each simulated entry keeps one DeviceStats and a
+// run-length deficit tape (one run per change of recharge deficit; the
+// device model always browns out empty, so one run in practice).
+//
+// Shared executions: a device's ops, reboots, energy, wasted work and
+// completion depend on its power system only through energy.ExecKey —
+// continuous, or the capacitor's usable energy — because the capacitor
+// alone decides where a run browns out and the harvester only sets how
+// long each recharge takes. So a campaign simulates each distinct
+// (model, runtime, execution key) once, on the pool of the first worker
+// to reach it, recording the deficit of every recharge; every device with
+// that key, the first included, takes its stats from that execution and
+// replays its own seeded harvester over the deficits to get its
+// first-inference latency (live seconds plus Σ deficit/W, the Recharge
+// arithmetic summed in the same order). Provision.Restores therefore
+// counts executions, not devices.
 //
 // Determinism: device i's entire simulation is a pure function of
 // (Spec, i) — its harvest seed, model, runtime, and power system are all
 // derived from the campaign seed and the device index, never from which
-// worker ran it. Devices are assigned to a fixed number of logical shards
-// by index (i mod Shards), each shard aggregates its devices in index
-// order, and shards merge in shard order, so the campaign result is
-// bit-identical under any worker count (see
+// worker ran it, and a shared execution is bit-identical to the one the
+// device would have run itself (TestFleetSharedExecutions,
+// TestHarvesterNeverSteersExecution). Devices are assigned to a fixed
+// number of logical shards by index (i mod Shards), each shard aggregates
+// its devices in index order, and shards merge in shard order, so the
+// campaign result is bit-identical under any worker count (see
 // TestFleetDeterministicAcrossWorkers).
 package fleet
 
@@ -115,6 +134,12 @@ func deviceSeed(seed uint64, i int) uint64 {
 	return z ^ (z >> 31)
 }
 
+// MaxCombinations bounds a campaign's Models × Runtimes × Powers cross
+// product, and with it the execution table a campaign keeps (one entry
+// per combination). It is a fixed limit, not an option: a spec that needs
+// more combinations is split into several campaigns.
+const MaxCombinations = 4096
+
 // Validate checks the spec against a model registry. MaxDevices guards
 // the serving path against unbounded job submissions.
 func (s *Spec) Validate(models map[string]Model) error {
@@ -139,6 +164,11 @@ func (s *Spec) Validate(models map[string]Model) error {
 	}
 	if len(s.Powers) == 0 {
 		return fmt.Errorf("fleet: campaign names no power classes")
+	}
+	// Stepwise, so the product cannot overflow on runaway lists.
+	if n := len(s.Models) * len(s.Runtimes); n > MaxCombinations || len(s.Powers) > MaxCombinations/n {
+		return fmt.Errorf("fleet: campaign has %d models x %d runtimes x %d power classes, more than %d combinations",
+			len(s.Models), len(s.Runtimes), len(s.Powers), MaxCombinations)
 	}
 	for i, p := range s.Powers {
 		if err := p.SystemSpec.Validate(); err != nil {

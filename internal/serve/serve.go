@@ -53,6 +53,10 @@ type Options struct {
 // DefaultMaxDevices caps a single job's fleet size.
 const DefaultMaxDevices = 1_000_000
 
+// queueFullRetryAfter is the Retry-After, in seconds, of a 503 "job queue
+// is full" response.
+const queueFullRetryAfter = "1"
+
 // DefaultMaxFinishedJobs is the terminal-job retention bound. A retained
 // terminal job costs O(summary) — its campaign's shard aggregates are
 // dropped at finalization — so the server's footprint stays bounded no
@@ -455,6 +459,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.mu.Unlock()
 		cancel()
+		// The queue drains as the runner finishes jobs; tell the client
+		// when to retry instead of leaving it to poll blindly.
+		w.Header().Set("Retry-After", queueFullRetryAfter)
 		writeErr(w, http.StatusServiceUnavailable, "job queue is full")
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -43,6 +44,22 @@ func tinySpec(devices int) fleet.Spec {
 			{Name: "cont", SystemSpec: energy.SystemSpec{Kind: "cont"}},
 		},
 	}
+}
+
+// longSpec is a tiny-model campaign that stays observable while it runs:
+// a campaign simulates each distinct (model, runtime, capacitor)
+// execution once and derives every other device from it, so it is the
+// 2048 executions of 4 runtimes x 512 capacitor sizes, not the device
+// count, that keep the job busy.
+func longSpec(devices int) fleet.Spec {
+	spec := tinySpec(devices)
+	spec.Runtimes = []string{"tile-8", "tile-32", "sonic", "tails"}
+	spec.Powers = nil
+	for k := 0; k < 512; k++ {
+		spec.Powers = append(spec.Powers, fleet.PowerClass{Name: fmt.Sprintf("rf-%d", k),
+			SystemSpec: energy.SystemSpec{Kind: "const", CapFarads: 20e-6 + float64(k)*0.05e-6}})
+	}
+	return spec
 }
 
 func postSpec(t *testing.T, ts *httptest.Server, spec fleet.Spec) (jobDoc, int) {
@@ -280,7 +297,7 @@ func TestServeModelReuseAcrossJobs(t *testing.T) {
 // stops short.
 func TestServeCancellation(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	d, code := postSpec(t, ts, tinySpec(50000))
+	d, code := postSpec(t, ts, longSpec(50000))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status = %d", code)
 	}
@@ -309,7 +326,7 @@ func TestServeCancellation(t *testing.T) {
 		t.Fatalf("cancelled job simulated all %d devices", fin.Total)
 	}
 	// A cancelled job is not reused for dedup — resubmission retries it.
-	retry, code := postSpec(t, ts, tinySpec(50000))
+	retry, code := postSpec(t, ts, longSpec(50000))
 	if code != http.StatusAccepted || retry.ID == d.ID {
 		t.Fatalf("cancelled job was reused: code=%d id=%s", code, retry.ID)
 	}
@@ -319,7 +336,7 @@ func TestServeCancellation(t *testing.T) {
 // and live aggregates before completion.
 func TestServeProgressStreams(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	d, _ := postSpec(t, ts, tinySpec(20000))
+	d, _ := postSpec(t, ts, longSpec(20000))
 	sawPartial := false
 	deadline := time.Now().Add(30 * time.Second)
 	last := 0
@@ -394,8 +411,8 @@ func TestServeShutdownDeadlineCancels(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	d, _ := postSpec(t, ts, tinySpec(200000))
-	queuedSpec := tinySpec(200000)
+	d, _ := postSpec(t, ts, longSpec(200000))
+	queuedSpec := longSpec(200000)
 	queuedSpec.Seed = 2
 	q, code := postSpec(t, ts, queuedSpec)
 	if code != http.StatusAccepted {
@@ -650,12 +667,12 @@ func TestServeHealthz(t *testing.T) {
 func TestServeQueueFull(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 	// Long-running job occupies the runner...
-	if _, code := postSpec(t, ts, tinySpec(100000)); code != http.StatusAccepted {
+	if _, code := postSpec(t, ts, longSpec(100000)); code != http.StatusAccepted {
 		t.Fatalf("first submit: %d", code)
 	}
 	// ...second fills the queue slot (runner may have already drained the
 	// first from the channel, so allow either outcome for this one)...
-	s2 := tinySpec(100000)
+	s2 := longSpec(100000)
 	s2.Seed = 2
 	_, code2 := postSpec(t, ts, s2)
 	if code2 != http.StatusAccepted && code2 != http.StatusServiceUnavailable {
@@ -665,10 +682,21 @@ func TestServeQueueFull(t *testing.T) {
 	// push back with 503.
 	got503 := false
 	for i := 0; i < 4 && !got503; i++ {
-		sp := tinySpec(100000)
+		sp := longSpec(100000)
 		sp.Seed = uint64(10 + i)
-		_, code := postSpec(t, ts, sp)
-		got503 = code == http.StatusServiceUnavailable
+		body, err := json.Marshal(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		got503 = resp.StatusCode == http.StatusServiceUnavailable
+		if got503 && resp.Header.Get("Retry-After") != "1" {
+			t.Fatalf("503 queue-full response has Retry-After %q, want \"1\"", resp.Header.Get("Retry-After"))
+		}
 	}
 	if !got503 {
 		t.Fatal("queue never pushed back with 503")
@@ -706,8 +734,10 @@ func TestServeStatsEndpoint(t *testing.T) {
 	if doc.Jobs != 1 || doc.Stats.CampaignsRun != 1 || doc.Stats.DevicesSimulated != 64 {
 		t.Fatalf("stats counters off: %+v", doc)
 	}
+	// tinySpec's 4 runtimes x 2 capacitors make 8 distinct executions; a
+	// campaign simulates each once and derives the other devices from it.
 	p := doc.Stats.Provision
-	if p.Restores != 64 {
+	if p.Restores != 8 {
 		t.Fatalf("served campaign did not provision from the pool: %+v", p)
 	}
 	if p.Prototypes != 0 {
