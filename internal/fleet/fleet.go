@@ -39,9 +39,10 @@ type DeviceStats struct {
 // arithmetic bit-exactly) instead of through a per-device trace buffer,
 // which would cost a ring allocation and an event per commit for a figure
 // the device already carries. The fleet oracles' fresh-deploy reference
-// drives its devices through runDevice too, so pooled and fresh
-// campaigns can only diverge in how the device was prepared — which the
-// provisioned-≡-fresh oracle pins down.
+// drives every one of its devices through runDevice too, so a campaign
+// and the reference can only diverge in how the device was prepared and
+// in the shared execution's per-device latency replay — which the
+// provisioned-≡-fresh and shared-execution oracles pin down.
 func runDevice(dev *mcu.Device, img *core.Image, ds DeviceSpec, m Model, rt core.Runtime) (DeviceStats, error) {
 	_, ierr := rt.Infer(img, m.Input)
 	st := dev.Stats()
