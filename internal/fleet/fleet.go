@@ -217,10 +217,9 @@ type shard struct {
 // with Run, observe with Progress/Snapshot from any goroutine.
 type Campaign struct {
 	spec   Spec
-	models map[string]Model
 	rts    map[string]core.Runtime
 	protos map[string]*Prototype
-	execs  []*execSlot
+	execs  []*execUse
 	shards []*shard
 	done   atomic.Int64
 
@@ -229,12 +228,13 @@ type Campaign struct {
 }
 
 // NewCampaign validates the spec against the model registry and prepares
-// the shard aggregates.
+// the shard aggregates. It leaves the prototypes' execution tables alone:
+// a campaign takes its slots there only when it runs.
 func NewCampaign(spec Spec, models map[string]Model) (*Campaign, error) {
 	if err := spec.Validate(models); err != nil {
 		return nil, err
 	}
-	c := &Campaign{spec: spec, models: models, rts: make(map[string]core.Runtime),
+	c := &Campaign{spec: spec, rts: make(map[string]core.Runtime),
 		protos: make(map[string]*Prototype, len(spec.Models))}
 	for _, name := range spec.Runtimes {
 		rt, err := RuntimeByName(name)
@@ -247,11 +247,12 @@ func NewCampaign(spec Spec, models map[string]Model) (*Campaign, error) {
 		if _, ok := c.protos[name]; ok {
 			continue
 		}
-		m := c.models[name]
+		m := models[name]
 		if m.Proto != nil {
 			// A registry-cached prototype (the serve model cache builds one
 			// per prepared model) saves even the campaign's single
-			// prototype deploy.
+			// prototype deploy, and its execution table carries every
+			// execution earlier campaigns over the model simulated.
 			c.protos[name] = m.Proto
 			continue
 		}
@@ -262,7 +263,6 @@ func NewCampaign(spec Spec, models map[string]Model) (*Campaign, error) {
 		c.protos[name] = proto
 		c.prov.Prototypes++
 	}
-	c.execs = newExecTable(&c.spec)
 	c.shards = make([]*shard, spec.shardCount())
 	for i := range c.shards {
 		c.shards[i] = &shard{agg: newAggregates()}
@@ -304,7 +304,18 @@ func (c *Campaign) Snapshot() (*Result, error) {
 // context stops the sweep and returns the context's error. Any worker
 // error likewise cancels the sweep, so peers stop at their next device
 // instead of simulating the rest of the fleet behind a lost cause.
+//
+// Run first takes the campaign's execution-table slots from its
+// prototypes, so a campaign that is built but never run (a server turns
+// it away, or cancels it while queued) neither inserts nor evicts table
+// entries.
 func (c *Campaign) Run(ctx context.Context, workers int) (*Result, error) {
+	c.execs = c.newExecUses()
+	return c.sweep(ctx, workers)
+}
+
+// sweep is Run over the execution-table slots already taken.
+func (c *Campaign) sweep(ctx context.Context, workers int) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -260,6 +260,7 @@ func TestFleetSpecValidation(t *testing.T) {
 		"bad-power":       func(s *Spec) { s.Powers[0].CapFarads = -1 },
 		// One combination past the bound: 4 runtimes x 1025 power classes.
 		"too-many-combinations": func(s *Spec) { s.Powers = repeatPower(s.Powers[0], MaxCombinations/4+1) },
+		"too-many-shards":       func(s *Spec) { s.Shards = MaxShards + 1 },
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := testSpec(10)
@@ -276,6 +277,10 @@ func TestFleetSpecValidation(t *testing.T) {
 	s.Powers = repeatPower(s.Powers[0], MaxCombinations/4)
 	if err := s.Validate(models); err != nil {
 		t.Fatalf("spec at exactly MaxCombinations rejected: %v", err)
+	}
+	s.Shards = MaxShards
+	if err := s.Validate(models); err != nil {
+		t.Fatalf("spec at exactly MaxShards rejected: %v", err)
 	}
 }
 

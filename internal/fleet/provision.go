@@ -16,31 +16,51 @@ import (
 // re-running Deploy. Deploy is a pure function of the model (executor
 // choices — tape, fusion — only affect how inference runs, not the
 // flashed image), so one prototype serves every runtime and power class
-// of a campaign, and prototypes are immutable and safe to share across
-// campaigns and workers.
+// of a campaign, and its snapshots are immutable.
+//
+// A prototype also owns the model's execution table, keyed by runtime
+// and power execution key, so every campaign provisioned from one
+// prototype shares its executions: a campaign that builds its own
+// prototype shares them within itself, while a registry prototype (the
+// serve model cache keeps one per model) shares them across every job
+// over that model. The table is internally synchronized and bounded to
+// MaxCombinations entries, least recently used first out, so a prototype
+// is safe to share across campaigns and workers.
 type Prototype struct {
 	model      Model
 	fram, sram *mem.Snapshot
+	execs      *execTable
 }
 
 // NewPrototype deploys m once onto a scratch device and snapshots the
-// resulting banks.
+// resulting banks. Campaigns simulate with the prototype's own model, so
+// a registry that sets Model.Proto must build it from that same model.
 func NewPrototype(m Model) (*Prototype, error) {
+	return newPrototype(m, MaxCombinations)
+}
+
+// newPrototype is NewPrototype with an execution-table bound of limit
+// entries; the eviction oracles use small bounds.
+func newPrototype(m Model, limit int) (*Prototype, error) {
 	dev := mcu.New(energy.Continuous{})
 	if _, err := core.Deploy(dev, m.QM); err != nil {
 		return nil, fmt.Errorf("fleet: prototype deploy %s: %w", m.Net, err)
 	}
-	return &Prototype{model: m, fram: dev.FRAM.Snapshot(nil, nil), sram: dev.SRAM.Snapshot(nil, nil)}, nil
+	return &Prototype{model: m, fram: dev.FRAM.Snapshot(nil, nil), sram: dev.SRAM.Snapshot(nil, nil),
+		execs: newExecTable(limit)}, nil
 }
 
 // ProvisionStats counts provisioning work across a campaign. It is
 // observability, not results: slot counts depend on how many workers ran
-// and what they were scheduled, so these counters live outside Aggregates
-// and Summary and are excluded from every bit-identity oracle.
+// and what they were scheduled, and Restores and Executions on what
+// earlier campaigns over the same prototypes left in their execution
+// tables, so these counters live outside Aggregates and Summary and are
+// excluded from every bit-identity oracle.
 type ProvisionStats struct {
 	Prototypes   int64 `json:"prototypes"`    // prototype deploys (one per campaign model, shared)
 	SlotDeploys  int64 `json:"slot_deploys"`  // pool-slot cold deploys (≤ workers × models)
-	Restores     int64 `json:"restores"`      // executions provisioned by COW restore-in-place (one per distinct execution)
+	Restores     int64 `json:"restores"`      // executions this campaign simulated, each provisioned by COW restore-in-place
+	Executions   int64 `json:"executions"`    // executions this campaign reused from an earlier campaign on its prototypes
 	PagesCopied  int64 `json:"pages_copied"`  // snapshot pages rewritten during restores
 	PagesClean   int64 `json:"pages_clean"`   // pages compared and found untouched
 	PagesSkipped int64 `json:"pages_skipped"` // pages skipped wholesale (region never written)
@@ -52,6 +72,7 @@ func (a *ProvisionStats) Add(b ProvisionStats) {
 	a.Prototypes += b.Prototypes
 	a.SlotDeploys += b.SlotDeploys
 	a.Restores += b.Restores
+	a.Executions += b.Executions
 	a.PagesCopied += b.PagesCopied
 	a.PagesClean += b.PagesClean
 	a.PagesSkipped += b.PagesSkipped
@@ -123,10 +144,11 @@ func (c *Campaign) newPool() *pool {
 	return &pool{protos: c.protos, slots: make(map[string]*slot, len(c.protos))}
 }
 
-// execution is one distinct simulation of a campaign: the stats of the
-// device that ran it, its live seconds to the first inference, and the
-// deficit tape of its recharges. Every device of the campaign with the
-// same model, runtime and power execution key shares it (newExecTable).
+// execution is one distinct simulation: the stats of the device that ran
+// it, its live seconds to the first inference, and the deficit tape of
+// its recharges. Every device with the same prototype, runtime and power
+// execution key shares it, in every campaign that reaches it while it is
+// in the prototype's table (newExecUses).
 type execution struct {
 	st   DeviceStats
 	live float64

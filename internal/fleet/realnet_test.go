@@ -122,20 +122,74 @@ func TestFleetRuntimePanicFailsCampaign(t *testing.T) {
 		t.Skip("needs the quick-mode mnist network")
 	}
 	_, models := realNetCampaign(t)
-	spec := Spec{
-		Devices:  1,
+	checkPanicFails(t, panicSpec("tile-100000"), models, 0)
+}
+
+// panicSpec is a one-model mnist campaign over the given runtimes on
+// continuous power.
+func panicSpec(runtimes ...string) Spec {
+	return Spec{
+		Devices:  len(runtimes),
 		Seed:     1,
 		Models:   []string{"mnist"},
-		Runtimes: []string{"tile-100000"},
+		Runtimes: runtimes,
 		Powers:   []PowerClass{{Name: "cont", SystemSpec: energy.SystemSpec{Kind: "cont"}}},
 	}
+}
+
+// checkPanicFails runs spec and requires it to fail with the redo-log
+// panic of its device dev.
+func checkPanicFails(t *testing.T, spec Spec, models map[string]Model, dev int) {
+	t.Helper()
 	r, err := Run(context.Background(), spec, models, 2)
 	if err == nil {
 		t.Fatalf("panicking runtime finished the campaign: %+v", r.Agg.Summary())
 	}
-	for _, want := range []string{"device 0 (mnist/tile-100000/cont)", "panic", "redo log overflow"} {
+	for _, want := range []string{fmt.Sprintf("device %d (mnist/tile-100000/cont)", dev), "panic", "redo log overflow"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("campaign error %q does not contain %q", err, want)
 		}
+	}
+}
+
+// TestFleetFailedExecutionsNotShared: a failed execution is dropped from
+// its prototype's table, never served to a later campaign. Over one
+// shared prototype the panicking spec fails afresh on every run, naming
+// its own device; a campaign that took the slot before the failure
+// simulates it again for its own device; and the prototype still serves
+// a good campaign afterwards.
+func TestFleetFailedExecutionsNotShared(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs the quick-mode mnist network")
+	}
+	_, models := realNetCampaign(t)
+	m := models["mnist"]
+	proto, err := NewPrototype(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Proto = proto
+	shared := map[string]Model{"mnist": m}
+
+	// Started before the failure: it holds the failing slot already.
+	stale, err := NewCampaign(panicSpec("tile-32", "tile-100000"), shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale.execs = stale.newExecUses()
+	checkPanicFails(t, panicSpec("tile-100000"), shared, 0)
+	checkPanicFails(t, panicSpec("tile-100000"), shared, 0)
+	if got := proto.ExecStats(); got.Simulated != 2 || got.Reused != 0 {
+		t.Fatalf("the failed execution was served again: prototype counters %+v", got)
+	}
+	if _, err := stale.sweep(context.Background(), 2); err == nil || !strings.Contains(err.Error(), "device 1 (mnist/tile-100000/cont)") {
+		t.Fatalf("campaign holding the failed slot: error %v, want its own device 1", err)
+	}
+	r, err := Run(context.Background(), panicSpec("tile-32"), shared, 2)
+	if err != nil {
+		t.Fatalf("good campaign over the prototype after failures: %v", err)
+	}
+	if r.Agg.Completed != 1 {
+		t.Fatalf("good campaign completed %d of 1 devices", r.Agg.Completed)
 	}
 }

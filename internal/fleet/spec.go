@@ -3,24 +3,30 @@
 // system, network, and runtime — across a sharded worker pool, streaming
 // per-device metrics into aggregate statistics (IMpJ and latency quantile
 // sketches, reboot and wasted-energy histograms) whose memory stays
-// O(workers + shards + executions), never O(fleet). The execution table
-// holds one entry per Models × Runtimes × Powers combination, at most
-// MaxCombinations, and each simulated entry keeps one DeviceStats and a
-// run-length deficit tape (one run per change of recharge deficit; the
-// device model always browns out empty, so one run in practice).
+// O(workers + shards + executions), never O(fleet). Each model's
+// prototype keeps the execution table, one entry per (runtime, power
+// execution key) and at most MaxCombinations entries, least recently used
+// first out; each simulated entry keeps one DeviceStats and a run-length
+// deficit tape (one run per change of recharge deficit; the device model
+// always browns out empty, so one run in practice).
 //
 // Shared executions: a device's ops, reboots, energy, wasted work and
 // completion depend on its power system only through energy.ExecKey —
 // continuous, or the capacitor's usable energy — because the capacitor
 // alone decides where a run browns out and the harvester only sets how
-// long each recharge takes. So a campaign simulates each distinct
-// (model, runtime, execution key) once, on the pool of the first worker
-// to reach it, recording the deficit of every recharge; every device with
-// that key, the first included, takes its stats from that execution and
-// replays its own seeded harvester over the deficits to get its
-// first-inference latency (live seconds plus Σ deficit/W, the Recharge
-// arithmetic summed in the same order). Provision.Restores therefore
-// counts executions, not devices.
+// long each recharge takes. So each distinct (model, runtime, execution
+// key) is simulated once, on the pool of the first worker to reach it,
+// recording the deficit of every recharge; every device with that key,
+// the first included, takes its stats from that execution and replays
+// its own seeded harvester over the deficits to get its first-inference
+// latency (live seconds plus Σ deficit/W, the Recharge arithmetic summed
+// in the same order). Campaigns that share a prototype share its table:
+// a campaign that builds its own prototypes simulates each execution once,
+// and one over registry prototypes (Model.Proto) simulates only those no
+// earlier campaign left in the table. Provision.Restores therefore counts
+// the executions a campaign simulated, not its devices, and
+// Provision.Executions the ones it reused. A failed execution is never
+// kept.
 //
 // Determinism: device i's entire simulation is a pure function of
 // (Spec, i) — its harvest seed, model, runtime, and power system are all
@@ -135,10 +141,16 @@ func deviceSeed(seed uint64, i int) uint64 {
 }
 
 // MaxCombinations bounds a campaign's Models × Runtimes × Powers cross
-// product, and with it the execution table a campaign keeps (one entry
-// per combination). It is a fixed limit, not an option: a spec that needs
-// more combinations is split into several campaigns.
+// product, and so the distinct executions one campaign can need. It is
+// also the entry bound of every prototype's execution table, so a table
+// always holds a whole campaign. It is a fixed limit, not an option: a
+// spec that needs more combinations is split into several campaigns.
 const MaxCombinations = 4096
+
+// MaxShards bounds a spec's Shards. Every shard holds its own aggregates
+// (two sketches and two histograms) from the moment the campaign is
+// built, so the bound keeps a submitted spec's up-front allocation small.
+const MaxShards = 4096
 
 // Validate checks the spec against a model registry. MaxDevices guards
 // the serving path against unbounded job submissions.
@@ -175,8 +187,8 @@ func (s *Spec) Validate(models map[string]Model) error {
 			return fmt.Errorf("fleet: power class %d (%q): %w", i, p.Name, err)
 		}
 	}
-	if s.Shards < 0 {
-		return fmt.Errorf("fleet: negative shard count %d", s.Shards)
+	if s.Shards < 0 || s.Shards > MaxShards {
+		return fmt.Errorf("fleet: shard count %d outside [0, %d]", s.Shards, MaxShards)
 	}
 	return nil
 }
@@ -209,8 +221,9 @@ func (s *Spec) Hash() string {
 // model plus the input sample every device of the fleet infers on. The
 // model is read-only during campaigns and safe to share across workers.
 // Proto, when set by the registry (the serve model cache builds it once
-// per prepared model), is the deploy-once provisioning prototype; when
-// nil, campaigns build their own.
+// per prepared model, with NewPrototype over this same model), is the
+// deploy-once provisioning prototype, and every campaign over it shares
+// its execution table; when nil, each campaign builds its own.
 type Model struct {
 	Net   string
 	QM    *dnn.QuantModel

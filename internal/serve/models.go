@@ -82,7 +82,10 @@ func (c *ModelCache) Model(name string) (fleet.Model, error) {
 // pooled devices from the cache's deploy-once snapshots instead of each
 // building their own (and the campaign-side Prototypes counter stays at
 // zero for served jobs — the cache's prototype count is the source of
-// truth).
+// truth). The prototype's execution table lives as long as the model, so
+// a job simulates only the (runtime, capacitor) executions no earlier job
+// left there and replays its devices' harvesters over the rest; a rebuilt
+// model gets a new prototype, and with it an empty table.
 func (c *ModelCache) build(name string) (fleet.Model, error) {
 	var m fleet.Model
 	switch {
@@ -121,13 +124,31 @@ type CacheStats struct {
 	// Prototypes is the number of deploy-once provisioning prototypes
 	// built alongside them (one per cached model).
 	Prototypes int64 `json:"prototypes"`
+	// ExecStats sums the prototypes' execution tables: executions
+	// simulated into them, answered from them to a later job, and
+	// evicted by their LRU bound.
+	fleet.ExecStats
 }
 
 // CacheStats returns the counter snapshot.
 func (c *ModelCache) CacheStats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Models: c.prepares, Prototypes: c.prototypes}
+	st := CacheStats{Models: c.prepares, Prototypes: c.prototypes}
+	for _, e := range c.entries {
+		select {
+		case <-e.ready:
+		default:
+			continue // still building
+		}
+		if e.err == nil {
+			x := e.m.Proto.ExecStats()
+			st.Simulated += x.Simulated
+			st.Reused += x.Reused
+			st.Evicted += x.Evicted
+		}
+	}
+	return st
 }
 
 // registry resolves a spec's model list into the map fleet campaigns

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -315,9 +316,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStats serves the observability rollup: the server's cumulative
-// counters (including fleet provisioning work — restores, page traffic,
-// fresh deploys) plus the model cache's build counters when the model
-// source exposes them.
+// counters (including fleet provisioning work — slot deploys, restores
+// of simulated executions, page traffic, reused executions) plus the model
+// cache's build and execution-table counters when the model source
+// exposes them.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	jobs := len(s.jobs)
@@ -384,12 +386,28 @@ func (j *job) doc(deduped bool) jobDoc {
 	return d
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// maxSpecBytes caps a POST /jobs body (413 beyond it). A spec with
+// fleet.MaxCombinations power classes of a name, kind and capacitor each
+// is about a quarter of it.
+const maxSpecBytes = 1 << 20
+
+// decodeSpec reads one spec from a request body, rejecting unknown fields.
+func decodeSpec(r io.Reader) (fleet.Spec, error) {
 	var spec fleet.Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding spec: %v", err)
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
+		code := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, "decoding spec: %v", err)
 		return
 	}
 	if spec.Devices > s.opt.MaxDevices {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/fleet"
 	"repro/internal/harness"
+	"repro/internal/intermittest"
 )
 
 // newTestServer returns a Server over the tiny model plus an httptest
@@ -598,7 +599,8 @@ func TestServeFinishedJobEviction(t *testing.T) {
 }
 
 // TestServeRejectsBadSpecs exercises validation surface: malformed JSON,
-// unknown fields, unknown models, oversized fleets, missing jobs.
+// unknown fields, unknown models, oversized fleets, too many shards,
+// oversized bodies, missing jobs.
 func TestServeRejectsBadSpecs(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, MaxDevices: 1000})
 	post := func(body string) int {
@@ -624,6 +626,18 @@ func TestServeRejectsBadSpecs(t *testing.T) {
 	bb, _ := json.Marshal(bad)
 	if code := post(string(bb)); code != http.StatusBadRequest {
 		t.Errorf("unknown model: status %d", code)
+	}
+	// Every shard's aggregates are allocated at submit time.
+	sharded := tinySpec(1000)
+	sharded.Shards = fleet.MaxShards + 1
+	sb, _ := json.Marshal(sharded)
+	if code := post(string(sb)); code != http.StatusBadRequest {
+		t.Errorf("too many shards: status %d", code)
+	}
+	// A valid spec behind more than maxSpecBytes of leading whitespace.
+	good, _ := json.Marshal(tinySpec(10))
+	if code := post(strings.Repeat(" ", maxSpecBytes) + string(good)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d", code)
 	}
 	resp, err := http.Get(ts.URL + "/jobs/nope")
 	if err != nil {
@@ -703,18 +717,15 @@ func TestServeQueueFull(t *testing.T) {
 	}
 }
 
-// TestServeStatsEndpoint: /stats rolls up the server counters, the fleet
-// provisioning work of finished campaigns, and the model cache's build
-// counters — and proves served jobs provision from the cache's prototype
-// (pooled restores, no fresh deploys, no campaign-built prototypes).
-func TestServeStatsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2})
-	d, code := postSpec(t, ts, tinySpec(64))
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d", code)
-	}
-	waitStatus(t, ts, d.ID, StatusDone)
+// statsDoc is the /stats wire form.
+type statsDoc struct {
+	Jobs       int        `json:"jobs"`
+	Stats      Stats      `json:"stats"`
+	ModelCache CacheStats `json:"model_cache"`
+}
 
+func getStats(t *testing.T, ts *httptest.Server) statsDoc {
+	t.Helper()
 	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -723,27 +734,228 @@ func TestServeStatsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status = %d", resp.StatusCode)
 	}
-	var doc struct {
-		Jobs       int        `json:"jobs"`
-		Stats      Stats      `json:"stats"`
-		ModelCache CacheStats `json:"model_cache"`
-	}
+	var doc statsDoc
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
+	return doc
+}
+
+// TestServeStatsEndpoint: /stats rolls up the server counters, the fleet
+// provisioning work of finished campaigns, and the model cache's build
+// and execution-table counters — and proves served jobs provision from
+// the cache's prototype (pooled restores, no fresh deploys, no
+// campaign-built prototypes) and that a later job over the same cells
+// simulates nothing, reusing every execution of the first.
+func TestServeStatsEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	d, code := postSpec(t, ts, tinySpec(64))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	waitStatus(t, ts, d.ID, StatusDone)
+
+	doc := getStats(t, ts)
 	if doc.Jobs != 1 || doc.Stats.CampaignsRun != 1 || doc.Stats.DevicesSimulated != 64 {
 		t.Fatalf("stats counters off: %+v", doc)
 	}
 	// tinySpec's 4 runtimes x 2 capacitors make 8 distinct executions; a
 	// campaign simulates each once and derives the other devices from it.
 	p := doc.Stats.Provision
-	if p.Restores != 8 {
+	if p.Restores != 8 || p.Executions != 0 {
 		t.Fatalf("served campaign did not provision from the pool: %+v", p)
 	}
 	if p.Prototypes != 0 {
 		t.Fatalf("campaign built %d prototypes despite the model cache providing one", p.Prototypes)
 	}
-	if doc.ModelCache != (CacheStats{Models: 1, Prototypes: 1}) {
-		t.Fatalf("model cache counters = %+v", doc.ModelCache)
+	want := CacheStats{Models: 1, Prototypes: 1, ExecStats: fleet.ExecStats{Simulated: 8}}
+	if doc.ModelCache != want {
+		t.Fatalf("model cache counters = %+v, want %+v", doc.ModelCache, want)
 	}
+
+	// A second job over the same cells with a new seed and fleet size
+	// takes all 8 executions from the prototype's table.
+	again := tinySpec(40)
+	again.Seed = 2
+	d, code = postSpec(t, ts, again)
+	if code != http.StatusAccepted {
+		t.Fatalf("second submit: %d", code)
+	}
+	waitStatus(t, ts, d.ID, StatusDone)
+	doc = getStats(t, ts)
+	if got := doc.Stats.Provision; got.Restores-p.Restores != 0 || got.Executions-p.Executions != 8 {
+		t.Fatalf("second job simulated %d and reused %d executions, want 0 and 8",
+			got.Restores-p.Restores, got.Executions-p.Executions)
+	}
+	want.Reused = 8
+	if doc.ModelCache != want {
+		t.Fatalf("model cache counters after the second job = %+v, want %+v", doc.ModelCache, want)
+	}
+}
+
+// TestServeTurnedAwayJobsLeaveExecutions: a job takes its executions'
+// slots from the model cache's prototype only when it runs, so neither a
+// queued job nor a queue-full 503 touches the table, even when each
+// brings a full table's worth of new capacitors. A later repeat of the
+// first job still reuses every one of its executions.
+func TestServeTurnedAwayJobsLeaveExecutions(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1, MaxDevices: 1 << 28})
+	d, code := postSpec(t, ts, tinySpec(64))
+	if code != http.StatusAccepted {
+		t.Fatalf("first submit: %d", code)
+	}
+	waitStatus(t, ts, d.ID, StatusDone)
+	before := getStats(t, ts)
+
+	// A fleet on one of the first job's cells, too large to finish before
+	// it is cancelled, holds the runner...
+	blocker := tinySpec(1 << 28)
+	blocker.Runtimes, blocker.Powers = []string{"base"}, blocker.Powers[1:]
+	b, code := postSpec(t, ts, blocker)
+	if code != http.StatusAccepted {
+		t.Fatalf("blocker submit: %d", code)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if doc := getJob(t, ts, b.ID); doc.Status == StatusRunning && doc.Done > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("blocker never started running")
+		}
+	}
+	// ...one job with fleet.MaxCombinations new executions fills the
+	// queue, and two more are turned away.
+	wide := func(seed uint64) fleet.Spec {
+		spec := tinySpec(100)
+		spec.Seed, spec.Powers = seed, nil
+		for k := 0; k < fleet.MaxCombinations/len(spec.Runtimes); k++ {
+			spec.Powers = append(spec.Powers, fleet.PowerClass{Name: fmt.Sprintf("rf-%d-%d", seed, k),
+				SystemSpec: energy.SystemSpec{Kind: "const", CapFarads: 200e-6 + float64(seed)*100e-6 + float64(k)*0.05e-6}})
+		}
+		return spec
+	}
+	queued, code := postSpec(t, ts, wide(1))
+	if code != http.StatusAccepted {
+		t.Fatalf("queued submit: %d", code)
+	}
+	for _, seed := range []uint64{2, 3} {
+		if _, code := postSpec(t, ts, wide(seed)); code != http.StatusServiceUnavailable {
+			t.Fatalf("submit with a full queue: %d, want 503", code)
+		}
+	}
+	if got := getStats(t, ts).ModelCache; got.Evicted != 0 {
+		t.Fatalf("queued and turned-away jobs evicted %d executions", got.Evicted)
+	}
+	for _, id := range []string{queued.ID, b.ID} {
+		req, err := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		waitStatus(t, ts, id, StatusCancelled)
+	}
+
+	again := tinySpec(40)
+	again.Seed = 2
+	d, code = postSpec(t, ts, again)
+	if code != http.StatusAccepted {
+		t.Fatalf("repeat submit: %d", code)
+	}
+	waitStatus(t, ts, d.ID, StatusDone)
+	after := getStats(t, ts)
+	p, q := before.Stats.Provision, after.Stats.Provision
+	if q.Restores-p.Restores != 0 || q.Executions-p.Executions != 8 {
+		t.Fatalf("repeat job simulated %d and reused %d executions, want 0 and 8",
+			q.Restores-p.Restores, q.Executions-p.Executions)
+	}
+	// The blocker reused its one execution before it was cancelled.
+	if want := (fleet.ExecStats{Simulated: 8, Reused: 9}); after.ModelCache.ExecStats != want {
+		t.Fatalf("model cache execution counters = %+v, want %+v", after.ModelCache.ExecStats, want)
+	}
+}
+
+// TestServeSharedExecutionsMatchFresh is the served form of the
+// cross-campaign oracle: jobs over one server share the model cache's
+// prototype and with it every execution an earlier job simulated, yet
+// each job's aggregates must byte-equal an uncached fleet.Run of its spec
+// over models without a prototype. The jobs vary seed, fleet size and
+// power classes, overlapping the earlier capacitors or adding a new one.
+// CI runs it under -race and greps for the per-worker-count PASS lines.
+func TestServeSharedExecutionsMatchFresh(t *testing.T) {
+	qm, x := intermittest.TinyModel(1)
+	fresh := map[string]fleet.Model{"tiny": {Net: "tiny", QM: qm, Input: qm.QuantizeInput(x)}}
+	power := func(name, kind string, c float64) fleet.PowerClass {
+		return fleet.PowerClass{Name: name, SystemSpec: energy.SystemSpec{Kind: kind, CapFarads: c}}
+	}
+	rf100, cont := power("rf-100uF", "const", 100e-6), power("cont", "cont", 0)
+	job := func(devices int, seed uint64, powers ...fleet.PowerClass) fleet.Spec {
+		s := tinySpec(devices)
+		s.Seed, s.Powers = seed, powers
+		return s
+	}
+	jobs := []struct {
+		name                 string
+		spec                 fleet.Spec
+		restores, executions int64
+	}{
+		{"first", job(64, 1, rf100, cont), 8, 0},
+		{"new-seed", job(40, 2, rf100, cont), 0, 8},
+		{"overlapping-capacitor", job(57, 3, power("stoch-100uF", "stoch", 100e-6), cont), 0, 8},
+		{"new-capacitor", job(90, 4, rf100, power("rf-47uF", "const", 47e-6), cont), 4, 8},
+	}
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			_, ts := newTestServer(t, Options{Workers: workers})
+			var prev fleet.ProvisionStats
+			for _, j := range jobs {
+				d, code := postSpec(t, ts, j.spec)
+				if code != http.StatusAccepted {
+					t.Fatalf("%s: submit status %d", j.name, code)
+				}
+				waitStatus(t, ts, d.ID, StatusDone)
+				res, err := fleet.Run(context.Background(), j.spec, fresh, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := json.Marshal(res.Agg.Summary())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := servedAggregates(t, ts, d.ID); !bytes.Equal(got, want) {
+					t.Fatalf("%s: served aggregates differ from an uncached fleet.Run:\nserved %s\nfresh  %s", j.name, got, want)
+				}
+				p := getStats(t, ts).Stats.Provision
+				if p.Restores-prev.Restores != j.restores || p.Executions-prev.Executions != j.executions {
+					t.Fatalf("%s: job simulated %d and reused %d executions, want %d and %d", j.name,
+						p.Restores-prev.Restores, p.Executions-prev.Executions, j.restores, j.executions)
+				}
+				prev = p
+			}
+		})
+	}
+}
+
+// servedAggregates returns a finished job's aggregates as compact JSON.
+func servedAggregates(t *testing.T, ts *httptest.Server, id string) []byte {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Agg json.RawMessage `json:"aggregates"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, doc.Agg); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
