@@ -63,6 +63,17 @@ func longSpec(devices int) fleet.Spec {
 	return spec
 }
 
+// wideCapacitors returns n constant-power classes on distinct capacitors
+// from 200 µF up, none of which tinySpec or longSpec uses.
+func wideCapacitors(n int) []fleet.PowerClass {
+	powers := make([]fleet.PowerClass, n)
+	for k := range powers {
+		powers[k] = fleet.PowerClass{Name: fmt.Sprintf("rf-wide-%d", k),
+			SystemSpec: energy.SystemSpec{Kind: "const", CapFarads: 200e-6 + float64(k)*0.05e-6}}
+	}
+	return powers
+}
+
 func postSpec(t *testing.T, ts *httptest.Server, spec fleet.Spec) (jobDoc, int) {
 	t.Helper()
 	body, err := json.Marshal(spec)
@@ -827,10 +838,9 @@ func TestServeTurnedAwayJobsLeaveExecutions(t *testing.T) {
 	// queue, and two more are turned away.
 	wide := func(seed uint64) fleet.Spec {
 		spec := tinySpec(100)
-		spec.Seed, spec.Powers = seed, nil
-		for k := 0; k < fleet.MaxCombinations/len(spec.Runtimes); k++ {
-			spec.Powers = append(spec.Powers, fleet.PowerClass{Name: fmt.Sprintf("rf-%d-%d", seed, k),
-				SystemSpec: energy.SystemSpec{Kind: "const", CapFarads: 200e-6 + float64(seed)*100e-6 + float64(k)*0.05e-6}})
+		spec.Seed, spec.Powers = seed, wideCapacitors(fleet.MaxCombinations/len(spec.Runtimes))
+		for k := range spec.Powers {
+			spec.Powers[k].CapFarads += float64(seed) * 100e-6
 		}
 		return spec
 	}
@@ -883,8 +893,9 @@ func TestServeTurnedAwayJobsLeaveExecutions(t *testing.T) {
 // prototype and with it every execution an earlier job simulated, yet
 // each job's aggregates must byte-equal an uncached fleet.Run of its spec
 // over models without a prototype. The jobs vary seed, fleet size and
-// power classes, overlapping the earlier capacitors or adding a new one.
-// CI runs it under -race and greps for the per-worker-count PASS lines.
+// power classes, overlapping the earlier capacitors, adding a new one,
+// or evicting the whole table. CI runs it under -race and greps for the
+// per-worker-count PASS lines.
 func TestServeSharedExecutionsMatchFresh(t *testing.T) {
 	qm, x := intermittest.TinyModel(1)
 	fresh := map[string]fleet.Model{"tiny": {Net: "tiny", QM: qm, Input: qm.QuantizeInput(x)}}
@@ -906,6 +917,12 @@ func TestServeSharedExecutionsMatchFresh(t *testing.T) {
 		{"new-seed", job(40, 2, rf100, cont), 0, 8},
 		{"overlapping-capacitor", job(57, 3, power("stoch-100uF", "stoch", 100e-6), cont), 0, 8},
 		{"new-capacitor", job(90, 4, rf100, power("rf-47uF", "const", 47e-6), cont), 4, 8},
+		// A job over fleet.MaxCombinations new cells takes a slot for each,
+		// so the table evicts every earlier execution; it simulates only
+		// its one device's...
+		{"evicting", job(1, 5, wideCapacitors(fleet.MaxCombinations/4)...), 1, 0},
+		// ...and the first job's cells are simulated again.
+		{"after-eviction", job(64, 6, rf100, cont), 8, 0},
 	}
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
