@@ -6,17 +6,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/mcu"
-	"repro/internal/mem"
 )
 
-// Prototype is the deploy-once template for one model: a scratch device is
-// deployed a single time and its post-deploy FRAM/SRAM captured with the
-// page-shared snapshot machinery. Every pooled fleet device of that model
-// is then provisioned by restoring the snapshots in place instead of
-// re-running Deploy. Deploy is a pure function of the model (executor
-// choices — tape, fusion — only affect how inference runs, not the
-// flashed image), so one prototype serves every runtime and power class
-// of a campaign, and its snapshots are immutable.
+// Prototype is the deploy-once template for one model: a core.Template
+// (the model deployed once onto a scratch device, its post-deploy banks
+// snapshotted). Every pooled fleet device of that model is a core.Slot
+// provisioned by restoring the snapshots in place instead of re-running
+// Deploy, so one prototype serves every runtime and power class of a
+// campaign.
 //
 // A prototype also owns the model's execution table, keyed by runtime
 // and power execution key, so every campaign provisioned from one
@@ -27,9 +24,9 @@ import (
 // MaxCombinations entries, least recently used first out, so a prototype
 // is safe to share across campaigns and workers.
 type Prototype struct {
-	model      Model
-	fram, sram *mem.Snapshot
-	execs      *execTable
+	model Model
+	tmpl  *core.Template
+	execs *execTable
 }
 
 // NewPrototype deploys m once onto a scratch device and snapshots the
@@ -42,12 +39,11 @@ func NewPrototype(m Model) (*Prototype, error) {
 // newPrototype is NewPrototype with an execution-table bound of limit
 // entries; the eviction oracles use small bounds.
 func newPrototype(m Model, limit int) (*Prototype, error) {
-	dev := mcu.New(energy.Continuous{})
-	if _, err := core.Deploy(dev, m.QM); err != nil {
+	tmpl, err := core.NewTemplate(m.QM)
+	if err != nil {
 		return nil, fmt.Errorf("fleet: prototype deploy %s: %w", m.Net, err)
 	}
-	return &Prototype{model: m, fram: dev.FRAM.Snapshot(nil, nil), sram: dev.SRAM.Snapshot(nil, nil),
-		execs: newExecTable(limit)}, nil
+	return &Prototype{model: m, tmpl: tmpl, execs: newExecTable(limit)}, nil
 }
 
 // ProvisionStats counts provisioning work across a campaign. It is
@@ -78,56 +74,31 @@ func (a *ProvisionStats) Add(b ProvisionStats) {
 	a.PagesSkipped += b.PagesSkipped
 }
 
-// slot is one pooled device: a device deployed once from a prototype's
-// model, whose banks are thereafter rewound by restore-in-place between
-// simulations. The mem.Memory objects, every *mem.Region, and therefore
-// the Image are stable for the slot's life; per-slot dirty-page hints
-// remember which pages previous runs touched so steady-state restores
-// copy only those.
-type slot struct {
-	proto    *Prototype
-	dev      *mcu.Device
-	img      *core.Image
-	framHint *mem.DirtyPages
-	sramHint *mem.DirtyPages
-}
-
-// newSlot deploys the slot's own device. The deploy is deterministic, so
-// the freshly deployed banks already equal the prototype snapshots — the
-// first restore verifies that page by page (everything Deploy wrote is
-// marked dirty) and later ones lean on the dirty tracking.
-func newSlot(p *Prototype) (*slot, error) {
-	dev := mcu.New(energy.Continuous{})
-	img, err := core.Deploy(dev, p.model.QM)
+// newSlot deploys a pool slot for p's model on a bare device, as fleet
+// simulations run.
+func newSlot(p *Prototype) (*core.Slot, error) {
+	sl, err := p.tmpl.NewSlot(mcu.New(energy.Continuous{}))
 	if err != nil {
 		return nil, fmt.Errorf("fleet: slot deploy %s: %w", p.model.Net, err)
 	}
-	return &slot{
-		proto: p, dev: dev, img: img,
-		framHint: mem.NewDirtyPages(p.fram),
-		sramHint: mem.NewDirtyPages(p.sram),
-	}, nil
+	return sl, nil
 }
 
-// provision rewinds the slot to the prototype image and binds a fresh
-// power system, leaving the device indistinguishable — for everything a
-// simulation can observe — from a freshly constructed, freshly deployed
-// one (TestProvisionedFleetBitIdentical, TestPoolPurityAfterBrownOut).
-func (s *slot) provision(power energy.System, st *ProvisionStats) error {
-	fst, err := s.proto.fram.RestoreInPlace(s.dev.FRAM, s.framHint)
+// provision rewinds sl for one fleet simulation on power — leaving the
+// device indistinguishable, for everything a simulation can observe, from
+// a freshly deployed one (TestProvisionedFleetBitIdentical,
+// TestPoolPurityAfterBrownOut) — turns on wasted-work tracking, and
+// counts the restore into st.
+func provision(sl *core.Slot, power energy.System, st *ProvisionStats) error {
+	rs, err := sl.Provision(power)
 	if err != nil {
-		return fmt.Errorf("fleet: provisioning %s FRAM: %w", s.proto.model.Net, err)
+		return err
 	}
-	sst, err := s.proto.sram.RestoreInPlace(s.dev.SRAM, s.sramHint)
-	if err != nil {
-		return fmt.Errorf("fleet: provisioning %s SRAM: %w", s.proto.model.Net, err)
-	}
-	s.dev.Reprovision(power)
-	s.dev.TrackWasted(true)
+	sl.Dev.TrackWasted(true)
 	st.Restores++
-	st.PagesCopied += int64(fst.Copied + sst.Copied)
-	st.PagesClean += int64(fst.Clean + sst.Clean)
-	st.PagesSkipped += int64(fst.Skipped + sst.Skipped)
+	st.PagesCopied += int64(rs.Copied)
+	st.PagesClean += int64(rs.Clean)
+	st.PagesSkipped += int64(rs.Skipped)
 	return nil
 }
 
@@ -136,12 +107,12 @@ func (s *slot) provision(power energy.System, st *ProvisionStats) error {
 // their stats are folded into the campaign when the worker exits.
 type pool struct {
 	protos map[string]*Prototype
-	slots  map[string]*slot
+	slots  map[string]*core.Slot
 	stats  ProvisionStats
 }
 
 func (c *Campaign) newPool() *pool {
-	return &pool{protos: c.protos, slots: make(map[string]*slot, len(c.protos))}
+	return &pool{protos: c.protos, slots: make(map[string]*core.Slot, len(c.protos))}
 }
 
 // execution is one distinct simulation: the stats of the device that ran
@@ -182,13 +153,13 @@ func (p *pool) simulate(ds DeviceSpec, m Model, rt core.Runtime) (ex execution, 
 	if ip != nil {
 		ip.RecordDeficits()
 	}
-	if err := sl.provision(power, &p.stats); err != nil {
-		return ex, fmt.Errorf("fleet: device %d: %w", ds.Index, err)
+	if err := provision(sl, power, &p.stats); err != nil {
+		return ex, fmt.Errorf("fleet: device %d (%s): %w", ds.Index, m.Net, err)
 	}
-	if ex.st, err = runDevice(sl.dev, sl.img, ds, m, rt); err != nil {
+	if ex.st, err = runDevice(sl.Dev, sl.Img, ds, m, rt); err != nil {
 		return ex, err
 	}
-	ex.live = sl.dev.Stats().LiveSeconds(sl.dev.Cost.ClockHz)
+	ex.live = sl.Dev.Stats().LiveSeconds(sl.Dev.Cost.ClockHz)
 	if ip != nil {
 		ex.tape = ip.Deficits()
 	}

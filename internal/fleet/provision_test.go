@@ -55,7 +55,7 @@ func TestProvisionedTinyFleetBitIdentical(t *testing.T) {
 // browned out hundreds of times and then failed to terminate is the
 // worst-case polluter — partial activations, torn accumulators, control
 // state mid-protocol, reboot bookkeeping. Re-provisioning its slot must
-// leave banks byte-identical to the prototype (and to a fresh deploy),
+// leave banks byte-identical to a fresh deploy (the prototype's image),
 // and the next simulation on the slot must match a fresh device exactly.
 func TestPoolPurityAfterBrownOut(t *testing.T) {
 	models := testModels(1)
@@ -64,7 +64,7 @@ func TestPoolPurityAfterBrownOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &pool{protos: map[string]*Prototype{"tiny": proto}, slots: make(map[string]*slot)}
+	p := &pool{protos: map[string]*Prototype{"tiny": proto}, slots: make(map[string]*core.Slot)}
 
 	// tile-128 tasks exceed a 20 µF constant-charge budget, so the run
 	// reboots until the device gives up — leaving maximal mid-flight
@@ -84,21 +84,18 @@ func TestPoolPurityAfterBrownOut(t *testing.T) {
 	}
 
 	sl := p.slots["tiny"]
-	if err := sl.provision(energy.Continuous{}, &p.stats); err != nil {
+	if err := provision(sl, energy.Continuous{}, &p.stats); err != nil {
 		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sl.dev.FRAM.Snapshot(nil, nil), proto.fram) {
-		t.Error("FRAM differs from prototype after re-provisioning a browned-out slot")
-	}
-	if !reflect.DeepEqual(sl.dev.SRAM.Snapshot(nil, nil), proto.sram) {
-		t.Error("SRAM differs from prototype after re-provisioning a browned-out slot")
 	}
 	ref := mcu.New(energy.Continuous{})
 	if _, err := core.Deploy(ref, m.QM); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sl.dev.FRAM.Snapshot(nil, nil), ref.FRAM.Snapshot(nil, nil)) {
-		t.Error("provisioned FRAM differs from a fresh deploy")
+	if !reflect.DeepEqual(sl.Dev.FRAM.Snapshot(nil, nil), ref.FRAM.Snapshot(nil, nil)) {
+		t.Error("FRAM differs from a fresh deploy after re-provisioning a browned-out slot")
+	}
+	if !reflect.DeepEqual(sl.Dev.SRAM.Snapshot(nil, nil), ref.SRAM.Snapshot(nil, nil)) {
+		t.Error("SRAM differs from a fresh deploy after re-provisioning a browned-out slot")
 	}
 
 	// And the behavioral form: the next device simulated on the polluted
@@ -144,13 +141,13 @@ func TestProvisioningAllocsConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &pool{protos: map[string]*Prototype{"tiny": proto}, slots: make(map[string]*slot)}
+	p := &pool{protos: map[string]*Prototype{"tiny": proto}, slots: make(map[string]*core.Slot)}
 	if _, err := p.simulate(ds, m, rt); err != nil { // cold: slot deploy
 		t.Fatal(err)
 	}
 	sl := p.slots["tiny"]
 	provAllocs := testing.AllocsPerRun(10, func() {
-		if err := sl.provision(energy.Continuous{}, &p.stats); err != nil {
+		if err := provision(sl, energy.Continuous{}, &p.stats); err != nil {
 			t.Fatal(err)
 		}
 	})

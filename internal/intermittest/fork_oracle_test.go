@@ -55,25 +55,25 @@ func diffResults(t *testing.T, label string, want, got *ScheduleResult) bool {
 		ok = false
 	}
 	if want.DNC != got.DNC {
-		fail("DNC: scratch=%v fork=%v", want.DNC, got.DNC)
+		fail("DNC: want=%v got=%v", want.DNC, got.DNC)
 	}
 	switch {
 	case (want.Err == nil) != (got.Err == nil):
-		fail("error: scratch=%v fork=%v", want.Err, got.Err)
+		fail("error: want=%v got=%v", want.Err, got.Err)
 	case want.Err != nil && want.Err.Error() != got.Err.Error():
-		fail("error text: scratch=%q fork=%q", want.Err, got.Err)
+		fail("error text: want=%q got=%q", want.Err, got.Err)
 	}
 	if !reflect.DeepEqual(want.Mismatch, got.Mismatch) {
-		fail("mismatch: scratch=%v fork=%v", want.Mismatch, got.Mismatch)
+		fail("mismatch: want=%v got=%v", want.Mismatch, got.Mismatch)
 	}
 	if want.WARCount != got.WARCount {
-		fail("WAR count: scratch=%d fork=%d", want.WARCount, got.WARCount)
+		fail("WAR count: want=%d got=%d", want.WARCount, got.WARCount)
 	}
 	if !reflect.DeepEqual(want.WAR, got.WAR) {
-		fail("WAR records: scratch=%v fork=%v", want.WAR, got.WAR)
+		fail("WAR records: want=%v got=%v", want.WAR, got.WAR)
 	}
 	if !reflect.DeepEqual(want.Stats, got.Stats) {
-		fail("device stats: scratch=%+v fork=%+v", want.Stats, got.Stats)
+		fail("device stats: want=%+v got=%+v", want.Stats, got.Stats)
 	}
 	return ok
 }

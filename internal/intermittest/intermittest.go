@@ -44,7 +44,9 @@ type Options struct {
 	// run, including the golden one.
 	CheckWAR bool
 	// Workers is the sweep parallelism (defaults to GOMAXPROCS). Each
-	// boundary runs on its own fresh device, so workers share nothing.
+	// worker's check holds its own fork slot (a pooled device rewound to
+	// the post-deploy image) for the whole run, so concurrent checks share
+	// no mutable device state.
 	Workers int
 	// SnapStride is the op stride of the golden run's snapshot train
 	// (<= 0 selects mcu.DefaultSnapStride). Denser trains shorten per-fork
@@ -163,6 +165,12 @@ func (r *Report) String() string {
 // suffix — bit-identical to a from-scratch run, as the fork oracle proves.
 // The quantized input is computed once here and shared read-only by every
 // worker; forked checks skip LoadInput entirely.
+//
+// Checks run on fork slots rather than fresh devices: a slot is a
+// core.Slot deployed (and WAR-armed) once from the model's post-deploy
+// template and rewound in place before every check, indistinguishable
+// from a fresh deploy (TestPooledCheckMatchesFresh). Idle slots wait on a
+// free list, which holds at most as many as Check ever ran concurrently.
 type Checker struct {
 	qm       *dnn.QuantModel
 	qin      []fixed.Q15
@@ -177,6 +185,10 @@ type Checker struct {
 
 	journal *mcu.Journal
 	resumer core.Resumer
+
+	tmpl  *core.Template
+	mu    sync.Mutex
+	slots []*core.Slot // idle fork slots
 }
 
 // NewChecker runs the runtime once under continuous power and captures the
@@ -223,6 +235,9 @@ func NewCheckerOpt(qm *dnn.QuantModel, x []float64, rt core.Runtime, opt Options
 	}
 	c.maxRegion = dev.Stats().MaxRegionOps
 	c.goldenWAR = dev.WARViolations()
+	if c.tmpl, err = core.NewTemplate(qm); err != nil {
+		return nil, fmt.Errorf("intermittest: fork template: %w", err)
+	}
 	return c, nil
 }
 
@@ -275,10 +290,11 @@ type ScheduleResult struct {
 	WARCount int
 	WAR      []mcu.WARViolation
 
-	// Stats is the faulted device's final accounting — identical between
-	// the forked and from-scratch paths (the fork oracle's strongest
-	// check). It is nil for sweep results served by equivalence-class
-	// dedup, which copies verdicts rather than simulating.
+	// Stats is the faulted device's final accounting, owned by the result
+	// (mcu.Device.TakeStats) — identical between the forked and
+	// from-scratch paths (the fork oracle's strongest check). It is nil
+	// for sweep results served by equivalence-class dedup, which copies
+	// verdicts rather than simulating.
 	Stats *mcu.Stats
 }
 
@@ -308,7 +324,8 @@ func (r *ScheduleResult) String() string {
 }
 
 // Check runs the runtime under the given brown-out schedule (ops before the
-// k-th failure) on a fresh device and differentially checks the result.
+// k-th failure) on a fork slot rewound to the post-deploy image and
+// differentially checks the result.
 //
 // When the golden journal is available and the schedule's first failure
 // lands inside the recorded run, the check forks: the device is restored
@@ -317,17 +334,51 @@ func (r *ScheduleResult) String() string {
 // Otherwise (no journal, forceScratch, or a first gap beyond the run) the
 // whole schedule is simulated from scratch. Both paths are bit-identical.
 func (c *Checker) Check(gaps []int) *ScheduleResult {
-	res := &ScheduleResult{Runtime: c.rt.Name(), Gaps: gaps}
-	dev := mcu.New(energy.NewFailSchedule(gaps))
-	if c.checkWAR {
-		dev.EnableWARCheck()
-	}
-	img, err := core.Deploy(dev, c.qm)
+	sl, err := c.takeSlot(energy.NewFailSchedule(gaps))
 	if err != nil {
-		res.Err = err
-		return res
+		return &ScheduleResult{Runtime: c.rt.Name(), Gaps: gaps, Err: err}
 	}
+	res := c.run(sl.Dev, sl.Img, gaps)
+	c.mu.Lock()
+	c.slots = append(c.slots, sl)
+	c.mu.Unlock()
+	return res
+}
+
+// takeSlot returns a fork slot provisioned with power: an idle one from
+// the free list, or a newly deployed one when none is idle. A slot that
+// fails to provision is dropped, and the error reported.
+func (c *Checker) takeSlot(power energy.System) (*core.Slot, error) {
+	c.mu.Lock()
+	var sl *core.Slot
+	if n := len(c.slots); n > 0 {
+		sl = c.slots[n-1]
+		c.slots = c.slots[:n-1]
+	}
+	c.mu.Unlock()
+	if sl == nil {
+		dev := mcu.New(energy.Continuous{})
+		if c.checkWAR {
+			dev.EnableWARCheck()
+		}
+		var err error
+		if sl, err = c.tmpl.NewSlot(dev); err != nil {
+			return nil, fmt.Errorf("intermittest: fork slot deploy: %w", err)
+		}
+	}
+	if _, err := sl.Provision(power); err != nil {
+		return nil, err
+	}
+	return sl, nil
+}
+
+// run is Check's body on dev, a device holding img in its post-deploy
+// state with the schedule's power system bound. The result owns
+// everything it carries, so dev may serve the next check at once.
+func (c *Checker) run(dev *mcu.Device, img *core.Image, gaps []int) *ScheduleResult {
+	res := &ScheduleResult{Runtime: c.rt.Name(), Gaps: gaps}
 	var got []fixed.Q15
+	var err error
 	if c.journal != nil && len(gaps) > 0 && gaps[0] >= 1 && int64(gaps[0]) <= c.totalOps {
 		got, err = c.resumer.ResumeInfer(img, func() error {
 			return c.journal.RestorePrefix(dev, int64(gaps[0]))
@@ -335,7 +386,10 @@ func (c *Checker) Check(gaps []int) *ScheduleResult {
 	} else {
 		got, err = c.rt.Infer(img, c.qin)
 	}
-	res.Stats = dev.Stats()
+	// The result takes the device's Stats, which the slot's next check
+	// would otherwise overwrite; the WAR records need no such care, since
+	// Reprovision drops the device's slice rather than reusing it.
+	res.Stats = dev.TakeStats()
 	res.WARCount = dev.WARCount()
 	res.WAR = dev.WARViolations()
 	if err != nil {

@@ -3,6 +3,7 @@ package mcu
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/energy"
 	"repro/internal/mem"
@@ -271,12 +272,19 @@ func (d *Device) bindPower(power energy.System) {
 // stats, section attribution, wasted-work mirrors, WAR verdicts,
 // progress/attempt bookkeeping — is cleared without reallocating the
 // banks or invalidating any *mem.Region pointer. Memory contents are the
-// caller's job (the fleet pool restores them from a prototype snapshot
-// before calling this). Observer configuration (journal, tracer, WAR
-// shadow) is not touched; pooled devices are expected to run bare, as
-// fleet simulations do.
+// caller's job (a core.Slot restores them from its template's snapshots
+// before calling this). Protocol regions released since they were marked
+// (a task runtime's redo log and state, allocated per run) are dropped,
+// and an armed WAR shadow is reset in place — in-flight word states
+// cleared, released regions forgotten — so a WAR-checking pooled device
+// starts each run like a freshly armed one. The journal and tracer are
+// not touched.
 func (d *Device) Reprovision(power energy.System) {
 	d.bindPower(power)
+	d.protocol = slices.DeleteFunc(d.protocol, (*mem.Region).Released)
+	if d.shadow != nil {
+		d.shadow.Reset()
+	}
 	d.warViolations = nil
 	d.warCount = 0
 	d.rebootsSinceProgress = 0
@@ -292,6 +300,18 @@ func (d *Device) Reprovision(power energy.System) {
 func (d *Device) Stats() *Stats {
 	d.finalizeStats()
 	return &d.stats
+}
+
+// TakeStats returns the accumulated statistics, finalized, and hands them
+// over: the device starts a new accounting as ResetStats does, so nothing
+// it does later (a pooled device's next run) reaches the returned Stats.
+// Unlike Stats, whose pointer aliases the live accounting, the result is
+// the caller's to keep.
+func (d *Device) TakeStats() *Stats {
+	d.finalizeStats()
+	st := d.stats
+	d.ResetStats()
+	return &st
 }
 
 // finalizeStats recomputes the derived Stats fields from the per-section

@@ -27,8 +27,9 @@ const DefaultSnapStride = 2048
 // Scalar accounts a batch op by op, so a snapshot could fall inside a
 // batch whose funded effects are still pending.
 //
-// After the run, RestorePrefix reconstructs onto a fresh, identically
-// deployed device the exact state a from-scratch run would reach at its
+// After the run, RestorePrefix reconstructs onto an identically deployed
+// device — fresh, or a pooled one rewound to its post-deploy image and
+// reprovisioned — the exact state a from-scratch run would reach at its
 // first brown-out on charged op b: the golden prefix of ops 1..b-1
 // (deterministically identical across placements, since no power system in
 // this tree feeds back into the op stream before the first failure), the
@@ -303,8 +304,10 @@ func (j *Journal) WARPrefix(b int64) (count int, kept []WARViolation) {
 // applied, the in-flight region aborted (SRAM cleared, shadow empty), and
 // the first reboot taken (fork.Power.Recharge() is called once, so the
 // caller installs the power system in its pre-first-reboot state). The
-// fork must be freshly constructed and identically deployed, so its FRAM
-// region layout matches the recording's.
+// fork must be deployed identically to the recording device, so its FRAM
+// region layout matches the recording's, and must carry no state of an
+// earlier run: freshly constructed, or a pooled device rewound to its
+// post-deploy image and reprovisioned (core.Slot.Provision).
 func (j *Journal) RestorePrefix(fork *Device, b int64) error {
 	pre := b - 1
 	if pre < j.base || b > j.MaxOp() {

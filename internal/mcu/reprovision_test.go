@@ -74,3 +74,50 @@ func TestReprovisionRebindsPowerFastPaths(t *testing.T) {
 		t.Error("rebound op-limited power never browned out: stale devirtualized caches")
 	}
 }
+
+// TestReprovisionPrunesReleasedProtocol: every tile or checkpoint run on a
+// pooled device builds a task runtime, whose New marks its state block and
+// redo log as protocol regions and whose Release frees them. Across many
+// reprovisioned runs the protocol list must stay at its post-deploy
+// length, and an armed WAR shadow must keep the deploy-time exemptions
+// while forgetting the released ones.
+func TestReprovisionPrunesReleasedProtocol(t *testing.T) {
+	for _, war := range []bool{false, true} {
+		d := New(energy.Continuous{})
+		if war {
+			d.EnableWARCheck()
+		}
+		ctl := d.FRAM.MustAlloc("ctl", 4, 2)
+		data := d.FRAM.MustAlloc("data", 4, 2)
+		d.MarkProtocol(ctl) // what core.Deploy marks
+		deployed := len(d.protocol)
+		for run := 0; run < 20; run++ {
+			d.Reprovision(energy.NewFailAfterOps(7, 7))
+			// task.New and Runtime.Release, which this package cannot
+			// import: allocate and mark the two regions, run, free them.
+			state := d.FRAM.MustAlloc("task.state", 8, 2)
+			log := d.FRAM.MustAlloc("task.redolog", 2048, 4)
+			d.MarkProtocol(state, log)
+			burn(t, d, 10)
+			d.FRAM.Release(state)
+			d.FRAM.Release(log)
+		}
+		d.Reprovision(energy.Continuous{})
+		if len(d.protocol) != deployed {
+			t.Fatalf("war=%v: protocol list has %d regions after 20 runs, want the post-deploy %d", war, len(d.protocol), deployed)
+		}
+		if !war {
+			continue
+		}
+		err := d.Run(func() {
+			d.Store(ctl, 0, d.Load(ctl, 0)+1)
+			d.Store(data, 0, d.Load(data, 0)+1)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.WARViolations(); len(got) != 1 || got[0].Region != "data" {
+			t.Errorf("WAR violations after reprovisioned runs = %+v, want exactly one, on data (ctl stays exempt)", got)
+		}
+	}
+}

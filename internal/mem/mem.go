@@ -87,6 +87,11 @@ type Region struct {
 	// its weight tables entirely on re-provisioning: kernels only ever
 	// read them through ROWords, so they stay clean.
 	dirty bool
+
+	// shadow and shadowIdx cache the region's entry in the WAR Shadow
+	// that last looked it up, sparing each tracked access a map lookup.
+	shadow    *Shadow
+	shadowIdx int32
 }
 
 // Alloc reserves a region of n words of elemBytes each, or fails if the
@@ -163,6 +168,9 @@ func (m *Memory) Release(r *Region) {
 
 // Reset releases all regions.
 func (m *Memory) Reset() {
+	for _, r := range m.regions {
+		r.mem = nil
+	}
 	m.regions = nil
 	m.used = 0
 }
@@ -180,6 +188,10 @@ func (m *Memory) ClearVolatile() {
 		}
 	}
 }
+
+// Released reports whether the region has been released from its bank
+// (Release or Reset); a released region must not be accessed again.
+func (r *Region) Released() bool { return r.mem == nil }
 
 // Kind returns the memory technology holding this region.
 func (r *Region) Kind() Kind { return r.kind }

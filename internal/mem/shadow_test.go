@@ -84,3 +84,38 @@ func TestShadowIgnoresSRAM(t *testing.T) {
 		t.Error("volatile SRAM access flagged: reboot clears it, no WAR possible")
 	}
 }
+
+func TestShadowResetForgetsReleasedRegions(t *testing.T) {
+	fram := New(FRAM, 1<<16)
+	s := NewShadow()
+	ctl := fram.MustAlloc("ctl", 4, 2)
+	s.Exempt(ctl)
+	// A per-run protocol region and a per-run scratch region, both touched
+	// and then released, ahead of a long-lived region in first-seen order.
+	log := fram.MustAlloc("log", 64, 4)
+	s.Exempt(log)
+	tmp := fram.MustAlloc("tmp", 8, 2)
+	s.OnRead(tmp, 0)
+	live := fram.MustAlloc("live", 8, 2)
+	s.OnRead(live, 1)
+	fram.Release(log)
+	fram.Release(tmp)
+
+	s.Reset()
+	if len(s.regs) != 2 || len(s.index) != 2 {
+		t.Fatalf("after Reset the shadow tracks %d regions (%d indexed), want ctl and live", len(s.regs), len(s.index))
+	}
+	if s.OnWrite(live, 1) {
+		t.Error("in-flight read survived Reset")
+	}
+	// live moved in the compacted entry list; its cached position must
+	// have moved with it.
+	s.OnRead(live, 2)
+	if !s.OnWrite(live, 2) {
+		t.Error("write-after-read on a live region missed after Reset")
+	}
+	s.OnRead(ctl, 0)
+	if s.OnWrite(ctl, 0) {
+		t.Error("Reset forgot a live region's exemption")
+	}
+}

@@ -118,7 +118,10 @@ type ShadowSnapshot struct {
 func (s *Shadow) Snapshot() *ShadowSnapshot {
 	snap := &ShadowSnapshot{words: make([]shadowWordSnap, 0, len(s.touched))}
 	for _, t := range s.touched {
-		snap.words = append(snap.words, shadowWordSnap{t.r, t.i, s.state[t.r][t.i]})
+		e := s.regs[t.reg]
+		if e.st != nil {
+			snap.words = append(snap.words, shadowWordSnap{e.r, int(t.i), e.st[t.i]})
+		}
 	}
 	return snap
 }
@@ -128,7 +131,10 @@ func (s *Shadow) Snapshot() *ShadowSnapshot {
 func (s *Shadow) Restore(snap *ShadowSnapshot) {
 	s.clear()
 	for _, w := range snap.words {
-		s.words(w.r)[w.i] = w.st
-		s.touched = append(s.touched, touchedWord{w.r, w.i})
+		ri := s.entry(w.r)
+		if st := s.regs[ri].st; st != nil {
+			st[w.i] = w.st
+			s.touched = append(s.touched, touchedWord{ri, int32(w.i)})
+		}
 	}
 }
