@@ -71,11 +71,11 @@ func (t *Template) NewSlot(dev *mcu.Device) (*Slot, error) {
 func (s *Slot) Provision(power energy.System) (mem.RestoreStats, error) {
 	fst, err := s.tmpl.fram.RestoreInPlace(s.Dev.FRAM, s.framHint)
 	if err != nil {
-		return fst, fmt.Errorf("core: provisioning FRAM: %w", err)
+		return mem.RestoreStats{}, fmt.Errorf("core: provisioning FRAM: %w", err)
 	}
 	sst, err := s.tmpl.sram.RestoreInPlace(s.Dev.SRAM, s.sramHint)
 	if err != nil {
-		return fst, fmt.Errorf("core: provisioning SRAM: %w", err)
+		return mem.RestoreStats{}, fmt.Errorf("core: provisioning SRAM: %w", err)
 	}
 	s.Dev.Reprovision(power)
 	return mem.RestoreStats{
