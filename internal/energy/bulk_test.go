@@ -17,21 +17,14 @@ func refConsume(s System, pj int64) bool {
 	case *Intermittent:
 		s.remainingPJ -= pj
 		return s.remainingPJ >= 0
-	case *FailAfterOps:
-		if s.limit <= 0 {
-			return true // exhausted schedule: behave as continuous
-		}
-		s.count++
-		if s.count >= s.limit {
-			s.failed = true
-			return false
-		}
-		return true
 	case *FailSchedule:
-		if s.cycle >= len(s.Gaps) {
-			return true // exhausted schedule: behave as continuous
+		gap := s.Period
+		if s.cycle < len(s.Gaps) {
+			gap = max(s.Gaps[s.cycle], 1)
 		}
-		gap := max(s.Gaps[s.cycle], 1)
+		if gap <= 0 {
+			return true // gaps spent, no period: behave as continuous
+		}
 		s.count++
 		return s.count < gap
 	case *Recorder:
@@ -89,6 +82,9 @@ func pairs() []bulkPair {
 		{name: "fail-schedule",
 			bulk: NewFailSchedule([]int{97, 13, 1, 250}),
 			ref:  NewFailSchedule([]int{97, 13, 1, 250})},
+		{name: "fail-schedule-periodic",
+			bulk: &FailSchedule{Gaps: []int{97, 13, 1, 250}, Period: 61},
+			ref:  &FailSchedule{Gaps: []int{97, 13, 1, 250}, Period: 61}},
 		{name: "recorder", bulk: mkRec(), ref: mkRec(),
 			level: func(a, b System) (int64, int64, bool) {
 				return a.(*Recorder).Inner.remainingPJ, b.(*Recorder).Inner.remainingPJ, true

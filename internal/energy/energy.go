@@ -3,8 +3,8 @@
 // and a brown-out threshold, and harvesters that refill it (constant-power
 // RF, stochastic RF, and a diurnal solar trace).
 //
-// It also provides deterministic fault-injection power systems used by the
-// correctness tests: sources that cut power after an exact number of
+// It also provides one deterministic fault-injection source, FailSchedule,
+// used by the correctness tests: it cuts power after exact numbers of
 // operations, so failures can be placed at chosen instruction boundaries.
 //
 // All energies are in nanojoules (nJ) and times in seconds.
@@ -33,11 +33,6 @@ type System interface {
 	// Recharge refills the buffer after a failure and returns dead time
 	// in seconds.
 	Recharge() float64
-	// BufferEnergy returns the usable energy per full charge, in nJ
-	// (infinite for continuous power).
-	BufferEnergy() float64
-	// Reset restores the initial (fully charged) state.
-	Reset()
 }
 
 // pjOf converts a nanojoule cost to integer picojoules. All capacitor
@@ -61,12 +56,6 @@ func (Continuous) ConsumeN(_ int64, n int) int { return n }
 
 // Recharge is never needed and returns 0.
 func (Continuous) Recharge() float64 { return 0 }
-
-// BufferEnergy is unbounded.
-func (Continuous) BufferEnergy() float64 { return math.Inf(1) }
-
-// Reset is a no-op.
-func (Continuous) Reset() {}
 
 // Capacitor models an energy buffer charged to VOn and usable down to VOff:
 // usable energy = ½C(VOn² − VOff²).
@@ -371,75 +360,17 @@ func (p *Intermittent) String() string {
 	return fmt.Sprintf("intermittent(%.0fuF, %.1fuJ/cycle)", p.Cap.C*1e6, p.Cap.UsableNJ()/1e3)
 }
 
-// FailAfterOps is a deterministic fault-injection source: power fails after
-// exactly N successfully charged ops, regardless of energy, then every M
-// ops after each recharge. Dead time is zero. Used by correctness tests
-// to place failures at exact operation boundaries.
-type FailAfterOps struct {
-	First  int // ops before the first failure
-	Period int // ops between subsequent failures (0 = never again)
-
-	count  int
-	limit  int
-	failed bool
-}
-
-// NewFailAfterOps returns a source failing first after `first` ops and then
-// every `period` ops.
-func NewFailAfterOps(first, period int) *FailAfterOps {
-	f := &FailAfterOps{First: first, Period: period}
-	f.Reset()
-	return f
-}
-
-// ConsumeN counts a batch of up to n ops, stopping at the configured
-// boundary; the cost is irrelevant to this source. The op arithmetic is
-// count-exact: a partial batch advances the counter past the failing op,
-// exactly as n one-op charges would.
-func (f *FailAfterOps) ConsumeN(_ int64, n int) int {
-	if f.limit <= 0 {
-		return n // exhausted schedule: behave as continuous
-	}
-	avail := f.limit - 1 - f.count
-	if avail < 0 {
-		avail = 0
-	}
-	if n <= avail {
-		f.count += n
-		return n
-	}
-	f.count += avail + 1
-	f.failed = true
-	return avail
-}
-
-// Recharge arms the next failure window.
-func (f *FailAfterOps) Recharge() float64 {
-	f.count = 0
-	f.limit = f.Period
-	f.failed = false
-	return 0
-}
-
-// BufferEnergy is reported as the op budget (callers treat it as opaque).
-func (f *FailAfterOps) BufferEnergy() float64 { return float64(f.limit) }
-
-// Reset restores the initial schedule.
-func (f *FailAfterOps) Reset() {
-	f.count = 0
-	f.limit = f.First
-	f.failed = false
-}
-
-// FailSchedule is a deterministic multi-failure fault-injection source: the
-// k-th charge cycle browns out on its Gaps[k]-th charged op, regardless
-// of energy. When the schedule is exhausted the source
-// behaves as continuous power, so every run terminates and can be checked
-// against a golden result. Dead time is zero. Fuzzers decode their input
-// bytes into a gap list and hand it here, making every failure schedule a
-// small, printable, replayable value.
+// FailSchedule is the deterministic fault-injection source: the k-th
+// charge cycle browns out on its Gaps[k]-th charged op, regardless of
+// energy, and every cycle after the listed gaps on its Period-th op. With
+// Period <= 0 the source behaves as continuous power once the gaps are
+// exhausted, so every run terminates and can be checked against a golden
+// result. Dead time is zero. Fuzzers decode their input bytes into a gap
+// list and hand it here, making every failure schedule a small, printable,
+// replayable value.
 type FailSchedule struct {
-	Gaps []int
+	Gaps   []int
+	Period int
 
 	cycle int
 	count int
@@ -452,21 +383,24 @@ func NewFailSchedule(gaps []int) *FailSchedule {
 	return &FailSchedule{Gaps: gaps}
 }
 
+// NewFailAfterOps returns a source failing first after `first` ops and then
+// every `period` ops (period <= 0: never again).
+func NewFailAfterOps(first, period int) *FailSchedule {
+	return &FailSchedule{Gaps: []int{first}, Period: period}
+}
+
 // ConsumeN counts a batch of up to n ops against the current cycle's
-// boundary, with the same count-exact partial-batch semantics as
-// FailAfterOps.ConsumeN.
+// boundary; the cost is irrelevant to this source. The op arithmetic is
+// count-exact: a partial batch advances the counter past the failing op,
+// exactly as n one-op charges would.
 func (f *FailSchedule) ConsumeN(_ int64, n int) int {
-	if f.cycle >= len(f.Gaps) {
+	gap := f.Period
+	if f.cycle < len(f.Gaps) {
+		gap = max(f.Gaps[f.cycle], 1)
+	} else if gap <= 0 {
 		return n // exhausted schedule: behave as continuous
 	}
-	gap := f.Gaps[f.cycle]
-	if gap < 1 {
-		gap = 1
-	}
-	avail := gap - 1 - f.count
-	if avail < 0 {
-		avail = 0
-	}
+	avail := max(gap-1-f.count, 0)
 	if n <= avail {
 		f.count += n
 		return n
@@ -480,21 +414,6 @@ func (f *FailSchedule) Recharge() float64 {
 	f.cycle++
 	f.count = 0
 	return 0
-}
-
-// BufferEnergy is reported as the current op budget (callers treat it as
-// opaque); once the schedule is exhausted it is unbounded, like Continuous.
-func (f *FailSchedule) BufferEnergy() float64 {
-	if f.cycle >= len(f.Gaps) {
-		return math.Inf(1)
-	}
-	return float64(f.Gaps[f.cycle])
-}
-
-// Reset restores the initial schedule.
-func (f *FailSchedule) Reset() {
-	f.cycle = 0
-	f.count = 0
 }
 
 // TraceHarvester replays a recorded power trace, one sample per recharge

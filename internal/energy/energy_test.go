@@ -30,9 +30,6 @@ func TestContinuousNeverFails(t *testing.T) {
 			t.Fatal("continuous power must never fail")
 		}
 	}
-	if !math.IsInf(c.BufferEnergy(), 1) {
-		t.Error("continuous buffer should be infinite")
-	}
 	if c.Recharge() != 0 {
 		t.Error("continuous recharge should be free")
 	}
@@ -173,12 +170,6 @@ func TestResets(t *testing.T) {
 	if !consume(p, p.BufferEnergy()/2) {
 		t.Error("reset should refill")
 	}
-	f := NewFailAfterOps(2, 5)
-	consume(f, 0)
-	f.Reset()
-	if !consume(f, 0) {
-		t.Error("reset should rearm first window")
-	}
 }
 
 func TestTraceHarvester(t *testing.T) {
@@ -281,16 +272,6 @@ func TestFailScheduleBoundaries(t *testing.T) {
 		if !consume(f, 1) {
 			t.Fatal("exhausted schedule failed")
 		}
-	}
-	if !math.IsInf(f.BufferEnergy(), 1) {
-		t.Fatal("exhausted schedule should report unbounded buffer")
-	}
-	// Reset restores the full schedule.
-	f.Reset()
-	consume(f, 1)
-	consume(f, 1)
-	if consume(f, 1) {
-		t.Fatal("reset did not restore the schedule")
 	}
 }
 

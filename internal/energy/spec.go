@@ -1,6 +1,9 @@
 package energy
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // SystemSpec is a declarative, serializable description of a power system:
 // a capacitor size plus a named harvester class and its parameters. It is
@@ -24,31 +27,76 @@ type SystemSpec struct {
 	Trace []float64 `json:"trace,omitempty"`
 }
 
+// normTail bounds |NormFloat64()|. Its ziggurat tail draw is
+// rn + ln(1/u)/rn with rn ≈ 3.4426 and u a 53-bit uniform, so a draw is at
+// most 3.4426 + 53·ln2/3.4426 ≈ 14.11 (u = 0 takes two zero uniforms in a
+// row, probability 2^-106).
+const normTail = 14.2
+
 // Validate reports whether the spec describes a constructible system,
-// without constructing it.
+// without constructing it. Two bounds keep every accepted system's
+// arithmetic in range:
+//
+//   - The capacitor's usable energy must fit the int64 picojoules an
+//     Intermittent accounts in (UsablePJ), which on CapBank's voltage
+//     window holds up to about 6.3e7 F.
+//   - No harvester may return a non-positive power, which DeadTime
+//     rejects. A stochastic harvester's smallest draw is
+//     watts·exp(−|sigma|·normTail − sigma²/2), which underflows to 0 from
+//     sigma ≈ 26.8 at the default watts and sooner for smaller watts. A
+//     solar harvester's 1% floor underflows for subnormal watts.
 func (s SystemSpec) Validate() error {
 	switch s.Kind {
 	case "cont":
 		return nil
-	case "const", "stoch", "solar":
-		if s.CapFarads <= 0 {
-			return fmt.Errorf("energy: %q spec needs a positive capacitor, got %v", s.Kind, s.CapFarads)
-		}
-		if s.Watts < 0 {
-			return fmt.Errorf("energy: %q spec has negative harvest power %v", s.Kind, s.Watts)
-		}
-		return nil
-	case "trace":
-		if s.CapFarads <= 0 {
-			return fmt.Errorf("energy: %q spec needs a positive capacitor, got %v", s.Kind, s.CapFarads)
-		}
-		_, err := NewTraceHarvester(s.Trace)
-		return err
+	case "const", "stoch", "solar", "trace":
 	case "":
 		return fmt.Errorf("energy: spec has no harvester kind")
 	default:
 		return fmt.Errorf("energy: unknown harvester kind %q", s.Kind)
 	}
+	if s.CapFarads <= 0 {
+		return fmt.Errorf("energy: %q spec needs a positive capacitor, got %v", s.Kind, s.CapFarads)
+	}
+	if pj := CapBank(s.CapFarads).UsableNJ() * 1000; !(pj < math.MaxInt64) {
+		return fmt.Errorf("energy: %q spec's %v F capacitor holds more picojoules than an int64 counts", s.Kind, s.CapFarads)
+	}
+	if s.Kind == "trace" {
+		_, err := NewTraceHarvester(s.Trace)
+		return err
+	}
+	if s.Watts < 0 {
+		return fmt.Errorf("energy: %q spec has negative harvest power %v", s.Kind, s.Watts)
+	}
+	w := s.watts()
+	switch s.Kind {
+	case "stoch":
+		sigma := s.sigma()
+		if !(w*math.Exp(-math.Abs(sigma)*normTail-sigma*sigma/2) > 0) {
+			return fmt.Errorf("energy: %q spec's sigma %v can draw a harvest power that underflows to 0 at %v W", s.Kind, sigma, w)
+		}
+	case "solar":
+		if !(w*0.01 > 0) {
+			return fmt.Errorf("energy: %q spec's %v W peak has a 1%% floor that underflows to 0", s.Kind, w)
+		}
+	}
+	return nil
+}
+
+// watts is the harvester's power with the zero default applied.
+func (s SystemSpec) watts() float64 {
+	if s.Watts == 0 {
+		return DefaultRFWatts
+	}
+	return s.Watts
+}
+
+// sigma is the stochastic harvester's sigma with the zero default applied.
+func (s SystemSpec) sigma() float64 {
+	if s.Sigma == 0 {
+		return 0.4
+	}
+	return s.Sigma
 }
 
 // New constructs the power system the spec describes, fully charged. The
@@ -72,23 +120,15 @@ func (s SystemSpec) NewHarvester(seed uint64) (Harvester, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	w := s.Watts
-	if w == 0 {
-		w = DefaultRFWatts
-	}
 	switch s.Kind {
 	case "cont":
 		return nil, nil
 	case "const":
-		return ConstantHarvester{Watts: w}, nil
+		return ConstantHarvester{Watts: s.watts()}, nil
 	case "stoch":
-		sigma := s.Sigma
-		if sigma == 0 {
-			sigma = 0.4
-		}
-		return NewStochasticHarvester(w, sigma, seed), nil
+		return NewStochasticHarvester(s.watts(), s.sigma(), seed), nil
 	case "solar":
-		return NewSolarHarvester(w, seed), nil
+		return NewSolarHarvester(s.watts(), seed), nil
 	default: // "trace", already validated
 		return NewTraceHarvester(s.Trace)
 	}

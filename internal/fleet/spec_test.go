@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -147,5 +148,23 @@ func TestFleetDeviceSeedGolden(t *testing.T) {
 	}
 	if got := spec.Device(0).HarvestSeed; got != golden[0].want {
 		t.Errorf("Device(0).HarvestSeed = %#x, want %#x", got, golden[0].want)
+	}
+}
+
+// TestFleetSpecRejectsUnderflowingHarvester: a stochastic class whose
+// harvester can draw 0 W (sigma 38.5 underflows the lognormal factor)
+// must fail validation, so Run returns an error instead of panicking in
+// the per-device dead-time replay, which runs outside the simulation's
+// panic guard.
+func TestFleetSpecRejectsUnderflowingHarvester(t *testing.T) {
+	spec := Spec{Devices: 64, Seed: 1, Models: []string{"tiny"}, Runtimes: []string{"sonic"},
+		Powers: []PowerClass{{Name: "stoch-wild",
+			SystemSpec: energy.SystemSpec{Kind: "stoch", CapFarads: 2e-5, Sigma: 38.5}}}}
+	models := testModels(1)
+	if err := spec.Validate(models); err == nil {
+		t.Fatal("spec with a 0 W harvester draw passed validation")
+	}
+	if _, err := Run(context.Background(), spec, models, 2); err == nil {
+		t.Fatal("Run accepted a spec with a 0 W harvester draw")
 	}
 }

@@ -142,8 +142,8 @@ type Device struct {
 
 	// toks holds the pre-resolved section handles handed out by
 	// SectionToken; statsGen invalidates their cached stats pointers
-	// whenever stats.Sections is replaced wholesale (ResetStats, snapshot
-	// restore, fork prefix restore).
+	// whenever stats.Sections is replaced wholesale (ResetStats, fork
+	// prefix restore).
 	toks     []tokEntry
 	statsGen uint32
 
@@ -165,9 +165,9 @@ type Device struct {
 
 	// cycNow and pjNow mirror the derived live-cycle count and total
 	// consumed picojoules incrementally: every accounting path (Op,
-	// account, ChargeTrain) adds its ops' costs, and every
-	// wholesale stats replacement (ResetStats, Restore, RestorePrefix)
-	// resyncs them from the per-section counts (resyncNow). They are the
+	// account, ChargeTrain) adds its ops' costs, and every wholesale
+	// stats replacement (ResetStats, RestorePrefix) resyncs them from the
+	// per-section counts (resyncNow). They are the
 	// O(1) timestamps of trace events and the basis of wasted-work
 	// tracking, and hold at every op boundary whether or not anything
 	// reads them.
@@ -346,10 +346,10 @@ func (d *Device) finalizeStats() {
 }
 
 // resyncNow recomputes the (cycles, pJ) mirrors from the per-section op
-// counts after stats are replaced wholesale (ResetStats, Restore,
-// RestorePrefix) or wasted-work tracking is toggled — the one place the
-// full derivation still runs outside Stats(). A tracking device's
-// wasted-work baseline restarts at the resynced total.
+// counts after stats are replaced wholesale (ResetStats, RestorePrefix)
+// or wasted-work tracking is toggled — the one place the full derivation
+// still runs outside Stats(). A tracking device's wasted-work baseline
+// restarts at the resynced total.
 func (d *Device) resyncNow() {
 	d.finalizeStats()
 	d.cycNow, d.pjNow = d.stats.LiveCycles, d.stats.EnergyPJ
@@ -519,7 +519,7 @@ func (d *Device) Section() (string, Phase) { return d.section.Layer, d.section.P
 type SectionTok int
 
 // tokEntry caches one token's resolved stats. gen guards against stats
-// replacement (ResetStats, snapshot restore): a stale entry re-resolves
+// replacement (ResetStats, RestorePrefix): a stale entry re-resolves
 // into the live map on next use.
 type tokEntry struct {
 	sec   Section

@@ -98,40 +98,6 @@ func opsUntilFail(d *mcu.Device) int {
 	return n
 }
 
-// TestDeviceSnapshotRoundTrip: a full-device snapshot restores memory,
-// power, accounting, and WAR state bit-exactly — the restored device's
-// stats and forward behavior match a twin that stopped at the snapshot.
-func TestDeviceSnapshotRoundTrip(t *testing.T) {
-	r := newRig(energy.NewFailSchedule([]int{100_000}))
-	r.workload()
-	snap, err := r.dev.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Diverge, then restore. The reference state is a twin that ran the
-	// same prefix and stopped where the snapshot was taken.
-	r.workload()
-	if err := r.dev.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	twin := newRig(energy.NewFailSchedule([]int{100_000}))
-	twin.workload()
-	if got, want := *r.dev.Stats(), *twin.dev.Stats(); !reflect.DeepEqual(got, want) {
-		t.Errorf("restored stats diverged:\n got %+v\nwant %+v", got, want)
-	}
-	if got, want := framSum(r.dev), framSum(twin.dev); got != want {
-		t.Errorf("restored FRAM diverged: %d vs %d", got, want)
-	}
-	if got, want := r.dev.WARViolations(), twin.dev.WARViolations(); !reflect.DeepEqual(got, want) {
-		t.Errorf("restored WAR records diverged:\n got %v\nwant %v", got, want)
-	}
-	// Forward behavior, including the power schedule's hidden cursor.
-	if got, want := opsUntilFail(r.dev), opsUntilFail(twin.dev); got != want {
-		t.Errorf("post-restore brown-out position %d, twin %d", got, want)
-	}
-}
-
 // TestJournalForkMatchesScratch: for brown-out placements across the whole
 // run — including mid-batch ones — a fork served from the golden journal
 // is bit-identical to a from-scratch run stopped at its first brown-out

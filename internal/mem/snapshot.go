@@ -99,42 +99,3 @@ func (s *Snapshot) RestoreTo(m *Memory) error {
 	}
 	return nil
 }
-
-// shadowWordSnap is one saved in-flight shadow word state.
-type shadowWordSnap struct {
-	r  *Region
-	i  int
-	st uint8
-}
-
-// ShadowSnapshot captures a Shadow's in-flight (uncommitted) word states.
-type ShadowSnapshot struct {
-	words []shadowWordSnap
-}
-
-// Snapshot captures the tracker's in-flight state — every word touched
-// since the last commit or abort. The exempt set is structural (rebuilt by
-// whoever configured the tracker) and is not captured.
-func (s *Shadow) Snapshot() *ShadowSnapshot {
-	snap := &ShadowSnapshot{words: make([]shadowWordSnap, 0, len(s.touched))}
-	for _, t := range s.touched {
-		e := s.regs[t.reg]
-		if e.st != nil {
-			snap.words = append(snap.words, shadowWordSnap{e.r, int(t.i), e.st[t.i]})
-		}
-	}
-	return snap
-}
-
-// Restore rewinds the tracker to a snapshot taken from the same Shadow:
-// current in-flight state is discarded and the saved word states reapplied.
-func (s *Shadow) Restore(snap *ShadowSnapshot) {
-	s.clear()
-	for _, w := range snap.words {
-		ri := s.entry(w.r)
-		if st := s.regs[ri].st; st != nil {
-			st[w.i] = w.st
-			s.touched = append(s.touched, touchedWord{ri, int32(w.i)})
-		}
-	}
-}

@@ -138,30 +138,3 @@ func TestPutObserver(t *testing.T) {
 		t.Fatal("region indexing inconsistent")
 	}
 }
-
-// TestShadowSnapshotRoundTrip: restoring a shadow snapshot rewinds the
-// in-flight WAR state machine exactly — a write that was a violation at
-// snapshot time is again a violation after restore, and vice versa.
-func TestShadowSnapshotRoundTrip(t *testing.T) {
-	m := New(FRAM, 4096)
-	r := m.MustAlloc("r", 16, 2)
-	s := NewShadow()
-	s.OnRead(r, 3)  // 3: readFirst — a later write is a WAR violation
-	s.OnWrite(r, 5) // 5: written — later writes are safe
-	snap := s.Snapshot()
-
-	if !s.OnWrite(r, 3) {
-		t.Fatal("write after read not flagged before snapshot use")
-	}
-	s.Commit()
-	if s.OnWrite(r, 3) {
-		t.Fatal("commit did not clear word state")
-	}
-	s.Restore(snap)
-	if !s.OnWrite(r, 3) {
-		t.Fatal("restored shadow lost the read-first state")
-	}
-	if s.OnWrite(r, 5) {
-		t.Fatal("restored shadow lost the written state")
-	}
-}

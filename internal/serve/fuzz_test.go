@@ -23,7 +23,8 @@ func FuzzSpecDecode(f *testing.F) {
 		}
 		return b
 	}
-	// The rejected bodies of TestServeRejectsBadSpecs, plus valid specs.
+	// The rejected bodies of TestServeRejectsBadSpecs and
+	// TestServeRejectsOutOfRangePower, plus valid specs.
 	for _, seed := range [][]byte{
 		[]byte("{not json"),
 		[]byte(`{"bogus_field": 1}`),
@@ -35,6 +36,12 @@ func FuzzSpecDecode(f *testing.F) {
 		valid(func(s *fleet.Spec) {
 			s.Powers = append(s.Powers, fleet.PowerClass{Name: "trace",
 				SystemSpec: energy.SystemSpec{Kind: "trace", CapFarads: 47e-6, Trace: []float64{1e-3, -0.0, 4e-3}}})
+		}),
+		valid(func(s *fleet.Spec) {
+			s.Powers = []fleet.PowerClass{{Name: "huge", SystemSpec: energy.SystemSpec{Kind: "const", CapFarads: 1e10}}}
+		}),
+		valid(func(s *fleet.Spec) {
+			s.Powers = []fleet.PowerClass{{Name: "wild", SystemSpec: energy.SystemSpec{Kind: "stoch", CapFarads: 2e-5, Sigma: 38.5}}}
 		}),
 	} {
 		f.Add(seed)

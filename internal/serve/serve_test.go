@@ -660,6 +660,33 @@ func TestServeRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestServeRejectsOutOfRangePower: power classes whose arithmetic leaves
+// range — a stochastic harvester that can draw 0 W, a capacitor whose
+// usable picojoules overflow int64 — are turned away with 400 at submit,
+// and the server keeps answering.
+func TestServeRejectsOutOfRangePower(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	for _, sys := range []energy.SystemSpec{
+		{Kind: "stoch", CapFarads: 2e-5, Sigma: 38.5},
+		{Kind: "const", CapFarads: 1e10},
+	} {
+		spec := tinySpec(64)
+		spec.Runtimes = []string{"sonic"}
+		spec.Powers = []fleet.PowerClass{{Name: "wild", SystemSpec: sys}}
+		if _, code := postSpec(t, ts, spec); code != http.StatusBadRequest {
+			t.Errorf("%+v: status %d, want 400", sys, code)
+		}
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("healthz after %+v: status %d", sys, resp.StatusCode)
+		}
+	}
+}
+
 // TestServeHealthz sanity-checks the liveness endpoint shape.
 func TestServeHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
