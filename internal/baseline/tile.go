@@ -55,10 +55,38 @@ func (t Tile) Infer(img *core.Image, input []fixed.Q15) ([]fixed.Q15, error) {
 	return t.ResumeInfer(img, nil)
 }
 
-// ResumeInfer implements core.Resumer: the full task-graph setup (runtime
-// allocation, sharing, building, Start) runs first, then atReboot — whose
-// prefix restore overwrites the setup's nonvolatile state — then the run.
+// ResumeInfer implements core.Resumer: Prepare, then one run of the
+// prepared task graph, then Release.
 func (t Tile) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15, error) {
+	p, err := t.prepare(img)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Release()
+	return p.ResumeInfer(atReboot)
+}
+
+// Prepare implements core.Preparer: it allocates the task runtime (state
+// and redo log, in that order, after the deployed regions), registers the
+// image's working buffers as task-shared, and builds the task graph.
+func (t Tile) Prepare(img *core.Image) (core.Prepared, error) { return t.prepare(img) }
+
+// tileRun is a Tile runtime prepared on one image: the task runtime and
+// the task graph built over it.
+type tileRun struct {
+	t    Tile
+	name string // t.Name()
+	img  *core.Image
+	rt   *task.Runtime
+	b    tileBuilder
+	// outB is the parity of the buffer holding the final output.
+	outB bool
+	// ran records that the runtime has run since it was prepared, so its
+	// regions no longer hold what a fresh allocation gives.
+	ran bool
+}
+
+func (t Tile) prepare(img *core.Image) (*tileRun, error) {
 	if t.TileSize <= 0 {
 		return nil, fmt.Errorf("baseline: invalid tile size %d", t.TileSize)
 	}
@@ -70,35 +98,68 @@ func (t Tile) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15, 
 	if err != nil {
 		return nil, fmt.Errorf("baseline: allocating task runtime: %w", err)
 	}
-	defer rt.Release()
-
 	for _, r := range []*mem.Region{img.ActA, img.ActB, img.AccA, img.AccB, img.Ctl} {
 		if r != nil {
 			rt.Share(r)
 		}
 	}
-
-	// Fused forms are built only for devices that can run them, so a
-	// run that never fuses allocates nothing for them.
-	b := tileBuilder{img: img, rt: rt, k: t.TileSize, prog: tape.Get(img.Model),
-		fuse: img.Dev.CanFuse() && !img.Dev.FRAM.Observed()}
-	outB, err := b.build()
-	if err != nil {
+	p := &tileRun{t: t, name: t.Name(), img: img, rt: rt,
+		b: tileBuilder{img: img, rt: rt, k: t.TileSize, prog: tape.Get(img.Model)}}
+	if err := p.build(); err != nil {
+		rt.Release()
 		return nil, err
 	}
-	img.Dev.Emit(mcu.TraceRunBegin, t.Name(), int64(t.TileSize))
-	rt.Start(0)
+	return p, nil
+}
+
+// build (re)builds the task graph for the device as it is now. Fused
+// forms are built only for devices that can run them, so a run that never
+// fuses allocates nothing for them; the choice is fixed into the graph,
+// which is why ResumeInfer rebuilds it when the device's observers or
+// power kind have changed since.
+func (p *tileRun) build() error {
+	p.b.fuse = p.canFuse()
+	p.rt.DropTasks()
+	outB, err := p.b.build()
+	p.outB = outB
+	return err
+}
+
+func (p *tileRun) canFuse() bool {
+	dev := p.img.Dev
+	return dev.CanFuse() && !dev.FRAM.Observed()
+}
+
+// ResumeInfer implements core.Prepared: the task runtime is reset (after
+// an earlier run) and started, then atReboot — whose prefix restore
+// overwrites that nonvolatile state — then the run.
+func (p *tileRun) ResumeInfer(atReboot func() error) ([]fixed.Q15, error) {
+	img := p.img
+	if p.b.fuse != p.canFuse() {
+		if err := p.build(); err != nil {
+			return nil, err
+		}
+	}
+	if p.ran {
+		p.rt.Reset()
+	}
+	p.ran = true
+	img.Dev.Emit(mcu.TraceRunBegin, p.name, int64(p.t.TileSize))
+	p.rt.Start(0)
 	if atReboot != nil {
 		if err := atReboot(); err != nil {
 			return nil, err
 		}
 	}
-	if err := rt.Run(); err != nil {
+	if err := p.rt.Run(); err != nil {
 		return nil, err
 	}
 	img.Dev.FlushTrace()
-	return img.ReadOutput(outB), nil
+	return img.ReadOutput(p.outB), nil
 }
+
+// Release implements core.Prepared.
+func (p *tileRun) Release() { p.rt.Release() }
 
 // passFn executes one loop iteration of a pass.
 type passFn func(c *task.Ctx, iter int)

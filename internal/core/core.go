@@ -300,6 +300,28 @@ type Resumer interface {
 	ResumeInfer(img *Image, atReboot func() error) ([]fixed.Q15, error)
 }
 
+// Preparer is the optional Resumer extension behind resident runtime
+// state on pooled fork slots (Slot). Prepare performs the runtime's
+// host-side setup on a deployed image once — its FRAM and SRAM
+// allocations, shared-region tables and executor construction — and
+// returns it ready to serve any number of runs on img's device. A
+// Preparer's ResumeInfer is Prepare, Prepared.ResumeInfer and Release in
+// that order, so a runtime kept resident across runs and one prepared for
+// a single run take the same path.
+type Preparer interface {
+	Prepare(img *Image) (Prepared, error)
+}
+
+// Prepared is a runtime's setup resident on one deployed image.
+type Prepared interface {
+	// ResumeInfer is Resumer.ResumeInfer on the prepared image. It first
+	// resets the resident state to what a fresh Prepare leaves (zeroed
+	// logs and scratch), so no run sees an earlier one's state.
+	ResumeInfer(atReboot func() error) ([]fixed.Q15, error)
+	// Release frees the resident regions; the Prepared must not run again.
+	Release()
+}
+
 // LayerName returns the section label used to attribute device operations
 // to layers in the Fig. 9/10/12 breakdowns: convolutional layers are
 // numbered "conv1", "conv2", ...; fully-connected layers (dense or sparse)

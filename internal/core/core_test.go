@@ -177,3 +177,60 @@ func TestLayerName(t *testing.T) {
 		t.Errorf("conv numbering wrong: %s %s", LayerName(qm2, 0), LayerName(qm2, 3))
 	}
 }
+
+// scratchPrep is a Preparer whose prepared state is one FRAM and one SRAM
+// region, allocated after the deployed ones.
+type scratchPrep struct{}
+
+type scratchRun struct {
+	dev        *mcu.Device
+	fram, sram *mem.Region
+}
+
+func (scratchPrep) Prepare(img *Image) (Prepared, error) {
+	return &scratchRun{img.Dev, img.Dev.FRAM.MustAlloc("prep.fram", 8, 2), img.Dev.SRAM.MustAlloc("prep.sram", 8, 2)}, nil
+}
+
+func (p *scratchRun) ResumeInfer(func() error) ([]fixed.Q15, error) { return nil, nil }
+
+func (p *scratchRun) Release() {
+	p.dev.FRAM.Release(p.fram)
+	p.dev.SRAM.Release(p.sram)
+}
+
+// TestSlotKeepsPreparedRegions: a slot's prepared runtime survives
+// Provision untouched — its regions trail the template's, which alone are
+// rewound — and a run that leaves either bank with more or fewer regions
+// than the slot was built with fails the next Provision.
+func TestSlotKeepsPreparedRegions(t *testing.T) {
+	tmpl, err := NewTemplate(testModel(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl, err := tmpl.NewSlot(mcu.New(energy.Continuous{}), scratchPrep{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := sl.Run.(*scratchRun)
+	run.fram.Put(0, 7)
+	sl.Img.ActA.Put(0, 9)
+	if _, err := sl.Provision(energy.Continuous{}); err != nil {
+		t.Fatal(err)
+	}
+	if sl.Img.ActA.Get(0) != 0 {
+		t.Error("Provision did not rewind the deployed image")
+	}
+	if run.fram.Get(0) != 7 || run.fram.Released() || run.sram.Released() {
+		t.Error("Provision touched the prepared runtime's regions")
+	}
+
+	extra := sl.Dev.SRAM.MustAlloc("leak", 4, 2)
+	if _, err := sl.Provision(energy.Continuous{}); err == nil {
+		t.Error("Provision accepted a bank holding a leaked region")
+	}
+	sl.Dev.SRAM.Release(extra)
+	run.Release()
+	if _, err := sl.Provision(energy.Continuous{}); err == nil {
+		t.Error("Provision accepted banks missing the prepared regions")
+	}
+}

@@ -77,7 +77,7 @@ func (a *ProvisionStats) Add(b ProvisionStats) {
 // newSlot deploys a pool slot for p's model on a bare device, as fleet
 // simulations run.
 func newSlot(p *Prototype) (*core.Slot, error) {
-	sl, err := p.tmpl.NewSlot(mcu.New(energy.Continuous{}))
+	sl, err := p.tmpl.NewSlot(mcu.New(energy.Continuous{}), nil)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: slot deploy %s: %w", p.model.Net, err)
 	}

@@ -1,6 +1,8 @@
 package intermittest
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -8,6 +10,8 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dnn"
+	"repro/internal/mcu"
+	"repro/internal/mem"
 	"repro/internal/sonic"
 	"repro/internal/tails"
 )
@@ -44,7 +48,7 @@ func forkRuntimes() []forkRuntime {
 
 // diffResults asserts two ScheduleResults are bit-identical in everything a
 // campaign verdict depends on: completion, error, first logit divergence,
-// WAR totals and retained records, and the device's full final accounting
+// WAR totals and retained records, the device's full final accounting
 // (op counts, per-section stats, reboots, dead time, commit maximum).
 func diffResults(t *testing.T, label string, want, got *ScheduleResult) bool {
 	t.Helper()
@@ -78,11 +82,61 @@ func diffResults(t *testing.T, label string, want, got *ScheduleResult) bool {
 	return ok
 }
 
+// nvResult is a check's result with a digest of the banks its run left.
+type nvResult struct {
+	*ScheduleResult
+	nv uint64
+}
+
+// checkNV is c.Check plus the digest of the slot the check ran on, which
+// waits untouched on the free list until the next check: the oracles run
+// one check at a time.
+func checkNV(c *Checker, gaps []int) nvResult {
+	res := c.Check(gaps)
+	if res.Err != nil && len(c.slots) == 0 {
+		return nvResult{res, 0} // no slot: diffResults reports the error
+	}
+	return nvResult{res, bankDigest(c.slots[len(c.slots)-1].Dev)}
+}
+
+// diffNV is diffResults plus the final image of both banks.
+func diffNV(t *testing.T, label string, want, got nvResult) bool {
+	t.Helper()
+	ok := diffResults(t, label, want.ScheduleResult, got.ScheduleResult)
+	if want.nv != got.nv {
+		t.Errorf("%s: NV image digest: want=%#x got=%#x", label, want.nv, got.nv)
+		ok = false
+	}
+	return ok
+}
+
+// bankDigest is an FNV-1a digest of every region of both banks: name,
+// length and every word, FRAM first. It covers the whole NV image a run
+// leaves — dead redo-log entries included — and the SRAM scratch a
+// runtime keeps resident.
+func bankDigest(dev *mcu.Device) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, m := range []*mem.Memory{dev.FRAM, dev.SRAM} {
+		for i := 0; i < m.Regions(); i++ {
+			r := m.RegionAt(i)
+			h.Write([]byte(r.Name))
+			binary.LittleEndian.PutUint64(buf[:], uint64(r.Len()))
+			h.Write(buf[:])
+			for _, w := range r.ROWords() {
+				binary.LittleEndian.PutUint64(buf[:], uint64(w))
+				h.Write(buf[:])
+			}
+		}
+	}
+	return h.Sum64()
+}
+
 // TestForkDifferentialOracle proves the snapshot-and-fork check path is
 // bit-identical to full from-scratch simulation, for every runtime: same
-// logit verdicts, same WAR counts and records, same DNC outcomes, and the
+// logit verdicts, same WAR counts and records, same DNC outcomes, the
 // same final device Stats down to per-section op attribution and dead
-// time. It samples single-failure boundaries across the whole run (edges
+// time, and the same final FRAM and SRAM image. It samples single-failure boundaries across the whole run (edges
 // included) plus multi-failure schedules whose later failures are
 // simulated live in the forked suffix.
 //
@@ -135,7 +189,7 @@ func TestForkDifferentialOracle(t *testing.T) {
 				if b < 1 || b > total {
 					continue
 				}
-				if !diffResults(t, label+" single", scratch.Check([]int{b}), forked.Check([]int{b})) {
+				if !diffNV(t, label+" single", checkNV(scratch, []int{b}), checkNV(forked, []int{b})) {
 					if bad++; bad >= 3 {
 						t.Fatal("too many divergences; stopping early")
 					}
@@ -152,7 +206,7 @@ func TestForkDifferentialOracle(t *testing.T) {
 				{total, 7},
 				{mid, 1, 1, 1, 1, 1, 1, 1}, // immediate refailures: DNC parity
 			} {
-				if !diffResults(t, label+" multi", scratch.Check(gaps), forked.Check(gaps)) {
+				if !diffNV(t, label+" multi", checkNV(scratch, gaps), checkNV(forked, gaps)) {
 					if bad++; bad >= 3 {
 						t.Fatal("too many divergences; stopping early")
 					}

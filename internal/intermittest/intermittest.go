@@ -169,12 +169,17 @@ func (r *Report) String() string {
 // Checks run on fork slots rather than fresh devices: a slot is a
 // core.Slot deployed (and WAR-armed) once from the model's post-deploy
 // template and rewound in place before every check, indistinguishable
-// from a fresh deploy (TestPooledCheckMatchesFresh). Idle slots wait on a
-// free list, which holds at most as many as Check ever ran concurrently.
+// from a fresh deploy (TestPooledCheckMatchesFresh). A runtime that is a
+// core.Preparer is prepared once per slot and kept there — the tile task
+// runtime and graph, TAILS's LEA scratch — and resets that state itself
+// at the start of each check (TestForkSlotKeepsRuntimeResident). Idle
+// slots wait on a free list, which holds at most as many as Check ever
+// ran concurrently.
 type Checker struct {
 	qm       *dnn.QuantModel
 	qin      []fixed.Q15
 	rt       core.Runtime
+	name     string // rt.Name(), which may format, once
 	checkWAR bool
 
 	want      []fixed.Q15
@@ -203,7 +208,7 @@ func NewChecker(qm *dnn.QuantModel, x []float64, rt core.Runtime, checkWAR bool)
 // NewCheckerOpt is NewChecker with full campaign options (snapshot
 // stride, sampling limits).
 func NewCheckerOpt(qm *dnn.QuantModel, x []float64, rt core.Runtime, opt Options) (*Checker, error) {
-	c := &Checker{qm: qm, qin: qm.QuantizeInput(x), rt: rt, checkWAR: opt.CheckWAR}
+	c := &Checker{qm: qm, qin: qm.QuantizeInput(x), rt: rt, name: rt.Name(), checkWAR: opt.CheckWAR}
 	dev := mcu.New(energy.Continuous{})
 	if opt.CheckWAR {
 		dev.EnableWARCheck()
@@ -324,8 +329,8 @@ func (r *ScheduleResult) String() string {
 }
 
 // Check runs the runtime under the given brown-out schedule (ops before the
-// k-th failure) on a fork slot rewound to the post-deploy image and
-// differentially checks the result.
+// k-th failure) on a fork slot rewound to the post-deploy image, with the
+// runtime's resident state reset, and differentially checks the result.
 //
 // When the golden journal is available and the schedule's first failure
 // lands inside the recorded run, the check forks: the device is restored
@@ -334,11 +339,12 @@ func (r *ScheduleResult) String() string {
 // Otherwise (no journal, forceScratch, or a first gap beyond the run) the
 // whole schedule is simulated from scratch. Both paths are bit-identical.
 func (c *Checker) Check(gaps []int) *ScheduleResult {
-	sl, err := c.takeSlot(energy.NewFailSchedule(gaps))
+	power := energy.NewFailSchedule(gaps)
+	sl, err := c.takeSlot(power)
 	if err != nil {
-		return &ScheduleResult{Runtime: c.rt.Name(), Gaps: gaps, Err: err}
+		return &ScheduleResult{Runtime: c.name, Gaps: gaps, Err: err}
 	}
-	res := c.run(sl.Dev, sl.Img, gaps)
+	res := c.run(sl.Dev, sl.Img, sl.Run, gaps)
 	c.mu.Lock()
 	c.slots = append(c.slots, sl)
 	c.mu.Unlock()
@@ -346,8 +352,11 @@ func (c *Checker) Check(gaps []int) *ScheduleResult {
 }
 
 // takeSlot returns a fork slot provisioned with power: an idle one from
-// the free list, or a newly deployed one when none is idle. A slot that
-// fails to provision is dropped, and the error reported.
+// the free list, or a newly deployed one when none is idle. A new slot
+// keeps the runtime prepared on it (core.Preparer), on a device bound to
+// the kind of power its checks run under, which a tile task graph's
+// fusion choice depends on. A slot that fails to provision is dropped,
+// and the error reported.
 func (c *Checker) takeSlot(power energy.System) (*core.Slot, error) {
 	c.mu.Lock()
 	var sl *core.Slot
@@ -357,12 +366,13 @@ func (c *Checker) takeSlot(power energy.System) (*core.Slot, error) {
 	}
 	c.mu.Unlock()
 	if sl == nil {
-		dev := mcu.New(energy.Continuous{})
+		dev := mcu.New(power)
 		if c.checkWAR {
 			dev.EnableWARCheck()
 		}
+		p, _ := c.rt.(core.Preparer)
 		var err error
-		if sl, err = c.tmpl.NewSlot(dev); err != nil {
+		if sl, err = c.tmpl.NewSlot(dev, p); err != nil {
 			return nil, fmt.Errorf("intermittest: fork slot deploy: %w", err)
 		}
 	}
@@ -373,18 +383,28 @@ func (c *Checker) takeSlot(power energy.System) (*core.Slot, error) {
 }
 
 // run is Check's body on dev, a device holding img in its post-deploy
-// state with the schedule's power system bound. The result owns
+// state with the schedule's power system bound and the runtime prepared
+// on it as p (nil when the runtime is no core.Preparer). The result owns
 // everything it carries, so dev may serve the next check at once.
-func (c *Checker) run(dev *mcu.Device, img *core.Image, gaps []int) *ScheduleResult {
-	res := &ScheduleResult{Runtime: c.rt.Name(), Gaps: gaps}
+func (c *Checker) run(dev *mcu.Device, img *core.Image, p core.Prepared, gaps []int) *ScheduleResult {
+	res := &ScheduleResult{Runtime: c.name, Gaps: gaps}
 	var got []fixed.Q15
 	var err error
+	var restore func() error
 	if c.journal != nil && len(gaps) > 0 && gaps[0] >= 1 && int64(gaps[0]) <= c.totalOps {
-		got, err = c.resumer.ResumeInfer(img, func() error {
-			return c.journal.RestorePrefix(dev, int64(gaps[0]))
-		})
-	} else {
+		restore = func() error { return c.journal.RestorePrefix(dev, int64(gaps[0])) }
+	}
+	switch {
+	case p == nil && restore != nil:
+		got, err = c.resumer.ResumeInfer(img, restore)
+	case p == nil:
 		got, err = c.rt.Infer(img, c.qin)
+	case restore != nil:
+		got, err = p.ResumeInfer(restore)
+	default:
+		if err = img.LoadInput(c.qin); err == nil {
+			got, err = p.ResumeInfer(nil)
+		}
 	}
 	// The result takes the device's Stats, which the slot's next check
 	// would otherwise overwrite; the WAR records need no such care, since
@@ -501,31 +521,7 @@ func SweepRuntime(qm *dnn.QuantModel, x []float64, rt core.Runtime, opt Options)
 	rep.Exhaustive = exhaustive
 	rep.Swept = len(bounds)
 
-	// Representative selection: index into bounds of each boundary's class
-	// representative (itself when no journal, or when it leads its class).
-	repOf := make([]int, len(bounds))
-	for i := range repOf {
-		repOf[i] = i
-	}
-	if c.journal != nil {
-		type classKey struct {
-			lastWrite int64
-			warCount  int
-		}
-		seen := make(map[classKey]int, len(bounds))
-		for i, b := range bounds {
-			pre := int64(b) - 1
-			k := classKey{lastWrite: c.journal.LastFRAMWriteAtOrBefore(pre)}
-			if c.checkWAR {
-				k.warCount, _ = c.journal.WARPrefix(int64(b))
-			}
-			if first, ok := seen[k]; ok {
-				repOf[i] = first
-			} else {
-				seen[k] = i
-			}
-		}
-	}
+	repOf := c.classReps(bounds)
 
 	// One gaps arena for the whole sweep: per-check []int{b} slices are
 	// carved from it instead of allocated in the worker loop.
@@ -581,6 +577,38 @@ func SweepRuntime(qm *dnn.QuantModel, x []float64, rt core.Runtime, opt Options)
 	return rep, nil
 }
 
+// classReps groups the sorted boundaries into equivalence classes and
+// returns, per boundary, the index into bounds of its class's
+// representative (itself when there is no journal, or when it leads its
+// class). Two boundaries whose prefixes end at the same last nonvolatile
+// write and the same WAR count restore identical machine images.
+func (c *Checker) classReps(bounds []int) []int {
+	repOf := make([]int, len(bounds))
+	for i := range repOf {
+		repOf[i] = i
+	}
+	if c.journal == nil {
+		return repOf
+	}
+	type classKey struct {
+		lastWrite int64
+		warCount  int
+	}
+	seen := make(map[classKey]int, len(bounds))
+	for i, b := range bounds {
+		k := classKey{lastWrite: c.journal.LastFRAMWriteAtOrBefore(int64(b) - 1)}
+		if c.checkWAR {
+			k.warCount = c.journal.WARCount(int64(b))
+		}
+		if first, ok := seen[k]; ok {
+			repOf[i] = first
+		} else {
+			seen[k] = i
+		}
+	}
+	return repOf
+}
+
 // cloneResult derives boundary b's verdict from its class representative's
 // without simulating. Both forks restore the identical machine image (same
 // last nonvolatile write, same WAR prefix) and run the identical suffix, so
@@ -599,8 +627,7 @@ func (c *Checker) cloneResult(rep *ScheduleResult, repB int, gaps []int) *Schedu
 	}
 	if c.checkWAR {
 		prefB, keptB := c.journal.WARPrefix(int64(b))
-		prefRep, _ := c.journal.WARPrefix(int64(repB))
-		res.WARCount = prefB + (rep.WARCount - prefRep)
+		res.WARCount = prefB + (rep.WARCount - c.journal.WARCount(int64(repB)))
 		war := keptB
 		shift := int64(b - repB)
 		for _, v := range rep.WAR {

@@ -274,7 +274,7 @@ func (d *Device) bindPower(power energy.System) {
 // banks or invalidating any *mem.Region pointer. Memory contents are the
 // caller's job (a core.Slot restores them from its template's snapshots
 // before calling this). Protocol regions released since they were marked
-// (a task runtime's redo log and state, allocated per run) are dropped,
+// (a task runtime's redo log and state, when prepared per run) are dropped,
 // and an armed WAR shadow is reset in place — in-flight word states
 // cleared, released regions forgotten — so a WAR-checking pooled device
 // starts each run like a freshly armed one. The journal and tracer are

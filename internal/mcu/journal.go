@@ -274,27 +274,31 @@ func (j *Journal) LastFRAMWriteAtOrBefore(bound int64) int64 {
 	return j.writes[i-1].pos
 }
 
+// WARCount returns the number of WAR violations a from-scratch run
+// reaching its first brown-out on charged op b would have counted: those
+// whose write was funded within the prefix, ops 1..b-1. The log is in
+// write-position order, so this is a binary search, copying nothing.
+func (j *Journal) WARCount(b int64) int {
+	return sort.Search(len(j.warLog), func(i int) bool { return j.warLog[i].writePos > b-1 })
+}
+
 // WARPrefix reconstructs the WAR verdict a from-scratch run reaching its
 // first brown-out on charged op b would carry: the total violation count
-// over the funded prefix, and the retained records (capped at WARMaxKeep)
-// with the op field such a run would have recorded — min(batch end, b-1),
-// because a brown-out inside a bulk batch truncates its accounting at the
-// failing op.
+// over the funded prefix (WARCount), and the retained records (capped at
+// WARMaxKeep) with the op field such a run would have recorded —
+// min(batch end, b-1), because a brown-out inside a bulk batch truncates
+// its accounting at the failing op.
 func (j *Journal) WARPrefix(b int64) (count int, kept []WARViolation) {
 	pre := b - 1
-	for _, w := range j.warLog {
-		if w.writePos > pre {
-			break
-		}
-		count++
-		if len(kept) < warMaxKeep {
-			v := w.v
-			v.Op = w.batchEnd
-			if v.Op > pre {
-				v.Op = pre
-			}
-			kept = append(kept, v)
-		}
+	count = j.WARCount(b)
+	if count == 0 {
+		return 0, nil
+	}
+	kept = make([]WARViolation, min(count, warMaxKeep))
+	for i := range kept {
+		w := &j.warLog[i]
+		kept[i] = w.v
+		kept[i].Op = min(w.batchEnd, pre)
 	}
 	return count, kept
 }

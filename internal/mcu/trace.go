@@ -149,15 +149,6 @@ const TraceMaskAll = uint32(1)<<NumTraceKinds - 1
 const ChargeCycleKinds = uint32(1)<<TraceRunBegin | uint32(1)<<TraceCommit |
 	uint32(1)<<TraceBrownOut | uint32(1)<<TraceReboot | uint32(1)<<TraceRechargeDone
 
-// MaskOf builds an event mask from kinds.
-func MaskOf(kinds ...TraceKind) uint32 {
-	var m uint32
-	for _, k := range kinds {
-		m |= 1 << uint(k)
-	}
-	return m
-}
-
 // opBatchMax bounds how many plain operations aggregate into one op-batch
 // event before a flush, so long kernels still produce periodic timeline
 // and energy-level samples.

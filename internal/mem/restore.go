@@ -48,6 +48,12 @@ type RestoreStats struct {
 // deployed core.Image, a protocol-exemption list) survive the restore.
 // This is the provisioning primitive behind pooled fleet devices.
 //
+// The bank may hold regions beyond the snapshot's, allocated after the
+// snapshot's source was taken — a runtime's state kept resident on a
+// pooled slot (core.Slot). Only the leading regions must match the
+// snapshot's layout; the trailing ones are left untouched for their owner
+// to reset.
+//
 // Regions whose Dirty flag is clear are trusted to already hold the
 // snapshot's contents and are skipped wholesale. That trust is the
 // caller's contract: it holds when the bank was produced by the same
@@ -61,7 +67,7 @@ type RestoreStats struct {
 // non-nil it must have been built by NewDirtyPages over this snapshot.
 func (s *Snapshot) RestoreInPlace(m *Memory, hint *DirtyPages) (RestoreStats, error) {
 	var st RestoreStats
-	if !m.matches(s) {
+	if !m.extends(s) {
 		return st, fmt.Errorf("mem: snapshot does not match %s bank layout (%d regions vs %d)",
 			m.kind, len(s.regions), len(m.regions))
 	}

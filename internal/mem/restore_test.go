@@ -130,6 +130,34 @@ func TestRestoreInPlaceStructureMismatch(t *testing.T) {
 	}
 }
 
+// TestRestoreInPlaceLeavesTrailingRegions: a bank holding regions beyond
+// the snapshot's (a runtime kept resident on a pooled slot) restores its
+// leading regions and leaves the trailing ones, contents and dirty flag
+// alike, to their owner; a bank whose leading regions differ still fails.
+func TestRestoreInPlaceLeavesTrailingRegions(t *testing.T) {
+	m, snap := protoBank(t)
+	log := m.MustAlloc("log", 16, 4)
+	log.Put(3, 42)
+	m.RegionAt(1).Put(0, -1)
+	if _, err := snap.RestoreInPlace(m, NewDirtyPages(snap)); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.RegionAt(1).Get(0); got != 0 {
+		t.Errorf("leading region not restored: act[0] = %d, want 0", got)
+	}
+	if log.Get(3) != 42 || !log.Dirty() {
+		t.Errorf("trailing region touched: log[3] = %d, dirty %v", log.Get(3), log.Dirty())
+	}
+
+	other := New(FRAM, 64*1024)
+	other.MustAlloc("weights", 3*SnapPageWords, 2)
+	other.MustAlloc("log", 100, 2)
+	other.MustAlloc("act", 100, 2)
+	if _, err := snap.RestoreInPlace(other, nil); err == nil {
+		t.Error("restore onto a bank whose leading regions differ must fail")
+	}
+}
+
 func TestClearVolatileMarksDirty(t *testing.T) {
 	m := New(SRAM, 1024)
 	r := m.MustAlloc("buf", 8, 2)

@@ -70,11 +70,17 @@ func pageEqual(a, b []int64) bool {
 }
 
 func (m *Memory) matches(s *Snapshot) bool {
-	if s.kind != m.kind || len(s.regions) != len(m.regions) {
+	return len(s.regions) == len(m.regions) && m.extends(s)
+}
+
+// extends reports whether the bank's leading regions match the snapshot's
+// layout (names and lengths) one for one; the bank may hold more.
+func (m *Memory) extends(s *Snapshot) bool {
+	if s.kind != m.kind || len(s.regions) > len(m.regions) {
 		return false
 	}
-	for ri, r := range m.regions {
-		if s.regions[ri].name != r.Name || s.regions[ri].words != len(r.words) {
+	for ri, rs := range s.regions {
+		if r := m.regions[ri]; rs.name != r.Name || rs.words != len(r.words) {
 			return false
 		}
 	}

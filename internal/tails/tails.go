@@ -100,44 +100,87 @@ func (t TAILS) Infer(img *core.Image, input []fixed.Q15) ([]fixed.Q15, error) {
 	return t.ResumeInfer(img, nil)
 }
 
-// ResumeInfer implements core.Resumer: Infer minus LoadInput, with an
-// optional pre-attempt hook for restoring a forked prefix. The SRAM
-// scratch allocations precede the restore, which clears their contents the
-// same way the modelled reboot does.
+// ResumeInfer implements core.Resumer: Prepare, then one run on the
+// prepared scratch, then Release.
 func (t TAILS) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15, error) {
-	dev := img.Dev
-	sc := &scratch{}
-	var err error
-	if sc.in, err = dev.SRAM.Alloc("lea.in", inWords, 2); err != nil {
-		return nil, fmt.Errorf("tails: %w", err)
+	p, err := t.prepare(img)
+	if err != nil {
+		return nil, err
 	}
-	defer dev.SRAM.Release(sc.in)
-	if sc.out, err = dev.SRAM.Alloc("lea.out", outWords, 2); err != nil {
-		return nil, fmt.Errorf("tails: %w", err)
-	}
-	defer dev.SRAM.Release(sc.out)
-	if sc.coef, err = dev.SRAM.Alloc("lea.coef", coefWords, 2); err != nil {
-		return nil, fmt.Errorf("tails: %w", err)
-	}
-	defer dev.SRAM.Release(sc.coef)
+	defer p.Release()
+	return p.ResumeInfer(atReboot)
+}
 
-	s := &sonic.Exec{Img: img, Dev: dev, Prog: tape.Get(img.Model)}
-	dev.Emit(mcu.TraceRunBegin, t.Name(), 0)
+// Prepare implements core.Preparer: it allocates the three LEA scratch
+// regions in SRAM (in, out, coef) and builds the layer executor over them.
+func (t TAILS) Prepare(img *core.Image) (core.Prepared, error) { return t.prepare(img) }
+
+// tailsRun is a TAILS runtime prepared on one image: its SRAM scratch and
+// the SONIC executor driving the accelerated layer walk.
+type tailsRun struct {
+	t    TAILS
+	sc   scratch
+	s    sonic.Exec
+	body func() // one attempt, as dev.Run calls it
+	// ran records that the scratch has been used since it was allocated.
+	ran bool
+}
+
+func (t TAILS) prepare(img *core.Image) (*tailsRun, error) {
+	dev := img.Dev
+	p := &tailsRun{t: t, s: sonic.Exec{Img: img, Dev: dev, Prog: tape.Get(img.Model)}}
+	for _, a := range []struct {
+		r     **mem.Region
+		name  string
+		words int
+	}{{&p.sc.in, "lea.in", inWords}, {&p.sc.out, "lea.out", outWords}, {&p.sc.coef, "lea.coef", coefWords}} {
+		r, err := dev.SRAM.Alloc(a.name, a.words, 2)
+		if err != nil {
+			p.Release()
+			return nil, fmt.Errorf("tails: %w", err)
+		}
+		*a.r = r
+	}
+	layerFn := t.layerFn(&p.sc)
+	p.body = func() {
+		p.s.ResetVolatile()
+		t.calibrate(&p.s, &p.sc)
+		p.s.Run(layerFn)
+	}
+	return p, nil
+}
+
+// ResumeInfer implements core.Prepared: the scratch is zeroed (after an
+// earlier run), then atReboot, then the run. A forked prefix restore
+// clears the scratch the same way the modelled reboot does.
+func (p *tailsRun) ResumeInfer(atReboot func() error) ([]fixed.Q15, error) {
+	dev := p.s.Dev
+	if p.ran {
+		for _, r := range []*mem.Region{p.sc.in, p.sc.out, p.sc.coef} {
+			clear(r.Words())
+		}
+	}
+	p.ran = true
+	dev.Emit(mcu.TraceRunBegin, p.t.Name(), 0)
 	if atReboot != nil {
 		if err := atReboot(); err != nil {
 			return nil, err
 		}
 	}
-	layerFn := t.layerFn(sc)
-	if err := dev.Run(func() {
-		s.ResetVolatile()
-		t.calibrate(s, sc)
-		s.Run(layerFn)
-	}); err != nil {
+	if err := dev.Run(p.body); err != nil {
 		return nil, err
 	}
 	dev.FlushTrace()
-	return img.ReadOutput(sonic.FinalParity(img.Model)), nil
+	return p.s.Img.ReadOutput(sonic.FinalParity(p.s.Img.Model)), nil
+}
+
+// Release implements core.Prepared.
+func (p *tailsRun) Release() {
+	for _, r := range []*mem.Region{p.sc.in, p.sc.out, p.sc.coef} {
+		if r != nil {
+			p.s.Dev.SRAM.Release(r)
+		}
+	}
 }
 
 // CalibratedTile reports the persisted tile size (0 before first run).

@@ -158,6 +158,24 @@ func (rt *Runtime) Release() {
 	rt.dev.FRAM.Release(rt.log)
 }
 
+// Reset returns a runtime kept resident across runs to the state New
+// left it in, keeping its tasks and shared regions: the control state and
+// redo log zeroed, as a fresh allocation gives, and the write set empty.
+// A run that starts from scratch then leaves the same nonvolatile image,
+// dead log entries included, as one on a newly built runtime.
+func (rt *Runtime) Reset() {
+	clear(rt.state.Words())
+	clear(rt.log.Words())
+	rt.clearWriteSet()
+}
+
+// DropTasks unregisters every task, so a resident runtime's task graph
+// can be rebuilt; the shared regions stay registered.
+func (rt *Runtime) DropTasks() {
+	clear(rt.tasks)
+	rt.tasks = rt.tasks[:0]
+}
+
 // Add registers a task and returns its ID.
 func (rt *Runtime) Add(name string, f Func) ID {
 	rt.tasks = append(rt.tasks, taskEntry{name: name, f: f})
