@@ -12,10 +12,11 @@ import (
 
 // TestPreparedTileFollowsFusion: a Tile prepared once and run several
 // times on one device builds its task graph for the device as it is at
-// each run. Prepared where the device may not fuse (Scalar), its graph
-// has no fused forms; once the device may fuse, the next run rebuilds
-// the graph and fuses, and going back to Scalar runs per op again. Every
-// run computes the logits of a per-run Infer.
+// each run. Prepared where the device may not fuse (on the energy.PerOp
+// reference power), its graph has no fused forms; once the device may
+// fuse, the next run rebuilds the graph and fuses, and going back to
+// PerOp runs per op again. Every run computes the logits of a per-run
+// Infer.
 func TestPreparedTileFollowsFusion(t *testing.T) {
 	qm, x := intermittest.TinyModel(1)
 	qin := qm.QuantizeInput(x)
@@ -31,8 +32,7 @@ func TestPreparedTileFollowsFusion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dev := mcu.New(energy.Continuous{})
-	dev.Scalar = true
+	dev := mcu.New(energy.PerOp{S: energy.Continuous{}})
 	img, err := core.Deploy(dev, qm)
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +43,11 @@ func TestPreparedTileFollowsFusion(t *testing.T) {
 	}
 	defer p.Release()
 	for i, scalar := range []bool{true, false, false, true} {
-		dev.Scalar = scalar
-		dev.Reprovision(energy.Continuous{})
+		var power energy.System = energy.Continuous{}
+		if scalar {
+			power = energy.PerOp{S: power}
+		}
+		dev.Reprovision(power)
 		if err := img.LoadInput(qin); err != nil {
 			t.Fatal(err)
 		}

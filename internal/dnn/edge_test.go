@@ -63,9 +63,6 @@ func TestDecodeGarbage(t *testing.T) {
 }
 
 func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile("/nonexistent/net.gob"); err == nil {
-		t.Error("missing file should error")
-	}
 	if _, err := LoadQuantFile("/nonexistent/m.qmodel"); err == nil {
 		t.Error("missing quant file should error")
 	}

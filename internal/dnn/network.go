@@ -243,16 +243,6 @@ func (n *Network) SaveFile(path string) error {
 	return n.Encode(f)
 }
 
-// LoadFile reads a network from path.
-func LoadFile(path string) (*Network, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Decode(f)
-}
-
 // Summary returns a human-readable per-layer description.
 func (n *Network) Summary() string {
 	var buf bytes.Buffer

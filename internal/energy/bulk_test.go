@@ -61,8 +61,20 @@ type bulkPair struct {
 	single func(pj int64) bool                    // a concrete per-op entry point, if any
 }
 
+// unwrap returns the system a PerOp reference wraps, or s itself.
+func unwrap(s System) System {
+	if p, ok := s.(PerOp); ok {
+		return p.S
+	}
+	return s
+}
+
 func intLevel(a, b System) (int64, int64, bool) {
-	return a.(*Intermittent).remainingPJ, b.(*Intermittent).remainingPJ, true
+	return unwrap(a).(*Intermittent).remainingPJ, unwrap(b).(*Intermittent).remainingPJ, true
+}
+
+func recLevel(a, b System) (int64, int64, bool) {
+	return unwrap(a).(*Recorder).Inner.remainingPJ, unwrap(b).(*Recorder).Inner.remainingPJ, true
 }
 
 func pairs() []bulkPair {
@@ -85,10 +97,17 @@ func pairs() []bulkPair {
 		{name: "fail-schedule-periodic",
 			bulk: &FailSchedule{Gaps: []int{97, 13, 1, 250}, Period: 61},
 			ref:  &FailSchedule{Gaps: []int{97, 13, 1, 250}, Period: 61}},
-		{name: "recorder", bulk: mkRec(), ref: mkRec(),
-			level: func(a, b System) (int64, int64, bool) {
-				return a.(*Recorder).Inner.remainingPJ, b.(*Recorder).Inner.remainingPJ, true
-			}},
+		{name: "recorder", bulk: mkRec(), ref: mkRec(), level: recLevel},
+		// The reference power system the device oracles run on, over a
+		// capacitor, a periodic fault schedule and a recorder.
+		{name: "per-op-intermittent",
+			bulk:  PerOp{S: NewIntermittent(Cap100uF, rf)},
+			ref:   NewIntermittent(Cap100uF, rf),
+			level: intLevel},
+		{name: "per-op-fail-schedule",
+			bulk: PerOp{S: &FailSchedule{Gaps: []int{97, 13, 1, 250}, Period: 61}},
+			ref:  &FailSchedule{Gaps: []int{97, 13, 1, 250}, Period: 61}},
+		{name: "per-op-recorder", bulk: PerOp{S: mkRec()}, ref: mkRec(), level: recLevel},
 	}
 }
 
@@ -148,7 +167,7 @@ func TestConsumeNMatchesScalar(t *testing.T) {
 			if p.single != nil && singles == 0 {
 				t.Fatalf("the per-op entry point was never exercised")
 			}
-			if rb, ok := p.bulk.(*Recorder); ok {
+			if rb, ok := unwrap(p.bulk).(*Recorder); ok {
 				rs := p.ref.(*Recorder)
 				if len(rb.Trace()) == 0 || !reflect.DeepEqual(rb.Trace(), rs.Trace()) {
 					t.Fatalf("recorder traces diverge: bulk %d points, reference %d points",
@@ -161,11 +180,11 @@ func TestConsumeNMatchesScalar(t *testing.T) {
 
 // TestConsumePJMatchesConsume checks each system's per-op charge against
 // the per-op reference (the scalar Consume bodies): Intermittent.ConsumePJ,
-// the device's devirtualized per-op charge, and for every other system the
-// one-op ConsumeN(pj, 1) call that Device.Scalar charges through. A stream
-// of single ops with recharges on failure must fund exactly the ops the
-// reference funds and leave the same level and, for Recorder, the same
-// sample points. Every eighth op on a capacitor-backed system costs the
+// the device's devirtualized per-op charge, and for every other system,
+// PerOp included, the one-op ConsumeN(pj, 1) call the device charges
+// through. A stream of single ops with recharges on failure must fund
+// exactly the ops the reference funds and leave the same level and, for
+// Recorder, the same sample points. Every eighth op on a capacitor-backed system costs the
 // remaining level give or take one picojoule, so the >= 0 brown-out
 // boundary is hit exactly.
 func TestConsumePJMatchesConsume(t *testing.T) {
@@ -208,7 +227,7 @@ func TestConsumePJMatchesConsume(t *testing.T) {
 			if p.level != nil && boundary == 0 {
 				t.Fatalf("the brown-out boundary was never exercised")
 			}
-			if rb, ok := p.bulk.(*Recorder); ok {
+			if rb, ok := unwrap(p.bulk).(*Recorder); ok {
 				rs := p.ref.(*Recorder)
 				if len(rb.Trace()) == 0 || !reflect.DeepEqual(rb.Trace(), rs.Trace()) {
 					t.Fatalf("recorder traces diverge: per-op %d points, reference %d points",

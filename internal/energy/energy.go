@@ -57,6 +57,34 @@ func (Continuous) ConsumeN(_ int64, n int) int { return n }
 // Recharge is never needed and returns 0.
 func (Continuous) Recharge() float64 { return 0 }
 
+// PerOp is the reference power system the differential oracles compare
+// every fast path against: it charges S one op at a time. It is not one of
+// the kinds the device model devirtualizes, so a device on PerOp never
+// fuses and pays the interface call on every op.
+type PerOp struct{ S System }
+
+// ConsumeN makes n one-op S.ConsumeN(pj, 1) calls, stopping at the first
+// failure.
+func (p PerOp) ConsumeN(pj int64, n int) int {
+	for i := 0; i < n; i++ {
+		if p.S.ConsumeN(pj, 1) == 0 {
+			return i
+		}
+	}
+	return n
+}
+
+// Recharge forwards to S.
+func (p PerOp) Recharge() float64 { return p.S.Recharge() }
+
+// ObservedHarvestW forwards to S, reporting 0 when S observes nothing.
+func (p PerOp) ObservedHarvestW() float64 {
+	if o, ok := p.S.(interface{ ObservedHarvestW() float64 }); ok {
+		return o.ObservedHarvestW()
+	}
+	return 0
+}
+
 // Capacitor models an energy buffer charged to VOn and usable down to VOff:
 // usable energy = ½C(VOn² − VOff²).
 type Capacitor struct {

@@ -46,8 +46,8 @@ func realNetCampaign(t *testing.T) (Spec, map[string]Model) {
 // tests use: the campaign engine must handle real layer mixes (sparse
 // convs, LEA tiles, pooling) through the same Spec cross-product, and the
 // campaign — fused kernels, pooled provisioning — must reproduce the
-// per-device fresh Scalar reference (referenceRun on the
-// mcu.Device.Scalar path) bit-for-bit, down to sketch centroids and
+// per-device fresh per-op reference (referenceRun on the
+// energy.PerOp path) bit-for-bit, down to sketch centroids and
 // histogram bins. CI runs this as the real-network fleet smoke.
 func TestFleetRealNetworks(t *testing.T) {
 	if testing.Short() {

@@ -5,20 +5,23 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/energy"
 	"repro/internal/mcu"
 )
 
 // simulate is the fleet oracles' per-device reference: one device instance
 // run to its first inference on a freshly constructed, freshly deployed
 // device — no prototype, no pool slot, no restore-in-place — on the fused
-// fast path (scalar false) or on the mcu.Device.Scalar reference path.
+// fast path (scalar false) or on the energy.PerOp reference path.
 func simulate(ds DeviceSpec, m Model, rt core.Runtime, scalar bool) (DeviceStats, error) {
 	power, err := ds.Power.New(ds.HarvestSeed)
 	if err != nil {
 		return DeviceStats{}, err
 	}
+	if scalar {
+		power = energy.PerOp{S: power}
+	}
 	dev := mcu.New(power)
-	dev.Scalar = scalar
 	dev.TrackWasted(true)
 	img, err := core.Deploy(dev, m.QM)
 	if err != nil {

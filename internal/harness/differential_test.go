@@ -35,12 +35,11 @@ type diffObservation struct {
 }
 
 // diffRun executes one inference on a fresh device and captures the full
-// observation. scalar selects the Device.Scalar reference path.
+// observation. An energy.PerOp power selects the reference path.
 func diffRun(t *testing.T, qm *dnn.QuantModel, qin []fixed.Q15,
-	rt core.Runtime, power energy.System, scalar bool) diffObservation {
+	rt core.Runtime, power energy.System) diffObservation {
 	t.Helper()
 	dev := mcu.New(power)
-	dev.Scalar = scalar
 	dev.EnableWARCheck()
 	img, err := core.Deploy(dev, qm)
 	if err != nil {
@@ -110,7 +109,7 @@ func diffCompare(t *testing.T, label string, fast, scalar diffObservation) {
 // brown-out schedules each, a run with the O(1) batched charging must be
 // bit-identical — logits, cycles, integer-picojoule energy, per-op counts,
 // per-section stats, MaxRegionOps, reboot count, and WAR shadow verdicts —
-// to the same run on the Device.Scalar reference path, which charges every
+// to the same run on the energy.PerOp reference path, which charges every
 // op one at a time through the power system's interface.
 //
 // This test is the safety net for the whole optimization and must never be
@@ -124,8 +123,8 @@ func TestBulkScalarDifferential(t *testing.T) {
 		rt := rt
 		t.Run(rt.Name(), func(t *testing.T) {
 			// Continuous power: the pure compute path, no reboots.
-			fast := diffRun(t, qm, qin, rt, energy.Continuous{}, false)
-			scalar := diffRun(t, qm, qin, rt, energy.Continuous{}, true)
+			fast := diffRun(t, qm, qin, rt, energy.Continuous{})
+			scalar := diffRun(t, qm, qin, rt, energy.PerOp{S: energy.Continuous{}})
 			diffCompare(t, "cont", fast, scalar)
 
 			// Fuzzed brown-out schedules. Gaps sit above the runtime's
@@ -151,8 +150,8 @@ func TestBulkScalarDifferential(t *testing.T) {
 					}
 				}
 				label := fmt.Sprintf("sched%02d%v", s, gaps)
-				fast := diffRun(t, qm, qin, rt, energy.NewFailSchedule(gaps), false)
-				scalar := diffRun(t, qm, qin, rt, energy.NewFailSchedule(gaps), true)
+				fast := diffRun(t, qm, qin, rt, energy.NewFailSchedule(gaps))
+				scalar := diffRun(t, qm, qin, rt, energy.PerOp{S: energy.NewFailSchedule(gaps)})
 				diffCompare(t, label, fast, scalar)
 			}
 		})

@@ -62,6 +62,14 @@ func (r *nvRuntime) nvImage() []int64 {
 	return out
 }
 
+// perOpSpec is pw on the energy.PerOp reference path: every op charged
+// one at a time through the power system's interface, no fused kernels.
+func perOpSpec(pw PowerSpec) PowerSpec {
+	ref := pw
+	ref.New = func(uint64) energy.System { return energy.PerOp{S: pw.Make()} }
+	return ref
+}
+
 // nvCompare asserts two final FRAM images are bit-identical, naming the
 // first differing word.
 func nvCompare(t *testing.T, label string, fused, scalar []int64) {
@@ -78,16 +86,15 @@ func nvCompare(t *testing.T, label string, fused, scalar []int64) {
 	}
 }
 
-// fusedRun executes one inference with every fast path allowed (scalar
-// false) or on the Device.Scalar reference path (scalar true). Unlike
+// fusedRun executes one inference with every fast path the power system
+// allows (an energy.PerOp power selects the reference path). Unlike
 // diffRun it attaches no WAR shadow — a shadow tracker is one of the
 // conditions that (correctly) disables fusion, so the fused path would
 // never engage.
 func fusedRun(t *testing.T, qm *dnn.QuantModel, qin []fixed.Q15,
-	rt core.Runtime, power energy.System, scalar bool) fusedObservation {
+	rt core.Runtime, power energy.System) fusedObservation {
 	t.Helper()
 	dev := mcu.New(power)
-	dev.Scalar = scalar
 	dev.TrackWasted(true)
 	img, err := core.Deploy(dev, qm)
 	if err != nil {
@@ -164,7 +171,7 @@ func oracleRows() []oracleRow {
 // kernels allowed must be bit-identical — logits, cycles,
 // integer-picojoule energy, per-op counts, per-section stats,
 // MaxRegionOps, reboot count, dead time, the wasted-work figure, and the
-// final FRAM image — to the same run on the Device.Scalar reference path.
+// final FRAM image — to the same run on the energy.PerOp reference path.
 //
 // Like the bulk and corpus oracles, CI greps for each row's PASS line and
 // rejects skips.
@@ -173,8 +180,8 @@ func TestFusedScalarDifferential(t *testing.T) {
 		row := row
 		t.Run(row.label, func(t *testing.T) {
 			for _, pw := range fusedPowers() {
-				fused := fusedRun(t, row.m.qm, row.m.qin, row.rt, pw.mk(), false)
-				scalar := fusedRun(t, row.m.qm, row.m.qin, row.rt, pw.mk(), true)
+				fused := fusedRun(t, row.m.qm, row.m.qin, row.rt, pw.mk())
+				scalar := fusedRun(t, row.m.qm, row.m.qin, row.rt, energy.PerOp{S: pw.mk()})
 				diffCompare(t, pw.name, fused.diffObservation, scalar.diffObservation)
 				if fused.WastedNJ != scalar.WastedNJ {
 					t.Errorf("%s: WastedNJ diverges: fused=%v scalar=%v",
@@ -307,7 +314,7 @@ func TestFusedSnapshotCOWAndObserver(t *testing.T) {
 	})
 
 	t.Run("put-observer", func(t *testing.T) {
-		ref := fusedRun(t, qm, qin, rt, energy.Continuous{}, false)
+		ref := fusedRun(t, qm, qin, rt, energy.Continuous{})
 
 		dev := mcu.New(energy.Continuous{})
 		ctr := &putCounter{}
@@ -345,12 +352,12 @@ type tracedObservation struct {
 }
 
 // tracedRun measures one cell through an analysis-only trace buffer with
-// every fast path allowed (scalar false) or on the Scalar reference path.
+// every fast path pw allows (perOpSpec(pw) is the reference path).
 func tracedRun(net string, qm *dnn.QuantModel, qin []fixed.Q15,
-	rt core.Runtime, pw PowerSpec, scalar bool) tracedObservation {
+	rt core.Runtime, pw PowerSpec) tracedObservation {
 	buf := trace.NewAnalysisBuffer(256)
 	nv := &nvRuntime{Runtime: rt}
-	res, logits, a, err := measureTraced(net, qm, nv, pw, qin, buf, scalar)
+	res, logits, a, err := measureTraced(net, qm, nv, pw, qin, buf)
 	return tracedObservation{res: res, logits: logits, a: a,
 		events: uint64(buf.Len()) + buf.Drops(), nv: nv.nvImage(), err: err}
 }
@@ -392,7 +399,7 @@ func tracedCompare(t *testing.T, label string, fused, scalar tracedObservation) 
 // commit, and must be bit-identical — logits, the full RunResult (stats,
 // per-section maps, commits, wasted cycles and energy), every
 // per-charge-cycle Analysis record, and the final FRAM image — to the same
-// traced run on the Device.Scalar reference path. Each runtime's "<runtime>" row
+// traced run on the energy.PerOp reference path. Each runtime's "<runtime>" row
 // covers the tiny model under the fused oracle's power systems and a
 // prepared network under the paper's four; its "<runtime>-tape" row
 // covers the adversarial CSR model under the fused oracle's power
@@ -428,8 +435,8 @@ func TestTracedFusedDifferential(t *testing.T) {
 				fusedCells := 0
 				for _, pw := range set.powers {
 					cell := set.net + "/" + pw.Name
-					fused := tracedRun(set.net, set.qm, set.qin, rt, pw, false)
-					scalar := tracedRun(set.net, set.qm, set.qin, rt, pw, true)
+					fused := tracedRun(set.net, set.qm, set.qin, rt, pw)
+					scalar := tracedRun(set.net, set.qm, set.qin, rt, perOpSpec(pw))
 					tracedCompare(t, cell, fused, scalar)
 					if fused.events < scalar.events {
 						fusedCells++
@@ -443,11 +450,11 @@ func TestTracedFusedDifferential(t *testing.T) {
 	}
 }
 
-// TestFig9RealNetworksFusedScalar is the fused-vs-Scalar oracle on the
+// TestFig9RealNetworksFusedScalar is the fused-vs-reference oracle on the
 // paper's Fig. 9 matrix itself: every untraced Measure cell — the three
 // evaluation networks in quick mode × the six Fig. 9 runtimes × the four
 // paper powers, 72 cells — must be bit-identical, full RunResult, logits
-// and final FRAM image, to the same cell measured on the Device.Scalar
+// and final FRAM image, to the same cell measured on the energy.PerOp
 // reference path. CI greps for its PASS line.
 func TestFig9RealNetworksFusedScalar(t *testing.T) {
 	if testing.Short() {
@@ -461,11 +468,11 @@ func TestFig9RealNetworksFusedScalar(t *testing.T) {
 			for _, pw := range Powers() {
 				cell := net + "/" + rt.Name() + "/" + pw.Name
 				fnv, snv := &nvRuntime{Runtime: rt}, &nvRuntime{Runtime: rt}
-				fused, fl, err := measure(net, p.Model, fnv, pw, qin, nil, false)
+				fused, fl, err := measure(net, p.Model, fnv, pw, qin, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", cell, err)
 				}
-				scalar, sl, err := measure(net, p.Model, snv, pw, qin, nil, true)
+				scalar, sl, err := measure(net, p.Model, snv, perOpSpec(pw), qin, nil)
 				if err != nil {
 					t.Fatalf("%s: scalar: %v", cell, err)
 				}
@@ -489,15 +496,14 @@ func TestFig9RealNetworksFusedScalar(t *testing.T) {
 // Device.FusedOps counts it: on the tiny model, the Tile-N task runtime
 // and SONIC must fund more than their row's floor of all charged ops
 // through ChargeTrain under continuous power and a real capacitor, and
-// exactly none on the Scalar reference path or under an op-count fault
+// exactly none on the energy.PerOp reference path or under an op-count fault
 // injector (energy.FailSchedule, which CanFuse refuses: brown-out replays
 // never fuse). CI greps for each row's PASS line.
 func TestFusedFraction(t *testing.T) {
 	qm, x := intermittest.TinyModel(1)
 	qin := qm.QuantizeInput(x)
-	run := func(rt core.Runtime, power energy.System, scalar bool) (fused, total, maxRegion int64) {
+	run := func(rt core.Runtime, power energy.System) (fused, total, maxRegion int64) {
 		dev := mcu.New(power)
-		dev.Scalar = scalar
 		img, err := core.Deploy(dev, qm)
 		if err != nil {
 			t.Fatalf("deploy: %v", err)
@@ -527,19 +533,19 @@ func TestFusedFraction(t *testing.T) {
 				if pw.name != "cont" && pw.name != "rf-100uF" {
 					continue
 				}
-				fused, total, mr := run(row.rt, pw.mk(), false)
+				fused, total, mr := run(row.rt, pw.mk())
 				maxRegion = max(maxRegion, mr)
 				frac := float64(fused) / float64(total)
 				t.Logf("%s: %d of %d ops fused (%.3f)", pw.name, fused, total, frac)
 				if frac <= row.floor {
 					t.Errorf("%s: fused fraction %.3f, want > %.2f", pw.name, frac, row.floor)
 				}
-				if fused, _, _ := run(row.rt, pw.mk(), true); fused != 0 {
-					t.Errorf("%s: Scalar run fused %d ops, want 0", pw.name, fused)
+				if fused, _, _ := run(row.rt, energy.PerOp{S: pw.mk()}); fused != 0 {
+					t.Errorf("%s: PerOp run fused %d ops, want 0", pw.name, fused)
 				}
 			}
 			gap := int(2*maxRegion) + 50
-			if fused, _, _ := run(row.rt, energy.NewFailSchedule([]int{gap, gap, gap}), false); fused != 0 {
+			if fused, _, _ := run(row.rt, energy.NewFailSchedule([]int{gap, gap, gap})); fused != 0 {
 				t.Errorf("FailSchedule run fused %d ops, want 0", fused)
 			}
 		})

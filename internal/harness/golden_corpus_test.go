@@ -42,7 +42,7 @@ type corpusRecord struct {
 // Run kinds besides the fuzzed schedules, whose Run is "schedNN".
 const (
 	runCont       = "cont"        // continuous power, WAR shadow armed
-	runContScalar = "cont-scalar" // the same on the Device.Scalar reference path
+	runContScalar = "cont-scalar" // the same on the energy.PerOp reference path
 	runContFused  = "cont-fused"  // continuous power, no shadow: fusion engages
 )
 
@@ -69,8 +69,10 @@ func corpusObserve(t *testing.T, qm *dnn.QuantModel, qin []fixed.Q15, rt core.Ru
 	if gaps != nil {
 		power = energy.NewFailSchedule(gaps)
 	}
+	if run == runContScalar {
+		power = energy.PerOp{S: power}
+	}
 	dev := mcu.New(power)
-	dev.Scalar = run == runContScalar
 	if run != runContFused {
 		dev.EnableWARCheck()
 	}
@@ -209,7 +211,7 @@ func checkCorpus(t *testing.T, recs []corpusRecord, m corpusModel, rt core.Runti
 // per-section maps, reboot placement, and WAR records — bit for bit. The
 // corpus file is never regenerated: it is the interpreted walk's evidence.
 // For the same reason it holds no FRAM image; the fused oracles compare
-// final FRAM images fused against Scalar instead (nvRuntime).
+// final FRAM images fused against energy.PerOp instead (nvRuntime).
 //
 // CI greps for each runtime × model PASS line and rejects skips.
 func TestTapeInterpreterDifferential(t *testing.T) {

@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dnn"
 	"repro/internal/mcu"
 	"repro/internal/sonic"
 )
@@ -174,21 +176,29 @@ func TestTable2(t *testing.T) {
 	}
 }
 
+// TestCacheRoundtrip: Prepare with a CacheDir writes the chosen model
+// where cmd/infer -model can load it back, bit-identical. The report cache
+// is seeded from prepQuick's report, so Prepare trains nothing.
 func TestCacheRoundtrip(t *testing.T) {
 	p := prepQuick(t, "har")
 	dir := t.TempDir()
-	if err := p.Model.SaveFile(cachePath(dir, "har")); err != nil {
+	po := PrepareOptions{Seed: 1, Quick: true, CacheDir: dir}
+	if err := saveReportCache(dir, genesisOptions("har", po), p.Report); err != nil {
 		t.Fatal(err)
 	}
-	if !CacheExists(dir, "har") {
-		t.Fatal("cache should exist")
-	}
-	loaded, err := LoadCached(dir, "har", 1)
+	cached, err := Prepare("har", po)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Model.MACs() != p.Model.MACs() {
-		t.Error("cached model differs")
+	if !cached.CacheHit {
+		t.Fatal("Prepare missed the seeded report cache")
+	}
+	loaded, err := dnn.LoadQuantFile(cachePath(dir, "har"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded, cached.Model) || loaded.MACs() != p.Model.MACs() {
+		t.Error("cached model differs from the prepared one")
 	}
 }
 

@@ -118,7 +118,7 @@ type RunResult struct {
 // inferences — so the steady-state figure is what the paper's repeated
 // measurements observe. For continuous power SteadySec equals live time.
 func Measure(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec, input []fixed.Q15) (RunResult, error) {
-	res, _, err := measure(net, qm, rt, p, input, nil, false)
+	res, _, err := measure(net, qm, rt, p, input, nil)
 	return res, err
 }
 
@@ -134,16 +134,15 @@ func MeasureTraced(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
 	if buf == nil {
 		buf = trace.NewBuffer(4096)
 	}
-	res, _, a, err := measureTraced(net, qm, rt, p, input, buf, false)
+	res, _, a, err := measureTraced(net, qm, rt, p, input, buf)
 	return res, a, err
 }
 
 // measureTraced is MeasureTraced over a caller-provided buffer, with the
-// Scalar reference knob and the logits exposed for the traced
-// differential oracle.
+// logits exposed for the traced differential oracle.
 func measureTraced(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
-	input []fixed.Q15, buf *trace.Buffer, scalar bool) (RunResult, []fixed.Q15, *trace.Analysis, error) {
-	res, logits, err := measure(net, qm, rt, p, input, buf, scalar)
+	input []fixed.Q15, buf *trace.Buffer) (RunResult, []fixed.Q15, *trace.Analysis, error) {
+	res, logits, err := measure(net, qm, rt, p, input, buf)
 	a := buf.Analysis()
 	res.Commits = a.Commits
 	res.WastedCycles = a.TotalWastedCycles
@@ -152,12 +151,11 @@ func measureTraced(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
 }
 
 // measure is the one measurement path behind Measure and MeasureTraced.
-// The oracles reach the Device.Scalar reference path through it (scalar
-// true); tracer may be nil.
+// The oracles reach the energy.PerOp reference path through it with a
+// PowerSpec whose New wraps the power system; tracer may be nil.
 func measure(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
-	input []fixed.Q15, tracer *trace.Buffer, scalar bool) (RunResult, []fixed.Q15, error) {
+	input []fixed.Q15, tracer *trace.Buffer) (RunResult, []fixed.Q15, error) {
 	dev := mcu.New(p.Make())
-	dev.Scalar = scalar
 	if tracer != nil {
 		dev.SetTracer(tracer)
 	}

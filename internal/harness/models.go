@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 
@@ -142,23 +141,4 @@ func PrepareAll(po PrepareOptions) ([]*Prepared, error) {
 
 func cachePath(dir, net string) string {
 	return filepath.Join(dir, net+".qmodel")
-}
-
-// LoadCached loads a previously prepared model (without the sweep report).
-func LoadCached(dir, net string, seed uint64) (*Prepared, error) {
-	qm, err := dnn.LoadQuantFile(cachePath(dir, net))
-	if err != nil {
-		return nil, err
-	}
-	ds, err := dnn.DatasetFor(net, seed, 4, 4)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{Net: net, Model: qm, Input: ds.Test[0].X, Label: ds.Test[0].Label}, nil
-}
-
-// CacheExists reports whether a cached model is present.
-func CacheExists(dir, net string) bool {
-	_, err := os.Stat(cachePath(dir, net))
-	return err == nil
 }

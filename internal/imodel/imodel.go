@@ -82,19 +82,3 @@ const (
 // only the inference result instead of the full sensor reading (§3.2:
 // "Ecomm decreases by 98×" in the wildlife example).
 const ResultOnlyCommFactor = 98.0
-
-// SweepAccuracy evaluates a model curve at evenly spaced accuracies in
-// [0, 1], treating tp == tn == accuracy as the paper's figures do. The
-// returned slices have n+1 points including both endpoints.
-func SweepAccuracy(base Params, eval func(Params) float64, n int) (acc, impj []float64) {
-	acc = make([]float64, n+1)
-	impj = make([]float64, n+1)
-	for i := 0; i <= n; i++ {
-		a := float64(i) / float64(n)
-		p := base
-		p.TP, p.TN = a, a
-		acc[i] = a
-		impj[i] = eval(p)
-	}
-	return acc, impj
-}

@@ -130,18 +130,3 @@ func TestInferenceBoundedByIdealProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSweepAccuracy(t *testing.T) {
-	acc, impj := SweepAccuracy(wildlifeWith(EInferSONICTAILS, 0, 0), Inference, 10)
-	if len(acc) != 11 || len(impj) != 11 {
-		t.Fatalf("sweep lengths %d/%d", len(acc), len(impj))
-	}
-	if acc[0] != 0 || acc[10] != 1 {
-		t.Errorf("endpoints wrong: %v", acc)
-	}
-	for i := 1; i < len(impj); i++ {
-		if impj[i] < impj[i-1]-1e-15 {
-			t.Errorf("sweep not monotone at %d", i)
-		}
-	}
-}

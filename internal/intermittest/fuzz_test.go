@@ -34,7 +34,7 @@ func FuzzIntermittence(f *testing.F) {
 	}
 	checkers := make([]*Checker, len(rts))
 	for i, rt := range rts {
-		c, err := NewChecker(qm, x, rt, true)
+		c, err := NewCheckerOpt(qm, x, rt, Options{CheckWAR: true})
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -196,17 +196,12 @@ type Checker struct {
 	slots []*core.Slot // idle fork slots
 }
 
-// NewChecker runs the runtime once under continuous power and captures the
-// golden logits, total op count, and (for core.Resumer runtimes) the fork
-// journal. The golden run is per-runtime because accelerated runtimes
+// NewCheckerOpt runs the runtime once under continuous power and captures
+// the golden logits, total op count, and (for core.Resumer runtimes) the
+// fork journal. The golden run is per-runtime because accelerated runtimes
 // (TAILS) compute bit-different but equally valid logits vs the software
-// kernels.
-func NewChecker(qm *dnn.QuantModel, x []float64, rt core.Runtime, checkWAR bool) (*Checker, error) {
-	return NewCheckerOpt(qm, x, rt, Options{CheckWAR: checkWAR})
-}
-
-// NewCheckerOpt is NewChecker with full campaign options (snapshot
-// stride, sampling limits).
+// kernels. opt sets the campaign options (WAR checking, snapshot stride,
+// sampling limits).
 func NewCheckerOpt(qm *dnn.QuantModel, x []float64, rt core.Runtime, opt Options) (*Checker, error) {
 	c := &Checker{qm: qm, qin: qm.QuantizeInput(x), rt: rt, name: rt.Name(), checkWAR: opt.CheckWAR}
 	dev := mcu.New(energy.Continuous{})

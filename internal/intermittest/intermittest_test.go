@@ -112,11 +112,11 @@ func TestBaseIsUnsafe(t *testing.T) {
 // injection can distinguish it) yet flagged by both oracles under faults.
 func TestBrokenNegativeControl(t *testing.T) {
 	qm, x := TinyModel(1)
-	cs, err := NewChecker(qm, x, sonic.SONIC{}, false)
+	cs, err := NewCheckerOpt(qm, x, sonic.SONIC{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := NewChecker(qm, x, Broken{}, false)
+	cb, err := NewCheckerOpt(qm, x, Broken{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestBrokenNegativeControl(t *testing.T) {
 	}
 
 	// WAR oracle: flags the in-place dense kernel even with no brown-out.
-	cw, err := NewChecker(qm, x, Broken{}, true)
+	cw, err := NewCheckerOpt(qm, x, Broken{}, Options{CheckWAR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestBrokenNegativeControl(t *testing.T) {
 // reproducer that still fails.
 func TestMinimize(t *testing.T) {
 	qm, x := TinyModel(1)
-	c, err := NewChecker(qm, x, Broken{}, false)
+	c, err := NewCheckerOpt(qm, x, Broken{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,20 +114,6 @@ func TestTruncationErrorDecreasesWithRank(t *testing.T) {
 	}
 }
 
-func TestRankForEnergy(t *testing.T) {
-	d := SVD{S: []float64{4, 2, 1, 0.1}}
-	// total energy 16+4+1+0.01 = 21.01; rank 1 keeps 16/21.01 ≈ 0.761
-	if got := d.RankForEnergy(0.5); got != 1 {
-		t.Errorf("RankForEnergy(0.5) = %d, want 1", got)
-	}
-	if got := d.RankForEnergy(0.95); got != 2 {
-		t.Errorf("RankForEnergy(0.95) = %d, want 2", got)
-	}
-	if got := d.RankForEnergy(1.0); got != 4 {
-		t.Errorf("RankForEnergy(1.0) = %d, want 4", got)
-	}
-}
-
 func TestUnfoldFoldRoundtrip(t *testing.T) {
 	r := rand.New(rand.NewPCG(13, 0))
 	x := randTensor(r, 3, 4, 5)

@@ -198,23 +198,3 @@ func (d SVD) LowRankFactors(k int) (*tensor.Tensor, *tensor.Tensor) {
 	}
 	return a1, a2
 }
-
-// RankForEnergy returns the smallest rank whose retained singular-value
-// energy (sum of squares) is at least frac of the total. frac in (0,1].
-func (d SVD) RankForEnergy(frac float64) int {
-	total := 0.0
-	for _, s := range d.S {
-		total += s * s
-	}
-	if total == 0 {
-		return 1
-	}
-	acc := 0.0
-	for i, s := range d.S {
-		acc += s * s
-		if acc >= frac*total {
-			return i + 1
-		}
-	}
-	return len(d.S)
-}

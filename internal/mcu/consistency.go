@@ -42,9 +42,6 @@ func (d *Device) EnableWARCheck() {
 	d.refreshSlowOp()
 }
 
-// WARCheckEnabled reports whether the shadow tracker is active.
-func (d *Device) WARCheckEnabled() bool { return d.shadow != nil }
-
 // WARViolations returns the retained violation records (at most warMaxKeep;
 // see WARCount for the full total).
 func (d *Device) WARViolations() []WARViolation { return d.warViolations }

@@ -118,14 +118,6 @@ type Device struct {
 	// system energy. StoreIndex honours the flag.
 	JITIndexCheckpoint bool
 
-	// Scalar pins the reference execution path the differential oracles
-	// compare every fast path against: fused kernels off (CanFuse returns
-	// false, so executors run their per-word loops), and every op — bulk
-	// batches included — charged one at a time through the
-	// Power.ConsumeN(pj, 1) interface call, bypassing the devirtualized
-	// capacitor and continuous-power shortcuts.
-	Scalar bool
-
 	stats    Stats
 	section  Section
 	secStats *SectionStats
@@ -225,7 +217,7 @@ type Device struct {
 
 	// fusedOps counts the operations charged through ChargeTrain since the
 	// last ResetStats (FusedOps). It is kept out of Stats, so a fused run
-	// and its Scalar reference report identical Stats.
+	// and its energy.PerOp reference report identical Stats.
 	fusedOps int64
 
 	// blocks interns the charge profiles NewBlock has built, by a hash of
@@ -426,26 +418,26 @@ func (d *Device) WastedNJ() float64 { return d.wastedNJ }
 
 // FusedOps reports how many of the charged operations since the last
 // ResetStats were funded through ChargeTrain, the fused path; the rest
-// went through Op, Ops and the Range macro-ops. It is zero on the Scalar
-// reference path and whenever CanFuse is false.
+// went through Op, Ops and the Range macro-ops. It is zero on the
+// energy.PerOp reference path and whenever CanFuse is false.
 func (d *Device) FusedOps() int64 { return d.fusedOps }
 
-// CanFuse reports whether the fused-kernel fast path may engage: not the
-// Scalar reference path, no journal or WAR tracker attached (both must see
-// the per-op stream), and no tracer subscribed to any event kind outside
-// ChargeCycleKinds. An analysis-only tracer keeps fusion on: ChargeTrain
-// emits one coalesced commit per funded span, which it aggregates exactly
-// as it would the per-iteration commits of the scalar walk. The power
-// system must be one of the two devirtualized kinds (Intermittent or
-// Continuous), whose whole-block funding is exact; count-based
-// fault-injection systems take the scalar path so failure schedules keep
-// their op-exact placement. When it holds, SONIC-family loops and tile
-// tasks whose bodies are all bulk chunks run as ChargeTrain spans; other
-// tile tasks (short chunks, privatized re-writes, pool) and the first
-// unfunded iteration of any span charge per op or per bulk range as
-// before.
+// CanFuse reports whether the fused-kernel fast path may engage: no
+// journal or WAR tracker attached (both must see the per-op stream), and
+// no tracer subscribed to any event kind outside ChargeCycleKinds. An
+// analysis-only tracer keeps fusion on: ChargeTrain emits one coalesced
+// commit per funded span, which it aggregates exactly as it would the
+// per-iteration commits of the scalar walk. The power system must be one
+// of the two devirtualized kinds (Intermittent or Continuous), whose
+// whole-block funding is exact; count-based fault-injection systems and
+// the energy.PerOp reference take the scalar path, so failure schedules
+// keep their op-exact placement and the reference runs no fused kernel.
+// When it holds, SONIC-family loops and tile tasks whose bodies are all
+// bulk chunks run as ChargeTrain spans; other tile tasks (short chunks,
+// privatized re-writes, pool) and the first unfunded iteration of any
+// span charge per op or per bulk range as before.
 func (d *Device) CanFuse() bool {
-	return !d.Scalar && d.journal == nil && d.shadow == nil &&
+	return d.journal == nil && d.shadow == nil &&
 		d.traceMask&^ChargeCycleKinds == 0 && (d.intPower != nil || d.contPower)
 }
 
@@ -603,12 +595,13 @@ func (d *Device) Op(k OpKind) {
 	}
 	// The devirtualized charges are open-coded: a capacitor's is an
 	// inlined integer subtract, continuous power's is nothing, and only
-	// other systems (or the Scalar reference path) pay an interface call.
-	if p := d.intPower; p != nil && !d.Scalar {
+	// other systems (the energy.PerOp reference among them) pay an
+	// interface call.
+	if p := d.intPower; p != nil {
 		if !p.ConsumePJ(d.costPJ[k]) {
 			d.brownOut(k)
 		}
-	} else if (!d.contPower || d.Scalar) && d.Power.ConsumeN(d.costPJ[k], 1) == 0 {
+	} else if !d.contPower && d.Power.ConsumeN(d.costPJ[k], 1) == 0 {
 		d.brownOut(k)
 	}
 	d.secStats.OpCount[k]++
@@ -624,11 +617,11 @@ func (d *Device) opSlow(k OpKind) {
 	if j := d.journal; j != nil {
 		j.onOp(k)
 	}
-	if p := d.intPower; p != nil && !d.Scalar {
+	if p := d.intPower; p != nil {
 		if !p.ConsumePJ(d.costPJ[k]) {
 			d.brownOut(k)
 		}
-	} else if (!d.contPower || d.Scalar) && d.Power.ConsumeN(d.costPJ[k], 1) == 0 {
+	} else if !d.contPower && d.Power.ConsumeN(d.costPJ[k], 1) == 0 {
 		d.brownOut(k)
 	}
 	d.opsTotal++
@@ -699,21 +692,12 @@ func (d *Device) brownOut(k OpKind) {
 }
 
 // chargeOps charges up to n operations of kind k and returns how many were
-// funded, accounting exactly the funded prefix: one analytic ConsumeN for
-// the whole batch (devirtualized on a capacitor, free on continuous
-// power), or under Scalar n one-op charges accounted one at a time.
-// Callers apply the funded prefix's effects and brown out when the return
-// value is short.
+// funded, accounting exactly the funded prefix: one ConsumeN for the whole
+// batch (devirtualized on a capacitor, free on continuous power; the
+// energy.PerOp reference splits it into n one-op charges). Callers apply
+// the funded prefix's effects and brown out when the return value is
+// short.
 func (d *Device) chargeOps(k OpKind, n int) int {
-	if d.Scalar {
-		for i := 0; i < n; i++ {
-			if d.Power.ConsumeN(d.costPJ[k], 1) == 0 {
-				return i
-			}
-			d.account(k, 1)
-		}
-		return n
-	}
 	funded := n
 	if p := d.intPower; p != nil {
 		funded = p.ConsumeN(d.costPJ[k], n)

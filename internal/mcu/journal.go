@@ -18,14 +18,8 @@ const DefaultSnapStride = 2048
 // of the machine state at stride intervals, plus op-exact logs of
 // everything that happens between snapshots — the op-kind tape, every
 // nonvolatile write with its funded op position, section and commit
-// events, and WAR violations.
-//
-// The recording run must never brown out (use Continuous power) and must
-// not run on the Scalar reference path: a batched charge accounts the
-// whole batch before applying any of its effects, which is what
-// guarantees every snapshot lands on a consistent op boundary, whereas
-// Scalar accounts a batch op by op, so a snapshot could fall inside a
-// batch whose funded effects are still pending.
+// events, and WAR violations. The recording run must never brown out
+// (use Continuous power).
 //
 // After the run, RestorePrefix reconstructs onto an identically deployed
 // device — fresh, or a pooled one rewound to its post-deploy image and
@@ -102,9 +96,6 @@ type prefixSnap struct {
 func (d *Device) StartJournal(stride int) *Journal {
 	if d.journal != nil {
 		panic("mcu: journal already recording")
-	}
-	if d.Scalar {
-		panic("mcu: journal recording requires the batched charge path (Scalar off)")
 	}
 	if stride <= 0 {
 		stride = DefaultSnapStride

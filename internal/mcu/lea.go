@@ -147,11 +147,3 @@ func (d *Device) LEAAddV(dst *mem.Region, dstOff int, a *mem.Region, aOff int,
 		dst.Put(dstOff+i, int64(s))
 	}
 }
-
-// MaxLEATileWords returns the largest vector length (in words) whose
-// working set of nBuffers equal-sized buffers fits the LEA bank. TAILS's
-// calibration starts from this hardware bound and shrinks further until a
-// tile completes within the energy buffer.
-func MaxLEATileWords(nBuffers int) int {
-	return mem.LEABufferBytes / 2 / nBuffers
-}

@@ -311,12 +311,6 @@ func TestLEAAddV(t *testing.T) {
 	}
 }
 
-func TestMaxLEATileWords(t *testing.T) {
-	if MaxLEATileWords(2) != mem.LEABufferBytes/4 {
-		t.Errorf("MaxLEATileWords(2) = %d", MaxLEATileWords(2))
-	}
-}
-
 func TestSectionSwitching(t *testing.T) {
 	d := New(energy.Continuous{})
 	d.SetSection("conv1", PhaseKernel)

@@ -97,11 +97,11 @@ func scaleProgram(t *testing.T, dev *mcu.Device, n, per int) (*Runtime, []*mem.R
 	return rt, []*mem.Region{src, dst, ctl, rt.state, rt.log}
 }
 
-// TestFusedTasksMatchPerOp is the task runtime's own fused-vs-Scalar
+// TestFusedTasksMatchPerOp is the task runtime's own fused-vs-reference
 // oracle: under continuous power and a capacitor small enough to brown
 // out every few tasks, a run whose fusable dispatches are funded and
 // applied as whole tasks must actually fuse and must leave exactly the
-// Scalar run's Stats (op counts, per-section maps, cycles, energy,
+// energy.PerOp run's Stats (op counts, per-section maps, cycles, energy,
 // MaxRegionOps, reboots) and final FRAM — home words, cursor, control
 // state, and the redo log with its dead entries.
 func TestFusedTasksMatchPerOp(t *testing.T) {
@@ -116,9 +116,8 @@ func TestFusedTasksMatchPerOp(t *testing.T) {
 	}
 	for _, pw := range powers {
 		for _, per := range []int{5, 8, 13} {
-			run := func(scalar bool) (*mcu.Device, [][]int64) {
-				dev := mcu.New(pw.mk())
-				dev.Scalar = scalar
+			run := func(power energy.System) (*mcu.Device, [][]int64) {
+				dev := mcu.New(power)
 				rt, regions := scaleProgram(t, dev, 90, per)
 				rt.Start(0)
 				if err := rt.Run(); err != nil {
@@ -130,14 +129,14 @@ func TestFusedTasksMatchPerOp(t *testing.T) {
 				}
 				return dev, words
 			}
-			fused, fw := run(false)
-			scalar, sw := run(true)
+			fused, fw := run(pw.mk())
+			scalar, sw := run(energy.PerOp{S: pw.mk()})
 			fs, ss := fused.Stats(), scalar.Stats()
 			if fused.FusedOps() == 0 {
 				t.Errorf("%s/per=%d: nothing fused", pw.name, per)
 			}
 			if scalar.FusedOps() != 0 {
-				t.Errorf("%s/per=%d: Scalar run fused %d ops", pw.name, per, scalar.FusedOps())
+				t.Errorf("%s/per=%d: PerOp run fused %d ops", pw.name, per, scalar.FusedOps())
 			}
 			if !reflect.DeepEqual(fs, ss) {
 				t.Errorf("%s/per=%d: Stats diverge:\n fused  %+v\n scalar %+v", pw.name, per, fs, ss)
