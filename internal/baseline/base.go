@@ -38,15 +38,26 @@ func (Base) Name() string { return "base" }
 // restarts from scratch on every failure; if it cannot finish within one
 // charge cycle it returns mcu.ErrDoesNotComplete.
 func (b Base) Infer(img *core.Image, input []fixed.Q15) ([]fixed.Q15, error) {
-	if err := img.LoadInput(input); err != nil {
-		return nil, err
-	}
-	return b.ResumeInfer(img, nil)
+	return core.InferOnce(b, img, input)
 }
 
-// ResumeInfer implements core.Resumer: Infer minus LoadInput, with an
-// optional pre-attempt hook for restoring a forked prefix.
-func (b Base) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15, error) {
+// Prepare implements core.Runtime. Base keeps nothing on the device: its
+// loop state lives in registers.
+func (Base) Prepare(img *core.Image) (core.Prepared, error) {
+	return &baseRun{img: img, prog: tape.Get(img.Model)}, nil
+}
+
+// baseRun is Base prepared on one image. The compiled program supplies
+// the conv weight decode and pooled scratch, so a brown-out retry
+// re-derives and allocates nothing.
+type baseRun struct {
+	img  *core.Image
+	prog *tape.Program
+}
+
+// ResumeInfer implements core.Prepared.
+func (p *baseRun) ResumeInfer(atReboot func() error) ([]fixed.Q15, error) {
+	img, prog := p.img, p.prog
 	dev := img.Dev
 	dev.Emit(mcu.TraceRunBegin, "base", 0)
 	if atReboot != nil {
@@ -54,9 +65,6 @@ func (b Base) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15, 
 			return nil, err
 		}
 	}
-	// The compiled program supplies the conv weight decode and pooled
-	// scratch, so a brown-out retry re-derives and allocates nothing.
-	prog := tape.Get(img.Model)
 	sc := prog.GetScratch()
 	defer prog.PutScratch(sc)
 	var outB bool
@@ -73,6 +81,9 @@ func (b Base) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15, 
 	dev.FlushTrace()
 	return img.ReadOutput(outB), nil
 }
+
+// Release implements core.Prepared: Base holds no regions.
+func (*baseRun) Release() {}
 
 // actBufs returns (src, dst) activation buffers for the given parity.
 func actBufs(img *core.Image, parity bool) (*mem.Region, *mem.Region) {

@@ -49,27 +49,8 @@ const minBulk = 4
 // Infer builds the task graph over the deployed image and drives it to
 // completion.
 func (t Tile) Infer(img *core.Image, input []fixed.Q15) ([]fixed.Q15, error) {
-	if err := img.LoadInput(input); err != nil {
-		return nil, err
-	}
-	return t.ResumeInfer(img, nil)
+	return core.InferOnce(t, img, input)
 }
-
-// ResumeInfer implements core.Resumer: Prepare, then one run of the
-// prepared task graph, then Release.
-func (t Tile) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15, error) {
-	p, err := t.prepare(img)
-	if err != nil {
-		return nil, err
-	}
-	defer p.Release()
-	return p.ResumeInfer(atReboot)
-}
-
-// Prepare implements core.Preparer: it allocates the task runtime (state
-// and redo log, in that order, after the deployed regions), registers the
-// image's working buffers as task-shared, and builds the task graph.
-func (t Tile) Prepare(img *core.Image) (core.Prepared, error) { return t.prepare(img) }
 
 // tileRun is a Tile runtime prepared on one image: the task runtime and
 // the task graph built over it.
@@ -86,7 +67,10 @@ type tileRun struct {
 	ran bool
 }
 
-func (t Tile) prepare(img *core.Image) (*tileRun, error) {
+// Prepare implements core.Runtime: it allocates the task runtime (state
+// and redo log, in that order, after the deployed regions), registers the
+// image's working buffers as task-shared, and builds the task graph.
+func (t Tile) Prepare(img *core.Image) (core.Prepared, error) {
 	if t.TileSize <= 0 {
 		return nil, fmt.Errorf("baseline: invalid tile size %d", t.TileSize)
 	}

@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fixed"
-	"repro/internal/mcu"
 	"repro/internal/sonic"
 	"repro/internal/tape"
 )
@@ -50,15 +49,13 @@ func (c Checkpoint) Name() string { return fmt.Sprintf("ckpt-%d", c.Interval) }
 
 // Infer runs one inference under the periodic checkpoint policy.
 func (c Checkpoint) Infer(img *core.Image, input []fixed.Q15) ([]fixed.Q15, error) {
-	if err := img.LoadInput(input); err != nil {
-		return nil, err
-	}
-	return c.ResumeInfer(img, nil)
+	return core.InferOnce(c, img, input)
 }
 
-// ResumeInfer implements core.Resumer: Infer minus LoadInput, with an
-// optional pre-attempt hook for restoring a forked prefix.
-func (c Checkpoint) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15, error) {
+// Prepare implements core.Runtime. The checkpoint policy lives in
+// Exec.Every, not in the layer walk, so SONIC's software kernels and drive
+// loop run unchanged.
+func (c Checkpoint) Prepare(img *core.Image) (core.Prepared, error) {
 	if c.Interval < 2 {
 		return nil, fmt.Errorf("checkpoint: interval must be >= 2 (got %d); use SONIC for per-iteration durability", c.Interval)
 	}
@@ -66,21 +63,8 @@ func (c Checkpoint) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed
 	if reg == 0 {
 		reg = DefaultRegWords
 	}
-	e := &sonic.Exec{Img: img, Dev: img.Dev, Prog: tape.Get(img.Model), Every: c.Interval, RegWords: reg}
-	e.Dev.Emit(mcu.TraceRunBegin, c.Name(), int64(c.Interval))
-	if atReboot != nil {
-		if err := atReboot(); err != nil {
-			return nil, err
-		}
-	}
-	// The checkpoint policy lives in Exec.Every, not in the layer walk, so
-	// SONIC's software kernels run unchanged.
-	if err := e.Dev.Run(func() {
-		e.ResetVolatile()
+	e := sonic.Exec{Img: img, Dev: img.Dev, Prog: tape.Get(img.Model), Every: c.Interval, RegWords: reg}
+	return sonic.NewRunner(e, c.Name(), int64(c.Interval), func(e *sonic.Exec) {
 		e.Run((*sonic.Exec).RunLayerSoftware)
-	}); err != nil {
-		return nil, err
-	}
-	e.Dev.FlushTrace()
-	return img.ReadOutput(sonic.FinalParity(img.Model)), nil
+	}), nil
 }

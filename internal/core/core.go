@@ -280,46 +280,49 @@ type Runtime interface {
 	Name() string
 	// Infer runs one inference to completion under the device's power
 	// system. It returns the logits, or mcu.ErrDoesNotComplete if the
-	// implementation cannot finish on this power system.
+	// implementation cannot finish on this power system. Every runtime's
+	// Infer is InferOnce.
 	Infer(img *Image, input []fixed.Q15) ([]fixed.Q15, error)
-}
-
-// Resumer is the optional Runtime extension behind snapshot-and-fork
-// fault-injection campaigns. ResumeInfer is Infer minus LoadInput: it
-// performs the runtime's host-side setup (allocations, executor
-// construction), then calls atReboot — which the campaign uses to restore
-// a recorded prefix of a golden run onto the device, leaving it exactly as
-// a from-scratch run would be at its first post-brown-out reboot — and
-// finally runs the intermittent retry loop, recovering from the restored
-// FRAM state as if power had just come back.
-//
-// atReboot runs after all setup-time host writes (which the restore
-// overwrites) and before the first attempt. A non-nil error aborts the
-// inference and is returned unchanged.
-type Resumer interface {
-	ResumeInfer(img *Image, atReboot func() error) ([]fixed.Q15, error)
-}
-
-// Preparer is the optional Resumer extension behind resident runtime
-// state on pooled fork slots (Slot). Prepare performs the runtime's
-// host-side setup on a deployed image once — its FRAM and SRAM
-// allocations, shared-region tables and executor construction — and
-// returns it ready to serve any number of runs on img's device. A
-// Preparer's ResumeInfer is Prepare, Prepared.ResumeInfer and Release in
-// that order, so a runtime kept resident across runs and one prepared for
-// a single run take the same path.
-type Preparer interface {
+	// Prepare performs the runtime's host-side setup on a deployed image
+	// once — its FRAM and SRAM allocations, shared-region tables and
+	// executor construction — and returns it ready to serve any number of
+	// runs on img's device, as pooled fork slots (Slot) keep it.
 	Prepare(img *Image) (Prepared, error)
 }
 
 // Prepared is a runtime's setup resident on one deployed image.
 type Prepared interface {
-	// ResumeInfer is Resumer.ResumeInfer on the prepared image. It first
-	// resets the resident state to what a fresh Prepare leaves (zeroed
-	// logs and scratch), so no run sees an earlier one's state.
+	// ResumeInfer runs one inference from the input and control block the
+	// image holds (LoadInput's, or a restored prefix's). It first resets
+	// the resident state to what a fresh Prepare leaves (zeroed logs and
+	// scratch), so no run sees an earlier one's, then calls atReboot —
+	// which a snapshot-and-fork campaign uses to restore a recorded prefix
+	// of a golden run onto the device, leaving it exactly as a
+	// from-scratch run would be at its first post-brown-out reboot — and
+	// finally runs the intermittent retry loop, recovering from the FRAM
+	// state as if power had just come back.
+	//
+	// atReboot (nil for none) runs after all setup-time host writes, which
+	// the restore overwrites, and before the first attempt. A non-nil
+	// error aborts the inference and is returned unchanged.
 	ResumeInfer(atReboot func() error) ([]fixed.Q15, error)
 	// Release frees the resident regions; the Prepared must not run again.
 	Release()
+}
+
+// InferOnce is Runtime.Infer for every runtime: LoadInput, Prepare, one
+// ResumeInfer and Release, so a runtime kept resident across runs and one
+// prepared for a single run take the same path.
+func InferOnce(rt Runtime, img *Image, input []fixed.Q15) ([]fixed.Q15, error) {
+	if err := img.LoadInput(input); err != nil {
+		return nil, err
+	}
+	p, err := rt.Prepare(img)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Release()
+	return p.ResumeInfer(nil)
 }
 
 // LayerName returns the section label used to attribute device operations

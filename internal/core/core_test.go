@@ -178,9 +178,15 @@ func TestLayerName(t *testing.T) {
 	}
 }
 
-// scratchPrep is a Preparer whose prepared state is one FRAM and one SRAM
+// scratchPrep is a Runtime whose prepared state is one FRAM and one SRAM
 // region, allocated after the deployed ones.
 type scratchPrep struct{}
+
+func (scratchPrep) Name() string { return "scratch" }
+
+func (r scratchPrep) Infer(img *Image, input []fixed.Q15) ([]fixed.Q15, error) {
+	return InferOnce(r, img, input)
+}
 
 type scratchRun struct {
 	dev        *mcu.Device

@@ -46,7 +46,8 @@ func NewTemplate(qm *dnn.QuantModel) (*Template, error) {
 type Slot struct {
 	Dev *mcu.Device
 	Img *Image
-	// Run is the runtime prepared resident on Img (nil when none is).
+	// Run is the runtime prepared resident on Img (nil for a slot that
+	// serves several runtimes, as fleet pools do).
 	Run Prepared
 
 	tmpl               *Template
@@ -57,13 +58,13 @@ type Slot struct {
 }
 
 // NewSlot deploys the template's model onto dev, a new device configured
-// the way every run on the slot needs it (WAR-armed, say), and, when p is
-// non-nil, prepares p on the image and keeps it resident as Run. The
+// the way every run on the slot needs it (WAR-armed, say), and, when rt
+// is non-nil, prepares rt on the image and keeps it resident as Run. The
 // deploy is deterministic, so the freshly deployed banks already equal
 // the template's snapshots; the first Provision verifies that page by
 // page (everything Deploy wrote is marked dirty) and later ones lean on
 // the dirty tracking.
-func (t *Template) NewSlot(dev *mcu.Device, p Preparer) (*Slot, error) {
+func (t *Template) NewSlot(dev *mcu.Device, rt Runtime) (*Slot, error) {
 	img, err := Deploy(dev, t.qm)
 	if err != nil {
 		return nil, err
@@ -73,8 +74,8 @@ func (t *Template) NewSlot(dev *mcu.Device, p Preparer) (*Slot, error) {
 		framHint: mem.NewDirtyPages(t.fram),
 		sramHint: mem.NewDirtyPages(t.sram),
 	}
-	if p != nil {
-		if s.Run, err = p.Prepare(img); err != nil {
+	if rt != nil {
+		if s.Run, err = rt.Prepare(img); err != nil {
 			return nil, fmt.Errorf("core: preparing slot runtime: %w", err)
 		}
 	}

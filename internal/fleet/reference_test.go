@@ -12,7 +12,10 @@ import (
 // simulate is the fleet oracles' per-device reference: one device instance
 // run to its first inference on a freshly constructed, freshly deployed
 // device — no prototype, no pool slot, no restore-in-place — on the fused
-// fast path (scalar false) or on the energy.PerOp reference path.
+// fast path (scalar false) or on the energy.PerOp reference path. A
+// reference device that fused any op is an error: a reference that
+// silently took the fast path would only compare the fast path with
+// itself.
 func simulate(ds DeviceSpec, m Model, rt core.Runtime, scalar bool) (DeviceStats, error) {
 	power, err := ds.Power.New(ds.HarvestSeed)
 	if err != nil {
@@ -27,7 +30,11 @@ func simulate(ds DeviceSpec, m Model, rt core.Runtime, scalar bool) (DeviceStats
 	if err != nil {
 		return DeviceStats{}, fmt.Errorf("fleet: deploy %s on device %d: %w", m.Net, ds.Index, err)
 	}
-	return runDevice(dev, img, ds, m, rt)
+	st, err := runDevice(dev, img, ds, m, rt)
+	if err == nil && scalar && dev.FusedOps() != 0 {
+		err = fmt.Errorf("fleet: per-op reference device %d fused %d ops", ds.Index, dev.FusedOps())
+	}
+	return st, err
 }
 
 // referenceRun is the fresh reference campaign the fleet oracles compare

@@ -27,7 +27,7 @@ type fusedObservation struct {
 	NV       []int64
 }
 
-// nvRuntime runs a runtime through core.Resumer and records the device's
+// nvRuntime runs a runtime's prepared form and records the device's
 // FRAM regions from the atReboot hook, which every runtime calls once its
 // set-up has allocated them. Reading those regions after the run gives
 // the final nonvolatile memory image — including the regions a runtime
@@ -42,7 +42,12 @@ func (r *nvRuntime) Infer(img *core.Image, input []fixed.Q15) ([]fixed.Q15, erro
 	if err := img.LoadInput(input); err != nil {
 		return nil, err
 	}
-	return r.Runtime.(core.Resumer).ResumeInfer(img, func() error {
+	p, err := r.Prepare(img)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Release()
+	return p.ResumeInfer(func() error {
 		fram := img.Dev.FRAM
 		r.regions = r.regions[:0]
 		for i := 0; i < fram.Regions(); i++ {

@@ -23,30 +23,18 @@ type Broken struct{}
 // Name identifies the runtime.
 func (Broken) Name() string { return "broken" }
 
-// Infer mirrors SONIC's drive loop with the unsafe dense kernel patched in.
-func (Broken) Infer(img *core.Image, input []fixed.Q15) ([]fixed.Q15, error) {
-	if err := img.LoadInput(input); err != nil {
-		return nil, err
-	}
-	return Broken{}.ResumeInfer(img, nil)
+// Infer mirrors SONIC's with the unsafe dense kernel patched in.
+func (b Broken) Infer(img *core.Image, input []fixed.Q15) ([]fixed.Q15, error) {
+	return core.InferOnce(b, img, input)
 }
 
-// ResumeInfer implements core.Resumer, so the campaign's fork path covers
-// the negative control too — its corrupted logits must survive forking
-// bit-for-bit for the sweep's verdicts to stay trustworthy.
-func (Broken) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15, error) {
-	e := &sonic.Exec{Img: img, Dev: img.Dev, Prog: tape.Get(img.Model)}
-	e.Dev.Emit(mcu.TraceRunBegin, "broken", 0)
-	if atReboot != nil {
-		if err := atReboot(); err != nil {
-			return nil, err
-		}
-	}
-	if err := e.Dev.Run(func() { e.ResetVolatile(); e.Run(brokenLayer) }); err != nil {
-		return nil, err
-	}
-	e.Dev.FlushTrace()
-	return img.ReadOutput(sonic.FinalParity(img.Model)), nil
+// Prepare implements core.Runtime with SONIC's drive loop, so the
+// campaign's fork path covers the negative control too — its corrupted
+// logits must survive forking bit-for-bit for the sweep's verdicts to stay
+// trustworthy.
+func (Broken) Prepare(img *core.Image) (core.Prepared, error) {
+	e := sonic.Exec{Img: img, Dev: img.Dev, Prog: tape.Get(img.Model)}
+	return sonic.NewRunner(e, "broken", 0, func(e *sonic.Exec) { e.Run(brokenLayer) }), nil
 }
 
 // brokenLayer is Broken's layer dispatch: dense layers run the in-place

@@ -140,11 +140,10 @@ func bankDigest(dev *mcu.Device) uint64 {
 // included) plus multi-failure schedules whose later failures are
 // simulated live in the forked suffix.
 //
-// This test must never skip: a runtime that stops implementing
-// core.Resumer, or a journal that fails to cover the golden run, silently
-// reverts the campaign to the slow path and voids the equivalence claim —
-// so both conditions are hard failures here, and CI greps for this test's
-// per-runtime PASS lines.
+// This test must never skip: a journal that fails to cover the golden run
+// silently reverts the campaign to the slow path and voids the
+// equivalence claim — so it is a hard failure here, and CI greps for this
+// test's per-runtime PASS lines.
 func TestForkDifferentialOracle(t *testing.T) {
 	for _, fr := range forkRuntimes() {
 		rt, label := fr.rt, fr.label
@@ -168,7 +167,7 @@ func TestForkDifferentialOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !forked.Forks() {
-				t.Fatalf("%s does not fork: journal unavailable (Resumer regression?)", label)
+				t.Fatalf("%s does not fork: journal unavailable (short journal?)", label)
 			}
 			if forked.TotalOps() != scratch.TotalOps() {
 				t.Fatalf("golden op counts differ: fork=%d scratch=%d",

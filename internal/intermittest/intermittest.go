@@ -158,23 +158,23 @@ func (r *Report) String() string {
 // against it. It is safe for concurrent Check calls.
 //
 // The golden run doubles as the recording run for snapshot-and-fork
-// checking: when the runtime implements core.Resumer (and forceScratch is
-// off), the golden device journals a snapshot train plus op-exact effect
-// logs, and every subsequent Check whose first failure lands inside the
-// recorded range restores the nearest snapshot and simulates only the
-// suffix — bit-identical to a from-scratch run, as the fork oracle proves.
+// checking: unless forceScratch is set, the golden device journals a
+// snapshot train plus op-exact effect logs, and every subsequent Check
+// whose first failure lands inside the recorded range restores the
+// nearest snapshot and simulates only the suffix — bit-identical to a
+// from-scratch run, as the fork oracle proves.
 // The quantized input is computed once here and shared read-only by every
 // worker; forked checks skip LoadInput entirely.
 //
 // Checks run on fork slots rather than fresh devices: a slot is a
 // core.Slot deployed (and WAR-armed) once from the model's post-deploy
 // template and rewound in place before every check, indistinguishable
-// from a fresh deploy (TestPooledCheckMatchesFresh). A runtime that is a
-// core.Preparer is prepared once per slot and kept there — the tile task
-// runtime and graph, TAILS's LEA scratch — and resets that state itself
-// at the start of each check (TestForkSlotKeepsRuntimeResident). Idle
-// slots wait on a free list, which holds at most as many as Check ever
-// ran concurrently.
+// from a fresh deploy (TestPooledCheckMatchesFresh). The runtime is
+// prepared once per slot (core.Runtime.Prepare) and kept there — the tile
+// task runtime and graph, TAILS's LEA scratch, the SONIC drive loop — and
+// resets that state itself at the start of each check
+// (TestForkSlotKeepsRuntimeResident). Idle slots wait on a free list,
+// which holds at most as many as Check ever ran concurrently.
 type Checker struct {
 	qm       *dnn.QuantModel
 	qin      []fixed.Q15
@@ -189,7 +189,6 @@ type Checker struct {
 	goldenWAR []mcu.WARViolation
 
 	journal *mcu.Journal
-	resumer core.Resumer
 
 	tmpl  *core.Template
 	mu    sync.Mutex
@@ -197,7 +196,7 @@ type Checker struct {
 }
 
 // NewCheckerOpt runs the runtime once under continuous power and captures
-// the golden logits, total op count, and (for core.Resumer runtimes) the
+// the golden logits, total op count, and (unless forceScratch is set) the
 // fork journal. The golden run is per-runtime because accelerated runtimes
 // (TAILS) compute bit-different but equally valid logits vs the software
 // kernels. opt sets the campaign options (WAR checking, snapshot stride,
@@ -212,9 +211,8 @@ func NewCheckerOpt(qm *dnn.QuantModel, x []float64, rt core.Runtime, opt Options
 	if err != nil {
 		return nil, fmt.Errorf("intermittest: golden deploy: %w", err)
 	}
-	resumer, canFork := rt.(core.Resumer)
 	var j *mcu.Journal
-	if canFork && !opt.forceScratch {
+	if !opt.forceScratch {
 		j = dev.StartJournal(opt.SnapStride)
 	}
 	want, err := rt.Infer(img, c.qin)
@@ -231,7 +229,6 @@ func NewCheckerOpt(qm *dnn.QuantModel, x []float64, rt core.Runtime, opt Options
 	}
 	if j != nil && j.MaxOp() == c.totalOps {
 		c.journal = j
-		c.resumer = resumer
 	}
 	c.maxRegion = dev.Stats().MaxRegionOps
 	c.goldenWAR = dev.WARViolations()
@@ -242,8 +239,8 @@ func NewCheckerOpt(qm *dnn.QuantModel, x []float64, rt core.Runtime, opt Options
 }
 
 // Forks reports whether Check serves single-prefix schedules from the
-// golden journal (false when the runtime cannot resume or forceScratch
-// pinned the original path).
+// golden journal (false when forceScratch pinned the from-scratch path,
+// or the journal was too short to cover the golden run).
 func (c *Checker) Forks() bool { return c.journal != nil }
 
 // LiveGapFloor returns the smallest per-cycle op budget that guarantees
@@ -348,10 +345,10 @@ func (c *Checker) Check(gaps []int) *ScheduleResult {
 
 // takeSlot returns a fork slot provisioned with power: an idle one from
 // the free list, or a newly deployed one when none is idle. A new slot
-// keeps the runtime prepared on it (core.Preparer), on a device bound to
-// the kind of power its checks run under, which a tile task graph's
-// fusion choice depends on. A slot that fails to provision is dropped,
-// and the error reported.
+// keeps the runtime prepared on it, on a device bound to the kind of
+// power its checks run under, which a tile task graph's fusion choice
+// depends on. A slot that fails to provision is dropped, and the error
+// reported.
 func (c *Checker) takeSlot(power energy.System) (*core.Slot, error) {
 	c.mu.Lock()
 	var sl *core.Slot
@@ -365,9 +362,8 @@ func (c *Checker) takeSlot(power energy.System) (*core.Slot, error) {
 		if c.checkWAR {
 			dev.EnableWARCheck()
 		}
-		p, _ := c.rt.(core.Preparer)
 		var err error
-		if sl, err = c.tmpl.NewSlot(dev, p); err != nil {
+		if sl, err = c.tmpl.NewSlot(dev, c.rt); err != nil {
 			return nil, fmt.Errorf("intermittest: fork slot deploy: %w", err)
 		}
 	}
@@ -379,8 +375,8 @@ func (c *Checker) takeSlot(power energy.System) (*core.Slot, error) {
 
 // run is Check's body on dev, a device holding img in its post-deploy
 // state with the schedule's power system bound and the runtime prepared
-// on it as p (nil when the runtime is no core.Preparer). The result owns
-// everything it carries, so dev may serve the next check at once.
+// on it as p. The result owns everything it carries, so dev may serve the
+// next check at once.
 func (c *Checker) run(dev *mcu.Device, img *core.Image, p core.Prepared, gaps []int) *ScheduleResult {
 	res := &ScheduleResult{Runtime: c.name, Gaps: gaps}
 	var got []fixed.Q15
@@ -389,17 +385,10 @@ func (c *Checker) run(dev *mcu.Device, img *core.Image, p core.Prepared, gaps []
 	if c.journal != nil && len(gaps) > 0 && gaps[0] >= 1 && int64(gaps[0]) <= c.totalOps {
 		restore = func() error { return c.journal.RestorePrefix(dev, int64(gaps[0])) }
 	}
-	switch {
-	case p == nil && restore != nil:
-		got, err = c.resumer.ResumeInfer(img, restore)
-	case p == nil:
-		got, err = c.rt.Infer(img, c.qin)
-	case restore != nil:
+	if restore != nil {
 		got, err = p.ResumeInfer(restore)
-	default:
-		if err = img.LoadInput(c.qin); err == nil {
-			got, err = p.ResumeInfer(nil)
-		}
+	} else if err = img.LoadInput(c.qin); err == nil {
+		got, err = p.ResumeInfer(nil)
 	}
 	// The result takes the device's Stats, which the slot's next check
 	// would otherwise overwrite; the WAR records need no such care, since

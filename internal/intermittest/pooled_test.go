@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/mcu"
@@ -18,8 +19,8 @@ import (
 // freshCheck is the fresh-device reference for Check: the schedule runs on
 // a newly constructed, identically armed and freshly deployed device
 // instead of a rewound fork slot, with the runtime prepared for this run
-// alone and released after it, as its own ResumeInfer does. It is the
-// only place that path lives.
+// alone and released after it, as its Infer (core.InferOnce) does. It is
+// the only place that path lives.
 func freshCheck(c *Checker, gaps []int) *ScheduleResult {
 	return freshCheckNV(c, gaps).ScheduleResult
 }
@@ -35,23 +36,22 @@ func freshCheckNV(c *Checker, gaps []int) nvResult {
 	if err != nil {
 		return nvResult{&ScheduleResult{Runtime: c.name, Gaps: gaps, Err: err}, 0}
 	}
-	var p core.Prepared
-	if pr, ok := c.rt.(core.Preparer); ok {
-		if p, err = pr.Prepare(img); err != nil {
-			return nvResult{&ScheduleResult{Runtime: c.name, Gaps: gaps, Err: err}, 0}
-		}
-		defer p.Release()
+	p, err := c.rt.Prepare(img)
+	if err != nil {
+		return nvResult{&ScheduleResult{Runtime: c.name, Gaps: gaps, Err: err}, 0}
 	}
+	defer p.Release()
 	res := c.run(dev, img, p, gaps)
 	return nvResult{res, bankDigest(dev)}
 }
 
 // TestPooledCheckMatchesFresh is the pooled-≡-fresh oracle for fork
 // slots: for every runtime, one Checker serves an interleaved history of
-// schedules — sampled single failures, multi-failure schedules, the
-// immediate-refailure DNC schedule, from-scratch schedules whose first
-// failure lies beyond the golden run, and (on Broken) WAR floods — so
-// every check runs on a slot dirtied by a different kind of run. Each
+// schedules — sampled single failures, each followed by short
+// refailures there, multi-failure schedules, the immediate-refailure DNC
+// schedule, from-scratch schedules whose first failure lies beyond the
+// golden run, and (on Broken) WAR floods — so every check runs on a slot
+// dirtied by a different kind of run. Each
 // result must be bit-identical to the same schedule on a fresh device,
 // with and without WAR checking.
 //
@@ -95,7 +95,7 @@ func TestPooledCheckMatchesFresh(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !c.Forks() {
-					t.Fatalf("%s does not fork: journal unavailable (Resumer regression?)", label)
+					t.Fatalf("%s does not fork: journal unavailable (short journal?)", label)
 				}
 				total := int(c.TotalOps())
 				mid := total / 2
@@ -113,7 +113,11 @@ func TestPooledCheckMatchesFresh(t *testing.T) {
 				}
 				var scheds [][]int
 				for k, b := 0, 1; b <= total; k, b = k+1, b+total/24+1 {
-					scheds = append(scheds, []int{b}, multi[k%len(multi)])
+					// Refailures a few ops past the cursor load end in a
+					// DNC that can stop mid checkpoint period, leaving
+					// ckpt-8's volatile iteration count nonzero: the next
+					// check's first attempt must not inherit it.
+					scheds = append(scheds, []int{b}, []int{b, 10, 10, 10, 10, 10, 10, 10}, multi[k%len(multi)])
 				}
 				scheds = append(scheds, []int{total})
 				bad, dnc, flood := 0, 0, 0
@@ -243,12 +247,14 @@ func TestSweepClassesMatchChecks(t *testing.T) {
 	}
 }
 
-// TestForkSlotKeepsRuntimeResident pins that a runtime prepared on a fork
-// slot (core.Preparer) stays there across checks: consecutive checks on
-// one Checker reuse the one slot, its banks keep their region counts, and
-// every region — the deploy's and the runtime's own, the tile task
-// state and redo log or the TAILS LEA scratch — is the very object it
-// was, through forked, from-scratch, multi-failure and DNC checks alike.
+// TestForkSlotKeepsRuntimeResident pins that the runtime prepared on a
+// fork slot stays there across checks: consecutive checks on one Checker
+// reuse the one slot and its one prepared runtime (Slot.Run), its banks
+// keep their region counts, and every region — the deploy's and the
+// runtime's own, the tile task state and redo log or the TAILS LEA
+// scratch — is the very object it was, through forked, from-scratch,
+// multi-failure and DNC checks alike. Base and the SONIC drive loop
+// (sonic, ckpt-8, broken) keep no regions of their own.
 // A steady-state WAR-armed tile-32 check stays within a small allocation
 // budget, which rebuilding the task runtime and graph per check breaks.
 func TestForkSlotKeepsRuntimeResident(t *testing.T) {
@@ -266,6 +272,10 @@ func TestForkSlotKeepsRuntimeResident(t *testing.T) {
 		{baseline.Tile{TileSize: 32}, []string{"task.state", "task.redolog"}, nil, 40},
 		{baseline.Tile{TileSize: 128}, []string{"task.state", "task.redolog"}, nil, 0},
 		{tails.TAILS{}, nil, []string{"lea.in", "lea.out", "lea.coef"}, 0},
+		{baseline.Base{}, nil, nil, 0},
+		{sonic.SONIC{}, nil, nil, 0},
+		{checkpoint.Checkpoint{Interval: 8}, nil, nil, 0},
+		{Broken{}, nil, nil, 0},
 	} {
 		t.Run(tc.rt.Name(), func(t *testing.T) {
 			c, err := NewCheckerOpt(qm, x, tc.rt, Options{CheckWAR: true})
@@ -278,7 +288,8 @@ func TestForkSlotKeepsRuntimeResident(t *testing.T) {
 				t.Fatalf("free list holds %d slots after one check, want 1", len(c.slots))
 			}
 			sl := c.slots[0]
-			if sl.Run == nil {
+			run := sl.Run
+			if run == nil {
 				t.Fatal("slot holds no prepared runtime")
 			}
 			banks := func() [][]*mem.Region {
@@ -317,6 +328,9 @@ func TestForkSlotKeepsRuntimeResident(t *testing.T) {
 				res := c.Check(gaps)
 				if len(c.slots) != 1 || c.slots[0] != sl {
 					t.Fatalf("gaps %v: the check did not run on the resident slot", gaps)
+				}
+				if sl.Run != run {
+					t.Fatalf("gaps %v: the slot's prepared runtime was replaced", gaps)
 				}
 				if res.Err != nil {
 					t.Fatalf("gaps %v: %v", gaps, res.Err)

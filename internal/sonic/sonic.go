@@ -77,31 +77,60 @@ func Unpack(v int64) Cursor {
 // Infer runs one inference with loop continuation. It completes on any
 // power system whose buffer can fund a single loop iteration.
 func (s SONIC) Infer(img *core.Image, input []fixed.Q15) ([]fixed.Q15, error) {
-	if err := img.LoadInput(input); err != nil {
-		return nil, err
-	}
-	return s.ResumeInfer(img, nil)
+	return core.InferOnce(s, img, input)
 }
 
-// ResumeInfer implements core.Resumer: Infer minus LoadInput, with an
-// optional pre-attempt hook for restoring a forked prefix. Loop
-// continuation needs no special resume handling — recovering from whatever
-// the restored cursor says is exactly its normal reboot path.
-func (s SONIC) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15, error) {
-	e := &Exec{Img: img, Dev: img.Dev, Prog: tape.Get(img.Model), SparseViaBuffering: s.SparseViaBuffering}
-	e.Dev.Emit(mcu.TraceRunBegin, s.Name(), 0)
+// Prepare implements core.Runtime: SONIC runs every layer on the software
+// kernels. Loop continuation needs no special resume handling —
+// recovering from whatever the restored cursor says is exactly its normal
+// reboot path.
+func (s SONIC) Prepare(img *core.Image) (core.Prepared, error) {
+	e := Exec{Img: img, Dev: img.Dev, Prog: tape.Get(img.Model), SparseViaBuffering: s.SparseViaBuffering}
+	return NewRunner(e, s.Name(), 0, func(e *Exec) { e.Run((*Exec).RunLayerSoftware) }), nil
+}
+
+// Runner is the prepared form of every loop-continuation runtime (SONIC,
+// TAILS, the checkpointing baseline and the campaign's unsafe control):
+// an Exec and the attempt body that drives it. Its ResumeInfer is their
+// one drive loop. The Exec's only run-to-run state is volatile, and each
+// attempt resets it, so a Runner holds nothing to reset between runs.
+type Runner struct {
+	Exec
+	name    string // the TraceRunBegin label
+	arg     int64  // the TraceRunBegin argument
+	attempt func() // one attempt, as dev.Run calls it
+}
+
+// NewRunner prepares e to run under the TraceRunBegin label name and
+// argument arg. Each attempt clears the register-resident state, as a
+// reboot does, then calls body.
+func NewRunner(e Exec, name string, arg int64, body func(*Exec)) *Runner {
+	r := &Runner{Exec: e, name: name, arg: arg}
+	r.attempt = func() {
+		r.ResetVolatile()
+		body(&r.Exec)
+	}
+	return r
+}
+
+// ResumeInfer implements core.Prepared.
+func (r *Runner) ResumeInfer(atReboot func() error) ([]fixed.Q15, error) {
+	dev := r.Dev
+	dev.Emit(mcu.TraceRunBegin, r.name, r.arg)
 	if atReboot != nil {
 		if err := atReboot(); err != nil {
 			return nil, err
 		}
 	}
-	// SONIC runs every layer on the software kernels.
-	if err := e.Dev.Run(func() { e.ResetVolatile(); e.Run((*Exec).RunLayerSoftware) }); err != nil {
+	if err := dev.Run(r.attempt); err != nil {
 		return nil, err
 	}
-	e.Dev.FlushTrace()
-	return img.ReadOutput(FinalParity(img.Model)), nil
+	dev.FlushTrace()
+	return r.Img.ReadOutput(FinalParity(r.Img.Model)), nil
 }
+
+// Release implements core.Prepared: a Runner holds no regions.
+func (*Runner) Release() {}
 
 // FinalParity computes which activation buffer holds the output: every
 // value-producing layer flips the ping-pong parity; flatten does not.

@@ -94,91 +94,62 @@ const (
 // Infer runs one inference, calibrating the tile size first if this image
 // has never run on this device.
 func (t TAILS) Infer(img *core.Image, input []fixed.Q15) ([]fixed.Q15, error) {
-	if err := img.LoadInput(input); err != nil {
-		return nil, err
-	}
-	return t.ResumeInfer(img, nil)
+	return core.InferOnce(t, img, input)
 }
-
-// ResumeInfer implements core.Resumer: Prepare, then one run on the
-// prepared scratch, then Release.
-func (t TAILS) ResumeInfer(img *core.Image, atReboot func() error) ([]fixed.Q15, error) {
-	p, err := t.prepare(img)
-	if err != nil {
-		return nil, err
-	}
-	defer p.Release()
-	return p.ResumeInfer(atReboot)
-}
-
-// Prepare implements core.Preparer: it allocates the three LEA scratch
-// regions in SRAM (in, out, coef) and builds the layer executor over them.
-func (t TAILS) Prepare(img *core.Image) (core.Prepared, error) { return t.prepare(img) }
 
 // tailsRun is a TAILS runtime prepared on one image: its SRAM scratch and
-// the SONIC executor driving the accelerated layer walk.
+// the SONIC drive loop over the accelerated layer walk.
 type tailsRun struct {
-	t    TAILS
-	sc   scratch
-	s    sonic.Exec
-	body func() // one attempt, as dev.Run calls it
+	*sonic.Runner
+	sc scratch
 	// ran records that the scratch has been used since it was allocated.
 	ran bool
 }
 
-func (t TAILS) prepare(img *core.Image) (*tailsRun, error) {
-	dev := img.Dev
-	p := &tailsRun{t: t, s: sonic.Exec{Img: img, Dev: dev, Prog: tape.Get(img.Model)}}
+// Prepare implements core.Runtime: it allocates the three LEA scratch
+// regions in SRAM (in, out, coef) and builds the layer executor over them.
+// Each attempt calibrates (once per device) before the layer walk.
+func (t TAILS) Prepare(img *core.Image) (core.Prepared, error) {
+	p := &tailsRun{}
+	layerFn := t.layerFn(&p.sc)
+	e := sonic.Exec{Img: img, Dev: img.Dev, Prog: tape.Get(img.Model)}
+	p.Runner = sonic.NewRunner(e, t.Name(), 0, func(e *sonic.Exec) {
+		t.calibrate(e, &p.sc)
+		e.Run(layerFn)
+	})
 	for _, a := range []struct {
 		r     **mem.Region
 		name  string
 		words int
 	}{{&p.sc.in, "lea.in", inWords}, {&p.sc.out, "lea.out", outWords}, {&p.sc.coef, "lea.coef", coefWords}} {
-		r, err := dev.SRAM.Alloc(a.name, a.words, 2)
+		r, err := img.Dev.SRAM.Alloc(a.name, a.words, 2)
 		if err != nil {
 			p.Release()
 			return nil, fmt.Errorf("tails: %w", err)
 		}
 		*a.r = r
 	}
-	layerFn := t.layerFn(&p.sc)
-	p.body = func() {
-		p.s.ResetVolatile()
-		t.calibrate(&p.s, &p.sc)
-		p.s.Run(layerFn)
-	}
 	return p, nil
 }
 
 // ResumeInfer implements core.Prepared: the scratch is zeroed (after an
-// earlier run), then atReboot, then the run. A forked prefix restore
+// earlier run), then the SONIC drive loop runs. A forked prefix restore
 // clears the scratch the same way the modelled reboot does.
 func (p *tailsRun) ResumeInfer(atReboot func() error) ([]fixed.Q15, error) {
-	dev := p.s.Dev
 	if p.ran {
 		for _, r := range []*mem.Region{p.sc.in, p.sc.out, p.sc.coef} {
 			clear(r.Words())
 		}
 	}
 	p.ran = true
-	dev.Emit(mcu.TraceRunBegin, p.t.Name(), 0)
-	if atReboot != nil {
-		if err := atReboot(); err != nil {
-			return nil, err
-		}
-	}
-	if err := dev.Run(p.body); err != nil {
-		return nil, err
-	}
-	dev.FlushTrace()
-	return p.s.Img.ReadOutput(sonic.FinalParity(p.s.Img.Model)), nil
+	return p.Runner.ResumeInfer(atReboot)
 }
 
 // Release implements core.Prepared.
 func (p *tailsRun) Release() {
 	for _, r := range []*mem.Region{p.sc.in, p.sc.out, p.sc.coef} {
 		if r != nil {
-			p.s.Dev.SRAM.Release(r)
+			p.Dev.SRAM.Release(r)
 		}
 	}
 }
