@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -167,4 +168,88 @@ func TestTaskBasedBeatsCheckpointing(t *testing.T) {
 	}
 	t.Logf("continuous: sonic %.0fuJ vs ckpt-4 %.0fuJ (%.2fx); 100uF: sonic %.0fuJ vs ckpt-128 %.0fuJ (%.2fx)",
 		sonicE/1e3, ckptSmall/1e3, ckptSmall/sonicE, sonicI/1e3, ckptLarge/1e3, ckptLarge/sonicI)
+}
+
+// TestPreparedReuseMatchesFresh pins that a prepared checkpointing
+// runtime keeps no volatile state from one run to the next: one ckpt-8
+// core.Prepared, resident on a pooled slot, serves a run that does not
+// complete — its refailures land a few ops into each charge cycle, so
+// its last attempt can stop mid checkpoint period — and then a run under
+// periodic brown-outs whose first one lands early in the first layer.
+// Every second run must match the same run freshly deployed and
+// prepared: logits and the full Stats, commits and wasted work included.
+// Each attempt clears the periodic-checkpoint counter
+// (sonic.Exec.ResetVolatile); a first attempt that inherited it would
+// checkpoint at other iterations, and the early brown-out would waste a
+// different amount of work.
+func TestPreparedReuseMatchesFresh(t *testing.T) {
+	qm, ex := buildModel(t)
+	qin := qm.QuantizeInput(ex[0].X)
+	rt := Checkpoint{Interval: 8}
+	const period = 1511
+	firsts := []int{97, 211}
+	want := make(map[int]core.Outcome)
+	for _, first := range firsts {
+		dev := mcu.New(energy.NewFailAfterOps(first, period))
+		img, err := core.Deploy(dev, qm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logits, ierr := rt.Infer(img, qin)
+		o, err := core.Finish(dev, logits, ierr)
+		if err != nil || o.DNC {
+			t.Fatalf("fresh run: err %v, DNC %v", err, o.DNC)
+		}
+		if o.Stats.WastedCycles == 0 {
+			t.Fatalf("fresh run under first=%d wasted nothing: the comparison is vacuous", first)
+		}
+		want[first] = o
+	}
+
+	tmpl, err := core.NewTemplate(qm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl, err := tmpl.NewSlot(mcu.New(energy.Continuous{}), rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(power energy.System) core.Outcome {
+		t.Helper()
+		if _, err := sl.Provision(power); err != nil {
+			t.Fatal(err)
+		}
+		if err := sl.Img.LoadInput(qin); err != nil {
+			t.Fatal(err)
+		}
+		logits, ierr := sl.Run.ResumeInfer(nil)
+		o, err := core.Finish(sl.Dev, logits, ierr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	var total int
+	for _, n := range run(energy.Continuous{}).Stats.OpCount {
+		total += int(n)
+	}
+	for _, b := range []int{37, total / 5, total / 2, 4 * total / 5, total} {
+		for _, refail := range []int{10, 17, 29} {
+			for _, first := range firsts {
+				gaps := []int{b, refail, refail, refail, refail, refail, refail, refail}
+				if o := run(energy.NewFailSchedule(gaps)); !o.DNC {
+					t.Fatalf("schedule %v completed; want a run that does not complete", gaps)
+				}
+				got := run(energy.NewFailAfterOps(first, period))
+				if got.DNC {
+					t.Fatalf("after %v: reused runtime did not complete", gaps)
+				}
+				assertEqualQ(t, got.Logits, want[first].Logits, "reused after a DNC")
+				if !reflect.DeepEqual(got.Stats, want[first].Stats) {
+					t.Fatalf("after %v, first failure at op %d: reused runtime's stats differ from a fresh run's:\n got %+v\nwant %+v",
+						gaps, first, *got.Stats, *want[first].Stats)
+				}
+			}
+		}
+	}
 }

@@ -11,6 +11,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -323,6 +324,31 @@ func InferOnce(rt Runtime, img *Image, input []fixed.Q15) ([]fixed.Q15, error) {
 	}
 	defer p.Release()
 	return p.ResumeInfer(nil)
+}
+
+// Outcome is a finished run as Finish reads it off its device.
+type Outcome struct {
+	Logits []fixed.Q15
+	// Stats is the outcome's own (mcu.Device.TakeStats), out of reach
+	// of a pooled device's next run.
+	Stats *mcu.Stats
+	// WARCount and WAR are the write-after-read verdict.
+	WARCount int
+	WAR      []mcu.WARViolation
+	// DNC reports a run that stopped with mcu.ErrDoesNotComplete.
+	DNC bool
+}
+
+// Finish turns a run on dev — the logits and error its runtime returned —
+// into an Outcome. Does-not-complete is an outcome, not an error; any
+// other error is returned beside the outcome. Every path that runs a
+// device and reads its result goes through Finish.
+func Finish(dev *mcu.Device, logits []fixed.Q15, err error) (Outcome, error) {
+	o := Outcome{Logits: logits, Stats: dev.TakeStats(), WARCount: dev.WARCount(), WAR: dev.WARViolations()}
+	if errors.Is(err, mcu.ErrDoesNotComplete) {
+		o.DNC, err = true, nil
+	}
+	return o, err
 }
 
 // LayerName returns the section label used to attribute device operations

@@ -34,38 +34,37 @@ type DeviceStats struct {
 }
 
 // runDevice drives one prepared (deployed, powered) device through its
-// inference and extracts the per-device stats. Wasted-work accounting runs
-// device-native (Device.TrackWasted replicates the trace analysis
-// arithmetic bit-exactly) instead of through a per-device trace buffer,
-// which would cost a ring allocation and an event per commit for a figure
-// the device already carries. The fleet oracles' fresh-deploy reference
-// drives every one of its devices through runDevice too, so a campaign
-// and the reference can only diverge in how the device was prepared and
-// in the shared execution's per-device latency replay — which the
-// provisioned-≡-fresh and shared-execution oracles pin down.
-func runDevice(dev *mcu.Device, img *core.Image, ds DeviceSpec, m Model, rt core.Runtime) (DeviceStats, error) {
-	_, ierr := rt.Infer(img, m.Input)
-	st := dev.Stats()
+// inference and reads it through core.Finish: the per-device stats, wasted
+// work included (no tracer needed), and the run's live seconds. The fleet
+// oracles' fresh-deploy reference drives every one of its devices through
+// runDevice too, so a campaign and the reference can only diverge in how
+// the device was prepared and in the shared execution's per-device
+// latency replay — which the provisioned-≡-fresh and shared-execution
+// oracles pin down.
+func runDevice(dev *mcu.Device, img *core.Image, ds DeviceSpec, m Model, rt core.Runtime) (DeviceStats, float64, error) {
+	logits, ierr := rt.Infer(img, m.Input)
+	o, err := core.Finish(dev, logits, ierr)
+	st := o.Stats
 	out := DeviceStats{
 		Reboots:  st.Reboots,
 		EnergyPJ: st.EnergyPJ,
-		WastedNJ: dev.WastedNJ(),
+		WastedNJ: st.WastedNJ,
 	}
 	for _, n := range st.OpCount {
 		out.Ops += n
 	}
-	if ierr != nil {
-		if errors.Is(ierr, mcu.ErrDoesNotComplete) {
-			return out, nil // a DNC device is a data point, not a failure
+	live := st.LiveSeconds(dev.Cost.ClockHz)
+	if err != nil {
+		return out, live, fmt.Errorf("fleet: device %d (%s/%s/%s): %w", ds.Index, m.Net, ds.Runtime, ds.Power.Name, err)
+	}
+	if !o.DNC { // a DNC device is a data point, not a failure
+		out.Completed = true
+		out.FirstInferSec = st.TotalSeconds(dev.Cost.ClockHz)
+		if mj := st.EnergyMJ(); mj > 0 {
+			out.IMpJ = 1 / mj
 		}
-		return out, fmt.Errorf("fleet: device %d (%s/%s/%s): %w", ds.Index, m.Net, ds.Runtime, ds.Power.Name, ierr)
 	}
-	out.Completed = true
-	out.FirstInferSec = st.TotalSeconds(dev.Cost.ClockHz)
-	if mj := st.EnergyMJ(); mj > 0 {
-		out.IMpJ = 1 / mj
-	}
-	return out, nil
+	return out, live, nil
 }
 
 // Aggregates is the mergeable accumulator of fleet-wide statistics. All

@@ -87,14 +87,12 @@ func newSlot(p *Prototype) (*core.Slot, error) {
 // provision rewinds sl for one fleet simulation on power — leaving the
 // device indistinguishable, for everything a simulation can observe, from
 // a freshly deployed one (TestProvisionedFleetBitIdentical,
-// TestPoolPurityAfterBrownOut) — turns on wasted-work tracking, and
-// counts the restore into st.
+// TestPoolPurityAfterBrownOut) — and counts the restore into st.
 func provision(sl *core.Slot, power energy.System, st *ProvisionStats) error {
 	rs, err := sl.Provision(power)
 	if err != nil {
 		return err
 	}
-	sl.Dev.TrackWasted(true)
 	st.Restores++
 	st.PagesCopied += int64(rs.Copied)
 	st.PagesClean += int64(rs.Clean)
@@ -156,10 +154,9 @@ func (p *pool) simulate(ds DeviceSpec, m Model, rt core.Runtime) (ex execution, 
 	if err := provision(sl, power, &p.stats); err != nil {
 		return ex, fmt.Errorf("fleet: device %d (%s): %w", ds.Index, m.Net, err)
 	}
-	if ex.st, err = runDevice(sl.Dev, sl.Img, ds, m, rt); err != nil {
+	if ex.st, ex.live, err = runDevice(sl.Dev, sl.Img, ds, m, rt); err != nil {
 		return ex, err
 	}
-	ex.live = sl.Dev.Stats().LiveSeconds(sl.Dev.Cost.ClockHz)
 	if ip != nil {
 		ex.tape = ip.Deficits()
 	}

@@ -25,12 +25,11 @@ func simulate(ds DeviceSpec, m Model, rt core.Runtime, scalar bool) (DeviceStats
 		power = energy.PerOp{S: power}
 	}
 	dev := mcu.New(power)
-	dev.TrackWasted(true)
 	img, err := core.Deploy(dev, m.QM)
 	if err != nil {
 		return DeviceStats{}, fmt.Errorf("fleet: deploy %s on device %d: %w", m.Net, ds.Index, err)
 	}
-	st, err := runDevice(dev, img, ds, m, rt)
+	st, _, err := runDevice(dev, img, ds, m, rt)
 	if err == nil && scalar && dev.FusedOps() != 0 {
 		err = fmt.Errorf("fleet: per-op reference device %d fused %d ops", ds.Index, dev.FusedOps())
 	}

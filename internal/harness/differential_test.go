@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
@@ -34,6 +33,16 @@ type diffObservation struct {
 	WARs     []mcu.WARViolation
 }
 
+// observe reads a finished run's observation off dev through core.Finish.
+func observe(dev *mcu.Device, logits []fixed.Q15, ierr error) diffObservation {
+	o, err := core.Finish(dev, logits, ierr)
+	obs := diffObservation{Logits: o.Logits, DNC: o.DNC, Stats: *o.Stats, WARCount: o.WARCount, WARs: o.WAR}
+	if err != nil {
+		obs.Err = err.Error()
+	}
+	return obs
+}
+
 // diffRun executes one inference on a fresh device and captures the full
 // observation. An energy.PerOp power selects the reference path.
 func diffRun(t *testing.T, qm *dnn.QuantModel, qin []fixed.Q15,
@@ -46,20 +55,7 @@ func diffRun(t *testing.T, qm *dnn.QuantModel, qin []fixed.Q15,
 		t.Fatalf("deploy: %v", err)
 	}
 	logits, ierr := rt.Infer(img, qin)
-	obs := diffObservation{
-		Logits:   logits,
-		Stats:    *dev.Stats(),
-		WARCount: dev.WARCount(),
-		WARs:     dev.WARViolations(),
-	}
-	if ierr != nil {
-		if errors.Is(ierr, mcu.ErrDoesNotComplete) {
-			obs.DNC = true
-		} else {
-			obs.Err = ierr.Error()
-		}
-	}
-	return obs
+	return observe(dev, logits, ierr)
 }
 
 // diffCompare asserts two observations are bit-identical, field by field so
@@ -94,6 +90,10 @@ func diffCompare(t *testing.T, label string, fast, scalar diffObservation) {
 	}
 	if fs.MaxRegionOps != ss.MaxRegionOps {
 		t.Errorf("%s: MaxRegionOps: fast=%d scalar=%d", label, fs.MaxRegionOps, ss.MaxRegionOps)
+	}
+	if fs.Commits != ss.Commits || fs.WastedCycles != ss.WastedCycles || fs.WastedNJ != ss.WastedNJ {
+		t.Errorf("%s: commits/wasted work: fast=%d/%d/%v scalar=%d/%d/%v", label,
+			fs.Commits, fs.WastedCycles, fs.WastedNJ, ss.Commits, ss.WastedCycles, ss.WastedNJ)
 	}
 	if !reflect.DeepEqual(fs.Sections, ss.Sections) {
 		t.Errorf("%s: per-section stats diverge", label)

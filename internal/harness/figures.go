@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/sonic"
 	"repro/internal/svm"
 	"repro/internal/tails"
-	"repro/internal/trace"
 )
 
 // Fig1 regenerates Fig. 1: IMpJ versus inference accuracy in the wildlife
@@ -205,8 +203,9 @@ type Eval struct {
 type cellKey struct{ net, rt, power string }
 
 // RunAll measures every runtime on every power system for every prepared
-// network. Cells are independent simulated devices, so they run in
-// parallel; results keep a deterministic order.
+// network, wasted-work aggregates included (from each device's Stats; no
+// tracer is attached). Cells are independent simulated devices, so they
+// run in parallel; results keep a deterministic order.
 func RunAll(prepared []*Prepared) (*Eval, error) {
 	type cell struct {
 		p  *Prepared
@@ -233,11 +232,7 @@ func RunAll(prepared []*Prepared) (*Eval, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			input := c.p.Model.QuantizeInput(c.p.Input)
-			// Analysis-only tracing: the sweep consumes just the
-			// commit/wasted-work aggregates, so skip the per-iteration
-			// event kinds (loop-index, privatize, op batches) entirely.
-			buf := trace.NewAnalysisBuffer(1024)
-			ev.Results[i], _, errs[i] = MeasureTraced(c.p.Net, c.p.Model, c.rt, c.pw, input, buf)
+			ev.Results[i], _, errs[i] = measure(c.p.Net, c.p.Model, c.rt, c.pw, input, nil)
 		}(i, c)
 	}
 	wg.Wait()
@@ -273,7 +268,7 @@ func Fig9(ev *Eval) *Table {
 	t := &Table{Title: "Fig 9: inference time (s) by implementation and power system",
 		Header: []string{"network", "runtime", "power", "status", "live-s", "steady-s", "reboots", "energy-mJ", "wasted-uJ/cycle"}}
 	t.Note = "steady-s amortizes recharge time (energy / harvest power); DNC = does not complete;\n" +
-		"wasted-uJ/cycle is the mean re-executed energy per charge cycle (traced)."
+		"wasted-uJ/cycle is the mean re-executed energy per charge cycle."
 	for _, r := range ev.Results {
 		status := "ok"
 		if !r.Completed {
@@ -535,13 +530,12 @@ func extensionsTable(p *Prepared, golden PowerSpec, rows []extRow) (*Table, erro
 		if err != nil {
 			return 0, false, err
 		}
-		if _, err := rt.Infer(img, input); err != nil {
-			if errors.Is(err, mcu.ErrDoesNotComplete) {
-				return 0, false, nil
-			}
+		logits, ierr := rt.Infer(img, input)
+		o, err := core.Finish(dev, logits, ierr)
+		if err != nil || o.DNC {
 			return 0, false, err
 		}
-		return dev.Stats().EnergyMJ(), true, nil
+		return o.Stats.EnergyMJ(), true, nil
 	}
 	sonicCont, sonicOK, err := measure(sonic.SONIC{}, golden, false)
 	if err != nil {

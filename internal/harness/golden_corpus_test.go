@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -81,20 +80,7 @@ func corpusObserve(t *testing.T, qm *dnn.QuantModel, qin []fixed.Q15, rt core.Ru
 		t.Fatalf("deploy: %v", err)
 	}
 	logits, ierr := rt.Infer(img, qin)
-	obs := diffObservation{
-		Logits:   logits,
-		Stats:    *dev.Stats(),
-		WARCount: dev.WARCount(),
-		WARs:     dev.WARViolations(),
-	}
-	if ierr != nil {
-		if errors.Is(ierr, mcu.ErrDoesNotComplete) {
-			obs.DNC = true
-		} else {
-			obs.Err = ierr.Error()
-		}
-	}
-	return obs
+	return observe(dev, logits, ierr)
 }
 
 // canonicalSection is one per-section stats entry, by value.

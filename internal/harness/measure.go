@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/baseline"
@@ -95,9 +94,10 @@ type RunResult struct {
 	Reboots   int
 	Predicted int
 
-	// Wasted-work aggregates, filled only by MeasureTraced: durable
-	// commits observed, and the re-executed cycles/energy between each
-	// charge cycle's last commit and its brown-out.
+	// Wasted-work aggregates, read from the device's Stats by RunAll and
+	// MeasureTraced (Measure leaves them zero): durable commits, and the
+	// re-executed cycles/energy between each charge cycle's last commit
+	// and its brown-out.
 	Commits        int
 	WastedCycles   int64
 	WastedEnergyNJ float64
@@ -109,7 +109,9 @@ type RunResult struct {
 }
 
 // Measure deploys the model on a fresh device with the given power system
-// and runs one inference under the given runtime.
+// and runs one inference under the given runtime. It reports the cell
+// without its wasted-work aggregates: Commits, WastedCycles and
+// WastedEnergyNJ stay zero, as RunAll's cells read them.
 //
 // SteadySec reports the steady-state inference time: live time plus the
 // dead time implied by harvesting every consumed joule at the RF
@@ -119,40 +121,28 @@ type RunResult struct {
 // measurements observe. For continuous power SteadySec equals live time.
 func Measure(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec, input []fixed.Q15) (RunResult, error) {
 	res, _, err := measure(net, qm, rt, p, input, nil)
+	res.Commits, res.WastedCycles, res.WastedEnergyNJ = 0, 0, 0
 	return res, err
 }
 
-// MeasureTraced is Measure with execution tracing enabled: events are
-// recorded into buf (a fresh small ring if nil) and the run's wasted-work
-// analysis fills the RunResult's Commits/Wasted* fields. The returned
-// Analysis gives the full per-charge-cycle breakdown; its aggregates are
-// exact even when the ring overwrote old events. A buffer subscribed only
-// to trace.AnalysisKinds (trace.NewAnalysisBuffer) keeps the fused kernels
-// engaged; a fully-subscribed one runs the scalar path.
+// MeasureTraced is Measure with the wasted-work aggregates filled in and
+// execution tracing enabled: events are recorded into buf (a fresh small
+// ring if nil), and the returned Analysis gives the full per-charge-cycle
+// breakdown, exact even when the ring overwrote old events. A buffer
+// subscribed only to trace.AnalysisKinds (trace.NewAnalysisBuffer) keeps
+// the fused kernels engaged; a fully-subscribed one runs the scalar path.
 func MeasureTraced(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
 	input []fixed.Q15, buf *trace.Buffer) (RunResult, *trace.Analysis, error) {
 	if buf == nil {
 		buf = trace.NewBuffer(4096)
 	}
-	res, _, a, err := measureTraced(net, qm, rt, p, input, buf)
-	return res, a, err
+	res, _, err := measure(net, qm, rt, p, input, buf)
+	return res, buf.Analysis(), err
 }
 
-// measureTraced is MeasureTraced over a caller-provided buffer, with the
-// logits exposed for the traced differential oracle.
-func measureTraced(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
-	input []fixed.Q15, buf *trace.Buffer) (RunResult, []fixed.Q15, *trace.Analysis, error) {
-	res, logits, err := measure(net, qm, rt, p, input, buf)
-	a := buf.Analysis()
-	res.Commits = a.Commits
-	res.WastedCycles = a.TotalWastedCycles
-	res.WastedEnergyNJ = a.TotalWastedEnergyNJ
-	return res, logits, a, err
-}
-
-// measure is the one measurement path behind Measure and MeasureTraced.
-// The oracles reach the energy.PerOp reference path through it with a
-// PowerSpec whose New wraps the power system; tracer may be nil.
+// measure is the one measurement path behind Measure, MeasureTraced and
+// RunAll. The oracles reach the energy.PerOp reference path through it
+// with a PowerSpec whose New wraps the power system; tracer may be nil.
 func measure(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
 	input []fixed.Q15, tracer *trace.Buffer) (RunResult, []fixed.Q15, error) {
 	dev := mcu.New(p.Make())
@@ -164,9 +154,15 @@ func measure(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
 		return RunResult{}, nil, fmt.Errorf("harness: deploy %s: %w", net, err)
 	}
 	logits, ierr := rt.Infer(img, input)
-	dev.FlushTrace() // runtimes flush on success; cover the DNC path too
+	if tracer != nil {
+		// Runtimes flush on success; cover the DNC path too. Detached,
+		// Finish's stats handover traces no section change.
+		dev.FlushTrace()
+		dev.SetTracer(nil)
+	}
+	o, err := core.Finish(dev, logits, ierr)
+	st := o.Stats
 	res := RunResult{Net: net, Runtime: rt.Name(), Power: p.Name, ClockHz: dev.Cost.ClockHz}
-	st := dev.Stats()
 	res.LiveSec = st.LiveSeconds(dev.Cost.ClockHz)
 	res.DeadSec = st.DeadSeconds
 	res.EnergyMJ = st.EnergyMJ()
@@ -175,15 +171,12 @@ func measure(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
 	if p.Name != "cont" {
 		res.SteadySec += st.EnergyNJ() * 1e-9 / harvestWatts(dev.Power)
 	}
+	res.Commits, res.WastedCycles, res.WastedEnergyNJ = st.Commits, st.WastedCycles, st.WastedNJ
 	res.Sections = st.Sections
 	res.OpEnergy = st.OpEnergy()
 	res.OpCount = st.OpCount
-	if ierr != nil {
-		if errors.Is(ierr, mcu.ErrDoesNotComplete) {
-			res.Completed = false
-			return res, logits, nil
-		}
-		return res, logits, ierr
+	if err != nil || o.DNC {
+		return res, logits, err
 	}
 	res.Completed = true
 	res.Predicted = core.Argmax(logits)

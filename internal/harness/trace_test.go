@@ -44,9 +44,6 @@ func TestTraceNeutrality(t *testing.T) {
 		if a.Reboots != plain.Reboots {
 			t.Errorf("%s: analysis reboots %d vs device %d", rt.Name(), a.Reboots, plain.Reboots)
 		}
-		if plain.Completed && plain.Reboots > 0 && traced.Commits == 0 {
-			t.Errorf("%s: completed through %d reboots with no commits traced", rt.Name(), plain.Reboots)
-		}
 	}
 }
 

@@ -15,7 +15,6 @@
 package intermittest
 
 import (
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
@@ -393,15 +392,9 @@ func (c *Checker) run(dev *mcu.Device, img *core.Image, p core.Prepared, gaps []
 	// The result takes the device's Stats, which the slot's next check
 	// would otherwise overwrite; the WAR records need no such care, since
 	// Reprovision drops the device's slice rather than reusing it.
-	res.Stats = dev.TakeStats()
-	res.WARCount = dev.WARCount()
-	res.WAR = dev.WARViolations()
-	if err != nil {
-		if errors.Is(err, mcu.ErrDoesNotComplete) {
-			res.DNC = true
-		} else {
-			res.Err = err
-		}
+	o, err := core.Finish(dev, got, err)
+	res.Stats, res.WARCount, res.WAR, res.DNC, res.Err = o.Stats, o.WARCount, o.WAR, o.DNC, err
+	if err != nil || o.DNC {
 		return res
 	}
 	boundary := 0

@@ -20,14 +20,6 @@ func BenchmarkDeviceOp(b *testing.B) {
 			dev.Op(OpFixedMul)
 		}
 	})
-	b.Run("wasted-track", func(b *testing.B) {
-		dev := New(energy.Continuous{})
-		dev.TrackWasted(true)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dev.Op(OpFixedMul)
-		}
-	})
 	b.Run("journal", func(b *testing.B) {
 		dev := New(energy.Continuous{})
 		dev.StartJournal(0)

@@ -76,6 +76,15 @@ type Stats struct {
 	// progress, so fault-injection campaigns use it as the liveness floor
 	// for fuzzed failure schedules.
 	MaxRegionOps int64
+
+	// Commits counts durable commits (Progress calls, and each whole
+	// iteration a fused span funds). WastedCycles and WastedNJ sum, per
+	// brown-out, the work done since its charge cycle's last commit or
+	// start. They equal trace.Analysis's Commits, TotalWastedCycles and
+	// TotalWastedEnergyNJ bit for bit, so a run needs no tracer for them.
+	Commits      int
+	WastedCycles int64
+	WastedNJ     float64
 }
 
 // LiveSeconds converts live cycles to seconds at the given clock.
@@ -161,22 +170,16 @@ type Device struct {
 	// stats replacement (ResetStats, RestorePrefix) resyncs them from the
 	// per-section counts (resyncNow). They are the
 	// O(1) timestamps of trace events and the basis of wasted-work
-	// tracking, and hold at every op boundary whether or not anything
+	// accounting, and hold at every op boundary whether or not anything
 	// reads them.
 	cycNow int64
 	pjNow  int64
 
-	// Wasted-work accounting (TrackWasted): commitNJ is the consumed
-	// energy at the last durable commit (or cycle start), and wastedNJ
-	// accumulates, per browned-out charge cycle, the energy spent after
-	// that cycle's last commit — the same arithmetic, on the same float64
-	// values, as trace.Buffer's online analysis, so a fleet run reads the
-	// figure off the device without paying for a tracer. It reads the
-	// pjNow mirror the fast path already maintains, so tracking does not
-	// set slowOp.
-	wastedTrack bool
-	commitNJ    float64
-	wastedNJ    float64
+	// commitCyc and commitPJ are the (cycles, pJ) mirrors at the charge
+	// cycle's last commit or start: the baseline a brown-out measures
+	// wasted work from. Only commits, brown-outs and reboots touch them.
+	commitCyc int64
+	commitPJ  int64
 
 	// Tracing state: tracer is the nil-checked event consumer, traceMask
 	// the kinds it subscribed to (see TraceMasker), batchTrace whether
@@ -261,7 +264,7 @@ func (d *Device) bindPower(power energy.System) {
 // Reprovision resets the device for reuse by a new simulated instance: a
 // fresh power system is bound (re-probing the devirtualized fast paths),
 // and every piece of per-run mutable state outside the memory banks —
-// stats, section attribution, wasted-work mirrors, WAR verdicts,
+// stats (wasted work included), section attribution, WAR verdicts,
 // progress/attempt bookkeeping — is cleared without reallocating the
 // banks or invalidating any *mem.Region pointer. Memory contents are the
 // caller's job (a core.Slot restores them from its template's snapshots
@@ -281,7 +284,6 @@ func (d *Device) Reprovision(power energy.System) {
 	d.warCount = 0
 	d.rebootsSinceProgress = 0
 	d.inAttempt = false
-	d.wastedTrack = false
 	d.ResetStats()
 }
 
@@ -339,15 +341,22 @@ func (d *Device) finalizeStats() {
 
 // resyncNow recomputes the (cycles, pJ) mirrors from the per-section op
 // counts after stats are replaced wholesale (ResetStats, RestorePrefix)
-// or wasted-work tracking is toggled — the one place the full derivation
-// still runs outside Stats(). A tracking device's wasted-work baseline
-// restarts at the resynced total.
+// — the one place the full derivation still runs outside Stats().
 func (d *Device) resyncNow() {
 	d.finalizeStats()
 	d.cycNow, d.pjNow = d.stats.LiveCycles, d.stats.EnergyPJ
-	if d.wastedTrack {
-		d.commitNJ = float64(d.pjNow) * 1e-3
-	}
+}
+
+// markCommit moves the wasted-work baseline to now: a durable commit, or
+// the start of a charge cycle.
+func (d *Device) markCommit() { d.commitCyc, d.commitPJ = d.cycNow, d.pjNow }
+
+// wasteCycle books a brown-out's re-executed work: everything accounted
+// since the baseline (not the failing op, as a brown-out event's
+// timestamp), in the float64 nJ arithmetic of trace.Analysis.
+func (d *Device) wasteCycle() {
+	d.stats.WastedCycles += d.cycNow - d.commitCyc
+	d.stats.WastedNJ += float64(d.pjNow)*1e-3 - float64(d.commitPJ)*1e-3
 }
 
 // opsNow derives the total charged-operation count from the per-section
@@ -365,11 +374,9 @@ func (d *Device) opsNow() int64 {
 
 // refreshSlowOp recomputes the slow-path bit from the attached observers
 // and mirrors. Every attach/detach point (StartJournal, StopJournal,
-// SetTracer, TrackWasted, EnableWARCheck, ResetStats) calls it.
-// Wasted-work tracking does not force the slow path: its consumed-energy
-// mirror (pjNow) is one integer add the fast path maintains directly, so
-// a fleet device — which always tracks wasted work — still runs the
-// straight-line hot loop.
+// SetTracer, EnableWARCheck, ResetStats) calls it. Wasted-work accounting
+// does not force the slow path: it reads the (cycles, pJ) mirrors the
+// fast path maintains directly, and acts only at commits and brown-outs.
 func (d *Device) refreshSlowOp() {
 	d.slowOp = d.journal != nil || d.shadow != nil || d.batchTrace
 }
@@ -386,8 +393,8 @@ func (d *Device) ResetStats() {
 	d.opsInRegion = 0
 	d.opsTotal = 0
 	d.fusedOps = 0
-	d.commitNJ, d.wastedNJ = 0, 0
 	d.resyncNow()
+	d.markCommit()
 	d.secStats = nil // force SetSection to re-resolve into the fresh map
 	d.memoLayer, d.memoStats = "", [numMemoPhases]*SectionStats{}
 	d.statsGen++
@@ -395,26 +402,10 @@ func (d *Device) ResetStats() {
 	d.SetSection("boot", PhaseControl)
 }
 
-// TrackWasted enables (or disables) device-native wasted-work accounting:
-// the energy consumed after each charge cycle's last durable commit and
-// before its brown-out, summed over the run. The figure is computed with
-// the same float64 arithmetic as trace.Buffer's online analysis
-// (TotalWastedEnergyNJ), so callers that only need the aggregate — the
-// fleet engine — can skip attaching a tracer entirely; scalar ops also
-// stay on the straight-line fast path, which carries the consumed-energy
-// mirror itself. The mirror is maintained whether or not tracking is on;
-// enabling resyncs it and starts the baseline at the energy consumed so
-// far. Enable it before the run charges its first operation.
-func (d *Device) TrackWasted(on bool) {
-	d.wastedTrack = on
-	d.refreshSlowOp()
-	d.commitNJ, d.wastedNJ = 0, 0
-	d.resyncNow()
-}
-
-// WastedNJ reports the accumulated wasted (re-executed) energy in
-// nanojoules; zero unless TrackWasted is enabled.
-func (d *Device) WastedNJ() float64 { return d.wastedNJ }
+// TrackWasted does nothing: every device counts wasted work in its Stats.
+//
+// Deprecated: read Stats; the benchmark's inference probes still call it.
+func (d *Device) TrackWasted(bool) {}
 
 // FusedOps reports how many of the charged operations since the last
 // ResetStats were funded through ChargeTrain, the fused path; the rest
@@ -682,12 +673,7 @@ func (d *Device) brownOut(k OpKind) {
 		d.flushOpBatch()
 		d.emit(TraceBrownOut, d.section.Layer, int64(k))
 	}
-	if d.wastedTrack {
-		// The failing op is charged but never accounted (exactly as the
-		// tracer's brown-out event samples only accounted ops), so the
-		// cycle's wasted energy is accounted-now minus last commit.
-		d.wastedNJ += float64(d.pjNow)*1e-3 - d.commitNJ
-	}
+	d.wasteCycle()
 	panic(powerFailure{})
 }
 
@@ -863,14 +849,13 @@ func (d *Device) Progress() {
 		d.stats.MaxRegionOps = d.opsInRegion
 	}
 	d.opsInRegion = 0
+	d.stats.Commits++
+	d.markCommit()
 	if j := d.journal; j != nil {
 		j.onCommit()
 	}
 	if d.shadow != nil {
 		d.shadow.Commit()
-	}
-	if d.wastedTrack {
-		d.commitNJ = float64(d.pjNow) * 1e-3
 	}
 	if d.tracer != nil {
 		d.flushOpBatch()
@@ -909,12 +894,7 @@ func (d *Device) Attempt(f func()) (completed bool) {
 func (d *Device) Reboot() error {
 	d.SRAM.ClearVolatile()
 	d.stats.Reboots++
-	if d.wastedTrack {
-		// A new charge cycle begins; its wasted-work baseline is the
-		// energy consumed so far (nothing is charged between the
-		// brown-out and this reboot).
-		d.commitNJ = float64(d.pjNow) * 1e-3
-	}
+	d.markCommit() // a new charge cycle starts its baseline here
 	d.Emit(TraceReboot, "", int64(d.stats.Reboots))
 	d.stats.DeadSeconds += d.Power.Recharge()
 	d.Emit(TraceRechargeDone, "", 0)

@@ -96,17 +96,16 @@ func (d *Device) NewBlock(ops ...BlockOp) *Block {
 
 // commitFused closes a funded span of commits whole iterations costing
 // cyc cycles and pj picojoules: the open region, the non-termination
-// counter, the mirrors, the wasted-work baseline, and the coalesced
-// commit event all land where the scalar walk's last commit of the span
-// leaves them.
+// counter, the mirrors, the commit count, the wasted-work baseline, and
+// the coalesced commit event all land where the scalar walk's last
+// commit of the span leaves them.
 func (d *Device) commitFused(cyc, pj int64, commits int) {
 	d.opsInRegion = 0
 	d.rebootsSinceProgress = 0
 	d.cycNow += cyc
 	d.pjNow += pj
-	if d.wastedTrack {
-		d.commitNJ = float64(d.pjNow) * 1e-3
-	}
+	d.stats.Commits += commits
+	d.markCommit()
 	d.Emit(TraceCommit, d.section.Layer, int64(commits))
 }
 
@@ -155,8 +154,8 @@ type TrainSeg struct {
 // re-executes on the scalar path and browns out at the identical op index
 // with identical partial energy. Accounting covers exactly the funded
 // iterations — op counts, the (cycles, pJ) mirrors, section attribution
-// (the device is left at the last funded op's token), wasted-work
-// tracking, and commit bookkeeping (one coalesced commit event included),
+// (the device is left at the last funded op's token), the wasted-work
+// baseline, and commit bookkeeping (one coalesced commit event included),
 // treating every funded iteration as ending in a Progress, exactly as the
 // scalar walk would. Callers must hold CanFuse() and execute exactly the funded
 // iterations' data movement afterwards.

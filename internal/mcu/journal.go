@@ -37,6 +37,7 @@ type Journal struct {
 	writes  []writeRec  // FRAM writes in op-position order
 	secLog  []secRec    // SetSection events
 	commits []commitRec // Progress events with the running MaxRegionOps
+	start   commitRec   // the same figures and baseline when recording started
 	warLog  []warRec    // WAR violations with write position and batch end
 	snaps   []*prefixSnap
 
@@ -66,9 +67,14 @@ type secRec struct {
 	sec   Section
 }
 
+// commitRec is one Progress event: its op position, the running
+// MaxRegionOps and commit count, and the (cycles, pJ) mirrors there — the
+// wasted-work baseline a brown-out after it measures from.
 type commitRec struct {
 	opIdx        int64
 	maxRegionOps int64
+	commits      int
+	cyc, pj      int64
 }
 
 type warRec struct {
@@ -86,7 +92,7 @@ type prefixSnap struct {
 	stats   Stats
 	section Section
 
-	tapeLen, secCur, commitCur, writeCur int
+	tapeLen, secCur, writeCur int
 }
 
 // StartJournal begins recording on this device with the given snapshot
@@ -107,6 +113,7 @@ func (d *Device) StartJournal(stride int) *Journal {
 		d:          d,
 		stride:     int64(stride),
 		base:       d.opsTotal,
+		start:      commitRec{d.opsTotal, d.stats.MaxRegionOps, d.stats.Commits, d.commitCyc, d.commitPJ},
 		regIdx:     make(map[*mem.Region]int32),
 		nextSnapAt: d.opsTotal,
 		dirty:      make(map[[2]int]struct{}),
@@ -192,9 +199,10 @@ func (j *Journal) onSection(sec Section) {
 	j.secLog = append(j.secLog, secRec{opIdx: j.d.opsTotal, sec: sec})
 }
 
-// onCommit records a Progress call and the running MaxRegionOps.
+// onCommit records a Progress call, after the device has counted it.
 func (j *Journal) onCommit() {
-	j.commits = append(j.commits, commitRec{opIdx: j.d.opsTotal, maxRegionOps: j.d.stats.MaxRegionOps})
+	d := j.d
+	j.commits = append(j.commits, commitRec{d.opsTotal, d.stats.MaxRegionOps, d.stats.Commits, d.cycNow, d.pjNow})
 }
 
 // onWAR records a WAR violation with its exact write position and the end
@@ -223,14 +231,13 @@ func (j *Journal) snap() {
 	}
 	fs := d.FRAM.Snapshot(j.prevFRAM, dirtyFn)
 	j.snaps = append(j.snaps, &prefixSnap{
-		pos:       d.opsTotal,
-		fram:      fs,
-		stats:     cloneStats(&d.stats),
-		section:   d.section,
-		tapeLen:   len(j.tape),
-		secCur:    len(j.secLog),
-		commitCur: len(j.commits),
-		writeCur:  len(j.writes),
+		pos:      d.opsTotal,
+		fram:     fs,
+		stats:    cloneStats(&d.stats),
+		section:  d.section,
+		tapeLen:  len(j.tape),
+		secCur:   len(j.secLog),
+		writeCur: len(j.writes),
 	})
 	j.prevFRAM = fs
 	j.dirty = make(map[[2]int]struct{})
@@ -360,10 +367,13 @@ func (j *Journal) RestorePrefix(fork *Device, b int64) error {
 		ensure()
 		ei++
 	}
-	// MaxRegionOps advances only at commits; take the last one in range.
-	for ci := s.commitCur; ci < len(j.commits) && j.commits[ci].opIdx <= pre; ci++ {
-		st.MaxRegionOps = j.commits[ci].maxRegionOps
+	// MaxRegionOps, the commit count and the wasted-work baseline move
+	// only at commits: take the last one in the prefix.
+	last := j.start
+	if ci := sort.Search(len(j.commits), func(i int) bool { return j.commits[i].opIdx > pre }); ci > 0 {
+		last = j.commits[ci-1]
 	}
+	st.MaxRegionOps, st.Commits = last.maxRegionOps, last.commits
 
 	fork.stats = st
 	fork.secStats = nil
@@ -375,8 +385,12 @@ func (j *Journal) RestorePrefix(fork *Device, b int64) error {
 	// WAR verdicts: every violation funded within the prefix.
 	fork.warCount, fork.warViolations = j.WARPrefix(b)
 
-	// The brown-out and first reboot: the in-flight region aborts (the
-	// fork's shadow is already empty), SRAM clears, power recharges.
+	// The brown-out and first reboot: the cycle's work since its last
+	// commit is wasted, the in-flight region aborts (the fork's shadow is
+	// already empty), SRAM clears, power recharges, and the next cycle's
+	// baseline starts here.
+	fork.commitCyc, fork.commitPJ = last.cyc, last.pj
+	fork.wasteCycle()
 	fork.SRAM.ClearVolatile()
 	fork.opsTotal = pre
 	fork.opsInRegion = 0
@@ -384,5 +398,6 @@ func (j *Journal) RestorePrefix(fork *Device, b int64) error {
 	fork.stats.Reboots = 1
 	fork.stats.DeadSeconds += fork.Power.Recharge()
 	fork.rebootsSinceProgress = 1
+	fork.markCommit()
 	return nil
 }

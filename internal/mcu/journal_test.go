@@ -2,6 +2,7 @@ package mcu_test
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/energy"
@@ -98,11 +99,68 @@ func opsUntilFail(d *mcu.Device) int {
 	return n
 }
 
+// scratchAt runs the workload from scratch to its first brown-out on op
+// b, then reboots. The second gap makes the post-reboot cursor position
+// observable.
+func scratchAt(t *testing.T, b int64) *rig {
+	t.Helper()
+	scratch := newRig(energy.NewFailSchedule([]int{int(b), 1000}))
+	if scratch.dev.Attempt(scratch.workload) {
+		t.Fatalf("b=%d: scratch run did not brown out", b)
+	}
+	if err := scratch.dev.Reboot(); err != nil {
+		t.Fatalf("b=%d: %v", b, err)
+	}
+	return scratch
+}
+
+// forkMatchesScratch restores the journal's prefix for boundary b onto a
+// fresh identically-deployed device and compares it with the scratch run
+// to the same brown-out, returning the scratch device's stats.
+func forkMatchesScratch(t *testing.T, j *mcu.Journal, b int64) *mcu.Stats {
+	t.Helper()
+	scratch := scratchAt(t, b)
+	fork := newRig(energy.NewFailSchedule([]int{int(b), 1000}))
+	if err := j.RestorePrefix(fork.dev, b); err != nil {
+		t.Fatalf("b=%d: %v", b, err)
+	}
+	got, want := *fork.dev.Stats(), *scratch.dev.Stats()
+	if got.Commits != want.Commits || got.WastedCycles != want.WastedCycles || got.WastedNJ != want.WastedNJ {
+		t.Fatalf("b=%d: fork commits/wasted cycles/wasted nJ = %d/%d/%v, scratch %d/%d/%v",
+			b, got.Commits, got.WastedCycles, got.WastedNJ, want.Commits, want.WastedCycles, want.WastedNJ)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("b=%d: fork stats diverged:\n got %+v\nwant %+v", b, got, want)
+	}
+	if got, want := framSum(fork.dev), framSum(scratch.dev); got != want {
+		t.Fatalf("b=%d: fork FRAM diverged", b)
+	}
+	if fork.dev.WARCount() != scratch.dev.WARCount() {
+		t.Fatalf("b=%d: WAR count %d vs %d", b, fork.dev.WARCount(), scratch.dev.WARCount())
+	}
+	if got, want := fork.dev.WARViolations(), scratch.dev.WARViolations(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("b=%d: WAR records diverged:\n got %v\nwant %v", b, got, want)
+	}
+	gl, gp := fork.dev.Section()
+	wl, wp := scratch.dev.Section()
+	if gl != wl || gp != wp {
+		t.Fatalf("b=%d: section %s/%s vs %s/%s", b, gl, gp, wl, wp)
+	}
+	if got, want := opsUntilFail(fork.dev), opsUntilFail(scratch.dev); got != want {
+		t.Fatalf("b=%d: forward brown-out position %d vs %d", b, got, want)
+	}
+	return &want
+}
+
 // TestJournalForkMatchesScratch: for brown-out placements across the whole
 // run — including mid-batch ones — a fork served from the golden journal
 // is bit-identical to a from-scratch run stopped at its first brown-out
 // and rebooted: same stats, same FRAM image, same WAR verdicts, same
-// section, same forward power behavior.
+// section, same forward power behavior. Three named rows pin the commit
+// and wasted-work counters where their reconstruction has edges: a
+// brown-out on op 1 (nothing accounted yet), on the op just after the
+// first commit (no waste), and in the middle of the second region (waste
+// measured from the first commit).
 func TestJournalForkMatchesScratch(t *testing.T) {
 	golden := newRig(energy.Continuous{})
 	j := golden.dev.StartJournal(512)
@@ -116,44 +174,44 @@ func TestJournalForkMatchesScratch(t *testing.T) {
 		t.Fatalf("snapshot train too short: %d", j.Snapshots())
 	}
 
-	for b := int64(1); b <= total; b += 7 {
-		// From-scratch: run to the first brown-out on op b, then reboot.
-		// The second gap makes the post-reboot cursor position observable.
-		scratch := newRig(energy.NewFailSchedule([]int{int(b), 1000}))
-		if scratch.dev.Attempt(scratch.workload) {
-			t.Fatalf("b=%d: scratch run did not brown out", b)
-		}
-		if err := scratch.dev.Reboot(); err != nil {
-			t.Fatalf("b=%d: %v", b, err)
-		}
-
-		// Fork: fresh identically-deployed device, prefix restored.
-		fork := newRig(energy.NewFailSchedule([]int{int(b), 1000}))
-		if err := j.RestorePrefix(fork.dev, b); err != nil {
-			t.Fatalf("b=%d: %v", b, err)
-		}
-
-		if got, want := *fork.dev.Stats(), *scratch.dev.Stats(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("b=%d: fork stats diverged:\n got %+v\nwant %+v", b, got, want)
-		}
-		if got, want := framSum(fork.dev), framSum(scratch.dev); got != want {
-			t.Fatalf("b=%d: fork FRAM diverged", b)
-		}
-		if fork.dev.WARCount() != scratch.dev.WARCount() {
-			t.Fatalf("b=%d: WAR count %d vs %d", b, fork.dev.WARCount(), scratch.dev.WARCount())
-		}
-		if got, want := fork.dev.WARViolations(), scratch.dev.WARViolations(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("b=%d: WAR records diverged:\n got %v\nwant %v", b, got, want)
-		}
-		gl, gp := fork.dev.Section()
-		wl, wp := scratch.dev.Section()
-		if gl != wl || gp != wp {
-			t.Fatalf("b=%d: section %s/%s vs %s/%s", b, gl, gp, wl, wp)
-		}
-		if got, want := opsUntilFail(fork.dev), opsUntilFail(scratch.dev); got != want {
-			t.Fatalf("b=%d: forward brown-out position %d vs %d", b, got, want)
-		}
+	// firstWith returns the smallest boundary whose scratch run has
+	// committed n times before failing: the op just after the n-th commit.
+	firstWith := func(n int) int64 {
+		return int64(sort.Search(int(total), func(i int) bool {
+			return scratchAt(t, int64(i)+1).dev.Stats().Commits >= n
+		})) + 1
 	}
+	afterCommit, second := firstWith(1), firstWith(2)
+	if second > total {
+		t.Fatalf("workload commits fewer than twice in %d ops", total)
+	}
+	t.Run("op-1", func(t *testing.T) {
+		st := forkMatchesScratch(t, j, 1)
+		if st.Commits != 0 || st.WastedCycles != 0 || st.WastedNJ != 0 {
+			t.Errorf("brown-out on op 1: %d commits, %d cycles / %v nJ wasted; want none",
+				st.Commits, st.WastedCycles, st.WastedNJ)
+		}
+	})
+	t.Run("after-commit", func(t *testing.T) {
+		st := forkMatchesScratch(t, j, afterCommit)
+		if st.Commits != 1 || st.WastedCycles != 0 || st.WastedNJ != 0 {
+			t.Errorf("brown-out at op %d, just after the first commit: %d commits, %d cycles / %v nJ wasted; want 1 and none",
+				afterCommit, st.Commits, st.WastedCycles, st.WastedNJ)
+		}
+	})
+	t.Run("mid-region", func(t *testing.T) {
+		b := (afterCommit + second) / 2
+		st := forkMatchesScratch(t, j, b)
+		if st.Commits != 1 || st.WastedCycles <= 0 || st.WastedNJ <= 0 {
+			t.Errorf("brown-out at op %d, mid region: %d commits, %d cycles / %v nJ wasted; want 1 and some",
+				b, st.Commits, st.WastedCycles, st.WastedNJ)
+		}
+	})
+	t.Run("sweep", func(t *testing.T) {
+		for b := int64(1); b <= total; b += 7 {
+			forkMatchesScratch(t, j, b)
+		}
+	})
 }
 
 // TestJournalBoundsRejected: placements outside the recorded range error

@@ -104,8 +104,7 @@ func checkNowMirrors(t *testing.T, d *Device, label string) {
 // multi-segment fused trains, observed slow path) must keep the incremental (cycles, pJ)
 // mirrors equal to the derivation from per-section op counts, and every
 // wholesale stats replacement (brown-out recovery, Reboot, ResetStats,
-// Reprovision, RestorePrefix, TrackWasted toggles) must leave them
-// resynced.
+// Reprovision, RestorePrefix) must leave them resynced.
 func TestNowMirrorsMatchDerivation(t *testing.T) {
 	power := func() energy.System {
 		return energy.NewIntermittent(energy.Cap100uF, energy.ConstantHarvester{Watts: 1e-3})
@@ -153,11 +152,8 @@ func TestNowMirrorsMatchDerivation(t *testing.T) {
 	}
 	checkNowMirrors(t, dev, "reboot")
 
-	dev.TrackWasted(true)
-	checkNowMirrors(t, dev, "track on")
 	workload(dev, f, s)
-	dev.TrackWasted(false)
-	checkNowMirrors(t, dev, "track off")
+	checkNowMirrors(t, dev, "next cycle")
 
 	dev.ResetStats()
 	checkNowMirrors(t, dev, "reset")

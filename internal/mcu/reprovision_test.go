@@ -26,11 +26,10 @@ func burn(t *testing.T, d *Device, n int64) {
 }
 
 func TestReprovisionMatchesFreshDevice(t *testing.T) {
-	// A device that browned out repeatedly, tracked wasted work, and then
-	// failed to terminate carries every kind of per-run residue:
-	// stats/sections, wasted mirrors, reboot bookkeeping.
+	// A device that browned out repeatedly, wasted work, and then failed
+	// to terminate carries every kind of per-run residue: stats/sections,
+	// commit and wasted-work counters and baseline, reboot bookkeeping.
 	used := New(energy.NewFailAfterOps(7, 7))
-	used.TrackWasted(true)
 	burn(t, used, 10)
 	if err := used.Run(func() {
 		for i := 0; i < 100; i++ {
@@ -40,22 +39,20 @@ func TestReprovisionMatchesFreshDevice(t *testing.T) {
 		t.Fatalf("setup run: %v, want ErrDoesNotComplete", err)
 	}
 
-	used.Reprovision(energy.NewFailAfterOps(7, 7))
-	if used.WastedNJ() != 0 {
-		t.Errorf("wasted tracking survived reprovision: %v nJ", used.WastedNJ())
+	if st := used.Stats(); st.WastedNJ == 0 || st.Commits == 0 {
+		t.Fatalf("setup run left no residue: %d commits, %v nJ wasted", st.Commits, st.WastedNJ)
 	}
-	used.TrackWasted(true)
+	used.Reprovision(energy.NewFailAfterOps(7, 7))
+	if st := used.Stats(); st.Commits != 0 || st.WastedCycles != 0 || st.WastedNJ != 0 {
+		t.Errorf("commit and wasted-work counters survived reprovision: %+v", st)
+	}
 	burn(t, used, 10)
 
 	fresh := New(energy.NewFailAfterOps(7, 7))
-	fresh.TrackWasted(true)
 	burn(t, fresh, 10)
 
 	if !reflect.DeepEqual(used.Stats(), fresh.Stats()) {
 		t.Errorf("reprovisioned stats = %+v, fresh = %+v", used.Stats(), fresh.Stats())
-	}
-	if used.WastedNJ() != fresh.WastedNJ() {
-		t.Errorf("wasted = %v nJ, fresh %v nJ", used.WastedNJ(), fresh.WastedNJ())
 	}
 }
 

@@ -61,8 +61,9 @@ const AnalysisKinds = mcu.ChargeCycleKinds
 // identical to a fully-subscribed buffer's, but the device skips the
 // per-iteration event kinds entirely and keeps its fused kernels engaged
 // (each funded span arrives as one coalesced commit) — the right tracer
-// for harness sweeps that only consume the aggregation, at close to
-// untraced speed.
+// for callers that want the per-charge-cycle breakdown at close to
+// untraced speed. The run-wide totals need no tracer at all: the device
+// counts them in its Stats (Commits, WastedCycles, WastedNJ).
 func NewAnalysisBuffer(capacity int) *Buffer {
 	b := NewBuffer(capacity)
 	b.mask = AnalysisKinds
