@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/energy"
+	"repro/internal/fixed"
 	"repro/internal/mcu"
 )
 
@@ -29,11 +30,26 @@ func simulate(ds DeviceSpec, m Model, rt core.Runtime, scalar bool) (DeviceStats
 	if err != nil {
 		return DeviceStats{}, fmt.Errorf("fleet: deploy %s on device %d: %w", m.Net, ds.Index, err)
 	}
-	st, _, err := runDevice(dev, img, ds, m, rt)
-	if err == nil && scalar && dev.FusedOps() != 0 {
-		err = fmt.Errorf("fleet: per-op reference device %d fused %d ops", ds.Index, dev.FusedOps())
+	probe := &fusedProbe{Runtime: rt}
+	st, _, err := runDevice(dev, img, ds, m, probe)
+	if err == nil && scalar && probe.fused != 0 {
+		err = fmt.Errorf("fleet: per-op reference device %d fused %d ops", ds.Index, probe.fused)
 	}
 	return st, err
+}
+
+// fusedProbe runs a runtime and records how many ops its device fused.
+// It reads Device.FusedOps as soon as the run returns: runDevice then
+// reads the run through core.Finish, whose TakeStats resets the count.
+type fusedProbe struct {
+	core.Runtime
+	fused int64
+}
+
+func (p *fusedProbe) Infer(img *core.Image, input []fixed.Q15) ([]fixed.Q15, error) {
+	logits, err := p.Runtime.Infer(img, input)
+	p.fused = img.Dev.FusedOps()
+	return logits, err
 }
 
 // referenceRun is the fresh reference campaign the fleet oracles compare

@@ -21,22 +21,19 @@ func oracleRuntimes() []core.Runtime {
 	return append(Runtimes(), checkpoint.Checkpoint{Interval: 8})
 }
 
-// diffObservation is everything a run makes observable: the logits, the
-// completion outcome, the full device statistics, and the WAR shadow
-// verdict. The bulk-charge fast path must reproduce all of it bit-for-bit.
+// diffObservation is everything a run makes observable: its core.Outcome
+// (logits, completion, full device statistics, WAR shadow verdict) and
+// the text of any error other than does-not-complete. The bulk-charge
+// fast path must reproduce all of it bit-for-bit.
 type diffObservation struct {
-	Logits   []fixed.Q15
-	DNC      bool
-	Err      string
-	Stats    mcu.Stats
-	WARCount int
-	WARs     []mcu.WARViolation
+	core.Outcome
+	Err string
 }
 
 // observe reads a finished run's observation off dev through core.Finish.
 func observe(dev *mcu.Device, logits []fixed.Q15, ierr error) diffObservation {
 	o, err := core.Finish(dev, logits, ierr)
-	obs := diffObservation{Logits: o.Logits, DNC: o.DNC, Stats: *o.Stats, WARCount: o.WARCount, WARs: o.WAR}
+	obs := diffObservation{Outcome: o}
 	if err != nil {
 		obs.Err = err.Error()
 	}
@@ -98,7 +95,7 @@ func diffCompare(t *testing.T, label string, fast, scalar diffObservation) {
 	if !reflect.DeepEqual(fs.Sections, ss.Sections) {
 		t.Errorf("%s: per-section stats diverge", label)
 	}
-	if fast.WARCount != scalar.WARCount || !reflect.DeepEqual(fast.WARs, scalar.WARs) {
+	if fast.WARCount != scalar.WARCount || !reflect.DeepEqual(fast.WAR, scalar.WAR) {
 		t.Errorf("%s: WAR verdict diverges: fast=%d scalar=%d",
 			label, fast.WARCount, scalar.WARCount)
 	}

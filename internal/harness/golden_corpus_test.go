@@ -117,7 +117,7 @@ func (o diffObservation) digest() string {
 		LiveCycles: st.LiveCycles, DeadSecondsBits: math.Float64bits(st.DeadSeconds),
 		Reboots: st.Reboots, EnergyPJ: st.EnergyPJ,
 		OpCount: st.OpCount, OpEnergyPJ: st.OpEnergyPJ, MaxRegionOps: st.MaxRegionOps,
-		WARCount: o.WARCount, WARs: o.WARs,
+		WARCount: o.WARCount, WARs: o.WAR,
 	}
 	for sec, ss := range st.Sections {
 		c.Sections = append(c.Sections, canonicalSection{Layer: sec.Layer, Phase: sec.Phase, SectionStats: *ss})
