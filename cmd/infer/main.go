@@ -119,10 +119,10 @@ func main() {
 			st.Reboots-before.Reboots,
 			(st.EnergyNJ()-before.EnergyNJ())*1e-6)
 	}
+	tot := dev.Stats()
 	fmt.Printf("accuracy %d/%d; totals: %.3f s live, %.3f s dead, %d reboots, %.2f mJ\n",
-		correct, len(ds.Test),
-		dev.Stats().LiveSeconds(dev.Cost.ClockHz), dev.Stats().DeadSeconds,
-		dev.Stats().Reboots, dev.Stats().EnergyMJ())
+		correct, len(ds.Test), tot.LiveSeconds(dev.Cost.ClockHz), tot.DeadSeconds,
+		tot.Reboots, tot.EnergyMJ())
 
 	dumpTrace(buf, *tracePath, dev)
 }

@@ -127,26 +127,31 @@ type Device struct {
 	// system energy. StoreIndex honours the flag.
 	JITIndexCheckpoint bool
 
-	stats    Stats
+	// stats holds the counters the device keeps directly; its derived
+	// fields and Sections are filled only in the copies Stats hands out.
+	stats Stats
+
+	// toks is the section table, indexed by token (SectionToken). Tokens
+	// live as long as the device: a reset zeroes the table in place. cur
+	// is the current section's token, section its label and secStats
+	// &toks[cur].stats, re-pointed whenever the table grows.
+	toks     []tokEntry
+	cur      SectionTok
 	section  Section
 	secStats *SectionStats
 
-	// memoLayer/memoStats cache the resolved SectionStats for every phase
-	// of the layer currently being attributed. Runtimes rotate through a
-	// layer's kernel, control, and transition phases on every loop
-	// iteration (the task runtime adds the transition phase, so a
-	// two-entry cache thrashes), and a per-phase array turns each
-	// SetSection inside a layer into an index load instead of a hashed
-	// map lookup. Misses fall back to — and refill from — stats.Sections.
+	// memoLayer/memoToks cache the tokens, plus one (0: not resolved yet),
+	// of every phase of the layer SetSection last attributed to. Runtimes
+	// rotate through a layer's kernel, control, and transition phases on
+	// every loop iteration, and a per-phase array turns each SetSection
+	// inside a layer into an index load instead of a scan of the table.
 	memoLayer string
-	memoStats [numMemoPhases]*SectionStats
+	memoToks  [numMemoPhases]SectionTok
 
-	// toks holds the pre-resolved section handles handed out by
-	// SectionToken; statsGen invalidates their cached stats pointers
-	// whenever stats.Sections is replaced wholesale (ResetStats, fork
-	// prefix restore).
-	toks     []tokEntry
-	statsGen uint32
+	// xlat translates the tokens of xlatJ, the journal this device last
+	// restored a prefix from, into this device's (journalToks).
+	xlatJ *Journal
+	xlat  []SectionTok
 
 	// costPJ caches the cost model's energies in integer picojoules, the
 	// unit Stats accumulates in (see SectionStats), and costCyc its cycle
@@ -166,9 +171,9 @@ type Device struct {
 
 	// cycNow and pjNow mirror the derived live-cycle count and total
 	// consumed picojoules incrementally: every accounting path (Op,
-	// account, ChargeTrain) adds its ops' costs, and every wholesale
-	// stats replacement (ResetStats, RestorePrefix) resyncs them from the
-	// per-section counts (resyncNow). They are the
+	// account, ChargeTrain) adds its ops' costs, ResetStats zeroes them,
+	// and RestorePrefix, which rewrites the section table wholesale,
+	// recomputes them from its counts. They are the
 	// O(1) timestamps of trace events and the basis of wasted-work
 	// accounting, and hold at every op boundary whether or not anything
 	// reads them.
@@ -243,8 +248,8 @@ func NewWithMem(power energy.System, fram, sram *mem.Memory) *Device {
 		d.costCyc[k] = int64(d.Cost.Costs[k].Cycles)
 	}
 	d.bindPower(power)
-	d.stats.Sections = make(map[Section]*SectionStats)
-	d.SetSection("boot", PhaseControl)
+	d.SectionToken("boot", PhaseControl) // bootTok
+	d.ResetStats()
 	return d
 }
 
@@ -287,64 +292,53 @@ func (d *Device) Reprovision(power energy.System) {
 	d.ResetStats()
 }
 
-// Stats returns the accumulated statistics. Derived accumulators (cycles
-// and energy, which are fixed integer multiples of the op counts) are
-// materialized here rather than on every operation; the finalization is
-// idempotent, so Stats may be called at any point during a run.
+// Stats returns a snapshot of the accumulated statistics, the caller's to
+// keep: the counters, a Sections map built for this call with an entry
+// per section the accounting entered, and the cycles and energy derived
+// from the section table's op counts. Those are Σ count[k]·cost[k] with
+// integer per-kind costs, so deriving them here is bit-identical to
+// accumulating them per operation. Stats may be called at any point.
 func (d *Device) Stats() *Stats {
-	d.finalizeStats()
-	return &d.stats
-}
-
-// TakeStats returns the accumulated statistics, finalized, and hands them
-// over: the device starts a new accounting as ResetStats does, so nothing
-// it does later (a pooled device's next run) reaches the returned Stats.
-// Unlike Stats, whose pointer aliases the live accounting, the result is
-// the caller's to keep.
-func (d *Device) TakeStats() *Stats {
-	d.finalizeStats()
 	st := d.stats
-	d.ResetStats()
+	secs := make([]SectionStats, 0, len(d.toks))
+	st.Sections = make(map[Section]*SectionStats, len(d.toks))
+	for i := range d.toks {
+		e := &d.toks[i]
+		if !e.entered {
+			continue
+		}
+		ss := SectionStats{OpCount: e.stats.OpCount}
+		for k, c := range ss.OpCount {
+			ss.OpEnergyPJ[k] = c * d.costPJ[k]
+			ss.Cycles += c * d.costCyc[k]
+			ss.EnergyPJ += ss.OpEnergyPJ[k]
+			st.OpCount[k] += c
+			st.OpEnergyPJ[k] += ss.OpEnergyPJ[k]
+		}
+		st.LiveCycles += ss.Cycles
+		st.EnergyPJ += ss.EnergyPJ
+		secs = append(secs, ss)
+		st.Sections[e.sec] = &secs[len(secs)-1]
+	}
 	return &st
 }
 
-// finalizeStats recomputes the derived Stats fields from the per-section
-// op counts — the only per-kind accounting the hot paths maintain. The global
-// per-kind OpCount is their sum (every charged op is attributed to exactly
-// one section), and LiveCycles and the energy accumulators are
-// Σ count[k]·cost[k] with integer per-kind costs, so deriving everything
-// on demand is bit-identical to accumulating it per operation.
-func (d *Device) finalizeStats() {
-	var totCyc, totPJ int64
-	var tot [NumOps]int64
-	for _, ss := range d.stats.Sections {
-		var cyc, pj int64
-		for k, n := range ss.OpCount {
-			epj := n * d.costPJ[k]
-			ss.OpEnergyPJ[k] = epj
-			cyc += n * d.costCyc[k]
-			pj += epj
-			tot[k] += n
-		}
-		ss.Cycles = cyc
-		ss.EnergyPJ = pj
-		totCyc += cyc
-		totPJ += pj
-	}
-	d.stats.OpCount = tot
-	for k, n := range tot {
-		d.stats.OpEnergyPJ[k] = n * d.costPJ[k]
-	}
-	d.stats.LiveCycles = totCyc
-	d.stats.EnergyPJ = totPJ
+// TakeStats returns Stats and starts a new accounting, as ResetStats
+// does.
+func (d *Device) TakeStats() *Stats {
+	st := d.Stats()
+	d.ResetStats()
+	return st
 }
 
-// resyncNow recomputes the (cycles, pJ) mirrors from the per-section op
-// counts after stats are replaced wholesale (ResetStats, RestorePrefix)
-// — the one place the full derivation still runs outside Stats().
-func (d *Device) resyncNow() {
-	d.finalizeStats()
-	d.cycNow, d.pjNow = d.stats.LiveCycles, d.stats.EnergyPJ
+// opTotals sums the section table's op counts by kind.
+func (d *Device) opTotals() (tot [NumOps]int64) {
+	for i := range d.toks {
+		for k, n := range d.toks[i].stats.OpCount {
+			tot[k] += n
+		}
+	}
+	return tot
 }
 
 // markCommit moves the wasted-work baseline to now: a durable commit, or
@@ -359,15 +353,13 @@ func (d *Device) wasteCycle() {
 	d.stats.WastedNJ += float64(d.pjNow)*1e-3 - float64(d.commitPJ)*1e-3
 }
 
-// opsNow derives the total charged-operation count from the per-section
-// accounting — the value opsTotal mirrors while a per-op observer is
-// attached. Observers resync the mirror from it when they attach.
+// opsNow derives the total charged-operation count from the section
+// table — the value opsTotal mirrors while a per-op observer is attached.
+// Observers resync the mirror from it when they attach.
 func (d *Device) opsNow() int64 {
 	var n int64
-	for _, ss := range d.stats.Sections {
-		for _, c := range ss.OpCount {
-			n += c
-		}
+	for _, c := range d.opTotals() {
+		n += c
 	}
 	return n
 }
@@ -381,25 +373,42 @@ func (d *Device) refreshSlowOp() {
 	d.slowOp = d.journal != nil || d.shadow != nil || d.batchTrace
 }
 
-// ResetStats clears accounting without touching memory or power. Any
-// operations batched for the tracer but not yet emitted are discarded
-// rather than carried over — they belong to the pre-reset stream, and
-// flushing them after the reset would mis-attribute them to post-reset
-// timestamps. The open commit region's op count is likewise zeroed so
-// MaxRegionOps measures only post-reset regions.
+// ResetStats clears accounting in place, without touching memory or
+// power. Any operations batched for the tracer but not yet emitted are
+// discarded rather than carried over — they belong to the pre-reset
+// stream, and flushing them after the reset would mis-attribute them to
+// post-reset timestamps. The open commit region's op count is likewise
+// zeroed so MaxRegionOps measures only post-reset regions. Attribution
+// returns to the boot section silently: the reset is bookkeeping, not
+// execution, so it emits no trace event.
 func (d *Device) ResetStats() {
-	d.stats = Stats{Sections: make(map[Section]*SectionStats)}
+	d.stats = Stats{}
+	d.clearTable()
 	d.batchOps = 0
 	d.opsInRegion = 0
 	d.opsTotal = 0
 	d.fusedOps = 0
-	d.resyncNow()
+	d.cycNow, d.pjNow = 0, 0
 	d.markCommit()
-	d.secStats = nil // force SetSection to re-resolve into the fresh map
-	d.memoLayer, d.memoStats = "", [numMemoPhases]*SectionStats{}
-	d.statsGen++
 	d.refreshSlowOp()
-	d.SetSection("boot", PhaseControl)
+	d.enter(bootTok)
+}
+
+// clearTable zeroes the entered entries; the others hold no counts.
+func (d *Device) clearTable() {
+	for i := range d.toks {
+		if e := &d.toks[i]; e.entered {
+			*e = tokEntry{sec: e.sec}
+		}
+	}
+}
+
+// enter makes t the current section and marks it entered, with no trace
+// event or journal record.
+func (d *Device) enter(t SectionTok) {
+	e := &d.toks[t]
+	e.entered = true
+	d.cur, d.section, d.secStats = t, e.sec, &e.stats
 }
 
 // TrackWasted does nothing: every device counts wasted work in its Stats.
@@ -432,51 +441,28 @@ func (d *Device) CanFuse() bool {
 		d.traceMask&^ChargeCycleKinds == 0 && (d.intPower != nil || d.contPower)
 }
 
-// SetSection changes the attribution label for subsequent operations.
-// When tracing, a layer-label change flushes the pending op batch and
-// emits layer-end/layer-begin events (phase-only changes do not, keeping
-// the event stream proportional to layer transitions, not iterations).
+// SetSection is SetSectionTok by (layer, phase), resolved through the
+// per-layer memo.
 func (d *Device) SetSection(layer string, phase Phase) {
-	sec := Section{Layer: layer, Phase: phase}
-	if sec == d.section && d.secStats != nil {
+	pi := phaseMemoIndex(phase)
+	if pi < 0 {
+		d.SetSectionTok(d.SectionToken(layer, phase))
 		return
 	}
-	if d.tracer != nil && layer != d.section.Layer {
-		d.flushOpBatch()
-		if d.secStats != nil { // skip the end event for the initial boot section
-			d.emit(TraceLayerEnd, d.section.Layer, 0)
-		}
-		d.emit(TraceLayerBegin, layer, 0)
+	if layer != d.memoLayer {
+		d.memoLayer, d.memoToks = layer, [numMemoPhases]SectionTok{}
 	}
-	d.section = sec
-	pi := phaseMemoIndex(phase)
-	if layer != d.memoLayer && pi >= 0 {
-		d.memoLayer = layer
-		d.memoStats = [numMemoPhases]*SectionStats{}
+	if d.memoToks[pi] == 0 {
+		d.memoToks[pi] = d.SectionToken(layer, phase) + 1
 	}
-	if pi >= 0 && d.memoStats[pi] != nil {
-		d.secStats = d.memoStats[pi]
-	} else {
-		ss, ok := d.stats.Sections[sec]
-		if !ok {
-			ss = &SectionStats{}
-			d.stats.Sections[sec] = ss
-		}
-		d.secStats = ss
-		if pi >= 0 {
-			d.memoStats[pi] = ss
-		}
-	}
-	if j := d.journal; j != nil {
-		j.onSection(sec)
-	}
+	d.SetSectionTok(d.memoToks[pi] - 1)
 }
 
 // numMemoPhases sizes the per-layer phase memo: the three named phases.
 const numMemoPhases = 3
 
 // phaseMemoIndex maps the named phases to memo slots; unknown phases
-// return -1 and resolve through the section map on every call.
+// return -1 and resolve through SectionToken on every call.
 func phaseMemoIndex(p Phase) int {
 	switch p {
 	case PhaseKernel:
@@ -492,30 +478,31 @@ func phaseMemoIndex(p Phase) int {
 // Section returns the current attribution label.
 func (d *Device) Section() (string, Phase) { return d.section.Layer, d.section.Phase }
 
-// SectionTok is a pre-resolved section handle. The layer walks flip
-// attribution twice per inner-loop iteration; resolving the (layer, phase)
-// pair once per layer and switching by token replaces the per-iteration
-// string construction and comparison with an index load. The accounting is
-// identical to SetSection's — tokens cache pointers into the same
-// stats.Sections entries — so the attributed Stats are bit-exact with a
-// SetSection walk's.
+// SectionTok is a pre-resolved section handle: an index into the
+// device's section table. The layer walks flip attribution twice per
+// inner-loop iteration; resolving the (layer, phase) pair once per layer
+// and switching by token replaces the per-iteration string comparison
+// with an index load. SetSection resolves to the same tokens.
 type SectionTok int
 
-// tokEntry caches one token's resolved stats. gen guards against stats
-// replacement (ResetStats, RestorePrefix): a stale entry re-resolves
-// into the live map on next use.
+// bootTok is the boot section's token, the first NewWithMem registers.
+const bootTok SectionTok = 0
+
+// tokEntry is one section-table entry. entered (the accounting switched
+// to the section) puts it in Stats.Sections, even with no ops counted;
+// an entry not entered holds zero counts.
 type tokEntry struct {
-	sec   Section
-	stats *SectionStats
-	gen   uint32
+	sec     Section
+	entered bool
+	stats   SectionStats
 }
 
 // SectionToken registers a (layer, phase) pair and returns its handle.
-// Tokens are device-local (stats pointers are per-device) and cheap; the
-// layer walks resolve a layer's phases once per layer visit. The stats
-// entry is materialized lazily, on the first switch — exactly when
-// SetSection would create it — so a run that dies before ever entering the
-// section leaves the same Sections map a SetSection walk would.
+// Tokens are device-local and cheap; the layer walks resolve a layer's
+// phases once per layer visit. Registering does not enter the section:
+// that happens on the first switch, exactly when SetSection would, so a
+// run that dies before ever entering the section leaves the same
+// Sections map a SetSection walk would.
 func (d *Device) SectionToken(layer string, phase Phase) SectionTok {
 	// Dedupe on (layer, phase): executors re-register on every layer visit
 	// (once per reboot attempt), and handing back the existing token keeps
@@ -529,47 +516,31 @@ func (d *Device) SectionToken(layer string, phase Phase) SectionTok {
 		}
 	}
 	d.toks = append(d.toks, tokEntry{sec: Section{Layer: layer, Phase: phase}})
+	d.secStats = &d.toks[d.cur].stats // the append may have moved the table
 	return SectionTok(len(d.toks) - 1)
 }
 
 // InSection reports whether t's section is the current one.
-func (d *Device) InSection(t SectionTok) bool { return d.toks[t].sec == d.section }
+func (d *Device) InSection(t SectionTok) bool { return t == d.cur }
 
-// SetSectionTok is SetSection through a pre-resolved handle: the same
-// section change, layer-transition trace events, and journal record, with
-// the resolution amortized into SectionToken.
+// SetSectionTok changes the attribution label for subsequent operations
+// to t's section. When tracing, a layer-label change flushes the pending
+// op batch and emits layer-end/layer-begin events (phase-only changes do
+// not, keeping the event stream proportional to layer transitions, not
+// iterations).
 func (d *Device) SetSectionTok(t SectionTok) {
-	e := &d.toks[t]
-	if e.sec == d.section && d.secStats != nil {
+	if t == d.cur {
 		return
 	}
-	if d.tracer != nil && e.sec.Layer != d.section.Layer {
+	if layer := d.toks[t].sec.Layer; d.tracer != nil && layer != d.section.Layer {
 		d.flushOpBatch()
-		if d.secStats != nil { // skip the end event for the initial boot section
-			d.emit(TraceLayerEnd, d.section.Layer, 0)
-		}
-		d.emit(TraceLayerBegin, e.sec.Layer, 0)
+		d.emit(TraceLayerEnd, d.section.Layer, 0)
+		d.emit(TraceLayerBegin, layer, 0)
 	}
-	if e.stats == nil || e.gen != d.statsGen {
-		e.stats = d.resolveSection(e.sec)
-		e.gen = d.statsGen
-	}
-	d.section = e.sec
-	d.secStats = e.stats
+	d.enter(t)
 	if j := d.journal; j != nil {
-		j.onSection(e.sec)
+		j.onSection(t)
 	}
-}
-
-// resolveSection returns the live SectionStats for sec, creating it on
-// first attribution exactly as SetSection does.
-func (d *Device) resolveSection(sec Section) *SectionStats {
-	ss, ok := d.stats.Sections[sec]
-	if !ok {
-		ss = &SectionStats{}
-		d.stats.Sections[sec] = ss
-	}
-	return ss
 }
 
 // Op charges one operation of kind k. If the energy buffer empties, the
@@ -632,7 +603,7 @@ func (d *Device) opSlow(k OpKind) {
 // open commit region's size and the running (cycles, pJ) totals are
 // maintained per operation; the per-section and per-kind cycles and
 // energy are fixed integer multiples of the counts and are derived in
-// finalizeStats, so one n-fold update is bit-identical to n single
+// Stats, so one n-fold update is bit-identical to n single
 // updates — the invariant the bulk-charge fast path and the differential
 // oracle rely on.
 func (d *Device) account(k OpKind, n int) {

@@ -110,21 +110,19 @@ func (d *Device) commitFused(cyc, pj int64, commits int) {
 }
 
 // accountBlockOps attributes mm funded iterations of the block's op
-// profile to their section tokens and returns the last op's resolved
-// token entry (the section the scalar loop would leave active). The
-// global per-kind counts and opsTotal are derived from the section
-// accounting at Stats() time, so this is the only bookkeeping needed.
-func (d *Device) accountBlockOps(b *Block, mm int64) *tokEntry {
+// profile to their sections in the table, entering each as the scalar
+// loop would, and returns the last op's token (the section the scalar
+// loop would leave active). The global per-kind counts and opsTotal are
+// derived from the table at Stats() time, so this is the only
+// bookkeeping needed.
+func (d *Device) accountBlockOps(b *Block, mm int64) SectionTok {
 	for i := range b.ops {
 		op := &b.ops[i]
 		e := &d.toks[op.Tok]
-		if e.stats == nil || e.gen != d.statsGen {
-			e.stats = d.resolveSection(e.sec)
-			e.gen = d.statsGen
-		}
+		e.entered = true
 		e.stats.OpCount[op.Kind] += int64(op.N) * mm
 	}
-	return &d.toks[b.ops[len(b.ops)-1].Tok]
+	return b.ops[len(b.ops)-1].Tok
 }
 
 // Fundable reports how many whole iterations of b, up to n, ChargeTrain
@@ -162,7 +160,7 @@ type TrainSeg struct {
 func (d *Device) ChargeTrain(segs []TrainSeg) int {
 	total := 0
 	var pjTotal, cycTotal, firstUnit, maxUnit int64
-	var last *tokEntry
+	var last SectionTok
 	for si := range segs {
 		sg := &segs[si]
 		if sg.N <= 0 {
@@ -199,8 +197,7 @@ func (d *Device) ChargeTrain(segs []TrainSeg) int {
 	if total == 0 {
 		return 0
 	}
-	d.section = last.sec
-	d.secStats = last.stats
+	d.enter(last)
 	if first := d.opsInRegion + firstUnit; first > d.stats.MaxRegionOps {
 		d.stats.MaxRegionOps = first
 	}

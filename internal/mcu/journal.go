@@ -2,6 +2,7 @@ package mcu
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/mem"
@@ -35,7 +36,8 @@ type Journal struct {
 
 	tape    []uint8     // kind of every charged op
 	writes  []writeRec  // FRAM writes in op-position order
-	secLog  []secRec    // SetSection events
+	secLog  []secRec    // section switches
+	secs    []Section   // the recording device's sections by token (StopJournal)
 	commits []commitRec // Progress events with the running MaxRegionOps
 	start   commitRec   // the same figures and baseline when recording started
 	warLog  []warRec    // WAR violations with write position and batch end
@@ -52,7 +54,12 @@ type Journal struct {
 	batchK            int64
 	nextSnapAt        int64
 	prevFRAM          *mem.Snapshot
-	dirty             map[[2]int]struct{} // (region index, page) written since the last snapshot
+
+	// pages lists the FRAM pages the write log touched in first-touch
+	// order (prefixSnap.pageCur cuts it); touched maps each to len(snaps)
+	// at its latest write.
+	pages   []mem.Page
+	touched map[mem.Page]int
 }
 
 type writeRec struct {
@@ -63,8 +70,8 @@ type writeRec struct {
 }
 
 type secRec struct {
-	opIdx int64 // ops charged when the section changed
-	sec   Section
+	opIdx int64      // ops charged when the section changed
+	tok   SectionTok // the recording device's token for the new section
 }
 
 // commitRec is one Progress event: its op position, the running
@@ -87,12 +94,13 @@ type warRec struct {
 // consistent op boundary, plus cursors into the logs so replay resumes
 // exactly where the snapshot left off.
 type prefixSnap struct {
-	pos     int64 // ops charged at capture
-	fram    *mem.Snapshot
-	stats   Stats
-	section Section
+	pos   int64 // ops charged at capture
+	fram  *mem.Snapshot
+	stats Stats      // the device's counters (no Sections)
+	table []tokEntry // a copy of the section table, by recording token
+	cur   SectionTok // the current section's recording token
 
-	tapeLen, secCur, writeCur int
+	secCur, writeCur, pageCur int
 }
 
 // StartJournal begins recording on this device with the given snapshot
@@ -116,7 +124,7 @@ func (d *Device) StartJournal(stride int) *Journal {
 		start:      commitRec{d.opsTotal, d.stats.MaxRegionOps, d.stats.Commits, d.commitCyc, d.commitPJ},
 		regIdx:     make(map[*mem.Region]int32),
 		nextSnapAt: d.opsTotal,
-		dirty:      make(map[[2]int]struct{}),
+		touched:    make(map[mem.Page]int),
 	}
 	d.journal = j
 	d.FRAM.SetObserver(j)
@@ -124,11 +132,15 @@ func (d *Device) StartJournal(stride int) *Journal {
 	return j
 }
 
-// StopJournal ends the recording; the journal keeps its data and serves
-// RestorePrefix calls from any goroutine.
+// StopJournal ends the recording; the journal keeps its data, with the
+// sections the recording's tokens name, and serves RestorePrefix calls
+// from any goroutine.
 func (d *Device) StopJournal() {
 	if d.journal == nil {
 		return
+	}
+	for _, e := range d.toks {
+		d.journal.secs = append(d.journal.secs, e.sec)
 	}
 	d.FRAM.SetObserver(nil)
 	d.journal = nil
@@ -159,7 +171,11 @@ func (j *Journal) OnPut(r *mem.Region, i int, v int64) {
 		j.regIdx[r] = ri
 	}
 	j.writes = append(j.writes, writeRec{pos: pos, reg: ri, idx: int32(i), val: v})
-	j.dirty[[2]int{int(ri), i / mem.SnapPageWords}] = struct{}{}
+	p := mem.Page{Region: ri, Page: int32(i / mem.SnapPageWords)}
+	if _, ok := j.touched[p]; !ok {
+		j.pages = append(j.pages, p)
+	}
+	j.touched[p] = len(j.snaps)
 }
 
 // beginBatch brackets a bulk effect loop whose writes were funded by the
@@ -195,8 +211,8 @@ func (j *Journal) onOps(k OpKind, n int) {
 }
 
 // onSection records an attribution change.
-func (j *Journal) onSection(sec Section) {
-	j.secLog = append(j.secLog, secRec{opIdx: j.d.opsTotal, sec: sec})
+func (j *Journal) onSection(t SectionTok) {
+	j.secLog = append(j.secLog, secRec{opIdx: j.d.opsTotal, tok: t})
 }
 
 // onCommit records a Progress call, after the device has counted it.
@@ -223,37 +239,25 @@ func (j *Journal) snap() {
 	d := j.d
 	var dirtyFn func(region, page int) bool
 	if j.prevFRAM != nil {
-		dirty := j.dirty
+		stride := len(j.snaps)
 		dirtyFn = func(region, page int) bool {
-			_, ok := dirty[[2]int{region, page}]
-			return ok
+			n, ok := j.touched[mem.Page{Region: int32(region), Page: int32(page)}]
+			return ok && n == stride
 		}
 	}
 	fs := d.FRAM.Snapshot(j.prevFRAM, dirtyFn)
 	j.snaps = append(j.snaps, &prefixSnap{
 		pos:      d.opsTotal,
 		fram:     fs,
-		stats:    cloneStats(&d.stats),
-		section:  d.section,
-		tapeLen:  len(j.tape),
+		stats:    d.stats,
+		table:    slices.Clone(d.toks),
+		cur:      d.cur,
 		secCur:   len(j.secLog),
 		writeCur: len(j.writes),
+		pageCur:  len(j.pages),
 	})
 	j.prevFRAM = fs
-	j.dirty = make(map[[2]int]struct{})
 	j.nextSnapAt = d.opsTotal + j.stride
-}
-
-// cloneStats deep-copies the raw accounting (derived fields are recomputed
-// by finalizeStats, so copying their stale values is harmless).
-func cloneStats(s *Stats) Stats {
-	c := *s
-	c.Sections = make(map[Section]*SectionStats, len(s.Sections))
-	for k, v := range s.Sections {
-		vv := *v
-		c.Sections[k] = &vv
-	}
-	return c
 }
 
 // MaxOp returns the last charged op position the recording covers.
@@ -309,9 +313,17 @@ func (j *Journal) WARPrefix(b int64) (count int, kept []WARViolation) {
 // fork must be deployed identically to the recording device, so its FRAM
 // region layout matches the recording's, and must carry no state of an
 // earlier run: freshly constructed, or a pooled device rewound to its
-// post-deploy image and reprovisioned (core.Slot.Provision).
+// post-deploy image and reprovisioned (core.Slot.Provision), its resident
+// runtime regions reset as a fresh prepare leaves them. Its FRAM then
+// differs from snapshot s only in the pages the write log touched up to
+// s, so only those are copied (their regions marked dirty for the slot's
+// next rewind). The section table is rebuilt by index from s's copy and
+// the op tape, through journalToks, and its section entered silently.
 func (j *Journal) RestorePrefix(fork *Device, b int64) error {
 	pre := b - 1
+	if len(j.secs) == 0 { // StopJournal fills it, with boot at least
+		return fmt.Errorf("mcu: journal still recording")
+	}
 	if pre < j.base || b > j.MaxOp() {
 		return fmt.Errorf("mcu: boundary %d outside recorded range (%d, %d]", b, j.base, j.MaxOp())
 	}
@@ -321,10 +333,11 @@ func (j *Journal) RestorePrefix(fork *Device, b int64) error {
 	}
 	s := j.snaps[si]
 
-	// Nonvolatile memory: snapshot image plus the journaled writes funded
-	// by ops in (s.pos, b-1]. The write log is position-sorted, and every
-	// write at or before s.pos is already inside the snapshot image.
-	if err := s.fram.RestoreTo(fork.FRAM); err != nil {
+	// Nonvolatile memory: the snapshot's written pages, plus the journaled
+	// writes funded by ops in (s.pos, b-1]. The write log is
+	// position-sorted, and every write at or before s.pos is already
+	// inside the snapshot image.
+	if err := s.fram.RestorePages(fork.FRAM, j.pages[:s.pageCur]); err != nil {
 		return err
 	}
 	for wi := s.writeCur; wi < len(j.writes); wi++ {
@@ -335,37 +348,39 @@ func (j *Journal) RestorePrefix(fork *Device, b int64) error {
 		fork.FRAM.RegionAt(int(w.reg)).Put(int(w.idx), w.val)
 	}
 
-	// Stats: replay the op tape from the snapshot, attributing each op to
-	// the section current at its charge (section events at opIdx p take
-	// effect before op p+1). Section entries are materialized even for
-	// zero-op sections, as SetSection does live.
-	st := cloneStats(&s.stats)
-	sec := s.section
-	var secStats *SectionStats
-	ensure := func() {
-		ss, ok := st.Sections[sec]
-		if !ok {
-			ss = &SectionStats{}
-			st.Sections[sec] = ss
+	// Stats: the snapshot's table, then the op tape replayed from the
+	// snapshot, attributing each op to the section current at its charge
+	// (section events at opIdx p take effect before op p+1), entering
+	// sections even with zero ops, as SetSection does live.
+	xl := fork.journalToks(j)
+	fork.clearTable()
+	for id := range s.table {
+		if e := &s.table[id]; e.entered {
+			f := &fork.toks[xl[id]]
+			f.entered, f.stats = true, e.stats
 		}
-		secStats = ss
 	}
-	ensure()
-	ei := s.secCur
-	for pos := s.pos + 1; pos <= pre; pos++ {
-		for ei < len(j.secLog) && j.secLog[ei].opIdx < pos {
-			sec = j.secLog[ei].sec
-			ensure()
-			ei++
+	cur := xl[s.cur]
+	ss := &fork.toks[cur].stats
+	// Each pass takes the section changes made after op pos, then counts
+	// the ops up to the next change or the prefix's end.
+	for pos, ei := s.pos, s.secCur; ; {
+		for ; ei < len(j.secLog) && j.secLog[ei].opIdx <= pos; ei++ {
+			cur = xl[j.secLog[ei].tok]
+			fork.toks[cur].entered = true
+			ss = &fork.toks[cur].stats
 		}
-		k := j.tape[int(pos-j.base)-1]
-		secStats.OpCount[k]++
-	}
-	// Section changes after the last prefix op but before the failing op.
-	for ei < len(j.secLog) && j.secLog[ei].opIdx <= pre {
-		sec = j.secLog[ei].sec
-		ensure()
-		ei++
+		if pos == pre {
+			break
+		}
+		next := pre
+		if ei < len(j.secLog) {
+			next = min(next, j.secLog[ei].opIdx)
+		}
+		for _, k := range j.tape[pos-j.base : next-j.base] {
+			ss.OpCount[k]++
+		}
+		pos = next
 	}
 	// MaxRegionOps, the commit count and the wasted-work baseline move
 	// only at commits: take the last one in the prefix.
@@ -373,14 +388,14 @@ func (j *Journal) RestorePrefix(fork *Device, b int64) error {
 	if ci := sort.Search(len(j.commits), func(i int) bool { return j.commits[i].opIdx > pre }); ci > 0 {
 		last = j.commits[ci-1]
 	}
-	st.MaxRegionOps, st.Commits = last.maxRegionOps, last.commits
-
-	fork.stats = st
-	fork.secStats = nil
-	fork.memoLayer, fork.memoStats = "", [numMemoPhases]*SectionStats{}
-	fork.statsGen++
-	fork.resyncNow()
-	fork.SetSection(sec.Layer, sec.Phase)
+	fork.stats = s.stats
+	fork.stats.MaxRegionOps, fork.stats.Commits = last.maxRegionOps, last.commits
+	fork.enter(cur)
+	fork.cycNow, fork.pjNow = 0, 0
+	for k, n := range fork.opTotals() {
+		fork.cycNow += n * fork.costCyc[k]
+		fork.pjNow += n * fork.costPJ[k]
+	}
 
 	// WAR verdicts: every violation funded within the prefix.
 	fork.warCount, fork.warViolations = j.WARPrefix(b)
@@ -400,4 +415,18 @@ func (j *Journal) RestorePrefix(fork *Device, b int64) error {
 	fork.rebootsSinceProgress = 1
 	fork.markCommit()
 	return nil
+}
+
+// journalToks returns d's token for each of j's recording tokens,
+// registering the sections d lacks. Tokens never change on either
+// device, so the translation is cached for the journal d last used.
+func (d *Device) journalToks(j *Journal) []SectionTok {
+	if d.xlatJ != j {
+		d.xlatJ, d.xlat = j, d.xlat[:0]
+	}
+	for len(d.xlat) < len(j.secs) {
+		sec := j.secs[len(d.xlat)]
+		d.xlat = append(d.xlat, d.SectionToken(sec.Layer, sec.Phase))
+	}
+	return d.xlat
 }

@@ -115,12 +115,16 @@ func scratchAt(t *testing.T, b int64) *rig {
 }
 
 // forkMatchesScratch restores the journal's prefix for boundary b onto a
-// fresh identically-deployed device and compares it with the scratch run
-// to the same brown-out, returning the scratch device's stats.
-func forkMatchesScratch(t *testing.T, j *mcu.Journal, b int64) *mcu.Stats {
+// fresh identically-deployed device, after prep (if non-nil) has run on
+// it, and compares it with the scratch run to the same brown-out,
+// returning the scratch device's stats.
+func forkMatchesScratch(t *testing.T, j *mcu.Journal, b int64, prep func(*mcu.Device)) *mcu.Stats {
 	t.Helper()
 	scratch := scratchAt(t, b)
 	fork := newRig(energy.NewFailSchedule([]int{int(b), 1000}))
+	if prep != nil {
+		prep(fork.dev)
+	}
 	if err := j.RestorePrefix(fork.dev, b); err != nil {
 		t.Fatalf("b=%d: %v", b, err)
 	}
@@ -160,7 +164,9 @@ func forkMatchesScratch(t *testing.T, j *mcu.Journal, b int64) *mcu.Stats {
 // and wasted-work counters where their reconstruction has edges: a
 // brown-out on op 1 (nothing accounted yet), on the op just after the
 // first commit (no waste), and in the middle of the second region (waste
-// measured from the first commit).
+// measured from the first commit). The reverse-tokens row restores onto a
+// fork that registered the workload's sections in the reverse of the
+// recording's order, so every journal token translates to another index.
 func TestJournalForkMatchesScratch(t *testing.T) {
 	golden := newRig(energy.Continuous{})
 	j := golden.dev.StartJournal(512)
@@ -186,14 +192,14 @@ func TestJournalForkMatchesScratch(t *testing.T) {
 		t.Fatalf("workload commits fewer than twice in %d ops", total)
 	}
 	t.Run("op-1", func(t *testing.T) {
-		st := forkMatchesScratch(t, j, 1)
+		st := forkMatchesScratch(t, j, 1, nil)
 		if st.Commits != 0 || st.WastedCycles != 0 || st.WastedNJ != 0 {
 			t.Errorf("brown-out on op 1: %d commits, %d cycles / %v nJ wasted; want none",
 				st.Commits, st.WastedCycles, st.WastedNJ)
 		}
 	})
 	t.Run("after-commit", func(t *testing.T) {
-		st := forkMatchesScratch(t, j, afterCommit)
+		st := forkMatchesScratch(t, j, afterCommit, nil)
 		if st.Commits != 1 || st.WastedCycles != 0 || st.WastedNJ != 0 {
 			t.Errorf("brown-out at op %d, just after the first commit: %d commits, %d cycles / %v nJ wasted; want 1 and none",
 				afterCommit, st.Commits, st.WastedCycles, st.WastedNJ)
@@ -201,7 +207,7 @@ func TestJournalForkMatchesScratch(t *testing.T) {
 	})
 	t.Run("mid-region", func(t *testing.T) {
 		b := (afterCommit + second) / 2
-		st := forkMatchesScratch(t, j, b)
+		st := forkMatchesScratch(t, j, b, nil)
 		if st.Commits != 1 || st.WastedCycles <= 0 || st.WastedNJ <= 0 {
 			t.Errorf("brown-out at op %d, mid region: %d commits, %d cycles / %v nJ wasted; want 1 and some",
 				b, st.Commits, st.WastedCycles, st.WastedNJ)
@@ -209,20 +215,37 @@ func TestJournalForkMatchesScratch(t *testing.T) {
 	})
 	t.Run("sweep", func(t *testing.T) {
 		for b := int64(1); b <= total; b += 7 {
-			forkMatchesScratch(t, j, b)
+			forkMatchesScratch(t, j, b, nil)
+		}
+	})
+	t.Run("reverse-tokens", func(t *testing.T) {
+		// The recording registers conv/kernel, conv/control, dense/kernel
+		// and dense/control after boot, in that order.
+		reverse := func(d *mcu.Device) {
+			for _, l := range []string{"dense", "conv"} {
+				d.SectionToken(l, mcu.PhaseControl)
+				d.SectionToken(l, mcu.PhaseKernel)
+			}
+		}
+		for b := int64(1); b <= total; b += 53 {
+			forkMatchesScratch(t, j, b, reverse)
 		}
 	})
 }
 
-// TestJournalBoundsRejected: placements outside the recorded range error
-// instead of silently restoring garbage.
+// TestJournalBoundsRejected: placements outside the recorded range, and
+// restores from a journal still recording, error instead of silently
+// restoring garbage.
 func TestJournalBoundsRejected(t *testing.T) {
 	golden := newRig(energy.Continuous{})
 	j := golden.dev.StartJournal(0)
 	golden.workload()
+	fork := newRig(energy.NewFailSchedule([]int{1}))
+	if err := j.RestorePrefix(fork.dev, 1); err == nil {
+		t.Fatal("restore from a journal still recording accepted")
+	}
 	golden.dev.StopJournal()
 
-	fork := newRig(energy.NewFailSchedule([]int{1}))
 	if err := j.RestorePrefix(fork.dev, 0); err == nil {
 		t.Fatal("boundary 0 accepted")
 	}

@@ -82,8 +82,8 @@ func TestOpsTotalMirrorsSectionCounts(t *testing.T) {
 func checkNowMirrors(t *testing.T, d *Device, label string) {
 	t.Helper()
 	var wantCyc, wantPJ int64
-	for _, ss := range d.stats.Sections {
-		for k, n := range ss.OpCount {
+	for _, e := range d.toks {
+		for k, n := range e.stats.OpCount {
 			wantCyc += n * int64(d.Cost.Costs[k].Cycles)
 			wantPJ += n * energy.PicojoulesOf(d.Cost.Costs[k].EnergyNJ)
 		}

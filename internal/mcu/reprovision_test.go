@@ -56,6 +56,40 @@ func TestReprovisionMatchesFreshDevice(t *testing.T) {
 	}
 }
 
+// TestResetAllocatesNothing: ResetStats and Reprovision zero the section
+// table in place. On a WAR-armed device that has entered several
+// sections, a walk over them followed by either allocates nothing.
+func TestResetAllocatesNothing(t *testing.T) {
+	d := New(energy.Continuous{})
+	d.EnableWARCheck()
+	r := d.FRAM.MustAlloc("x", 4, 2)
+	walk := func() {
+		for _, l := range []string{"conv", "fc"} {
+			for _, ph := range []Phase{PhaseKernel, PhaseControl, PhaseTransition} {
+				d.SetSection(l, ph)
+				d.Store(r, 1, d.Load(r, 0)+1)
+			}
+			d.Progress()
+		}
+	}
+	walk()
+	var power energy.System = energy.Continuous{}
+	for _, tc := range []struct {
+		name  string
+		reset func()
+	}{
+		{"ResetStats", d.ResetStats},
+		{"Reprovision", func() { d.Reprovision(power) }},
+	} {
+		if n := testing.AllocsPerRun(100, func() { walk(); tc.reset() }); n != 0 {
+			t.Errorf("%s after a walk over entered sections: %v allocs, want 0", tc.name, n)
+		}
+	}
+	if n := len(d.Stats().Sections); n != 1 {
+		t.Errorf("%d sections after a reset, want boot alone", n)
+	}
+}
+
 func TestReprovisionRebindsPowerFastPaths(t *testing.T) {
 	// Construction devirtualizes the power system (contPower/intPower
 	// caches); a rebind from continuous power to an op-limited system must

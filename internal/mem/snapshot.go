@@ -105,3 +105,25 @@ func (s *Snapshot) RestoreTo(m *Memory) error {
 	}
 	return nil
 }
+
+// Page names one snapshot page: page Page of the bank's Region-th region.
+type Page struct {
+	Region, Page int32
+}
+
+// RestorePages copies the listed pages of the snapshot into a
+// structurally identical bank (as RestoreTo requires) and marks their
+// regions dirty, leaving every other page as it is. It is RestoreTo for a
+// bank known to equal the snapshot everywhere else.
+func (s *Snapshot) RestorePages(m *Memory, pages []Page) error {
+	if !m.matches(s) {
+		return fmt.Errorf("mem: snapshot does not match %s bank layout (%d regions vs %d)",
+			m.kind, len(s.regions), len(m.regions))
+	}
+	for _, p := range pages {
+		r := m.regions[p.Region]
+		r.dirty = true
+		copy(r.words[int(p.Page)*SnapPageWords:], s.regions[p.Region].pages[p.Page])
+	}
+	return nil
+}

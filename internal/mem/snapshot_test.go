@@ -63,6 +63,42 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestorePagesCopiesOnlyListed: RestorePages rewrites exactly the
+// listed pages (a short last page included), marks only their regions
+// dirty, and rejects a mismatched layout.
+func TestRestorePagesCopiesOnlyListed(t *testing.T) {
+	build := func() (*Memory, *Region, *Region) {
+		m := New(FRAM, 64*1024)
+		return m, m.MustAlloc("a", 3*SnapPageWords+5, 2), m.MustAlloc("b", 10, 2)
+	}
+	m, a, _ := build()
+	for i := 0; i < a.Len(); i++ {
+		a.Put(i, int64(i+1))
+	}
+	snap := m.Snapshot(nil, nil)
+	m2, a2, b2 := build()
+	if err := snap.RestorePages(m2, []Page{{Region: 0, Page: 1}, {Region: 0, Page: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < a2.Len(); i++ {
+		want := int64(0)
+		if p := i / SnapPageWords; p == 1 || p == 3 {
+			want = int64(i + 1)
+		}
+		if a2.Get(i) != want {
+			t.Fatalf("word %d = %d, want %d", i, a2.Get(i), want)
+		}
+	}
+	if !a2.Dirty() || b2.Dirty() {
+		t.Errorf("dirty flags a=%v b=%v, want true false", a2.Dirty(), b2.Dirty())
+	}
+	m3 := New(FRAM, 64*1024)
+	m3.MustAlloc("a", 3*SnapPageWords+5, 2)
+	if err := snap.RestorePages(m3, nil); err == nil {
+		t.Fatal("restore onto mismatched layout succeeded")
+	}
+}
+
 // TestSnapshotTrainSharesPages: consecutive snapshots share the page
 // storage of untouched regions instead of copying it.
 func TestSnapshotTrainSharesPages(t *testing.T) {
