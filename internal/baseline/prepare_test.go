@@ -11,12 +11,12 @@ import (
 )
 
 // TestPreparedTileFollowsFusion: a Tile prepared once and run several
-// times on one device builds its task graph for the device as it is at
-// each run. Prepared where the device may not fuse (on the energy.PerOp
-// reference power), its graph has no fused forms; once the device may
-// fuse, the next run rebuilds the graph and fuses, and going back to
-// PerOp runs per op again. Every run computes the logits of a per-run
-// Infer.
+// times on one device decides at each run, from the device as it is then,
+// whether its passes fuse; the graph built at Prepare serves every run,
+// with no rebuild. Prepared where the device may not fuse (on the
+// energy.PerOp reference power), its first run fuses nothing; once the
+// device may fuse, the next run fuses, and going back to PerOp runs per
+// op again. Every run computes the logits of a per-run Infer.
 func TestPreparedTileFollowsFusion(t *testing.T) {
 	qm, x := intermittest.TinyModel(1)
 	qin := qm.QuantizeInput(x)

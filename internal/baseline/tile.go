@@ -27,8 +27,6 @@ import (
 // redo-logging — the cost SONIC eliminates.
 type Tile struct {
 	TileSize int
-	// LogEntries sizes the runtime redo log (default DefaultLogEntries).
-	LogEntries int
 }
 
 // DefaultLogEntries is sized for the largest per-task write set: a tile of
@@ -42,8 +40,9 @@ func (t Tile) Name() string { return fmt.Sprintf("tile-%d", t.TileSize) }
 // ctl-slot index within the image control block used for the pass cursor.
 const tileCursorSlot = 0
 
-// minBulk is the chunk size below which a rangeFn falls back to the scalar
-// pass body: tiny chunks don't amortize the Range machinery.
+// minBulk is the chunk length below which a chunk body declines the bulk
+// path (the per-op task runs the scalar pass body over it, and the
+// dispatch does not fuse): tiny chunks don't amortize the range machinery.
 const minBulk = 4
 
 // Infer builds the task graph over the deployed image and drives it to
@@ -59,7 +58,6 @@ type tileRun struct {
 	name string // t.Name()
 	img  *core.Image
 	rt   *task.Runtime
-	b    tileBuilder
 	// outB is the parity of the buffer holding the final output.
 	outB bool
 	// ran records that the runtime has run since it was prepared, so its
@@ -69,16 +67,14 @@ type tileRun struct {
 
 // Prepare implements core.Runtime: it allocates the task runtime (state
 // and redo log, in that order, after the deployed regions), registers the
-// image's working buffers as task-shared, and builds the task graph.
+// image's working buffers as task-shared, and builds the task graph. The
+// graph serves every run: task.Run decides per run whether its passes'
+// fused forms engage.
 func (t Tile) Prepare(img *core.Image) (core.Prepared, error) {
 	if t.TileSize <= 0 {
 		return nil, fmt.Errorf("baseline: invalid tile size %d", t.TileSize)
 	}
-	logEntries := t.LogEntries
-	if logEntries == 0 {
-		logEntries = DefaultLogEntries
-	}
-	rt, err := task.New(img.Dev, logEntries)
+	rt, err := task.New(img.Dev, DefaultLogEntries)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: allocating task runtime: %w", err)
 	}
@@ -87,31 +83,13 @@ func (t Tile) Prepare(img *core.Image) (core.Prepared, error) {
 			rt.Share(r)
 		}
 	}
-	p := &tileRun{t: t, name: t.Name(), img: img, rt: rt,
-		b: tileBuilder{img: img, rt: rt, k: t.TileSize, prog: tape.Get(img.Model)}}
-	if err := p.build(); err != nil {
+	b := &tileBuilder{img: img, rt: rt, k: t.TileSize, prog: tape.Get(img.Model)}
+	outB, err := b.build()
+	if err != nil {
 		rt.Release()
 		return nil, err
 	}
-	return p, nil
-}
-
-// build (re)builds the task graph for the device as it is now. Fused
-// forms are built only for devices that can run them, so a run that never
-// fuses allocates nothing for them; the choice is fixed into the graph,
-// which is why ResumeInfer rebuilds it when the device's observers or
-// power kind have changed since.
-func (p *tileRun) build() error {
-	p.b.fuse = p.canFuse()
-	p.rt.DropTasks()
-	outB, err := p.b.build()
-	p.outB = outB
-	return err
-}
-
-func (p *tileRun) canFuse() bool {
-	dev := p.img.Dev
-	return dev.CanFuse() && !dev.FRAM.Observed()
+	return &tileRun{t: t, name: t.Name(), img: img, rt: rt, outB: outB}, nil
 }
 
 // ResumeInfer implements core.Prepared: the task runtime is reset (after
@@ -119,11 +97,6 @@ func (p *tileRun) canFuse() bool {
 // overwrites that nonvolatile state — then the run.
 func (p *tileRun) ResumeInfer(atReboot func() error) ([]fixed.Q15, error) {
 	img := p.img
-	if p.b.fuse != p.canFuse() {
-		if err := p.build(); err != nil {
-			return nil, err
-		}
-	}
 	if p.ran {
 		p.rt.Reset()
 	}
@@ -148,24 +121,22 @@ func (p *tileRun) Release() { p.rt.Release() }
 // passFn executes one loop iteration of a pass.
 type passFn func(c *task.Ctx, iter int)
 
-// rangeFn executes iterations [lo, hi) of a pass in one call. Providers
-// bulk-charge uniform chunks through the device's Range macro-ops and the
-// task runtime's ReadRange/WriteRange, falling back to the scalar passFn
-// body per iteration where bulking is illegal (privatized words, scattered
-// accesses). The charged op multiset per iteration is identical to the
-// scalar body's.
-type rangeFn func(c *task.Ctx, lo, hi int)
-
-// fuseFn is a rangeFn's fused form: it walks the same chunks of
-// iterations [lo, hi) through a task.Fuse, recording their charges while
-// planning — and reporting false when some chunk would not take the bulk
-// branch — or computing and writing their values while applying.
-type fuseFn func(f *task.Fuse, lo, hi int) bool
+// chunkFn is a pass's bulk form, written once for both of its paths: the
+// per-op task runs it through Ctx.Bulk, the fused form through the
+// planning and applying walks. It takes the first chunk of iterations
+// [lo, hi) — a run uniform in op kinds and contiguous in memory — and
+// returns the chunk's length n and whether the chunk took the bulk path.
+// Every gate (n >= minBulk, Fresh on each task-shared range it touches)
+// comes before its first charge, so a declined chunk charges nothing: the
+// per-op task then runs the scalar passFn over the chunk's n iterations,
+// and the fused form reports the dispatch as not fusable. A bulk chunk
+// charges the scalar body's op multiset per iteration, grouped by kind in
+// the order the per-op path charges it.
+type chunkFn func(f *task.Fuse, lo, hi int) (n int, bulk bool)
 
 // addPassFn registers a pass: name, layer label, iteration count, scalar
-// body, and optional bulk range body and fused form (nil for scalar-only
-// passes).
-type addPassFn func(name, layer string, n int, f passFn, fr rangeFn, fz fuseFn)
+// body, and optional chunk body (nil for scalar-only passes).
+type addPassFn func(name, layer string, n int, f passFn, chunk chunkFn)
 
 // tileBuilder assembles the per-layer pass tasks. Because the layer graph
 // is static, each task closes over its source/destination buffers; only
@@ -176,9 +147,7 @@ type tileBuilder struct {
 	k   int
 	// prog supplies the pre-decoded per-layer tables and section labels.
 	prog *tape.Program
-	// fuse builds each bulk pass's fused form; cursor stages the fused
-	// tasks' one-word cursor writes.
-	fuse   bool
+	// cursor stages the fused tasks' one-word cursor writes.
 	cursor [1]int64
 }
 
@@ -191,12 +160,11 @@ func (b *tileBuilder) build() (bool, error) {
 		layer string
 		n     int
 		f     passFn
-		fr    rangeFn
-		fz    fuseFn
+		chunk chunkFn
 	}
 	var passes []pass
-	addPass := func(name, layer string, n int, f passFn, fr rangeFn, fz fuseFn) {
-		passes = append(passes, pass{name, layer, n, f, fr, fz})
+	addPass := func(name, layer string, n int, f passFn, chunk chunkFn) {
+		passes = append(passes, pass{name, layer, n, f, chunk})
 	}
 
 	for li := range b.img.Layers {
@@ -216,7 +184,6 @@ func (b *tileBuilder) build() (bool, error) {
 			b.sparsePasses(addPass, l, layer, src, dst)
 			parity = !parity
 		case dnn.QReLU:
-			n := q.InShape.Len()
 			reluIter := func(c *task.Ctx, i int) {
 				dev := c.Dev()
 				dev.Op(mcu.OpBranch)
@@ -224,36 +191,19 @@ func (b *tileBuilder) build() (bool, error) {
 				c.Write(dst, i, int64(v))
 			}
 			vals := make([]int64, b.k)
-			var reluFuse fuseFn
-			if b.fuse {
-				reluFuse = func(f *task.Fuse, lo, hi int) bool {
-					nn := hi - lo
-					if nn < minBulk {
-						return false
-					}
-					f.Ops(mcu.OpBranch, nn)
-					if !f.Read(src, lo, nn) {
-						return false
-					}
-					if !f.Planning() {
-						kern.ReLU(vals, src.ROWords(), 0, lo, nn)
-					}
-					return f.Write(dst, lo, vals[:nn])
+			addPass("relu", layer, q.InShape.Len(), reluIter, func(f *task.Fuse, lo, hi int) (int, bool) {
+				n := hi - lo
+				if n < minBulk || !f.Fresh(src, lo, n) || !f.Fresh(dst, lo, n) {
+					return n, false
 				}
-			}
-			addPass("relu", layer, n, reluIter, func(c *task.Ctx, lo, hi int) {
-				nn := hi - lo
-				if nn < minBulk || !c.Fresh(src, lo, nn) || !c.Fresh(dst, lo, nn) {
-					for i := lo; i < hi; i++ {
-						reluIter(c, i)
-					}
-					return
+				f.Ops(mcu.OpBranch, n)
+				f.Read(src, lo, n)
+				if !f.Planning() {
+					kern.ReLU(vals, src.ROWords(), 0, lo, n)
 				}
-				c.Dev().Ops(mcu.OpBranch, nn)
-				c.ReadRange(src, lo, nn)
-				kern.ReLU(vals, src.ROWords(), 0, lo, nn)
-				c.WriteRange(dst, lo, vals[:nn])
-			}, reluFuse)
+				f.Write(dst, lo, vals[:n])
+				return n, true
+			})
 			parity = !parity
 		case dnn.QPool:
 			b.poolPass(addPass, q, tl, src, dst)
@@ -266,7 +216,7 @@ func (b *tileBuilder) build() (bool, error) {
 	// Materialize each pass as one self-transitioning task over a shared
 	// cursor in the control block. Each pass's two attribution sections
 	// are pre-resolved into tokens, so no activation constructs a Section.
-	// A pass with a bulk form also gets a fused form (task.SetFused): the
+	// A pass with a chunk body also gets a fused form (task.SetFused): the
 	// same task — cursor read, body chunks, cursor write — walked through
 	// a task.Fuse.
 	ctl := b.img.Ctl
@@ -277,40 +227,39 @@ func (b *tileBuilder) build() (bool, error) {
 			next = task.Done
 		}
 		self := task.ID(pi)
-		body := func(c *task.Ctx, base int) (int, task.ID) {
-			end := base + b.k
-			if end > p.n {
-				end = p.n
-			}
-			if p.fr != nil {
-				p.fr(c, base, end)
-			} else {
-				for i := base; i < end; i++ {
-					p.f(c, i)
-				}
-			}
-			if end >= p.n {
-				return end, next
-			}
-			return end, self
-		}
 		tokC := b.img.Dev.SectionToken(p.layer, mcu.PhaseControl)
 		tokK := b.img.Dev.SectionToken(p.layer, mcu.PhaseKernel)
 		b.rt.Add(p.name, func(c *task.Ctx) task.ID {
 			dev := c.Dev()
 			dev.SetSectionTok(tokC)
 			base := int(c.Read(ctl, tileCursorSlot))
+			end := min(base+b.k, p.n)
 			dev.SetSectionTok(tokK)
-			end, to := body(c, base)
-			dev.SetSectionTok(tokC)
-			if to != self {
-				c.Write(ctl, tileCursorSlot, 0) // reset for next pass
+			if p.chunk == nil {
+				for i := base; i < end; i++ {
+					p.f(c, i)
+				}
 			} else {
-				c.Write(ctl, tileCursorSlot, int64(end))
+				f := c.Bulk()
+				for lo := base; lo < end; {
+					n, bulk := p.chunk(f, lo, end)
+					if !bulk {
+						for i := lo; i < lo+n; i++ {
+							p.f(c, i)
+						}
+					}
+					lo += n
+				}
 			}
-			return to
+			dev.SetSectionTok(tokC)
+			if end >= p.n {
+				c.Write(ctl, tileCursorSlot, 0) // reset for next pass
+				return next
+			}
+			c.Write(ctl, tileCursorSlot, int64(end))
+			return self
 		})
-		if p.fz == nil {
+		if p.chunk == nil {
 			continue
 		}
 		b.rt.SetFused(self, p.layer, func(f *task.Fuse, j int) (task.ID, bool) {
@@ -324,8 +273,12 @@ func (b *tileBuilder) build() (bool, error) {
 			f.Section(tokC)
 			f.Read(ctl, tileCursorSlot, 1)
 			f.Section(tokK)
-			if !p.fz(f, base, end) {
-				return 0, false
+			for lo := base; lo < end; {
+				n, bulk := p.chunk(f, lo, end)
+				if !bulk {
+					return 0, false
+				}
+				lo += n
 			}
 			f.Section(tokC)
 			to := self
@@ -381,100 +334,51 @@ func (b *tileBuilder) convPasses(addPass addPassFn,
 		b.zeroPass(addPass, "conv-zero", layer, q.F*positions)
 	}
 
-	// accIter is the scalar conv-acc body; accRange (dense weights only)
+	// accIter is the scalar conv-acc body; accChunk (dense weights only)
 	// is its bulk form, chunked by filter element and output row so every
 	// charged range is uniform in op kinds and contiguous in memory.
 	accIter := func(c *task.Ctx, it int) {
 		c.Dev().Op(mcu.OpBranch)
 		apply(c, it/positions, it%positions)
 	}
-	var accRange rangeFn
-	var accFuse fuseFn
+	var accChunk chunkFn
 	if l.NZ == nil {
 		vals := make([]int64, b.k)
 		wKind := mcu.LoadOp(l.W)
-		accRange = func(c *task.Ctx, lo, hi int) {
-			dev := c.Dev()
-			for lo < hi {
-				e, i0, n := convChunk(lo, hi, positions, ow)
-				first := wFirst[e]
-				pos0 := int(wAcc[e]) + i0
-				// For accumulating chunks the privatization probe and the
-				// accumulator-generation read are one ReadRange call, so the
-				// write-set epoch table is scanned once as the gate instead
-				// of a Fresh scan followed by a second ReadRange scan. The
-				// chunk's charge order is a bulk regrouping either way.
-				bulk := n >= minBulk
-				if bulk && first {
-					bulk = c.Fresh(acc, pos0, n)
-				} else if bulk {
-					bulk = c.ReadRange(acc, pos0, n)
-				}
-				if !bulk {
-					for j := 0; j < n; j++ {
-						accIter(c, lo+j)
-					}
-					lo += n
-					continue
-				}
-				dev.Ops(mcu.OpBranch, n)
-				// n loads of the same read-only weight word, bulk-charged;
-				// per-word shadow records only matter for words that are
-				// later written, which deployed weights never are.
-				dev.Ops(wKind, n)
-				wv := fixed.Q15(l.W.Get(e))
-				srcStart := int(wSrc[e]) + int(posTab[i0])
-				dev.LoadRange(src, srcStart, n)
-				dev.Ops(mcu.OpFixedMul, n)
-				if !first {
-					dev.Ops(mcu.OpFixedAdd, n)
-					kern.MACRow(vals, acc.ROWords(), src.ROWords(), pos0, srcStart, n, int64(wv))
+		accChunk = func(f *task.Fuse, lo, hi int) (int, bool) {
+			e, i0, n := convChunk(lo, hi, positions, ow)
+			first := wFirst[e]
+			pos0 := int(wAcc[e]) + i0
+			// An accumulating chunk's gate is its accumulator read, which
+			// charges nothing when it declines: the privatization probe
+			// and the read are one scan of the write set, not two.
+			if n < minBulk || first && !f.Fresh(acc, pos0, n) || !first && !f.Read(acc, pos0, n) {
+				return n, false
+			}
+			f.Ops(mcu.OpBranch, n)
+			// n loads of the same read-only weight word, bulk-charged;
+			// per-word shadow records only matter for words that are
+			// later written, which deployed weights never are.
+			f.Ops(wKind, n)
+			srcStart := int(wSrc[e]) + int(posTab[i0])
+			f.Load(src, srcStart, n)
+			f.Ops(mcu.OpFixedMul, n)
+			if !first {
+				f.Ops(mcu.OpFixedAdd, n)
+			}
+			if !f.Planning() {
+				wv := int64(fixed.Q15(l.W.Get(e)))
+				if first {
+					kern.MulRow(vals, src.ROWords(), srcStart, n, wv)
 				} else {
-					kern.MulRow(vals, src.ROWords(), srcStart, n, int64(wv))
+					kern.MACRow(vals, acc.ROWords(), src.ROWords(), pos0, srcStart, n, wv)
 				}
-				c.WriteRange(acc, pos0, vals[:n])
-				lo += n
 			}
-		}
-		if b.fuse {
-			srcKind := mcu.LoadOp(src)
-			accFuse = func(f *task.Fuse, lo, hi int) bool {
-				for lo < hi {
-					e, i0, n := convChunk(lo, hi, positions, ow)
-					if n < minBulk {
-						return false
-					}
-					first := wFirst[e]
-					pos0 := int(wAcc[e]) + i0
-					f.Ops(mcu.OpBranch, n)
-					f.Ops(wKind, n)
-					f.Ops(srcKind, n)
-					f.Ops(mcu.OpFixedMul, n)
-					if !first {
-						if !f.Read(acc, pos0, n) {
-							return false
-						}
-						f.Ops(mcu.OpFixedAdd, n)
-					}
-					if !f.Planning() {
-						wv := int64(fixed.Q15(l.W.Get(e)))
-						srcStart := int(wSrc[e]) + int(posTab[i0])
-						if !first {
-							kern.MACRow(vals, acc.ROWords(), src.ROWords(), pos0, srcStart, n, wv)
-						} else {
-							kern.MulRow(vals, src.ROWords(), srcStart, n, wv)
-						}
-					}
-					if !f.Write(acc, pos0, vals[:n]) {
-						return false
-					}
-					lo += n
-				}
-				return true
-			}
+			f.Write(acc, pos0, vals[:n])
+			return n, true
 		}
 	}
-	addPass("conv-acc", layer, tl.Elems*positions, accIter, accRange, accFuse)
+	addPass("conv-acc", layer, tl.Elems*positions, accIter, accChunk)
 
 	finIter := func(c *task.Ctx, i int) {
 		dev := c.Dev()
@@ -487,57 +391,22 @@ func (b *tileBuilder) convPasses(addPass addPassFn,
 	}
 	finVals := make([]int64, b.k)
 	bKind := mcu.LoadOp(l.B)
-	var finFuse fuseFn
-	if b.fuse {
-		finFuse = func(f *task.Fuse, lo, hi int) bool {
-			for lo < hi {
-				n := min(hi-lo, positions-lo%positions) // one filter
-				if n < minBulk {
-					return false
-				}
-				f.Ops(mcu.OpBranch, n)
-				f.Ops(bKind, n)
-				if !f.Read(acc, lo, n) {
-					return false
-				}
-				f.Ops(mcu.OpFixedAdd, n)
-				if !f.Planning() {
-					bq := int64(fixed.Q15(l.B.Get(lo / positions)))
-					kern.FinalizeConst(finVals, acc.ROWords(), bq, 0, lo, n, q.Shift)
-				}
-				if !f.Write(dst, lo, finVals[:n]) {
-					return false
-				}
-				lo += n
-			}
-			return true
+	addPass("conv-fin", layer, q.F*positions, finIter, func(f *task.Fuse, lo, hi int) (int, bool) {
+		n := min(hi-lo, positions-lo%positions) // one filter: a single bias word
+		if n < minBulk || !f.Fresh(acc, lo, n) || !f.Fresh(dst, lo, n) {
+			return n, false
 		}
-	}
-	addPass("conv-fin", layer, q.F*positions, finIter, func(c *task.Ctx, lo, hi int) {
-		dev := c.Dev()
-		for lo < hi {
-			f := lo / positions
-			n := hi - lo
-			if m := positions - lo%positions; m < n {
-				n = m // one filter: a single bias word
-			}
-			if n < minBulk || !c.Fresh(acc, lo, n) || !c.Fresh(dst, lo, n) {
-				for j := 0; j < n; j++ {
-					finIter(c, lo+j)
-				}
-				lo += n
-				continue
-			}
-			dev.Ops(mcu.OpBranch, n)
-			dev.Ops(bKind, n) // n loads of the same read-only bias word
-			bq := fixed.Q15(l.B.Get(f))
-			c.ReadRange(acc, lo, n)
-			dev.Ops(mcu.OpFixedAdd, n)
-			kern.FinalizeConst(finVals, acc.ROWords(), int64(bq), 0, lo, n, q.Shift)
-			c.WriteRange(dst, lo, finVals[:n])
-			lo += n
+		f.Ops(mcu.OpBranch, n)
+		f.Ops(bKind, n) // n loads of the same read-only bias word
+		f.Read(acc, lo, n)
+		f.Ops(mcu.OpFixedAdd, n)
+		if !f.Planning() {
+			bq := int64(fixed.Q15(l.B.Get(lo / positions)))
+			kern.FinalizeConst(finVals, acc.ROWords(), bq, 0, lo, n, q.Shift)
 		}
-	}, finFuse)
+		f.Write(dst, lo, finVals[:n])
+		return n, true
+	})
 }
 
 // convChunk splits iterations [lo, hi) of a dense conv-acc pass over
@@ -580,72 +449,31 @@ func (b *tileBuilder) densePasses(addPass addPassFn,
 	}
 	vals := make([]int64, b.k)
 	wKind, srcKind := mcu.LoadOp(l.W), mcu.LoadOp(src)
-	var accFuse fuseFn
-	if b.fuse {
-		accFuse = func(f *task.Fuse, lo, hi int) bool {
-			for lo < hi {
-				i, o0 := lo/q.Out, lo%q.Out
-				n := min(hi-lo, q.Out-o0) // one input element
-				if n < minBulk {
-					return false
-				}
-				f.Ops(mcu.OpBranch, n)
-				f.Ops(srcKind, n)
-				f.Ops(wKind, n)
-				f.Ops(mcu.OpFixedMul, n)
-				if i > 0 {
-					if !f.Read(acc, o0, n) {
-						return false
-					}
-					f.Ops(mcu.OpFixedAdd, n)
-				}
-				if !f.Planning() {
-					x := int64(fixed.Q15(src.Get(i)))
-					if i > 0 {
-						kern.DenseRow(vals, acc.ROWords(), l.W.ROWords(), o0, o0*q.In+i, q.In, n, x)
-					} else {
-						kern.DenseRowFirst(vals, l.W.ROWords(), o0*q.In+i, q.In, n, x)
-					}
-				}
-				if !f.Write(acc, o0, vals[:n]) {
-					return false
-				}
-				lo += n
-			}
-			return true
+	addPass("fc-acc", layer, q.In*q.Out, accIter, func(f *task.Fuse, lo, hi int) (int, bool) {
+		i, o0 := lo/q.Out, lo%q.Out
+		n := min(hi-lo, q.Out-o0) // one input element
+		if n < minBulk || !f.Fresh(acc, o0, n) {
+			return n, false
 		}
-	}
-	addPass("fc-acc", layer, q.In*q.Out, accIter, func(c *task.Ctx, lo, hi int) {
-		dev := c.Dev()
-		for lo < hi {
-			i, o0 := lo/q.Out, lo%q.Out
-			n := hi - lo
-			if m := q.Out - o0; m < n {
-				n = m // one input element
-			}
-			if n < minBulk || !c.Fresh(acc, o0, n) {
-				for j := 0; j < n; j++ {
-					accIter(c, lo+j)
-				}
-				lo += n
-				continue
-			}
-			dev.Ops(mcu.OpBranch, n)
-			dev.Ops(srcKind, n) // n loads of the same input word
-			x := fixed.Q15(src.Get(i))
-			dev.Ops(wKind, n) // n strided read-only weight loads
-			dev.Ops(mcu.OpFixedMul, n)
+		f.Ops(mcu.OpBranch, n)
+		f.Ops(srcKind, n) // n loads of the same input word
+		f.Ops(wKind, n)   // n strided read-only weight loads
+		f.Ops(mcu.OpFixedMul, n)
+		if i > 0 {
+			f.Read(acc, o0, n)
+			f.Ops(mcu.OpFixedAdd, n)
+		}
+		if !f.Planning() {
+			x := int64(fixed.Q15(src.Get(i)))
 			if i > 0 {
-				c.ReadRange(acc, o0, n)
-				dev.Ops(mcu.OpFixedAdd, n)
-				kern.DenseRow(vals, acc.ROWords(), l.W.ROWords(), o0, o0*q.In+i, q.In, n, int64(x))
+				kern.DenseRow(vals, acc.ROWords(), l.W.ROWords(), o0, o0*q.In+i, q.In, n, x)
 			} else {
-				kern.DenseRowFirst(vals, l.W.ROWords(), o0*q.In+i, q.In, n, int64(x))
+				kern.DenseRowFirst(vals, l.W.ROWords(), o0*q.In+i, q.In, n, x)
 			}
-			c.WriteRange(acc, o0, vals[:n])
-			lo += n
 		}
-	}, accFuse)
+		f.Write(acc, o0, vals[:n])
+		return n, true
+	})
 	b.finPass(addPass, "fc-fin", l, layer, dst)
 }
 
@@ -657,28 +485,15 @@ func (b *tileBuilder) zeroPass(addPass addPassFn, name, layer string, n int) {
 		c.Write(acc, i, 0)
 	}
 	zeros := make([]int64, b.k)
-	var zeroFuse fuseFn
-	if b.fuse {
-		zeroFuse = func(f *task.Fuse, lo, hi int) bool {
-			n := hi - lo
-			if n < minBulk {
-				return false
-			}
-			f.Ops(mcu.OpBranch, n)
-			return f.Write(acc, lo, zeros[:n])
-		}
-	}
-	addPass(name, layer, n, zeroIter, func(c *task.Ctx, lo, hi int) {
+	addPass(name, layer, n, zeroIter, func(f *task.Fuse, lo, hi int) (int, bool) {
 		n := hi - lo
-		if n < minBulk || !c.Fresh(acc, lo, n) {
-			for i := lo; i < hi; i++ {
-				zeroIter(c, i)
-			}
-			return
+		if n < minBulk || !f.Fresh(acc, lo, n) {
+			return n, false
 		}
-		c.Dev().Ops(mcu.OpBranch, n)
-		c.WriteRange(acc, lo, zeros[:n])
-	}, zeroFuse)
+		f.Ops(mcu.OpBranch, n)
+		f.Write(acc, lo, zeros[:n])
+		return n, true
+	})
 }
 
 // finPass emits the finalize pass of a fully-connected layer, dense or
@@ -696,42 +511,21 @@ func (b *tileBuilder) finPass(addPass addPassFn, name string,
 		c.Write(dst, o, int64(a.AddQ(bq).SatShiftSigned(q.Shift)))
 	}
 	finVals := make([]int64, b.k)
-	var finFuse fuseFn
-	if b.fuse {
-		bKind := mcu.LoadOp(l.B)
-		finFuse = func(f *task.Fuse, lo, hi int) bool {
-			n := hi - lo
-			if n < minBulk {
-				return false
-			}
-			f.Ops(mcu.OpBranch, n)
-			f.Ops(bKind, n)
-			if !f.Read(acc, lo, n) {
-				return false
-			}
-			f.Ops(mcu.OpFixedAdd, n)
-			if !f.Planning() {
-				kern.FinalizeVec(finVals, acc.ROWords(), l.B.ROWords(), 0, lo, n, q.Shift)
-			}
-			return f.Write(dst, lo, finVals[:n])
-		}
-	}
-	addPass(name, layer, q.Out, finIter, func(c *task.Ctx, lo, hi int) {
-		dev := c.Dev()
+	addPass(name, layer, q.Out, finIter, func(f *task.Fuse, lo, hi int) (int, bool) {
 		n := hi - lo
-		if n < minBulk || !c.Fresh(acc, lo, n) || !c.Fresh(dst, lo, n) {
-			for o := lo; o < hi; o++ {
-				finIter(c, o)
-			}
-			return
+		if n < minBulk || !f.Fresh(acc, lo, n) || !f.Fresh(dst, lo, n) {
+			return n, false
 		}
-		dev.Ops(mcu.OpBranch, n)
-		dev.LoadRange(l.B, lo, n)
-		c.ReadRange(acc, lo, n)
-		dev.Ops(mcu.OpFixedAdd, n)
-		kern.FinalizeVec(finVals, acc.ROWords(), l.B.ROWords(), 0, lo, n, q.Shift)
-		c.WriteRange(dst, lo, finVals[:n])
-	}, finFuse)
+		f.Ops(mcu.OpBranch, n)
+		f.Load(l.B, lo, n)
+		f.Read(acc, lo, n)
+		f.Ops(mcu.OpFixedAdd, n)
+		if !f.Planning() {
+			kern.FinalizeVec(finVals, acc.ROWords(), l.B.ROWords(), 0, lo, n, q.Shift)
+		}
+		f.Write(dst, lo, finVals[:n])
+		return n, true
+	})
 }
 
 // sparsePasses emits zero-init, per-nonzero accumulate, and finalize passes
@@ -759,76 +553,36 @@ func (b *tileBuilder) sparsePasses(addPass addPassFn,
 		dev.Op(mcu.OpFixedAdd)
 		c.Write(acc, row, int64(a.MAC(wv, x)))
 	}
-	// The bulk body walks whole row segments — the owning row and its end
+	// The chunk body walks whole row segments — the owning row and its end
 	// come from a host-side RowPtr search, free of simulated charge like
-	// every other rangeFn's chunk math: one AccumulateRow per segment
+	// every other chunk's index math: one AccumulateRow per segment
 	// replaces that row's read-modify-write chain through the redo log,
 	// and the probe loop is charged from its host-counted step count. The
 	// op multiset per iteration is identical to the scalar body's.
 	rowPtr := q.RowPtr
 	rowPtrKind := mcu.LoadOp(l.RowPtr)
 	wKind, colsKind, srcKind := mcu.LoadOp(l.W), mcu.LoadOp(l.Cols), mcu.LoadOp(src)
-	accRange := func(c *task.Ctx, lo, hi int) {
-		dev := c.Dev()
-		wW, colsW, srcW := l.W.ROWords(), l.Cols.ROWords(), src.ROWords()
-		for lo < hi {
-			row := hostRowOf(rowPtr, lo)
-			n := hi - lo
-			if m := int(rowPtr[row+1]) - lo; m < n {
-				n = m // this row's nonzeros within the tile
-			}
-			if n < minBulk || !c.Fresh(acc, row, 1) {
-				for j := 0; j < n; j++ {
-					accIter(c, lo+j)
-				}
-				lo += n
-				continue
-			}
-			s := searchSteps(q.Out, row)
-			dev.Ops(mcu.OpBranch, n*(1+s))
-			dev.Ops(rowPtrKind, n*s)
-			dev.Ops(wKind, n)
-			dev.Ops(colsKind, n)
-			dev.Ops(srcKind, n)
-			dev.Ops(mcu.OpFixedMul, n)
-			dev.Ops(mcu.OpFixedAdd, n)
-			a := acc.Get(row) + kern.CSRRowSum(wW, colsW, srcW, lo, n)
-			// Cannot fail: the Fresh probe above is AccumulateRow's own
-			// precondition and nothing privatizes the word in between.
-			c.AccumulateRow(acc, row, n, a)
-			lo += n
+	addPass("spfc-acc", layer, len(q.W), accIter, func(f *task.Fuse, lo, hi int) (int, bool) {
+		row := hostRowOf(rowPtr, lo)
+		n := min(hi-lo, int(rowPtr[row+1])-lo) // this row's nonzeros within the tile
+		if n < minBulk || !f.Fresh(acc, row, 1) {
+			return n, false
 		}
-	}
-	var accFuse fuseFn
-	if b.fuse {
-		accFuse = func(f *task.Fuse, lo, hi int) bool {
-			for lo < hi {
-				row := hostRowOf(rowPtr, lo)
-				n := min(hi-lo, int(rowPtr[row+1])-lo) // one row's nonzeros
-				if n < minBulk {
-					return false
-				}
-				s := searchSteps(q.Out, row)
-				f.Ops(mcu.OpBranch, n*(1+s))
-				f.Ops(rowPtrKind, n*s)
-				f.Ops(wKind, n)
-				f.Ops(colsKind, n)
-				f.Ops(srcKind, n)
-				f.Ops(mcu.OpFixedMul, n)
-				f.Ops(mcu.OpFixedAdd, n)
-				var a int64
-				if !f.Planning() {
-					a = acc.Get(row) + kern.CSRRowSum(l.W.ROWords(), l.Cols.ROWords(), src.ROWords(), lo, n)
-				}
-				if !f.Accumulate(acc, row, n, a) {
-					return false
-				}
-				lo += n
-			}
-			return true
+		s := searchSteps(q.Out, row)
+		f.Ops(mcu.OpBranch, n*(1+s))
+		f.Ops(rowPtrKind, n*s)
+		f.Ops(wKind, n)
+		f.Ops(colsKind, n)
+		f.Ops(srcKind, n)
+		f.Ops(mcu.OpFixedMul, n)
+		f.Ops(mcu.OpFixedAdd, n)
+		var a int64
+		if !f.Planning() {
+			a = acc.Get(row) + kern.CSRRowSum(l.W.ROWords(), l.Cols.ROWords(), src.ROWords(), lo, n)
 		}
-	}
-	addPass("spfc-acc", layer, len(q.W), accIter, accRange, accFuse)
+		f.Accumulate(acc, row, n, a)
+		return n, true
+	})
 	b.finPass(addPass, "spfc-fin", l, layer, dst)
 }
 
@@ -898,5 +652,5 @@ func (b *tileBuilder) poolPass(addPass addPassFn,
 			}
 		}
 		c.Write(dst, i, int64(best))
-	}, nil, nil)
+	}, nil)
 }

@@ -157,13 +157,7 @@ func TestForkDifferentialOracle(t *testing.T) {
 		}
 		t.Run(label, func(t *testing.T) {
 			t.Parallel()
-			scratch, err := NewCheckerOpt(qm, x, rt, Options{CheckWAR: true, forceScratch: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if scratch.Forks() {
-				t.Fatal("forceScratch checker still forks")
-			}
+			scratch := scratchChecker(t, qm, x, rt, true)
 			// A short stride forces many snapshots, so sampled boundaries
 			// land in many distinct restore windows.
 			forked, err := NewCheckerOpt(qm, x, rt, Options{CheckWAR: true, SnapStride: 256})

@@ -345,9 +345,8 @@ func (c *Checker) Check(gaps []int) *ScheduleResult {
 // takeSlot returns a fork slot provisioned with power: an idle one from
 // the free list, or a newly deployed one when none is idle. A new slot
 // keeps the runtime prepared on it, on a device bound to the kind of
-// power its checks run under, which a tile task graph's fusion choice
-// depends on. A slot that fails to provision is dropped, and the error
-// reported.
+// power its checks run under. A slot that fails to provision is dropped,
+// and the error reported.
 func (c *Checker) takeSlot(power energy.System) (*core.Slot, error) {
 	c.mu.Lock()
 	var sl *core.Slot

@@ -9,6 +9,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/dnn"
 	"repro/internal/energy"
 	"repro/internal/mcu"
 	"repro/internal/mem"
@@ -45,6 +46,20 @@ func freshCheckNV(c *Checker, gaps []int) nvResult {
 	return nvResult{res, bankDigest(dev)}
 }
 
+// scratchChecker returns a checker pinned to the from-scratch path, whose
+// freshCheckNV runs are the oracles' reference.
+func scratchChecker(t *testing.T, qm *dnn.QuantModel, x []float64, rt core.Runtime, war bool) *Checker {
+	t.Helper()
+	c, err := NewCheckerOpt(qm, x, rt, Options{CheckWAR: war, forceScratch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Forks() {
+		t.Fatal("forceScratch checker still forks")
+	}
+	return c
+}
+
 // TestPooledCheckMatchesFresh is the pooled-≡-fresh oracle for fork
 // slots: for every runtime, one Checker serves an interleaved history of
 // schedules — sampled single failures, each followed by short
@@ -52,8 +67,11 @@ func freshCheckNV(c *Checker, gaps []int) nvResult {
 // schedule, from-scratch schedules whose first failure lies beyond the
 // golden run, and (on Broken) WAR floods — so every check runs on a slot
 // dirtied by a different kind of run. Each
-// result must be bit-identical to the same schedule on a fresh device,
-// with and without WAR checking.
+// result must be bit-identical to the same schedule simulated from
+// scratch on a fresh device, with and without WAR checking. The reference
+// comes from a forceScratch checker, which records no journal: one that
+// forked from the pooled checker's own journal would share any fault in
+// Journal.RestorePrefix with it.
 //
 // Every row also compares the final FRAM and SRAM image (diffNV), and
 // each runtime's from-scratch row pins that a check which restores no
@@ -81,11 +99,12 @@ func TestPooledCheckMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				scratch := scratchChecker(t, qm, x, rt, true)
 				total := int(c.TotalOps())
 				for _, gaps := range [][]int{{total + 3}, {}, {0, 1, 1, 1, 1, 1, 1, 1}} {
 					for _, prev := range [][]int{{total}, {total / 2, 1, 1, 1, 1, 1, 1, 1}} {
 						c.Check(prev)
-						diffNV(t, fmt.Sprintf("%s %v after %v", label, gaps, prev), freshCheckNV(c, gaps), checkNV(c, gaps))
+						diffNV(t, fmt.Sprintf("%s %v after %v", label, gaps, prev), freshCheckNV(scratch, gaps), checkNV(c, gaps))
 					}
 				}
 			})
@@ -97,6 +116,7 @@ func TestPooledCheckMatchesFresh(t *testing.T) {
 				if !c.Forks() {
 					t.Fatalf("%s does not fork: journal unavailable (short journal?)", label)
 				}
+				scratch := scratchChecker(t, qm, x, rt, war)
 				total := int(c.TotalOps())
 				mid := total / 2
 				multi := [][]int{
@@ -122,7 +142,7 @@ func TestPooledCheckMatchesFresh(t *testing.T) {
 				scheds = append(scheds, []int{total})
 				bad, dnc, flood := 0, 0, 0
 				for _, gaps := range scheds {
-					want, got := freshCheckNV(c, gaps), checkNV(c, gaps)
+					want, got := freshCheckNV(scratch, gaps), checkNV(c, gaps)
 					if want.DNC {
 						dnc++
 					}

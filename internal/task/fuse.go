@@ -24,19 +24,25 @@ import (
 // leaves them. The first unfunded task runs on the per-op path and browns
 // out at the identical op index.
 //
-// A dispatch falls back to the per-op path only when its body would take
-// a scalar branch: a chunk below the bulk threshold, a re-write of a word
-// the task already privatized, or a scalar-only pass.
+// A task body's bulk chunks are written once, against Fuse: the per-op
+// path runs the same chunk code through Ctx.Bulk, whose per-op mode
+// forwards every call to the device and to the Ctx's range forms. A chunk
+// checks its gates (Fresh, or a Read that charges nothing when it
+// declines) before its first charge, so a declined chunk charges nothing
+// and the per-op body falls back to its scalar form; a planned dispatch
+// with a declined chunk — below the bulk threshold, or re-writing a word
+// the task already privatized — or a task with no fused form runs per op.
+// Whether a run fuses is decided per run, from the device as it is then.
 
 // FuseFunc is the fused form of a task that dispatches itself repeatedly
 // (a tile pass). A planning walk calls it for consecutive dispatches
 // j = 0, 1, ... of the task from the current nonvolatile state; it returns
 // the dispatch's transition target and whether the dispatch takes the
 // bulk path throughout, recording the dispatch's charged ops — f.Section,
-// f.Ops, f.Read, f.Write, f.Accumulate in place of the Device and Ctx
-// calls its body makes. The applying walk that follows calls it again for
-// a prefix of those dispatches, in order (f.Planning() false), to perform
-// their data movement, every task-shared write through f.Write or
+// f.Ops, f.Load, f.Read, f.Write, f.Accumulate in place of the Device and
+// Ctx calls its body makes. The applying walk that follows calls it again
+// for a prefix of those dispatches, in order (f.Planning() false), to
+// perform their data movement, every task-shared write through f.Write or
 // f.Accumulate, which cannot fail then. A plan may depend only on state
 // that commits change: a dispatch that the per-op path attempts and
 // abandons in a brown-out before its commit keeps its plan.
@@ -73,14 +79,16 @@ type span struct {
 	lo, hi int
 }
 
-// Fuse is the fused-task executor of one Run: the planning and applying
-// walks' state and the train being funded. It is created on the first
-// fused dispatch, so runs that never fuse pay nothing for it; the blocks
-// it funds are interned by the device (mcu.Device.NewBlock).
+// Fuse executes bulk chunks in one of three modes: per op, forwarding to
+// the device and the Ctx (Ctx.Bulk), and the fused-task executor's
+// planning and applying walks. As the executor it holds the walks' state
+// and the train being funded; the blocks it funds are interned by the
+// device (mcu.Device.NewBlock). Each Runtime keeps one, across runs.
 type Fuse struct {
-	rt       *Runtime
-	planning bool
-	slot     int // current section slot
+	rt   *Runtime
+	dev  *mcu.Device // rt.dev
+	mode uint8
+	cnt  *[mcu.NumOps]int32 // the current section slot's counts in prof
 
 	// Planning state of the current dispatch.
 	prof    profile
@@ -122,35 +130,38 @@ type Fuse struct {
 	n, skip    int
 }
 
-// forget drops the pending plan once a commit has moved the state on.
-func (f *Fuse) forget() {
-	if f != nil {
-		f.hasPend = false
-	}
-}
+// Fuse modes.
+const (
+	modePerOp = iota // forward to the device and the Ctx
+	modePlan         // record charges
+	modeApply        // perform a funded dispatch's effects over raw words
+)
 
-// newFuse returns the fused-task executor of one Run of rt.
-func newFuse(rt *Runtime) *Fuse {
-	f := &Fuse{rt: rt}
+// forget drops the pending plan once a commit has moved the state on.
+func (f *Fuse) forget() { f.hasPend = false }
+
+// init binds f to rt.
+func (f *Fuse) init(rt *Runtime) {
+	f.rt, f.dev = rt, rt.dev
 	f.segs, f.next, f.ents = f.segsBuf[:0], f.nextBuf[:0], f.entsBuf[:0]
 	f.spans, f.ops = f.spanBuf[:0], f.opsBuf[:0]
-	return f
 }
 
 // Planning reports whether the current walk records charges (true) or
-// applies effects (false).
-func (f *Fuse) Planning() bool { return f.planning }
+// performs them: applying a funded dispatch, or running per op.
+func (f *Fuse) Planning() bool { return f.mode == modePlan }
 
 // Section attributes the following recorded ops to t, as
-// Device.SetSectionTok does for the per-op path.
+// Device.SetSectionTok does for the per-op path; it records nothing
+// outside a plan (chunk bodies do not change sections).
 func (f *Fuse) Section(t mcu.SectionTok) {
-	if !f.planning {
+	if f.mode != modePlan {
 		return
 	}
 	p := &f.prof
 	for i := 0; i < p.nToks; i++ {
 		if p.toks[i] == t {
-			f.slot = i
+			f.cnt = &p.cnt[i]
 			return
 		}
 	}
@@ -158,14 +169,27 @@ func (f *Fuse) Section(t mcu.SectionTok) {
 		panic("task: fused task charges too many sections")
 	}
 	p.toks[p.nToks] = t
-	f.slot = p.nToks
+	f.cnt = &p.cnt[p.nToks]
 	p.nToks++
 }
 
-// Ops records n ops of kind k, as Device.Ops charges them.
+// Ops is Device.Ops(k, n). It stays small enough to inline into chunk
+// bodies, which call it several times per chunk on the planning walk.
 func (f *Fuse) Ops(k mcu.OpKind, n int) {
-	if f.planning {
-		f.prof.cnt[f.slot][k] += int32(n)
+	if f.mode == modePlan {
+		f.cnt[k] += int32(n)
+	} else if f.mode == modePerOp {
+		f.dev.Ops(k, n)
+	}
+}
+
+// Load is Device.LoadRange(r, i, n): loads of words the task reads
+// without privatization.
+func (f *Fuse) Load(r *mem.Region, i, n int) {
+	if f.mode == modePlan {
+		f.cnt[mcu.LoadOp(r)] += int32(n)
+	} else if f.mode == modePerOp {
+		f.dev.LoadRange(r, i, n)
 	}
 }
 
@@ -184,10 +208,26 @@ func (f *Fuse) fresh(r *mem.Region, i, n int) bool {
 	return true
 }
 
-// Read records Ctx.ReadRange(r, i, n) (n == 1 also stands for Ctx.Read of
-// an unprivatized word) and reports whether it takes the bulk path.
+// Fresh is Ctx.Fresh(r, i, n): a chunk's gate, free of charge. Applying,
+// every word is fresh: the plan vouched for it.
+func (f *Fuse) Fresh(r *mem.Region, i, n int) bool {
+	switch f.mode {
+	case modePlan:
+		return f.fresh(r, i, n)
+	case modePerOp:
+		return f.rt.ctx.Fresh(r, i, n)
+	}
+	return true
+}
+
+// Read is Ctx.ReadRange(r, i, n) (n == 1 also stands for Ctx.Read of an
+// unprivatized word) and reports whether it takes the bulk path; per op,
+// it charges nothing when it does not.
 func (f *Fuse) Read(r *mem.Region, i, n int) bool {
-	if !f.planning {
+	switch f.mode {
+	case modePerOp:
+		return f.rt.ctx.ReadRange(r, i, n)
+	case modeApply:
 		return true
 	}
 	f.Ops(mcu.OpPrivatize, n)
@@ -197,13 +237,16 @@ func (f *Fuse) Read(r *mem.Region, i, n int) bool {
 
 // Write is Ctx.WriteRange(r, i, vals) (one value also stands for a
 // Ctx.Write appending a fresh entry): while planning it records the
-// charges and reports whether the bulk path applies; otherwise it appends
+// charges and reports whether the bulk path applies; applying, it appends
 // the log entries and, as the commit's replay will, writes the home words.
 // Writing home words ahead of the commit is exact because a bulk dispatch
 // never reads a word it wrote.
 func (f *Fuse) Write(r *mem.Region, i int, vals []int64) bool {
 	rt, n := f.rt, len(vals)
-	if f.planning {
+	switch f.mode {
+	case modePerOp:
+		return rt.ctx.WriteRange(r, i, vals)
+	case modePlan:
 		f.Ops(mcu.OpPrivatize, n)
 		f.Ops(mcu.OpLoadFRAM, n)
 		f.Ops(mcu.StoreOp(rt.log), 2*n)
@@ -231,7 +274,10 @@ func (f *Fuse) Write(r *mem.Region, i int, vals []int64) bool {
 // pairs on r[i] leaving one log entry holding final.
 func (f *Fuse) Accumulate(r *mem.Region, i, k int, final int64) bool {
 	rt := f.rt
-	if f.planning {
+	switch f.mode {
+	case modePerOp:
+		return rt.ctx.AccumulateRow(r, i, k, final)
+	case modePlan:
 		f.Ops(mcu.OpPrivatize, 2*k)
 		f.Ops(mcu.LoadOp(r), 1)
 		f.Ops(mcu.OpLoadFRAM, 1)
@@ -329,7 +375,7 @@ func (f *Fuse) run(cur ID) bool {
 		tokP = dev.SectionToken(dev.Section())
 	}
 	for {
-		f.planning = true
+		f.mode = modePlan
 		f.segs, f.next, f.ents = f.segs[:0], f.next[:0], f.ents[:0]
 		stop := false
 		for j, limit := 0, 1; j < limit; j++ {
@@ -370,7 +416,7 @@ func (f *Fuse) run(cur ID) bool {
 		}
 		// Fundable already vouched for the first dispatch, so m >= 1.
 		m := dev.ChargeTrain(f.segs)
-		f.planning = false
+		f.mode = modeApply
 		f.log, f.state = rt.log.Words(), rt.state.Words()
 		// The final log holds, at each entry index, the last funded
 		// dispatch's entry there: ents[j] becomes how many leading entries

@@ -9,14 +9,46 @@ import (
 	"repro/internal/mem"
 )
 
-// scaleProgram builds a one-task program that maps dst[i] = 2*src[i]+1
-// over n words, per words per dispatch, behind a cursor in ctl — the shape
-// of a tile pass. Its per-op body is all bulk (ReadRange/WriteRange)
-// except in every third dispatch, which first writes a placeholder to its
-// first word and so re-writes a privatized word. Its fused form mirrors
-// the body and reports the re-writing dispatches as not fusable. It
-// returns the runtime and the regions whose final words the program
-// leaves behind.
+// scaleChunk returns the one bulk body of a pass mapping dst[i] =
+// 2*src[i]+1, in the shape of a tile pass's chunk: it takes all of
+// [lo, hi) as one chunk, declines it — before any charge — when it is
+// shorter than minChunk or some dst word is privatized, and otherwise
+// charges it through f. scalar is the matching per-iteration body.
+func scaleChunk(src, dst *mem.Region, per int) (chunk func(f *Fuse, lo, hi int) (int, bool), scalar func(c *Ctx, i int)) {
+	const minChunk = 4
+	vals := make([]int64, per)
+	chunk = func(f *Fuse, lo, hi int) (int, bool) {
+		n := hi - lo
+		if n < minChunk || !f.Fresh(dst, lo, n) {
+			return n, false
+		}
+		f.Ops(mcu.OpFixedMul, n)
+		f.Load(src, lo, n)
+		if !f.Planning() {
+			for j := 0; j < n; j++ {
+				vals[j] = 2*src.Get(lo+j) + 1
+			}
+		}
+		f.Write(dst, lo, vals[:n])
+		return n, true
+	}
+	scalar = func(c *Ctx, i int) {
+		dev := c.Dev()
+		dev.Op(mcu.OpFixedMul)
+		c.Write(dst, i, 2*dev.Load(src, i)+1)
+	}
+	return chunk, scalar
+}
+
+// scaleProgram builds a one-task program that runs scaleChunk over n
+// words, per words per dispatch, behind a cursor in ctl — the shape of a
+// tile pass. Its per-op task and its fused form run the same chunk body:
+// the task through Ctx.Bulk, falling back to the scalar body when the
+// chunk declines, the fused form reporting a declined chunk as not
+// fusable. Every third dispatch first writes a placeholder to its first
+// word, so its chunk re-writes a privatized word; with per = 8 the last
+// dispatch is a short chunk. It returns the runtime and the regions whose
+// final words the program leaves behind.
 func scaleProgram(t *testing.T, dev *mcu.Device, n, per int) (*Runtime, []*mem.Region) {
 	t.Helper()
 	rt, err := New(dev, 64)
@@ -33,13 +65,9 @@ func scaleProgram(t *testing.T, dev *mcu.Device, n, per int) (*Runtime, []*mem.R
 	rt.Share(ctl)
 	tokC := dev.SectionToken("scale", mcu.PhaseControl)
 	tokK := dev.SectionToken("scale", mcu.PhaseKernel)
-	vals := make([]int64, per)
+	chunk, scalar := scaleChunk(src, dst, per)
+	placeholder := []int64{-1}
 	cursor := make([]int64, 1)
-	compute := func(base, m int) {
-		for j := 0; j < m; j++ {
-			vals[j] = 2*src.Get(base+j) + 1
-		}
-	}
 	var self ID
 	self = rt.Add("scale", func(c *Ctx) ID {
 		dev := c.Dev()
@@ -48,14 +76,11 @@ func scaleProgram(t *testing.T, dev *mcu.Device, n, per int) (*Runtime, []*mem.R
 		end := min(base+per, n)
 		dev.SetSectionTok(tokK)
 		if base/per%3 == 0 {
-			c.Write(dst, base, -1)
+			c.Write(dst, base, placeholder[0])
 		}
-		dev.Ops(mcu.OpFixedMul, end-base)
-		dev.LoadRange(src, base, end-base)
-		compute(base, end-base)
-		if !c.WriteRange(dst, base, vals[:end-base]) {
-			for j := base; j < end; j++ {
-				c.Write(dst, j, vals[j-base])
+		if m, bulk := chunk(c.Bulk(), base, end); !bulk {
+			for i := base; i < base+m; i++ {
+				scalar(c, i)
 			}
 		}
 		dev.SetSectionTok(tokC)
@@ -72,18 +97,13 @@ func scaleProgram(t *testing.T, dev *mcu.Device, n, per int) (*Runtime, []*mem.R
 			base += j * per
 		}
 		end := min(base+per, n)
-		if base/per%3 == 0 {
-			return 0, false
-		}
 		f.Section(tokC)
 		f.Read(ctl, 0, 1)
 		f.Section(tokK)
-		f.Ops(mcu.OpFixedMul, end-base)
-		f.Ops(mcu.LoadOp(src), end-base)
-		if !f.Planning() {
-			compute(base, end-base)
+		if base/per%3 == 0 {
+			f.Write(dst, base, placeholder)
 		}
-		if !f.Write(dst, base, vals[:end-base]) {
+		if _, bulk := chunk(f, base, end); !bulk {
 			return 0, false
 		}
 		f.Section(tokC)
@@ -151,5 +171,60 @@ func TestFusedTasksMatchPerOp(t *testing.T) {
 			t.Logf("%s/per=%d: %d of %d ops fused, %d reboots", pw.name, per,
 				fused.FusedOps(), total, fs.Reboots)
 		}
+	}
+}
+
+// TestDeclinedChunkChargesNothing pins the chunk contract on the per-op
+// path: a chunk that declines the bulk path — because it is short, or
+// because it would re-write a word the task already privatized — leaves
+// the device's Stats and every FRAM word exactly as they were, so the
+// scalar fallback that follows charges each iteration once. A bulk chunk
+// in the same task does charge, so the probe sees the device.
+func TestDeclinedChunkChargesNothing(t *testing.T) {
+	dev := mcu.New(energy.Continuous{})
+	rt, err := New(dev, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	src := dev.FRAM.MustAlloc("src", n, 2)
+	dst := dev.FRAM.MustAlloc("dst", n, 2)
+	for i := 0; i < n; i++ {
+		src.Put(i, int64(i))
+	}
+	rt.Share(dst)
+	chunk, _ := scaleChunk(src, dst, n)
+	snapshot := func() (*mcu.Stats, [][]int64) {
+		var words [][]int64
+		for _, r := range []*mem.Region{src, dst, rt.state, rt.log} {
+			words = append(words, append([]int64(nil), r.ROWords()...))
+		}
+		return dev.Stats(), words
+	}
+	probe := func(c *Ctx, name string, lo, hi int, wantBulk bool) {
+		s0, w0 := snapshot()
+		m, bulk := chunk(c.Bulk(), lo, hi)
+		s1, w1 := snapshot()
+		switch {
+		case m != hi-lo || bulk != wantBulk:
+			t.Errorf("%s: chunk returned (%d, %v), want (%d, %v)", name, m, bulk, hi-lo, wantBulk)
+		case !bulk && !reflect.DeepEqual(s0, s1):
+			t.Errorf("%s: declined chunk charged:\n before %+v\n after  %+v", name, *s0, *s1)
+		case !bulk && !reflect.DeepEqual(w0, w1):
+			t.Errorf("%s: declined chunk wrote FRAM:\n before %v\n after  %v", name, w0, w1)
+		case bulk && reflect.DeepEqual(s0, s1):
+			t.Errorf("%s: bulk chunk charged nothing", name)
+		}
+	}
+	rt.Add("probe", func(c *Ctx) ID {
+		probe(c, "short", 0, 3, false)
+		c.Write(dst, 9, 7) // privatize dst[9]
+		probe(c, "privatized", 8, 12, false)
+		probe(c, "bulk", 0, 8, true)
+		return Done
+	})
+	rt.Start(0)
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -23,6 +23,9 @@
 // calls — fuse. A task with a short chunk, a re-write of a word it already
 // privatized, or no bulk form (a tile pool pass) runs per op, as does the
 // first task a train cannot fund, which browns out at the identical op.
+// Run decides per run, from the device as it is then; a task's bulk chunks
+// are one body, which its per-op form runs through Ctx.Bulk and its fused
+// form through the planning and applying walks.
 package task
 
 import (
@@ -90,6 +93,11 @@ type Runtime struct {
 	// logScratch is the reusable staging buffer for WriteRange's
 	// interleaved (address, value) log entries.
 	logScratch []int64
+
+	// ctx is the one Ctx every per-op dispatch gets, and fz the bulk-chunk
+	// executor: per op through Ctx.Bulk, and the fused-task walks.
+	ctx Ctx
+	fz  Fuse
 }
 
 // regionID resolves a task-shared region to its dense id, panicking on
@@ -143,13 +151,16 @@ func New(dev *mcu.Device, logEntries int) (*Runtime, error) {
 	// Both regions implement the two-phase commit protocol itself; exempt
 	// them from WAR checking.
 	dev.MarkProtocol(state, log)
-	return &Runtime{
+	rt := &Runtime{
 		dev:   dev,
 		state: state,
 		log:   log,
 		cap:   logEntries,
 		ids:   make(map[*mem.Region]int),
-	}, nil
+	}
+	rt.ctx.rt = rt
+	rt.fz.init(rt)
+	return rt, nil
 }
 
 // Release frees the runtime's FRAM footprint.
@@ -167,13 +178,6 @@ func (rt *Runtime) Reset() {
 	clear(rt.state.Words())
 	clear(rt.log.Words())
 	rt.clearWriteSet()
-}
-
-// DropTasks unregisters every task, so a resident runtime's task graph
-// can be rebuilt; the shared regions stay registered.
-func (rt *Runtime) DropTasks() {
-	clear(rt.tasks)
-	rt.tasks = rt.tasks[:0]
 }
 
 // Add registers a task and returns its ID.
@@ -220,7 +224,8 @@ func (rt *Runtime) Start(entry ID) {
 // It returns mcu.ErrDoesNotComplete if some task cannot finish within the
 // device's energy buffer.
 func (rt *Runtime) Run() error {
-	var fz *Fuse
+	fz := &rt.fz
+	fz.forget() // a plan left by an earlier run
 	return rt.dev.Run(func() {
 		// Reboot path: a failure during commit must finish the commit by
 		// replaying the (idempotent) redo log.
@@ -228,11 +233,6 @@ func (rt *Runtime) Run() error {
 			rt.replayAndFinish()
 			fz.forget()
 		}
-		// One Ctx serves every dispatch: it escapes into the task bodies,
-		// so allocating it per task would otherwise dominate the steady
-		// state heap traffic of a pooled fleet (thousands of dispatches
-		// per inference).
-		ctx := Ctx{rt: rt}
 		// Fused tasks need a device that may fuse and no observer on
 		// FRAM, where all task state lives.
 		canFuse := rt.dev.CanFuse() && !rt.dev.FRAM.Observed()
@@ -241,9 +241,6 @@ func (rt *Runtime) Run() error {
 			// it stops at runs per op below. Task ids are peeked free of
 			// charge; the fused tasks charge their own prologue loads.
 			for next := ID(rt.state.Get(stCur)); canFuse && next != Done && rt.tasks[next].fused != nil; next = ID(rt.state.Get(stCur)) {
-				if fz == nil {
-					fz = newFuse(rt)
-				}
 				if !fz.run(next) {
 					break
 				}
@@ -260,7 +257,7 @@ func (rt *Runtime) Run() error {
 			rt.dev.Emit(mcu.TraceTaskBegin, rt.tasks[cur].name, int64(cur))
 			rt.dev.Store(rt.state, stCount, 0)
 			rt.clearWriteSet()
-			next := rt.tasks[cur].f(&ctx)
+			next := rt.tasks[cur].f(&rt.ctx)
 			rt.commit(next)
 			fz.forget()
 		}
@@ -352,6 +349,15 @@ type Ctx struct {
 // Dev exposes the device for compute operations (multiplies, adds) and for
 // reads of read-only data such as weights, which need no privatization.
 func (c *Ctx) Dev() *mcu.Device { return c.rt.dev }
+
+// Bulk returns the runtime's Fuse in per-op mode, for a task body's bulk
+// chunks written against Fuse: each call charges as the Device or Ctx
+// method it stands for.
+func (c *Ctx) Bulk() *Fuse {
+	f := &c.rt.fz
+	f.mode = modePerOp
+	return f
+}
 
 // Read reads task-shared data, observing the task's own uncommitted writes
 // (read-own-write through the redo log).
