@@ -65,11 +65,17 @@ type tileRun struct {
 	ran bool
 }
 
+// planKey keys a tile size's task plan in the model's tape.Program: the
+// task graph, and with it the plan, is a function of the model and the
+// tile size alone.
+type planKey int
+
 // Prepare implements core.Runtime: it allocates the task runtime (state
 // and redo log, in that order, after the deployed regions), registers the
 // image's working buffers as task-shared, and builds the task graph. The
 // graph serves every run: task.Run decides per run whether its passes'
-// fused forms engage.
+// fused forms engage. Every runtime of one (model, tile size) shares one
+// task.Plan, compiled by the first run that fuses.
 func (t Tile) Prepare(img *core.Image) (core.Prepared, error) {
 	if t.TileSize <= 0 {
 		return nil, fmt.Errorf("baseline: invalid tile size %d", t.TileSize)
@@ -89,6 +95,7 @@ func (t Tile) Prepare(img *core.Image) (core.Prepared, error) {
 		rt.Release()
 		return nil, err
 	}
+	rt.UsePlan(b.prog.Memo(planKey(t.TileSize), func() any { return new(task.Plan) }).(*task.Plan))
 	return &tileRun{t: t, name: t.Name(), img: img, rt: rt, outB: outB}, nil
 }
 
@@ -262,30 +269,25 @@ func (b *tileBuilder) build() (bool, error) {
 		if p.chunk == nil {
 			continue
 		}
-		b.rt.SetFused(self, p.layer, func(f *task.Fuse, j int) (task.ID, bool) {
-			// Planning walks dispatches ahead of the cursor; applying
-			// advances it one dispatch at a time.
-			base := int(ctl.Get(tileCursorSlot))
-			if f.Planning() {
-				base += j * b.k
-			}
+		b.rt.SetFused(self, p.layer, ctl, tileCursorSlot, b.k, func(f *task.Fuse, d int) (task.ID, bool) {
+			base := d * b.k
 			end := min(base+b.k, p.n)
+			to := self
+			b.cursor[0] = int64(end)
+			if end >= p.n {
+				to, b.cursor[0] = next, 0 // reset for next pass
+			}
 			f.Section(tokC)
 			f.Read(ctl, tileCursorSlot, 1)
 			f.Section(tokK)
 			for lo := base; lo < end; {
 				n, bulk := p.chunk(f, lo, end)
 				if !bulk {
-					return 0, false
+					return to, false
 				}
 				lo += n
 			}
 			f.Section(tokC)
-			to := self
-			b.cursor[0] = int64(end)
-			if end >= p.n {
-				to, b.cursor[0] = next, 0 // reset for next pass
-			}
 			return to, f.Write(ctl, tileCursorSlot, b.cursor[:])
 		})
 	}

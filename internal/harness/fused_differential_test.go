@@ -500,7 +500,10 @@ func TestFig9RealNetworksFusedScalar(t *testing.T) {
 // through ChargeTrain under continuous power and a real capacitor, and
 // exactly none on the energy.PerOp reference path or under an op-count fault
 // injector (energy.FailSchedule, which CanFuse refuses: brown-out replays
-// never fuse). CI greps for each row's PASS line.
+// never fuse). CI greps for each row's PASS line. The tile rows also pin
+// the exact fused and total op counts under cont and rf-100uF, so a
+// compiled plan must fuse exactly the dispatches the planning walk did
+// when it ran per inference.
 func TestFusedFraction(t *testing.T) {
 	qm, x := intermittest.TinyModel(1)
 	qin := qm.QuantizeInput(x)
@@ -519,14 +522,16 @@ func TestFusedFraction(t *testing.T) {
 		}
 		return dev.FusedOps(), total, st.MaxRegionOps
 	}
+	type counts struct{ fused, total int64 }
 	rows := []struct {
 		rt    core.Runtime
 		floor float64
+		exact map[string]counts // by power; nil: floor only
 	}{
-		{baseline.Tile{TileSize: 8}, 0.35},
-		{baseline.Tile{TileSize: 32}, 0.30},
-		{baseline.Tile{TileSize: 128}, 0.50},
-		{sonic.SONIC{}, 0.90},
+		{baseline.Tile{TileSize: 8}, 0.35, map[string]counts{"cont": {1480, 3050}, "rf-100uF": {1258, 3138}}},
+		{baseline.Tile{TileSize: 32}, 0.30, map[string]counts{"cont": {1200, 2656}, "rf-100uF": {1040, 2816}}},
+		{baseline.Tile{TileSize: 128}, 0.50, map[string]counts{"cont": {1718, 2610}, "rf-100uF": {1644, 2937}}},
+		{sonic.SONIC{}, 0.90, nil},
 	}
 	for _, row := range rows {
 		t.Run(row.rt.Name(), func(t *testing.T) {
@@ -541,6 +546,9 @@ func TestFusedFraction(t *testing.T) {
 				t.Logf("%s: %d of %d ops fused (%.3f)", pw.name, fused, total, frac)
 				if frac <= row.floor {
 					t.Errorf("%s: fused fraction %.3f, want > %.2f", pw.name, frac, row.floor)
+				}
+				if want, ok := row.exact[pw.name]; ok && want != (counts{fused, total}) {
+					t.Errorf("%s: %d of %d ops fused, want %d of %d", pw.name, fused, total, want.fused, want.total)
 				}
 				if fused, _, _ := run(row.rt, energy.PerOp{S: pw.mk()}); fused != 0 {
 					t.Errorf("%s: PerOp run fused %d ops, want 0", pw.name, fused)

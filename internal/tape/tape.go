@@ -12,11 +12,12 @@
 // holds every runtime's logits, Stats, reboot placement and WAR records
 // to a frozen golden corpus.
 //
-// Programs are immutable after Compile and safe to share across
+// A Program's tables are immutable after Compile and safe to share across
 // goroutines; per-inference mutable workspace comes from the program's
-// Scratch pool. Get memoizes compilation per model, so a fleet campaign
-// compiles each network once per process no matter how many devices run
-// it.
+// Scratch pool, and what executors derive from a program (a tile
+// runtime's task plan) from its Memo. Get memoizes compilation per model,
+// so a fleet campaign compiles each network once per process no matter
+// how many devices run it.
 package tape
 
 import (
@@ -77,7 +78,8 @@ type Layer struct {
 }
 
 // Program is one network's compiled tape: per-layer decode tables plus
-// sizing for the shared scratch pool. Immutable after Compile.
+// sizing for the shared scratch pool. Its tables are immutable after
+// Compile.
 type Program struct {
 	Model  *dnn.QuantModel
 	Layers []Layer
@@ -91,6 +93,7 @@ type Program struct {
 
 	zeros []int64 // shared all-zero block; read-only after Compile
 	pool  sync.Pool
+	memo  sync.Map // Memo's values
 }
 
 // Scratch is one inference's mutable workspace, sized for the program's
@@ -108,6 +111,17 @@ func (p *Program) GetScratch() *Scratch {
 
 // PutScratch returns a workspace to the pool.
 func (p *Program) PutScratch(s *Scratch) { p.pool.Put(s) }
+
+// Memo returns the value an executor derived from the program under key,
+// storing mk's result on first use, so it lives exactly as long as the
+// program. mk may run more than once under a race; one result is kept.
+func (p *Program) Memo(key any, mk func() any) any {
+	if v, ok := p.memo.Load(key); ok {
+		return v
+	}
+	v, _ := p.memo.LoadOrStore(key, mk())
+	return v
+}
 
 // Zeros returns a shared all-zero block of length n (n <= the largest
 // accumulator block). Callers must treat it as read-only.

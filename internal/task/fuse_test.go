@@ -91,12 +91,14 @@ func scaleProgram(t *testing.T, dev *mcu.Device, n, per int) (*Runtime, []*mem.R
 		c.Write(ctl, 0, int64(end))
 		return self
 	})
-	rt.SetFused(self, "scale", func(f *Fuse, j int) (ID, bool) {
-		base := int(ctl.Get(0))
-		if f.Planning() {
-			base += j * per
-		}
+	rt.SetFused(self, "scale", ctl, 0, per, func(f *Fuse, d int) (ID, bool) {
+		base := d * per
 		end := min(base+per, n)
+		next := self
+		cursor[0] = int64(end)
+		if end >= n {
+			next, cursor[0] = Done, 0
+		}
 		f.Section(tokC)
 		f.Read(ctl, 0, 1)
 		f.Section(tokK)
@@ -104,14 +106,9 @@ func scaleProgram(t *testing.T, dev *mcu.Device, n, per int) (*Runtime, []*mem.R
 			f.Write(dst, base, placeholder)
 		}
 		if _, bulk := chunk(f, base, end); !bulk {
-			return 0, false
+			return next, false
 		}
 		f.Section(tokC)
-		next := self
-		cursor[0] = int64(end)
-		if end >= n {
-			next, cursor[0] = Done, 0
-		}
 		return next, f.Write(ctl, 0, cursor)
 	})
 	return rt, []*mem.Region{src, dst, ctl, rt.state, rt.log}

@@ -25,7 +25,8 @@
 // first task a train cannot fund, which browns out at the identical op.
 // Run decides per run, from the device as it is then; a task's bulk chunks
 // are one body, which its per-op form runs through Ctx.Bulk and its fused
-// form through the planning and applying walks.
+// form through the planning walk, once per task graph (Plan), and the
+// applying walk of every funded train.
 package task
 
 import (
@@ -95,9 +96,11 @@ type Runtime struct {
 	logScratch []int64
 
 	// ctx is the one Ctx every per-op dispatch gets, and fz the bulk-chunk
-	// executor: per op through Ctx.Bulk, and the fused-task walks.
-	ctx Ctx
-	fz  Fuse
+	// executor: per op through Ctx.Bulk, and the fused-task walks. plan is
+	// the fused tasks' plan, compiled by the first run that may fuse.
+	ctx  Ctx
+	fz   Fuse
+	plan *Plan
 }
 
 // regionID resolves a task-shared region to its dense id, panicking on
@@ -125,19 +128,19 @@ type taskEntry struct {
 	f    Func
 
 	// fused is the task's fused form (SetFused), nil for tasks that
-	// always run per op, and tokT its layer's transition section.
-	fused FuseFunc
-	tokT  mcu.SectionTok
+	// always run per op; its dispatch d starts with cur[at] == d*per, and
+	// toks are its layer's sections by slot.
+	fused   FuseFunc
+	cur     *mem.Region
+	at, per int
+	toks    [fuseSlots]mcu.SectionTok
 }
-
-// DefaultLogEntries is the redo-log capacity if the caller does not size it.
-const DefaultLogEntries = 1024
 
 // New creates a runtime on dev with a redo log of logEntries entries.
 // The log and control state live in FRAM and count against its capacity.
 func New(dev *mcu.Device, logEntries int) (*Runtime, error) {
 	if logEntries <= 0 {
-		logEntries = DefaultLogEntries
+		return nil, fmt.Errorf("task: redo log size %d is not positive", logEntries)
 	}
 	state, err := dev.FRAM.Alloc("task.state", stateWords, 2)
 	if err != nil {
@@ -157,6 +160,7 @@ func New(dev *mcu.Device, logEntries int) (*Runtime, error) {
 		log:   log,
 		cap:   logEntries,
 		ids:   make(map[*mem.Region]int),
+		plan:  new(Plan),
 	}
 	rt.ctx.rt = rt
 	rt.fz.init(rt)
@@ -225,17 +229,21 @@ func (rt *Runtime) Start(entry ID) {
 // device's energy buffer.
 func (rt *Runtime) Run() error {
 	fz := &rt.fz
-	fz.forget() // a plan left by an earlier run
 	return rt.dev.Run(func() {
 		// Reboot path: a failure during commit must finish the commit by
 		// replaying the (idempotent) redo log.
 		if rt.dev.Load(rt.state, stPhase) == phaseCommit {
 			rt.replayAndFinish()
-			fz.forget()
 		}
 		// Fused tasks need a device that may fuse and no observer on
 		// FRAM, where all task state lives.
 		canFuse := rt.dev.CanFuse() && !rt.dev.FRAM.Observed()
+		if canFuse {
+			rt.plan.once.Do(func() { rt.plan.compile(rt) })
+			if len(fz.blocks) != len(rt.plan.profs) {
+				fz.blocks = make([]*mcu.Block, len(rt.plan.profs))
+			}
+		}
 		for {
 			// Fused path: fund and apply runs of whole tasks; the dispatch
 			// it stops at runs per op below. Task ids are peeked free of
@@ -259,7 +267,6 @@ func (rt *Runtime) Run() error {
 			rt.clearWriteSet()
 			next := rt.tasks[cur].f(&rt.ctx)
 			rt.commit(next)
-			fz.forget()
 		}
 	})
 }
@@ -391,15 +398,6 @@ func (c *Ctx) Write(r *mem.Region, i int, v int64) {
 	rt.dev.Store(rt.state, stCount, int64(n+1))
 	rt.wsSlot[id][i] = int32(n)
 	rt.wsMark[id][i] = rt.wsEpoch
-}
-
-// Fresh reports whether none of the words r[i:i+n] is privatized in the
-// task's write set. It is a host-side predicate (no simulated cost) that
-// kernels use to choose between the bulk Range forms below and the scalar
-// Read/Write calls; the Range forms re-verify it before charging.
-func (c *Ctx) Fresh(r *mem.Region, i, n int) bool {
-	rt := c.rt
-	return rt.allFresh(rt.regionID(r), i, n)
 }
 
 // allFresh reports whether no word of [i, i+n) in shared region id has a

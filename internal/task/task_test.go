@@ -233,6 +233,20 @@ func TestNonTerminationDetected(t *testing.T) {
 	}
 }
 
+// TestNewRejectsEmptyLog: a redo log must have room for an entry; New
+// allocates nothing for a size that does not.
+func TestNewRejectsEmptyLog(t *testing.T) {
+	dev := mcu.New(energy.Continuous{})
+	for _, n := range []int{0, -1} {
+		if rt, err := New(dev, n); err == nil || rt != nil {
+			t.Errorf("New(dev, %d) = %v, %v; want an error", n, rt, err)
+		}
+	}
+	if dev.FRAM.Regions() != 0 {
+		t.Errorf("rejected runtimes left %d FRAM regions", dev.FRAM.Regions())
+	}
+}
+
 func TestLogOverflowPanics(t *testing.T) {
 	dev := mcu.New(energy.Continuous{})
 	rt, _ := New(dev, 4)
