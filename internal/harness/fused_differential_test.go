@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/dnn"
 	"repro/internal/energy"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/mcu"
 	"repro/internal/mem"
 	"repro/internal/sonic"
+	"repro/internal/tails"
 	"repro/internal/trace"
 )
 
@@ -496,14 +498,16 @@ func TestFig9RealNetworksFusedScalar(t *testing.T) {
 
 // TestFusedFraction pins how much of a run the fused path carries, as
 // Device.FusedOps counts it: on the tiny model, the Tile-N task runtime
-// and SONIC must fund more than their row's floor of all charged ops
-// through ChargeTrain under continuous power and a real capacitor, and
-// exactly none on the energy.PerOp reference path or under an op-count fault
-// injector (energy.FailSchedule, which CanFuse refuses: brown-out replays
-// never fuse). CI greps for each row's PASS line. The tile rows also pin
-// the exact fused and total op counts under cont and rf-100uF, so a
-// compiled plan must fuse exactly the dispatches the planning walk did
-// when it ran per inference.
+// and the loop-continuation family (SONIC, ckpt-8, TAILS) must fund more
+// than their row's floor of all charged ops through ChargeTrain under
+// continuous power and a real capacitor, and exactly none on the
+// energy.PerOp reference path or under an op-count fault injector
+// (energy.FailSchedule, which CanFuse refuses: brown-out replays never
+// fuse). CI greps for each row's PASS line. Every row also pins the exact
+// fused and total op counts under cont and rf-100uF: a tile plan must fuse
+// exactly the dispatches the per-inference planning walk did, and a
+// loop-continuation loop that silently stops fusing (which the bit-exact
+// oracles cannot see) moves its row's counts.
 func TestFusedFraction(t *testing.T) {
 	qm, x := intermittest.TinyModel(1)
 	qin := qm.QuantizeInput(x)
@@ -531,7 +535,9 @@ func TestFusedFraction(t *testing.T) {
 		{baseline.Tile{TileSize: 8}, 0.35, map[string]counts{"cont": {1480, 3050}, "rf-100uF": {1258, 3138}}},
 		{baseline.Tile{TileSize: 32}, 0.30, map[string]counts{"cont": {1200, 2656}, "rf-100uF": {1040, 2816}}},
 		{baseline.Tile{TileSize: 128}, 0.50, map[string]counts{"cont": {1718, 2610}, "rf-100uF": {1644, 2937}}},
-		{sonic.SONIC{}, 0.90, nil},
+		{sonic.SONIC{}, 0.90, map[string]counts{"cont": {1264, 1320}, "rf-100uF": {1264, 1320}}},
+		{checkpoint.Checkpoint{Interval: 8}, 0.60, map[string]counts{"cont": {3674, 5480}, "rf-100uF": {3516, 5513}}},
+		{tails.TAILS{}, 0.70, map[string]counts{"cont": {1126, 1541}, "rf-100uF": {1126, 1541}}},
 	}
 	for _, row := range rows {
 		t.Run(row.rt.Name(), func(t *testing.T) {

@@ -52,11 +52,14 @@ func brokenLayer(s *sonic.Exec, li int, parity bool, start sonic.Cursor) {
 	name := s.Prog.Layers[li].Name
 	tokK := dev.SectionToken(name, mcu.PhaseKernel)
 	tokC := dev.SectionToken(name, mcu.PhaseControl)
+	// Every pass runs through the loop-continuation driver with no block,
+	// so every iteration runs scalar and a brown-out can land between any
+	// partial's store and its cursor commit.
 	switch start.Pass {
 	case 0:
 		// Zero the in-place accumulator (write-only, idempotent — the bug
 		// is not here).
-		s.MapLayerTok(tokK, tokC, start, q.Out, func(o int) {
+		s.Loop(tokK, tokC, nil, start, q.Out, nil, func(o int) {
 			dev.Store(acc, o, 0)
 		})
 		start = sonic.Cursor{Layer: start.Layer, Pass: 1}
@@ -66,10 +69,7 @@ func brokenLayer(s *sonic.Exec, li int, parity bool, start sonic.Cursor) {
 		// In-place accumulation: acc[o] += W[o,i]·x[i]. Re-executing an
 		// iteration after a brown-out reads the already-updated partial —
 		// the classic non-idempotent loop body.
-		total := q.In * q.Out
-		for it := start.I; it < total; it++ {
-			dev.SetSection(name, mcu.PhaseKernel)
-			dev.Op(mcu.OpBranch)
+		s.Loop(tokK, tokC, nil, start, q.In*q.Out, nil, func(it int) {
 			i, o := it/q.Out, it%q.Out
 			x := fixed.Q15(dev.Load(src, i))
 			wv := fixed.Q15(dev.Load(l.W, o*q.In+i))
@@ -77,14 +77,12 @@ func brokenLayer(s *sonic.Exec, li int, parity bool, start sonic.Cursor) {
 			a := fixed.Acc(dev.Load(acc, o))
 			dev.Op(mcu.OpFixedAdd)
 			dev.Store(acc, o, int64(a.MAC(wv, x)))
-			dev.SetSection(name, mcu.PhaseControl)
-			s.Checkpoint(sonic.Cursor{Layer: start.Layer, Pass: 1, I: it + 1})
-		}
+		})
 		start = sonic.Cursor{Layer: start.Layer, Pass: 2}
 		s.Transition(name, start)
 		fallthrough
 	default:
-		s.MapLayerTok(tokK, tokC, start, q.Out, func(o int) {
+		s.Loop(tokK, tokC, nil, start, q.Out, nil, func(o int) {
 			bq := fixed.Q15(dev.Load(l.B, o))
 			a := fixed.Acc(dev.Load(acc, o))
 			dev.Op(mcu.OpFixedAdd)

@@ -116,56 +116,3 @@ func TestExhaustiveFailureBoundariesTile(t *testing.T) {
 		}
 	}
 }
-
-// A conv where one filter is pruned away entirely exercises SONIC's
-// bias-only finalize path (FinPar == -1).
-func TestFullyPrunedFilterBiasOnly(t *testing.T) {
-	rng := rand.New(rand.NewPCG(31, 0))
-	n := dnn.NewNetwork("deadfilter", dnn.Shape{1, 1, 10})
-	conv := dnn.NewConv(rng, 3, 1, 1, 3)
-	// Kill filter 1 completely; keep the others.
-	conv.Mask = make([]bool, conv.W.Len())
-	for i := range conv.Mask {
-		f := i / 3
-		conv.Mask[i] = f != 1
-	}
-	conv.ApplyMask()
-	conv.B.Set(0.4, 1) // its outputs must equal the bias
-	n.Add(conv, dnn.NewFlatten(), dnn.NewDense(rng, 2, 24))
-	x := make([]float64, 10)
-	for i := range x {
-		x[i] = 0.2
-	}
-	qm, err := dnn.Quantize(n, [][]float64{x})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qm.Layers[0].NZ == nil {
-		t.Fatal("expected a sparse conv")
-	}
-	qin := qm.QuantizeInput(x)
-	want := qm.Forward(qin)
-	for _, period := range []int{0, 41, 167} {
-		var p energy.System = energy.Continuous{}
-		if period > 0 {
-			p = energy.NewFailAfterOps(period, period)
-		}
-		dev := mcu.New(p)
-		img, err := core.Deploy(dev, qm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if img.Layers[0].FinPar.Get(1) != -1 {
-			t.Fatal("filter 1 should have FinPar -1")
-		}
-		got, err := (SONIC{}).Infer(img, qin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("period %d: logit %d differs", period, i)
-			}
-		}
-	}
-}

@@ -271,16 +271,12 @@ func (s *Exec) RunLayerSoftware(li int, parity bool, start Cursor) {
 	case dnn.QReLU:
 		tokK := s.Dev.SectionToken(name, mcu.PhaseKernel)
 		tokC := s.Dev.SectionToken(name, mcu.PhaseControl)
-		var blk *mcu.Block
-		var per int
-		if s.canFuse() {
-			blk, per = s.unitBlock(tokC,
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 1},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
-		}
+		blk := s.UnitBlock(tokC,
+			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
+			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 1},
+			mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
 		srcW, dstW := src.ROWords(), dst.Words()
-		s.fuseMap(tokK, tokC, blk, per, start, l.Q.InShape.Len(), func(i0, m int) {
+		s.Loop(tokK, tokC, blk, start, l.Q.InShape.Len(), func(i0, m int) {
 			kern.ReLU(dstW, srcW, i0, i0, m)
 		}, func(i int) {
 			v := fixed.ReLU(fixed.Q15(s.Dev.Load(src, i)))
@@ -318,51 +314,38 @@ func (s *Exec) denseLayer(l *core.LayerImage, name string, src, dst *mem.Region,
 	dev := s.Dev
 	tokK := dev.SectionToken(name, mcu.PhaseKernel)
 	tokC := dev.SectionToken(name, mcu.PhaseControl)
-	fuse := s.canFuse()
-	var blkFirst, blkRest *mcu.Block
-	var per int
-	if fuse {
-		blkFirst, per = s.unitBlock(tokC,
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
-		blkRest, _ = s.unitBlock(tokC,
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 2},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
-	}
+	blkFirst := s.UnitBlock(tokC,
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 1},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
+	blkRest := s.UnitBlock(tokC,
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 2},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
 	if start.Pass == 0 {
 		wW := l.W.ROWords()
 		for pos := start.Pos; pos < q.In; pos++ {
 			dev.SetSection(name, mcu.PhaseControl)
 			x := fixed.Q15(dev.Load(src, pos))
 			dest, inter := AccBufs(s.Img, pos)
-			iStart := 0
+			c := Cursor{Layer: start.Layer, Pos: pos}
 			if pos == start.Pos {
-				iStart = start.I
+				c.I = start.I
 			}
-			for o := iStart; o < q.Out; {
-				if fuse {
-					blk := blkRest
-					if pos == 0 {
-						blk = blkFirst
-					}
-					if m := s.fuseIters(blk, per, o, q.Out); m > 0 {
-						if pos == 0 {
-							kern.DenseFirst(dest.Words(), wW, q.In, pos, o, m, int64(x))
-						} else {
-							kern.DenseMAC(dest.Words(), inter.ROWords(), wW, q.In, pos, o, m, int64(x))
-						}
-						o += m
-						s.fuseCommit(Cursor{Layer: start.Layer, Pos: pos, I: o})
-						continue
-					}
+			blk := blkRest
+			if pos == 0 {
+				blk = blkFirst
+			}
+			s.Loop(tokK, tokC, blk, c, q.Out, func(o0, m int) {
+				if pos == 0 {
+					kern.DenseFirst(dest.Words(), wW, q.In, pos, o0, m, int64(x))
+				} else {
+					kern.DenseMAC(dest.Words(), inter.ROWords(), wW, q.In, pos, o0, m, int64(x))
 				}
-				dev.SetSectionTok(tokK)
-				dev.Op(mcu.OpBranch)
+			}, func(o int) {
 				wv := fixed.Q15(dev.Load(l.W, o*q.In+pos))
 				dev.Op(mcu.OpFixedMul)
 				var a fixed.Acc
@@ -371,30 +354,31 @@ func (s *Exec) denseLayer(l *core.LayerImage, name string, src, dst *mem.Region,
 					dev.Op(mcu.OpFixedAdd)
 				}
 				dev.Store(dest, o, int64(a.MAC(wv, x)))
-				dev.SetSectionTok(tokC)
-				s.Checkpoint(Cursor{Layer: start.Layer, Pos: pos, I: o + 1})
-				o++
-			}
+			})
 			s.Transition(name, Cursor{Layer: start.Layer, Pos: pos + 1})
 		}
 		start = Cursor{Layer: start.Layer, Pass: 1}
 		s.Transition(name, start)
 	}
 	final, _ := AccBufs(s.Img, q.In-1)
-	var blkFin *mcu.Block
-	if fuse {
-		blkFin, per = s.unitBlock(tokC,
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 2},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
-	}
-	finalW, bW, dstW := final.ROWords(), l.B.ROWords(), dst.Words()
-	s.fuseMap(tokK, tokC, blkFin, per, start, q.Out, func(i0, m int) {
-		kern.FinalizeVec(dstW, finalW, bW, i0, i0, m, q.Shift)
+	s.finalize(l, tokK, tokC, start, final, dst)
+}
+
+// finalize is the dense and sparse layers' last pass, one output per
+// iteration: dst[o] = partial[o] + bias[o], rescaled with saturation.
+func (s *Exec) finalize(l *core.LayerImage, tokK, tokC mcu.SectionTok, start Cursor, partial, dst *mem.Region) {
+	q, dev := l.Q, s.Dev
+	blk := s.UnitBlock(tokC,
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 2},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
+	partialW, bW, dstW := partial.ROWords(), l.B.ROWords(), dst.Words()
+	s.Loop(tokK, tokC, blk, start, q.Out, func(i0, m int) {
+		kern.FinalizeVec(dstW, partialW, bW, i0, i0, m, q.Shift)
 	}, func(o int) {
 		bq := fixed.Q15(dev.Load(l.B, o))
-		a := fixed.Acc(dev.Load(final, o))
+		a := fixed.Acc(dev.Load(partial, o))
 		dev.Op(mcu.OpFixedAdd)
 		dev.Store(dst, o, int64(a.AddQ(bq).SatShiftSigned(q.Shift)))
 	})
@@ -461,7 +445,7 @@ func (s *Exec) sparseLayerBuffered(l *core.LayerImage, name string, src, dst *me
 	}
 	tokK := dev.SectionToken(name, mcu.PhaseKernel)
 	tokC := dev.SectionToken(name, mcu.PhaseControl)
-	s.MapLayerTok(tokK, tokC, start, q.Out, func(o int) {
+	s.Loop(tokK, tokC, nil, start, q.Out, nil, func(o int) {
 		bq := fixed.Q15(dev.Load(l.B, o))
 		var a fixed.Acc
 		if final != nil {

@@ -44,27 +44,22 @@ func (s *Exec) convLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Regio
 	tokK := dev.SectionToken(name, mcu.PhaseKernel)
 	tokC := dev.SectionToken(name, mcu.PhaseControl)
 
-	// Fused fast path: the inner loop's charge profile is uniform within
-	// one filter element (one branch, the src load, the multiply, the
-	// previous-generation load+add except on a filter's first element,
-	// the dest store, and the commit), so whole runs of funded iterations
-	// execute as bulk word loops.
-	fuse := s.canFuse()
-	var blkFirst, blkRest *mcu.Block
-	var per int
-	if fuse {
-		blkFirst, per = s.unitBlock(tokC,
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
-		blkRest, _ = s.unitBlock(tokC,
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 2},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
-	}
+	// The inner loop's charge profile is uniform within one filter element
+	// (one branch, the src load, the multiply, the previous-generation
+	// load+add except on a filter's first element, the dest store, and the
+	// commit), so whole runs of funded iterations execute as bulk word
+	// loops.
+	blkFirst := s.UnitBlock(tokC,
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 1},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
+	blkRest := s.UnitBlock(tokC,
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 2},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
 	srcW := src.ROWords()
 
 	if start.Pass == 0 {
@@ -85,29 +80,21 @@ func (s *Exec) convLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Regio
 			base := int(wAcc[widx])
 			dest, inter := AccBufs(s.Img, pos)
 
-			iStart := 0
+			c := Cursor{Layer: start.Layer, Pos: pos}
 			if pos == start.Pos {
-				iStart = start.I
+				c.I = start.I
 			}
-			for i := iStart; i < positions; {
-				if fuse {
-					blk := blkRest
-					if firstOfFilter {
-						blk = blkFirst
-					}
-					if m := s.fuseIters(blk, per, i, positions); m > 0 {
-						if firstOfFilter {
-							kern.ConvFirst(dest.Words(), srcW, base, srcBase, posOff, i, m, int64(wv))
-						} else {
-							kern.ConvMAC(dest.Words(), inter.ROWords(), srcW, base, srcBase, posOff, i, m, int64(wv))
-						}
-						i += m
-						s.fuseCommit(Cursor{Layer: start.Layer, Pos: pos, I: i})
-						continue
-					}
+			blk := blkRest
+			if firstOfFilter {
+				blk = blkFirst
+			}
+			s.Loop(tokK, tokC, blk, c, positions, func(i0, m int) {
+				if firstOfFilter {
+					kern.ConvFirst(dest.Words(), srcW, base, srcBase, posOff, i0, m, int64(wv))
+				} else {
+					kern.ConvMAC(dest.Words(), inter.ROWords(), srcW, base, srcBase, posOff, i0, m, int64(wv))
 				}
-				dev.SetSectionTok(tokK)
-				dev.Op(mcu.OpBranch)
+			}, func(i int) {
 				x := fixed.Q15(dev.Load(src, srcBase+int(posOff[i])))
 				dev.Op(mcu.OpFixedMul)
 				var a fixed.Acc
@@ -116,10 +103,7 @@ func (s *Exec) convLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Regio
 					dev.Op(mcu.OpFixedAdd)
 				}
 				dev.Store(dest, base+i, int64(a.MAC(wv, x)))
-				dev.SetSectionTok(tokC)
-				s.Checkpoint(Cursor{Layer: start.Layer, Pos: pos, I: i + 1})
-				i++
-			}
+			})
 			// Task_Next_Filter: swap buffers, reset i, advance pos — one
 			// atomic word store since parity is derived from pos.
 			s.Transition(name, Cursor{Layer: start.Layer, Pos: pos + 1})
@@ -128,6 +112,10 @@ func (s *Exec) convLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Regio
 		s.Transition(name, start)
 	}
 
+	// Finalize, one loop per filter: the charge profile is constant within
+	// a filter (the parity lookup when FinPar exists, the bias load, and —
+	// except for fully-pruned filters — the partial load and add) but
+	// varies across filters, so each filter's segment has its own block.
 	fin := func(i int) {
 		f := int(filterOf[i])
 		var par int64
@@ -146,21 +134,9 @@ func (s *Exec) convLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Regio
 		dev.Store(dst, i, int64(a.AddQ(bq).SatShiftSigned(q.Shift)))
 	}
 	n := q.F * positions
-	if !fuse {
-		s.MapLayerTok(tokK, tokC, start, n, fin)
-		return
-	}
-	// Fused finalize, one segment per filter: the charge profile is
-	// constant within a filter (the parity lookup when FinPar exists, the
-	// bias load, and — except for fully-pruned filters — the partial load
-	// and add) but varies across filters, so segments charge separately.
-	dstW := dst.Words()
 	for i := start.I; i < n; {
 		f := int(filterOf[i])
-		segEnd := (f + 1) * positions
-		if segEnd > n {
-			segEnd = n
-		}
+		segEnd := min((f+1)*positions, n)
 		var par int64
 		if l.FinPar != nil {
 			par = l.FinPar.Get(f)
@@ -172,34 +148,23 @@ func (s *Exec) convLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Regio
 			loads++
 		}
 		adds := 1
+		var finalW []int64
 		if par < 0 {
 			loads--
 			adds = 0
+		} else {
+			final, _ := AccBufs(s.Img, int(par))
+			finalW = final.ROWords()
 		}
-		blk, _ := s.unitBlock(tokC,
+		blk := s.UnitBlock(tokC,
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: loads},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: adds},
 			mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
-		for i < segEnd {
-			if m := s.fuseIters(blk, per, i, segEnd); m > 0 {
-				var finalW []int64
-				if par >= 0 {
-					final, _ := AccBufs(s.Img, int(par))
-					finalW = final.ROWords()
-				}
-				kern.FinalizeConst(dstW, finalW, l.B.Get(f), i, i, m, q.Shift)
-				i += m
-				s.fuseCommit(Cursor{Layer: start.Layer, Pass: start.Pass, I: i})
-				continue
-			}
-			dev.SetSectionTok(tokK)
-			dev.Op(mcu.OpBranch)
-			fin(i)
-			dev.SetSectionTok(tokC)
-			s.Checkpoint(Cursor{Layer: start.Layer, Pass: start.Pass, I: i + 1})
-			i++
-		}
+		s.Loop(tokK, tokC, blk, Cursor{Layer: start.Layer, Pass: start.Pass, I: i}, segEnd, func(i0, m int) {
+			kern.FinalizeConst(dst.Words(), finalW, l.B.Get(f), i0, i0, m, q.Shift)
+		}, fin)
+		i = segEnd
 	}
 }
 
@@ -235,22 +200,17 @@ func (s *Exec) sparseLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Reg
 	name := tl.Name
 	tokK := dev.SectionToken(name, mcu.PhaseKernel)
 	tokC := dev.SectionToken(name, mcu.PhaseControl)
-	fuse := s.canFuse()
-	var per int
 
 	switch start.Pass {
 	case 0:
 		// Zero the in-place accumulator (write-only, idempotent), and
 		// rearm the undo-log read index (idempotent: re-zeroing after a
 		// failure here is harmless because pass 1 has not started).
-		var blkZero *mcu.Block
-		if fuse {
-			blkZero, per = s.unitBlock(tokC,
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
-		}
+		blkZero := s.UnitBlock(tokC,
+			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
+			mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
 		accW := acc.Words()
-		s.fuseMap(tokK, tokC, blkZero, per, start, q.Out, func(i0, m int) {
+		s.Loop(tokK, tokC, blkZero, start, q.Out, func(i0, m int) {
 			kern.Zero(accW, i0, m)
 		}, func(o int) {
 			dev.Store(acc, o, 0)
@@ -263,41 +223,36 @@ func (s *Exec) sparseLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Reg
 		// row is carried in the cursor's i field so the CSR walk resumes
 		// without rescanning RowPtr from zero.
 		//
-		// In-row iteration profile: one branch, seven loads (the failing
-		// RowPtr probe, the read index, the original partial, the
-		// canonical slot, weight, column, activation), the three-store
-		// two-phase update, and the MAC. Sparse undo-logging commits every
-		// iteration, so the profile always ends in a forced checkpoint.
-		var blkRow *mcu.Block
-		if fuse {
-			blkRow = s.forceUnitBlock(tokC,
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 7},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 3},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1})
-		}
-		// Boundary iterations add one successful RowPtr probe (a branch
-		// and a load) per row advanced; cache one block per distinct
-		// advance count (networks have very few).
-		var bnd map[int]*mcu.Block
-		bndBlock := func(adv int) *mcu.Block {
-			if adv == 0 {
-				return blkRow
-			}
-			if b, ok := bnd[adv]; ok {
+		// Iteration profile: one branch, seven loads (the failing RowPtr
+		// probe, the read index, the original partial, the canonical slot,
+		// weight, column, activation), the three-store two-phase update,
+		// and the MAC; an iteration that advances adv rows adds one
+		// successful RowPtr probe (a branch and a load) per row. Sparse
+		// undo-logging commits every iteration through ForceCheckpoint, so
+		// even checkpointing runtimes pay the register dump and cursor
+		// store on each. One block is cached per distinct advance count
+		// (networks have very few).
+		fuse := s.canFuse()
+		var blocks map[int]*mcu.Block
+		rowBlock := func(adv int) *mcu.Block {
+			if b, ok := blocks[adv]; ok {
 				return b
 			}
-			b := s.forceUnitBlock(tokC,
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1 + adv},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 7 + adv},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 3},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1})
-			if bnd == nil {
-				bnd = make(map[int]*mcu.Block)
+			ops := []mcu.BlockOp{
+				{Tok: tokK, Kind: mcu.OpBranch, N: 1 + adv},
+				{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 7 + adv},
+				{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 3},
+				{Tok: tokK, Kind: mcu.OpFixedMul, N: 1},
+				{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1},
 			}
-			bnd[adv] = b
+			if s.Every > 1 {
+				ops = append(ops, mcu.BlockOp{Tok: tokC, Kind: mcu.OpStoreFRAM, N: s.RegWords})
+			}
+			b := dev.NewBlock(append(ops, mcu.BlockOp{Tok: tokC, Kind: s.cursorKind(), N: 1})...)
+			if blocks == nil {
+				blocks = make(map[int]*mcu.Block)
+			}
+			blocks[adv] = b
 			return b
 		}
 		spStart, spLen, spRow, spanOf := tl.SpStart, tl.SpLen, tl.SpRow, tl.SpanOf
@@ -316,12 +271,12 @@ func (s *Exec) sparseLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Reg
 					end := int(spStart[sj]) + int(spLen[sj])
 					inRow := end - p
 					if adv := int(spRow[sj]) - r; adv > 0 {
-						segs = append(segs, mcu.TrainSeg{Blk: bndBlock(adv), N: 1})
+						segs = append(segs, mcu.TrainSeg{Blk: rowBlock(adv), N: 1})
 						inRow--
 						p++
 					}
 					if inRow > 0 {
-						segs = append(segs, mcu.TrainSeg{Blk: blkRow, N: inRow})
+						segs = append(segs, mcu.TrainSeg{Blk: rowBlock(0), N: inRow})
 						p += inRow
 					}
 					r = int(spRow[sj])
@@ -371,37 +326,7 @@ func (s *Exec) sparseLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Reg
 		s.Transition(name, start)
 		fallthrough
 	default:
-		var blkFin *mcu.Block
-		if fuse {
-			blkFin, per = s.unitBlock(tokC,
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 2},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1},
-				mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
-		}
-		accW, bW, dstW := acc.ROWords(), l.B.ROWords(), dst.Words()
-		s.fuseMap(tokK, tokC, blkFin, per, start, q.Out, func(i0, m int) {
-			kern.FinalizeVec(dstW, accW, bW, i0, i0, m, q.Shift)
-		}, func(o int) {
-			bq := fixed.Q15(dev.Load(l.B, o))
-			a := fixed.Acc(dev.Load(acc, o))
-			dev.Op(mcu.OpFixedAdd)
-			dev.Store(dst, o, int64(a.AddQ(bq).SatShiftSigned(q.Shift)))
-		})
-	}
-}
-
-// MapLayerTok runs an elementwise pass with loop continuation on the
-// single index i, flipping each iteration's kernel/control attribution
-// through pre-resolved section tokens.
-func (s *Exec) MapLayerTok(tokK, tokC mcu.SectionTok, start Cursor, n int, body func(i int)) {
-	dev := s.Dev
-	for i := start.I; i < n; i++ {
-		dev.SetSectionTok(tokK)
-		dev.Op(mcu.OpBranch)
-		body(i)
-		dev.SetSectionTok(tokC)
-		s.Checkpoint(Cursor{Layer: start.Layer, Pass: start.Pass, I: i + 1})
+		s.finalize(l, tokK, tokC, start, acc, dst)
 	}
 }
 
@@ -413,17 +338,13 @@ func (s *Exec) poolLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Regio
 	poolBase := tl.PoolBase
 	tokK := s.Dev.SectionToken(tl.Name, mcu.PhaseKernel)
 	tokC := s.Dev.SectionToken(tl.Name, mcu.PhaseControl)
-	var blk *mcu.Block
-	var per int
-	if s.canFuse() {
-		win := q.Window * q.Window
-		blk, per = s.unitBlock(tokC,
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1 + win},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: win},
-			mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
-	}
+	win := q.Window * q.Window
+	blk := s.UnitBlock(tokC,
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1 + win},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: win},
+		mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
 	srcW, dstW := src.ROWords(), dst.Words()
-	s.fuseMap(tokK, tokC, blk, per, start, len(poolBase), func(i0, m int) {
+	s.Loop(tokK, tokC, blk, start, len(poolBase), func(i0, m int) {
 		kern.MaxPool(dstW, srcW, poolBase, q.Window, w, i0, m)
 	}, func(i int) {
 		rowStart := int(poolBase[i])

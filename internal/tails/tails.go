@@ -362,8 +362,10 @@ func shiftBias(dev *mcu.Device, b fixed.Q15, shift int) fixed.Q15 {
 	return shiftBiasValue(b, shift)
 }
 
-// shiftBiasValue is shiftBias's value computation, shared with the fused
-// finalize span (which charges the shift through its block).
+// shiftBiasValue is shiftBias's value computation: b scaled by 2^-shift,
+// saturating on a left shift. The conv finalize's post-shift (shift < 0)
+// and its fused span (which charges its shifts through the block) share
+// it.
 func shiftBiasValue(b fixed.Q15, shift int) fixed.Q15 {
 	if shift >= 0 {
 		return b >> uint(shift)

@@ -104,33 +104,23 @@ func (t TAILS) convLayer(s *sonic.Exec, sc *scratch, l *core.LayerImage, tl *tap
 	// Finalize: post-shift (if the output scale is finer than LEA's) and
 	// bias addition, elementwise in software.
 	final, _ := sonic.AccBufs(s.Img, gens-1)
-	// Fused finalize: the per-element charge profile is uniform across the
-	// whole layer (post-shift presence is a layer property, and shiftBias
-	// always charges one software shift), so one block covers it.
+	// The per-element charge profile is uniform across the whole layer
+	// (post-shift presence is a layer property, and shiftBias always
+	// charges one software shift), so one block covers it.
 	adds := 1 // shiftBias
 	if postShift > 0 {
 		adds++
 	}
-	blk, per := s.FuseUnit(tokC,
+	blk := s.UnitBlock(tokC,
 		mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1},
 		mcu.BlockOp{Tok: tokK, Kind: mcu.OpLoadFRAM, N: 2},
 		mcu.BlockOp{Tok: tokK, Kind: mcu.OpAdd, N: adds},
 		mcu.BlockOp{Tok: tokK, Kind: mcu.OpFixedAdd, N: 1},
 		mcu.BlockOp{Tok: tokK, Kind: mcu.OpStoreFRAM, N: 1})
 	finalW, bW, dstW := final.ROWords(), l.B.ROWords(), dst.Words()
-	s.FuseMapTok(tokK, tokC, blk, per, start, q.F*q.OutShape[1]*ow, func(i0, m int) {
+	s.Loop(tokK, tokC, blk, start, q.F*q.OutShape[1]*ow, func(i0, m int) {
 		for i := i0; i < i0+m; i++ {
-			v := fixed.Q15(finalW[i])
-			if postShift > 0 {
-				wide := int64(v) << uint(postShift)
-				if wide > int64(fixed.One) {
-					v = fixed.One
-				} else if wide < int64(fixed.MinusOne) {
-					v = fixed.MinusOne
-				} else {
-					v = fixed.Q15(wide)
-				}
-			}
+			v := shiftBiasValue(fixed.Q15(finalW[i]), -postShift)
 			bq := shiftBiasValue(fixed.Q15(bW[int(filterOf[i])]), q.Shift)
 			dstW[i] = int64(fixed.Add(v, bq))
 		}
@@ -139,14 +129,7 @@ func (t TAILS) convLayer(s *sonic.Exec, sc *scratch, l *core.LayerImage, tl *tap
 		v := fixed.Q15(dev.Load(final, i))
 		if postShift > 0 {
 			dev.Op(mcu.OpAdd)
-			wide := int64(v) << uint(postShift)
-			if wide > int64(fixed.One) {
-				v = fixed.One
-			} else if wide < int64(fixed.MinusOne) {
-				v = fixed.MinusOne
-			} else {
-				v = fixed.Q15(wide)
-			}
+			v = shiftBiasValue(v, -postShift)
 		}
 		bq := shiftBias(dev, fixed.Q15(dev.Load(l.B, f)), q.Shift)
 		dev.Op(mcu.OpFixedAdd)

@@ -98,7 +98,8 @@ type Plan struct {
 }
 
 // UsePlan makes rt take its fused tasks' plan from p, shared with every
-// runtime built with the same task graph. New gives each runtime its own.
+// runtime built with the same task graph. A runtime given none allocates
+// its own on the first run that may fuse.
 func (rt *Runtime) UsePlan(p *Plan) { rt.plan, rt.fz.blocks = p, nil }
 
 // span is one word range a planned dispatch writes.

@@ -97,7 +97,8 @@ type Runtime struct {
 
 	// ctx is the one Ctx every per-op dispatch gets, and fz the bulk-chunk
 	// executor: per op through Ctx.Bulk, and the fused-task walks. plan is
-	// the fused tasks' plan, compiled by the first run that may fuse.
+	// the fused tasks' plan (UsePlan, or allocated by the first run that
+	// may fuse and finds none), compiled by the first run that may fuse.
 	ctx  Ctx
 	fz   Fuse
 	plan *Plan
@@ -160,7 +161,6 @@ func New(dev *mcu.Device, logEntries int) (*Runtime, error) {
 		log:   log,
 		cap:   logEntries,
 		ids:   make(map[*mem.Region]int),
-		plan:  new(Plan),
 	}
 	rt.ctx.rt = rt
 	rt.fz.init(rt)
@@ -239,6 +239,9 @@ func (rt *Runtime) Run() error {
 		// FRAM, where all task state lives.
 		canFuse := rt.dev.CanFuse() && !rt.dev.FRAM.Observed()
 		if canFuse {
+			if rt.plan == nil {
+				rt.plan = new(Plan)
+			}
 			rt.plan.once.Do(func() { rt.plan.compile(rt) })
 			if len(fz.blocks) != len(rt.plan.profs) {
 				fz.blocks = make([]*mcu.Block, len(rt.plan.profs))
