@@ -41,7 +41,7 @@ func (t Tile) Name() string { return fmt.Sprintf("tile-%d", t.TileSize) }
 const tileCursorSlot = 0
 
 // minBulk is the chunk length below which a chunk body declines the bulk
-// path (the per-op task runs the scalar pass body over it, and the
+// path (per op the pass body runs the scalar passFn over it, and the
 // dispatch does not fuse): tiny chunks don't amortize the range machinery.
 const minBulk = 4
 
@@ -73,9 +73,9 @@ type planKey int
 // Prepare implements core.Runtime: it allocates the task runtime (state
 // and redo log, in that order, after the deployed regions), registers the
 // image's working buffers as task-shared, and builds the task graph. The
-// graph serves every run: task.Run decides per run whether its passes'
-// fused forms engage. Every runtime of one (model, tile size) shares one
-// task.Plan, compiled by the first run that fuses.
+// graph serves every run: task.Run decides per run whether its passes
+// fuse. Every runtime of one (model, tile size) shares one task.Plan,
+// compiled by the first run that may fuse.
 func (t Tile) Prepare(img *core.Image) (core.Prepared, error) {
 	if t.TileSize <= 0 {
 		return nil, fmt.Errorf("baseline: invalid tile size %d", t.TileSize)
@@ -128,21 +128,25 @@ func (p *tileRun) Release() { p.rt.Release() }
 // passFn executes one loop iteration of a pass.
 type passFn func(c *task.Ctx, iter int)
 
-// chunkFn is a pass's bulk form, written once for both of its paths: the
-// per-op task runs it through Ctx.Bulk, the fused form through the
-// planning and applying walks. It takes the first chunk of iterations
+// chunkFn is a pass's bulk form, run by the pass's one task body in all
+// three of task.Fuse's modes. It takes the first chunk of iterations
 // [lo, hi) — a run uniform in op kinds and contiguous in memory — and
 // returns the chunk's length n and whether the chunk took the bulk path.
 // Every gate (n >= minBulk, Fresh on each task-shared range it touches)
-// comes before its first charge, so a declined chunk charges nothing: the
-// per-op task then runs the scalar passFn over the chunk's n iterations,
-// and the fused form reports the dispatch as not fusable. A bulk chunk
+// comes before its first charge, so a declined chunk charges nothing: per
+// op the body then runs the scalar passFn over the chunk's n iterations,
+// and a planned dispatch with a declined chunk does not fuse. A bulk chunk
 // charges the scalar body's op multiset per iteration, grouped by kind in
-// the order the per-op path charges it.
+// the order the per-op path charges it. A pass with no bulk form declines
+// every chunk (noBulk).
 type chunkFn func(f *task.Fuse, lo, hi int) (n int, bulk bool)
 
+// noBulk is the chunk of a pass with no bulk form: it declines all of
+// [lo, hi), so the pass runs its scalar body per op and never fuses.
+func noBulk(_ *task.Fuse, lo, hi int) (int, bool) { return hi - lo, false }
+
 // addPassFn registers a pass: name, layer label, iteration count, scalar
-// body, and optional chunk body (nil for scalar-only passes).
+// body, and chunk body (noBulk for scalar-only passes).
 type addPassFn func(name, layer string, n int, f passFn, chunk chunkFn)
 
 // tileBuilder assembles the per-layer pass tasks. Because the layer graph
@@ -154,7 +158,7 @@ type tileBuilder struct {
 	k   int
 	// prog supplies the pre-decoded per-layer tables and section labels.
 	prog *tape.Program
-	// cursor stages the fused tasks' one-word cursor writes.
+	// cursor stages the pass bodies' one-word cursor writes.
 	cursor [1]int64
 }
 
@@ -221,11 +225,10 @@ func (b *tileBuilder) build() (bool, error) {
 	}
 
 	// Materialize each pass as one self-transitioning task over a shared
-	// cursor in the control block. Each pass's two attribution sections
-	// are pre-resolved into tokens, so no activation constructs a Section.
-	// A pass with a chunk body also gets a fused form (task.SetFused): the
-	// same task — cursor read, body chunks, cursor write — walked through
-	// a task.Fuse.
+	// cursor in the control block, with one body — cursor read, body
+	// chunks, cursor write — that task.Fuse runs per op, planning and
+	// applying. Each pass's two attribution sections are pre-resolved
+	// into tokens, so no activation constructs a Section.
 	ctl := b.img.Ctl
 	for pi := range passes {
 		p := passes[pi]
@@ -236,40 +239,7 @@ func (b *tileBuilder) build() (bool, error) {
 		self := task.ID(pi)
 		tokC := b.img.Dev.SectionToken(p.layer, mcu.PhaseControl)
 		tokK := b.img.Dev.SectionToken(p.layer, mcu.PhaseKernel)
-		b.rt.Add(p.name, func(c *task.Ctx) task.ID {
-			dev := c.Dev()
-			dev.SetSectionTok(tokC)
-			base := int(c.Read(ctl, tileCursorSlot))
-			end := min(base+b.k, p.n)
-			dev.SetSectionTok(tokK)
-			if p.chunk == nil {
-				for i := base; i < end; i++ {
-					p.f(c, i)
-				}
-			} else {
-				f := c.Bulk()
-				for lo := base; lo < end; {
-					n, bulk := p.chunk(f, lo, end)
-					if !bulk {
-						for i := lo; i < lo+n; i++ {
-							p.f(c, i)
-						}
-					}
-					lo += n
-				}
-			}
-			dev.SetSectionTok(tokC)
-			if end >= p.n {
-				c.Write(ctl, tileCursorSlot, 0) // reset for next pass
-				return next
-			}
-			c.Write(ctl, tileCursorSlot, int64(end))
-			return self
-		})
-		if p.chunk == nil {
-			continue
-		}
-		b.rt.SetFused(self, p.layer, ctl, tileCursorSlot, b.k, func(f *task.Fuse, d int) (task.ID, bool) {
+		b.rt.AddPass(p.name, p.layer, ctl, tileCursorSlot, b.k, func(f *task.Fuse, d int) (task.ID, bool) {
 			base := d * b.k
 			end := min(base+b.k, p.n)
 			to := self
@@ -282,7 +252,7 @@ func (b *tileBuilder) build() (bool, error) {
 			f.Section(tokK)
 			for lo := base; lo < end; {
 				n, bulk := p.chunk(f, lo, end)
-				if !bulk {
+				if !bulk && !f.Scalar(p.f, lo, lo+n) {
 					return to, false
 				}
 				lo += n
@@ -343,7 +313,7 @@ func (b *tileBuilder) convPasses(addPass addPassFn,
 		c.Dev().Op(mcu.OpBranch)
 		apply(c, it/positions, it%positions)
 	}
-	var accChunk chunkFn
+	accChunk := chunkFn(noBulk)
 	if l.NZ == nil {
 		vals := make([]int64, b.k)
 		wKind := mcu.LoadOp(l.W)
@@ -557,7 +527,7 @@ func (b *tileBuilder) sparsePasses(addPass addPassFn,
 	}
 	// The chunk body walks whole row segments — the owning row and its end
 	// come from a host-side RowPtr search, free of simulated charge like
-	// every other chunk's index math: one AccumulateRow per segment
+	// every other chunk's index math: one Accumulate per segment
 	// replaces that row's read-modify-write chain through the redo log,
 	// and the probe loop is charged from its host-counted step count. The
 	// op multiset per iteration is identical to the scalar body's.
@@ -654,5 +624,5 @@ func (b *tileBuilder) poolPass(addPass addPassFn,
 			}
 		}
 		c.Write(dst, i, int64(best))
-	}, nil)
+	}, noBulk)
 }

@@ -244,18 +244,12 @@ func (img *Image) LoadInput(x []fixed.Q15) error {
 		return fmt.Errorf("core: input length %d, model wants %d", len(x), img.Model.In.Len())
 	}
 	flash(img.ActA, x)
-	if img.Ctl.Observed() {
-		for i := 0; i < CtlWords; i++ {
-			img.Ctl.Put(i, 0)
-		}
-	} else {
-		w := img.Ctl.Words()
-		for i := range w {
-			w[i] = 0
-		}
-	}
+	img.Ctl.SetRange(0, zeroCtl[:])
 	return nil
 }
+
+// zeroCtl is a zeroed control block, the one LoadInput writes.
+var zeroCtl [CtlWords]int64
 
 // ReadOutput extracts the final logits from the buffer the last layer wrote
 // (host-side, after inference completes).

@@ -109,27 +109,50 @@ func fusedRun(t *testing.T, qm *dnn.QuantModel, qin []fixed.Q15,
 	return fusedObservation{observe(dev, logits, ierr), nv.nvImage()}
 }
 
+// fusedPower is one power system the fused oracles sweep. brownout marks
+// a capacitor small enough that the loop-continuation runtimes
+// (sonicFamily) must reboot under it on both corpus models.
+type fusedPower struct {
+	name     string
+	mk       func() energy.System
+	brownout bool
+}
+
 // fusedPowers returns the power systems the fused oracle sweeps: the
 // devirtualized kinds fusion engages on. Count-based fail schedules are
 // deliberately absent — they are not bulk-fundable, so fusion never
 // engages there (TestTapeInterpreterDifferential already covers them on
-// the scalar path).
-func fusedPowers() []struct {
-	name string
-	mk   func() energy.System
-} {
-	return []struct {
-		name string
-		mk   func() energy.System
-	}{
-		{"cont", func() energy.System { return energy.Continuous{} }},
-		{"rf-100uF", func() energy.System {
-			return energy.NewIntermittent(energy.Cap100uF, energy.ConstantHarvester{Watts: 1e-3})
-		}},
-		{"rf-1mF", func() energy.System {
+// the scalar path). On the corpus models the whole SONIC and TAILS
+// inference fits one 100 µF charge, so two smaller capacitors make the
+// loop-continuation runtimes resume from fused commits with Pos > 0: at
+// 12 µF sonic and tails on the tiny model, at 16 µF sonic on both models
+// and ckpt-8 on the tiny model. No single capacitor from 8 to 40 µF
+// covers all three (EXPERIMENTS.md, "One task body per tile pass").
+func fusedPowers() []fusedPower {
+	rf := func(farads float64) func() energy.System {
+		return func() energy.System {
+			return energy.NewIntermittent(energy.CapBank(farads), energy.ConstantHarvester{Watts: 1e-3})
+		}
+	}
+	return []fusedPower{
+		{name: "cont", mk: func() energy.System { return energy.Continuous{} }},
+		{name: "rf-100uF", mk: rf(100e-6)},
+		{name: "rf-1mF", mk: func() energy.System {
 			return energy.NewIntermittent(energy.Cap1mF, energy.ConstantHarvester{Watts: 10e-3})
 		}},
+		{name: "rf-12uF", mk: rf(12e-6), brownout: true},
+		{name: "rf-16uF", mk: rf(16e-6), brownout: true},
 	}
+}
+
+// sonicFamily reports whether rt is a loop-continuation runtime, one
+// whose inner loops run through sonic.Exec.Loop.
+func sonicFamily(rt core.Runtime) bool {
+	switch rt.Name() {
+	case "sonic", "tails", "ckpt-8":
+		return true
+	}
+	return false
 }
 
 // oracleRow is one oracle subtest: a runtime on one corpus model.
@@ -161,6 +184,8 @@ func oracleRows() []oracleRow {
 // integer-picojoule energy, per-op counts, per-section stats,
 // MaxRegionOps, reboot count, dead time, the wasted-work figure, and the
 // final FRAM image — to the same run on the energy.PerOp reference path.
+// Under the brownout capacitors the loop-continuation rows must reboot, so
+// a fused commit that loses its cursor shows here as a divergence.
 //
 // Like the bulk and corpus oracles, CI greps for each row's PASS line and
 // rejects skips.
@@ -173,6 +198,9 @@ func TestFusedScalarDifferential(t *testing.T) {
 				scalar := fusedRun(t, row.m.qm, row.m.qin, row.rt, energy.PerOp{S: pw.mk()})
 				diffCompare(t, pw.name, fused.diffObservation, scalar.diffObservation)
 				nvCompare(t, pw.name, fused.NV, scalar.NV)
+				if pw.brownout && sonicFamily(row.rt) && fused.Stats.Reboots == 0 {
+					t.Errorf("%s: never rebooted, so no fused commit was resumed", pw.name)
+				}
 			}
 		})
 	}

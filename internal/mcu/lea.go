@@ -111,19 +111,10 @@ func (d *Device) LEAFIR(out *mem.Region, outOff int, in *mem.Region, inOff int,
 	d.Emit(TraceLEA, "fir", int64(outN))
 	d.Op(OpLEAInvoke)
 	// Bulk charge for the whole invocation; operands and outputs are SRAM,
-	// lost at brown-out, so the charge/compute order is unobservable.
+	// lost at brown-out, so the charge/compute order is unobservable, and
+	// never observed (mem.SetObserver), so the kernel writes raw words.
 	d.Ops(OpLEAElem, outN*coefN)
-	if !out.Observed() {
-		kern.FIR(out.Words(), in.ROWords(), coef.ROWords(), outOff, inOff, coefOff, coefN, outN)
-		return
-	}
-	for i := 0; i < outN; i++ {
-		var acc fixed.Acc
-		for k := 0; k < coefN; k++ {
-			acc = acc.MAC(fixed.Q15(coef.Get(coefOff+k)), fixed.Q15(in.Get(inOff+i+k)))
-		}
-		out.Put(outOff+i, int64(acc.Sat()))
-	}
+	kern.FIR(out.Words(), in.ROWords(), coef.ROWords(), outOff, inOff, coefOff, coefN, outN)
 }
 
 // LEAAddV computes elementwise saturating addition dst[i] = sat(a[i]+b[i])
@@ -137,13 +128,6 @@ func (d *Device) LEAAddV(dst *mem.Region, dstOff int, a *mem.Region, aOff int,
 	checkLEAFootprint(3 * n)
 	d.Emit(TraceLEA, "addv", int64(n))
 	d.Op(OpLEAInvoke)
-	d.Ops(OpLEAElem, n) // bulk charge; SRAM-only effects (see LEAMacV)
-	if !dst.Observed() {
-		kern.AddSatV(dst.Words(), a.ROWords(), b.ROWords(), dstOff, aOff, bOff, n)
-		return
-	}
-	for i := 0; i < n; i++ {
-		s := fixed.Add(fixed.Q15(a.Get(aOff+i)), fixed.Q15(b.Get(bOff+i)))
-		dst.Put(dstOff+i, int64(s))
-	}
+	d.Ops(OpLEAElem, n) // bulk charge; SRAM-only effects (see LEAFIR)
+	kern.AddSatV(dst.Words(), a.ROWords(), b.ROWords(), dstOff, aOff, bOff, n)
 }

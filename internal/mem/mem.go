@@ -112,8 +112,14 @@ func (m *Memory) Alloc(name string, n, elemBytes int) (*Region, error) {
 }
 
 // SetObserver installs (or with nil removes) a Put observer on the bank and
-// every region it has handed out; regions allocated later inherit it.
+// every region it has handed out; regions allocated later inherit it. Only
+// a FRAM bank may be observed: SRAM contents die at every brown-out, so no
+// journal needs them, and the SRAM kernels (LEA, TAILS's scratch) write raw
+// words with no observer fallback. Installing one on another bank panics.
 func (m *Memory) SetObserver(o PutObserver) {
+	if o != nil && m.kind != FRAM {
+		panic(fmt.Sprintf("mem: Put observer on a %s bank; only FRAM is observed", m.kind))
+	}
 	m.obs = o
 	for _, r := range m.regions {
 		r.obs = o

@@ -174,3 +174,23 @@ func TestPutObserver(t *testing.T) {
 		t.Fatal("region indexing inconsistent")
 	}
 }
+
+// TestObserverOnlyOnFRAM: only a FRAM bank may be observed. Installing an
+// observer on an SRAM bank panics and leaves the bank and its regions
+// unobserved; removing one (nil) is always allowed.
+func TestObserverOnlyOnFRAM(t *testing.T) {
+	m := New(SRAM, 4096)
+	r := m.MustAlloc("scratch", 4, 2)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SetObserver on an SRAM bank did not panic")
+			}
+		}()
+		m.SetObserver(&recordObs{})
+	}()
+	if m.Observed() || r.Observed() {
+		t.Error("a refused observer was installed")
+	}
+	m.SetObserver(nil)
+}

@@ -291,17 +291,7 @@ func (t TAILS) fir(dev *mcu.Device, out *mem.Region, outOff int, in *mem.Region,
 	dev.Ops(mcu.OpFixedAdd, total)
 	dev.Ops(mcu.OpLoadSRAM, 2*total)
 	dev.Ops(mcu.OpStoreSRAM, outN)
-	if !out.Observed() {
-		kern.FIR(out.Words(), in.ROWords(), coef.ROWords(), outOff, inOff, coefOff, coefN, outN)
-		return
-	}
-	for i := 0; i < outN; i++ {
-		var acc fixed.Acc
-		for k := 0; k < coefN; k++ {
-			acc = acc.MAC(fixed.Q15(coef.Get(coefOff+k)), fixed.Q15(in.Get(inOff+i+k)))
-		}
-		out.Put(outOff+i, int64(acc.Sat()))
-	}
+	kern.FIR(out.Words(), in.ROWords(), coef.ROWords(), outOff, inOff, coefOff, coefN, outN)
 }
 
 // macv computes a dot product with a wide accumulator on LEA or in software.
@@ -326,14 +316,7 @@ func (t TAILS) addv(dev *mcu.Device, dst *mem.Region, dstOff int, a *mem.Region,
 	dev.Ops(mcu.OpFixedAdd, n)
 	dev.Ops(mcu.OpLoadSRAM, 2*n)
 	dev.Ops(mcu.OpStoreSRAM, n)
-	if !dst.Observed() {
-		kern.AddSatV(dst.Words(), a.ROWords(), b.ROWords(), dstOff, aOff, bOff, n)
-		return
-	}
-	for i := 0; i < n; i++ {
-		s := fixed.Add(fixed.Q15(a.Get(aOff+i)), fixed.Q15(b.Get(bOff+i)))
-		dst.Put(dstOff+i, int64(s))
-	}
+	kern.AddSatV(dst.Words(), a.ROWords(), b.ROWords(), dstOff, aOff, bOff, n)
 }
 
 // preShiftRow arithmetic-right-shifts a row of SRAM words in place — the
@@ -346,13 +329,7 @@ func preShiftRow(dev *mcu.Device, r *mem.Region, off, n, sh int) {
 	dev.Ops(mcu.OpLoadSRAM, n)
 	dev.Ops(mcu.OpAdd, n) // shift sequence
 	dev.Ops(mcu.OpStoreSRAM, n)
-	if !r.Observed() {
-		kern.ShiftRight(r.Words(), off, n, sh)
-		return
-	}
-	for i := 0; i < n; i++ {
-		r.Put(off+i, r.Get(off+i)>>uint(sh))
-	}
+	kern.ShiftRight(r.Words(), off, n, sh)
 }
 
 // shiftBias rescales a Q15 bias (at scale in+w) into the layer's final

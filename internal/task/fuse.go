@@ -1,6 +1,7 @@
 package task
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/mcu"
@@ -12,57 +13,61 @@ import (
 //
 // A task is one atomic commit region — prologue, body, two-phase commit
 // ending in Progress — which is exactly the unit mcu.ChargeTrain funds.
-// A task whose body would take the bulk path in every chunk (every
-// task-shared read and write a fresh ReadRange/WriteRange/AccumulateRow,
-// so its redo log is a plain append of distinct words) charges an op
-// multiset that is a pure function of its dispatch index, so a Plan —
-// per dispatch of every fused task, whether it fuses, its redo-log entry
-// count, its transition target and its op multiset by section slot — is
-// compiled once per task graph, for a tile runtime once per (model, tile
-// size), by the first run that may fuse. When the device may fuse, Run
-// hands the dispatch at a fused task's cursor to Fuse.run: it looks up
-// the following dispatches' entries, maps their multisets to the device's
-// tokens and interned blocks (once per multiset and runtime), ChargeTrain
-// funds a prefix of whole tasks, and an applying walk performs exactly the
-// funded tasks' effects over raw words — home words, redo-log words (dead
-// entries beyond the last task's count included) and control state, as
-// the per-op path leaves them. The first unfunded task runs on the per-op
-// path and browns out at the identical op index.
+// A pass dispatch whose body takes the bulk path in every chunk (every
+// task-shared read and write a fresh Fuse.Read, Write or Accumulate, so its
+// redo log is a plain append of distinct words) charges an op multiset
+// that is a pure function of its dispatch index, so a Plan — per dispatch
+// of every pass, whether it fuses, its redo-log entry count, its
+// transition target and its op multiset by section slot — is compiled once
+// per task graph, for a tile runtime once per (model, tile size), by the
+// first run that may fuse. When the device may fuse, Run hands the
+// dispatch at a pass's cursor to Fuse.run: it looks up the following
+// dispatches' entries, maps their multisets to the device's tokens and
+// interned blocks (once per multiset and runtime), ChargeTrain funds a
+// prefix of whole tasks, and an applying walk performs exactly the funded
+// tasks' effects over raw words — home words, redo-log words (dead entries
+// beyond the last task's count included) and control state, as the per-op
+// path leaves them. The first unfunded task runs on the per-op path and
+// browns out at the identical op index.
 //
-// A task body's bulk chunks are written once, against Fuse: the per-op
-// path runs the same chunk code through Ctx.Bulk, whose per-op mode
-// forwards every call to the device and to the Ctx's range forms. A chunk
-// checks its gates (Fresh, or a Read that charges nothing when it
-// declines) before its first charge, so a declined chunk charges nothing
-// and the per-op body falls back to its scalar form; a planned dispatch
-// with a declined chunk — below the bulk threshold, or re-writing a word
-// the task already privatized — or a task with no fused form runs per op.
-// Whether a run fuses is decided per run, from the device as it is then.
+// A pass has one body (PassFunc), run by Fuse in all three modes: per op,
+// where every call charges the device; planning, where it counts; and
+// applying. Each bulk access's op sequence is written once, in Read, Write
+// and Accumulate, and charged through Ops and Load, which act by mode. A
+// chunk checks its gates (Fresh, or a Read that charges nothing when it
+// declines) before its first charge, so a declined chunk charges nothing:
+// per op the body then runs the chunk's scalar form (Scalar), and a
+// planned dispatch with a declined chunk — below the bulk threshold,
+// re-writing a word the task already privatized, or in a pass with no bulk
+// form — runs per op. Whether a run fuses is decided per run, from the
+// device as it is then.
 
-// FuseFunc is the fused form of a task that dispatches itself repeatedly
-// (a tile pass); d is the dispatch's index in the pass. The planning walk
-// that compiles a Plan calls it for every dispatch d = 0, 1, ... in turn;
-// it returns the dispatch's transition target, whether or not it fuses,
-// and whether the dispatch takes the bulk path throughout, recording the
-// dispatch's charged ops — f.Section, f.Ops, f.Load, f.Read, f.Write,
-// f.Accumulate in place of the Device and Ctx calls its body makes. A
-// plan may depend only on d, never on the device's state. The applying
-// walk calls it again for each funded dispatch, in order (f.Planning()
-// false), to perform its data movement, every task-shared write through
-// f.Write or f.Accumulate, which cannot fail then.
-type FuseFunc func(f *Fuse, d int) (next ID, ok bool)
+// PassFunc is a pass task's one body; d is the dispatch's index in the
+// pass. It charges the dispatch through f — f.Section, f.Ops, f.Load,
+// f.Read, f.Write and f.Accumulate — running a declined chunk through
+// f.Scalar, and returns the dispatch's transition target and whether the
+// dispatch took the bulk path throughout. Per op, Run calls it at the
+// dispatch the pass's cursor names. The planning walk that compiles a Plan
+// calls it for every dispatch d = 0, 1, ... in turn, recording its
+// charges, which may depend only on d, never on the device's state. The
+// applying walk calls it again for each funded dispatch, in order
+// (f.Planning() false), to perform its data movement, every task-shared
+// write through f.Write or f.Accumulate, which cannot decline then.
+type PassFunc func(f *Fuse, d int) (next ID, ok bool)
 
-// SetFused attaches fz as task id's fused form. The task is a pass over a
-// cursor: its dispatch d starts with word at of cur holding d*per. layer
-// is the section layer the task's body is attributed to; its transition
-// section carries the commit ops, and with its control and kernel
-// sections makes the three slots a plan's multisets are counted in.
-func (rt *Runtime) SetFused(id ID, layer string, cur *mem.Region, at, per int, fz FuseFunc) {
-	e := &rt.tasks[id]
-	e.fused, e.cur, e.at, e.per = fz, cur, at, per
+// AddPass registers a pass task, one that dispatches itself over a cursor,
+// and returns its ID: its dispatch d starts with word at of cur holding
+// d*per, and body is its one task body. layer is the section layer the
+// body is attributed to; its transition section carries the commit ops,
+// and with its control and kernel sections makes the three slots a plan's
+// multisets are counted in.
+func (rt *Runtime) AddPass(name, layer string, cur *mem.Region, at, per int, body PassFunc) ID {
+	e := taskEntry{name: name, pass: body, cur: cur, at: at, per: per}
 	for s, ph := range [fuseSlots]mcu.Phase{mcu.PhaseTransition, mcu.PhaseControl, mcu.PhaseKernel} {
 		e.toks[s] = rt.dev.SectionToken(layer, ph)
 	}
+	rt.tasks = append(rt.tasks, e)
+	return ID(len(rt.tasks) - 1)
 }
 
 // maxFuseBatch bounds how many dispatches one ChargeTrain call covers.
@@ -86,34 +91,28 @@ type dispatch struct {
 	prof    int32
 }
 
-// Plan is the compiled fused form of a task graph: every fused task's
+// Plan is the compiled fused form of a task graph: every pass's
 // dispatches, and their distinct multisets (distinct per task). It holds
 // no region, section token or block, so every runtime built with the same
 // graph may share one (UsePlan). It is compiled once, by the first run
 // that may fuse; runs that may not never compile it.
 type Plan struct {
 	once  sync.Once
-	tasks [][]dispatch // by task id; nil for a task with no fused form
+	tasks [][]dispatch // by task id; nil for a task added with Add
 	profs []profile
 }
 
-// UsePlan makes rt take its fused tasks' plan from p, shared with every
+// UsePlan makes rt take its pass tasks' plan from p, shared with every
 // runtime built with the same task graph. A runtime given none allocates
 // its own on the first run that may fuse.
 func (rt *Runtime) UsePlan(p *Plan) { rt.plan, rt.fz.blocks = p, nil }
 
-// span is one word range a planned dispatch writes.
-type span struct {
-	r      *mem.Region
-	lo, hi int
-}
-
-// Fuse executes bulk chunks in one of three modes: per op, forwarding to
-// the device and the Ctx (Ctx.Bulk), the planning walk that compiles a
-// Plan, and the applying walk of a funded train. As the executor it holds
-// the walks' state and the train being funded, and maps the plan's
-// multisets to blocks the device interns (mcu.Device.NewBlock). Each
-// Runtime keeps one, across runs.
+// Fuse runs pass bodies in one of three modes: per op, charging the
+// device, the planning walk that compiles a Plan, and the applying walk of
+// a funded train. As the fused path's executor it holds the walks' state
+// and the train being funded, and maps the plan's multisets to blocks the
+// device interns (mcu.Device.NewBlock). Each Runtime keeps one, across
+// runs.
 type Fuse struct {
 	rt   *Runtime
 	dev  *mcu.Device // rt.dev
@@ -121,10 +120,8 @@ type Fuse struct {
 	cnt  *[mcu.NumOps]int32         // the current section slot's counts in prof
 	toks *[fuseSlots]mcu.SectionTok // the planned task's slots
 
-	// Planning state of the current dispatch.
-	prof    profile
-	entries int    // redo-log entries appended
-	spans   []span // word ranges written
+	// prof is the planned dispatch's multiset.
+	prof profile
 
 	// blocks holds each plan multiset's block with the prologue in the
 	// commit section; ops is the list blocks are built from.
@@ -137,20 +134,20 @@ type Fuse struct {
 	// nothing, and each funded dispatch's count of leading log entries a
 	// later dispatch of its train rewrites.
 	segsBuf [maxFuseBatch]mcu.TrainSeg
-	spanBuf [8]span
 	opsBuf  [32]mcu.BlockOp
 	later   [maxFuseBatch]int
 
-	// Applying state: raw log words, control-state words, the current
-	// dispatch's log count, and how many leading log entries a later
-	// funded dispatch of the train overwrites (so they need no write).
+	// Raw log and control-state words (applying); the current dispatch's
+	// redo-log count (per op, read off the state word at each append); and
+	// how many leading log entries a later funded dispatch of the train
+	// overwrites, so they need no write (applying).
 	log, state []int64
 	n, skip    int
 }
 
 // Fuse modes.
 const (
-	modePerOp = iota // forward to the device and the Ctx
+	modePerOp = iota // charge the device
 	modePlan         // record charges
 	modeApply        // perform a funded dispatch's effects over raw words
 )
@@ -158,18 +155,22 @@ const (
 // init binds f to rt.
 func (f *Fuse) init(rt *Runtime) {
 	f.rt, f.dev = rt, rt.dev
-	f.segs, f.spans, f.ops = f.segsBuf[:0], f.spanBuf[:0], f.opsBuf[:0]
+	f.segs, f.ops = f.segsBuf[:0], f.opsBuf[:0]
 }
 
 // Planning reports whether the current walk records charges (true) or
 // performs them: applying a funded dispatch, or running per op.
 func (f *Fuse) Planning() bool { return f.mode == modePlan }
 
-// Section attributes the following recorded ops to t, one of the task's
-// three slots, as Device.SetSectionTok does for the per-op path; it
-// records nothing outside a plan (chunk bodies do not change sections).
+// Section switches the following ops to t, one of the task's three
+// section slots: per op it is Device.SetSectionTok, planning it selects
+// the slot they are counted in, and applying it does nothing.
 func (f *Fuse) Section(t mcu.SectionTok) {
-	if f.mode != modePlan {
+	switch f.mode {
+	case modePerOp:
+		f.dev.SetSectionTok(t)
+		return
+	case modeApply:
 		return
 	}
 	for s, st := range f.toks {
@@ -178,7 +179,21 @@ func (f *Fuse) Section(t mcu.SectionTok) {
 			return
 		}
 	}
-	panic("task: fused task charges a section outside its layer's slots")
+	panic("task: pass charges a section outside its layer's slots")
+}
+
+// Scalar is a declined chunk's fallback: per op it runs body, the chunk's
+// scalar form, over iterations [lo, hi) through the runtime's Ctx and
+// reports true; planning or applying it reports false, for a dispatch with
+// a declined chunk does not fuse.
+func (f *Fuse) Scalar(body func(c *Ctx, i int), lo, hi int) bool {
+	if f.mode != modePerOp {
+		return false
+	}
+	for i := lo; i < hi; i++ {
+		body(&f.rt.ctx, i)
+	}
+	return true
 }
 
 // Ops is Device.Ops(k, n). It stays small enough to inline into chunk
@@ -212,134 +227,153 @@ func (f *Fuse) load(r *mem.Region, i, n int) {
 // add records n ops of kind k in section slot s.
 func (f *Fuse) add(s int, k mcu.OpKind, n int) { f.prof[s][k] += int32(n) }
 
-// fresh reports whether no word of r[i:i+n] was written earlier in the
-// planned dispatch: Fresh over the dispatch's write set, which holds
-// exactly its earlier bulk writes.
-func (f *Fuse) fresh(r *mem.Region, i, n int) bool {
-	for _, s := range f.spans {
-		if s.r == r && i < s.hi && s.lo < i+n {
-			return false
-		}
-	}
-	return true
-}
-
 // Fresh reports whether none of the words r[i:i+n] is privatized in the
-// task's write set: a chunk's gate, free of charge, which the Ctx's range
-// forms re-verify before charging. Applying, every word is fresh: the
-// plan vouched for it. The one call in it keeps it inlinable.
+// task's write set (planning, the planned dispatch's own): a chunk's gate,
+// free of charge, which Read, Write and Accumulate re-verify before
+// charging. Applying, every word is fresh: the plan vouched for it. The
+// one call in it keeps it inlinable.
 func (f *Fuse) Fresh(r *mem.Region, i, n int) bool {
-	return f.mode == modeApply || f.gate(r, i, n)
+	return f.mode == modeApply || f.rt.fresh(r, i, n)
 }
 
-// gate is Fresh per op and while planning.
-func (f *Fuse) gate(r *mem.Region, i, n int) bool {
-	if f.mode == modePlan {
-		return f.fresh(r, i, n)
-	}
-	rt := f.rt
-	return rt.allFresh(rt.regionID(r), i, n)
-}
-
-// Read is Ctx.ReadRange(r, i, n) (n == 1 also stands for Ctx.Read of an
-// unprivatized word) and reports whether it takes the bulk path; per op,
-// it charges nothing when it does not.
+// Read is the bulk form of n consecutive Ctx.Read calls of words r[i:i+n]
+// (n == 1 also stands for one), legal only when none of them is
+// privatized, so every read goes to the home location: n privatization
+// lookups, then n home loads, segment-grouped within the task, which never
+// commits mid-range. It reports whether it took the bulk path, and charges
+// nothing when it did not, so a chunk may use it as its gate. Values are
+// then read with r.Get, as with Device.LoadRange.
 func (f *Fuse) Read(r *mem.Region, i, n int) bool {
-	switch f.mode {
-	case modePerOp:
-		return f.rt.ctx.ReadRange(r, i, n)
-	case modeApply:
-		return true
+	if !f.Fresh(r, i, n) {
+		return false
 	}
 	f.Ops(mcu.OpPrivatize, n)
-	f.Ops(mcu.LoadOp(r), n)
-	return f.fresh(r, i, n)
+	f.Load(r, i, n)
+	return true
 }
 
-// Write is Ctx.WriteRange(r, i, vals) (one value also stands for a
-// Ctx.Write appending a fresh entry): while planning it records the
-// charges and reports whether the bulk path applies; applying, it appends
-// the log entries and, as the commit's replay will, writes the home words.
-// Writing home words ahead of the commit is exact because a bulk dispatch
-// never reads a word it wrote.
+// Write is the bulk form of len(vals) consecutive Ctx.Write calls to words
+// r[i:i+len(vals)] none of which the task has written before, each then a
+// privatization lookup and a fresh redo-log entry (logAppend). It reports
+// whether it took the bulk path, and charges nothing when some word is
+// already privatized (the scalar in-place log update applies then).
 func (f *Fuse) Write(r *mem.Region, i int, vals []int64) bool {
-	rt, n := f.rt, len(vals)
-	switch f.mode {
-	case modePerOp:
-		return rt.ctx.WriteRange(r, i, vals)
-	case modePlan:
-		f.Ops(mcu.OpPrivatize, n)
-		f.Ops(mcu.OpLoadFRAM, n)
-		f.Ops(mcu.StoreOp(rt.log), 2*n)
-		f.Ops(mcu.OpStoreFRAM, n)
-		f.add(0, mcu.StoreOp(r), n) // the commit's home stores
-		f.entries += n
-		ok := f.fresh(r, i, n)
-		f.spans = append(f.spans, span{r, i, i + n})
-		return ok
+	if !f.Fresh(r, i, len(vals)) {
+		return false
 	}
-	if j0 := max(f.skip-f.n, 0); j0 < n {
-		id := rt.regionID(r)
-		lw := f.log[2*f.n : 2*(f.n+n)]
-		for j := j0; j < n; j++ {
-			lw[2*j] = rt.pack(id, i+j)
-			lw[2*j+1] = vals[j]
+	f.Ops(mcu.OpPrivatize, len(vals))
+	f.logAppend(r, i, vals)
+	return true
+}
+
+// Accumulate is the bulk form of k successive read-modify-write pairs
+// (Ctx.Read then Ctx.Write) on the single word r[i], as a CSR row walk
+// performs on its row's partial accumulator: the first pair reads the home
+// location and appends a fresh redo-log entry, each later pair reads and
+// rewrites that log slot in place. It charges the scalar sequence's op
+// multiset — 2k privatization lookups, one home load, one log append, and
+// k-1 in-place log loads and stores — and installs final as the entry's
+// value; the k-1 intermediate values are never materialized, which is
+// unobservable because an execution-phase failure restarts the task and
+// resets the log before any of them could be read. The per-pair arithmetic
+// op (FixedAdd) stays with the caller, as do the operand loads. It reports
+// whether it took the bulk path, and charges nothing when r[i] is already
+// privatized.
+func (f *Fuse) Accumulate(r *mem.Region, i, k int, final int64) bool {
+	if !f.Fresh(r, i, 1) {
+		return false
+	}
+	f.Ops(mcu.OpPrivatize, 2*k)
+	f.Load(r, i, 1) // the first pair's home read
+	v := [1]int64{final}
+	f.logAppend(r, i, v[:])
+	f.Ops(mcu.OpLoadFRAM, k-1)
+	f.Ops(mcu.OpStoreFRAM, k-1)
+	return true
+}
+
+// logAppend appends fresh redo-log entries holding vals for words
+// r[i:i+len(vals)]: per word one log-count load, two contiguous log stores
+// and one log-count store, segment-grouped within the task. The log-count
+// loads and stores hit the same state word n times; the state region is
+// protocol-exempt from WAR tracking, so charging them as bulk FRAM ops is
+// observationally identical to n scalar accesses. A power failure mid-way
+// leaves log contents that differ word for word from the scalar
+// interleaving, but an execution-phase failure restarts the task, which
+// resets the log count and write set before any of it can be read.
+// Planning, it also records the commit's home stores. Applying, it writes
+// the entries no later funded dispatch of the train rewrites, and the
+// home words, as the commit's replay will: exact because a bulk dispatch
+// never reads a word it wrote.
+func (f *Fuse) logAppend(r *mem.Region, i int, vals []int64) {
+	rt, n := f.rt, len(vals)
+	if f.mode == modeApply {
+		// Most of a train's entries are rewritten by a later dispatch, so
+		// the region is resolved only for entries written here.
+		if j0 := max(f.skip-f.n, 0); j0 < n {
+			id := rt.regionID(r)
+			lw := f.log[2*f.n : 2*(f.n+n)]
+			for j := j0; j < n; j++ {
+				lw[2*j], lw[2*j+1] = rt.pack(id, i+j), vals[j]
+			}
+		}
+		f.n += n
+		copy(r.Words()[i:], vals)
+		return
+	}
+	id := rt.regionID(r)
+	if f.mode == modePerOp {
+		if f.n = int(rt.state.Get(stCount)); f.n+n > rt.cap {
+			panic(fmt.Sprintf("task: redo log overflow (%d entries): task writes too much task-shared data", rt.cap))
 		}
 	}
+	f.Ops(mcu.OpLoadFRAM, n)
+	if f.mode == modePlan {
+		f.Ops(mcu.StoreOp(rt.log), 2*n)
+		f.add(0, mcu.StoreOp(r), n) // the commit's home stores
+	} else {
+		if f.dev.Tracer() != nil {
+			for j := 0; j < n; j++ {
+				f.dev.Emit(mcu.TracePrivatize, r.Name, int64(f.n+j))
+			}
+		}
+		if cap(rt.logScratch) < 2*n {
+			rt.logScratch = make([]int64, 2*n)
+		}
+		entries := rt.logScratch[:2*n]
+		for j := 0; j < n; j++ {
+			entries[2*j], entries[2*j+1] = rt.pack(id, i+j), vals[j]
+		}
+		f.dev.StoreRange(rt.log, 2*f.n, entries)
+	}
+	f.Ops(mcu.OpStoreFRAM, n)
+	rt.mark(id, i, n, f.n)
 	f.n += n
-	copy(r.Words()[i:], vals)
-	return true
+	if f.mode == modePerOp {
+		rt.state.Put(stCount, int64(f.n))
+	}
 }
 
-// Accumulate is Ctx.AccumulateRow(r, i, k, final): k read-modify-write
-// pairs on r[i] leaving one log entry holding final.
-func (f *Fuse) Accumulate(r *mem.Region, i, k int, final int64) bool {
-	rt := f.rt
-	switch f.mode {
-	case modePerOp:
-		return rt.ctx.AccumulateRow(r, i, k, final)
-	case modePlan:
-		f.Ops(mcu.OpPrivatize, 2*k)
-		f.Ops(mcu.LoadOp(r), 1)
-		f.Ops(mcu.OpLoadFRAM, 1)
-		f.Ops(mcu.StoreOp(rt.log), 2)
-		f.Ops(mcu.OpStoreFRAM, 1)
-		f.Ops(mcu.OpLoadFRAM, k-1)
-		f.Ops(mcu.OpStoreFRAM, k-1)
-		f.add(0, mcu.StoreOp(r), 1)
-		f.entries++
-		ok := f.fresh(r, i, 1)
-		f.spans = append(f.spans, span{r, i, i + 1})
-		return ok
-	}
-	if f.n >= f.skip {
-		f.log[2*f.n] = rt.pack(rt.regionID(r), i)
-		f.log[2*f.n+1] = final
-	}
-	f.n++
-	r.Words()[i] = final
-	return true
-}
-
-// compile fills p from rt's task graph: the planning walk of every fused
-// task, dispatch by dispatch from the start of its pass, until a dispatch
-// transitions away.
+// compile fills p from rt's task graph: the planning walk of every pass,
+// dispatch by dispatch from the start of its pass, until a dispatch
+// transitions away. Each planned dispatch starts with an empty write set.
 func (p *Plan) compile(rt *Runtime) {
 	f := &rt.fz
 	f.mode = modePlan
 	p.tasks = make([][]dispatch, len(rt.tasks))
 	for id := range rt.tasks {
 		e := &rt.tasks[id]
-		if e.fused == nil {
+		if e.pass == nil {
 			continue
 		}
 		f.toks = &e.toks
 		seen := map[profile]int32{}
 		for d := 0; ; d++ {
-			f.prof, f.entries, f.spans = profile{}, 0, f.spans[:0]
+			f.prof, f.n = profile{}, 0
 			f.cnt = &f.prof[0]
-			next, ok := e.fused(f, d)
-			dp := dispatch{next: next, entries: int32(f.entries), prof: -1}
+			rt.clearWriteSet()
+			next, ok := e.pass(f, d)
+			dp := dispatch{next: next, entries: int32(f.n), prof: -1}
 			if ok {
 				f.endPlan()
 				pi, known := seen[f.prof]
@@ -366,7 +400,7 @@ func (f *Fuse) endPlan() {
 	st, lg := f.rt.state, f.rt.log
 	f.add(0, mcu.StoreOp(st), 2)
 	f.add(0, mcu.LoadOp(st), 1)
-	f.add(0, mcu.LoadOp(lg), 2*f.entries)
+	f.add(0, mcu.LoadOp(lg), 2*f.n)
 	f.add(0, mcu.LoadOp(st), 1)
 	f.add(0, mcu.StoreOp(st), 2)
 	f.add(0, mcu.OpDispatch, 1)
@@ -464,7 +498,7 @@ func (f *Fuse) run(cur ID) bool {
 		}
 		for j := 0; j < m; j++ {
 			f.n, f.skip = 0, f.later[j]
-			next, _ := e.fused(f, d+j)
+			next, _ := e.pass(f, d+j)
 			if next != plan[d+j].next {
 				panic("task: plan compiled from another task graph")
 			}

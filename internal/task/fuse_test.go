@@ -40,16 +40,17 @@ func scaleChunk(src, dst *mem.Region, per int) (chunk func(f *Fuse, lo, hi int) 
 	return chunk, scalar
 }
 
-// scaleProgram builds a one-task program that runs scaleChunk over n
-// words, per words per dispatch, behind a cursor in ctl — the shape of a
-// tile pass. Its per-op task and its fused form run the same chunk body:
-// the task through Ctx.Bulk, falling back to the scalar body when the
-// chunk declines, the fused form reporting a declined chunk as not
-// fusable. Every third dispatch first writes a placeholder to its first
-// word, so its chunk re-writes a privatized word; with per = 8 the last
-// dispatch is a short chunk. It returns the runtime and the regions whose
-// final words the program leaves behind.
-func scaleProgram(t *testing.T, dev *mcu.Device, n, per int) (*Runtime, []*mem.Region) {
+// scaleProgram builds a two-pass program behind a cursor in ctl, per
+// words per dispatch — the shape of a tile layer. The first pass runs
+// scaleChunk over n words; every third dispatch first writes a
+// placeholder to its first word, so its chunk re-writes a privatized word,
+// and with per = 8 the last dispatch is a short chunk. The second pass,
+// out[i] = src[i]+dst[i], has no bulk form, the shape of the tile pool
+// pass: its chunk always declines. Each pass has one body: per op a
+// declined chunk runs the scalar body, and a planned dispatch with one
+// does not fuse. It returns the runtime, the regions whose final words the
+// program leaves behind, and the no-bulk pass's ID.
+func scaleProgram(t *testing.T, dev *mcu.Device, n, per int) (*Runtime, []*mem.Region, ID) {
 	t.Helper()
 	rt, err := New(dev, 64)
 	if err != nil {
@@ -57,61 +58,54 @@ func scaleProgram(t *testing.T, dev *mcu.Device, n, per int) (*Runtime, []*mem.R
 	}
 	src := dev.FRAM.MustAlloc("src", n, 2)
 	dst := dev.FRAM.MustAlloc("dst", n, 2)
+	out := dev.FRAM.MustAlloc("out", n, 2)
 	ctl := dev.FRAM.MustAlloc("ctl", 1, 2)
 	for i := 0; i < n; i++ {
 		src.Put(i, int64(i*7%13))
 	}
 	rt.Share(dst)
+	rt.Share(out)
 	rt.Share(ctl)
-	tokC := dev.SectionToken("scale", mcu.PhaseControl)
-	tokK := dev.SectionToken("scale", mcu.PhaseKernel)
 	chunk, scalar := scaleChunk(src, dst, per)
 	placeholder := []int64{-1}
 	cursor := make([]int64, 1)
-	var self ID
-	self = rt.Add("scale", func(c *Ctx) ID {
-		dev := c.Dev()
-		dev.SetSectionTok(tokC)
-		base := int(c.Read(ctl, 0))
-		end := min(base+per, n)
-		dev.SetSectionTok(tokK)
-		if base/per%3 == 0 {
-			c.Write(dst, base, placeholder[0])
-		}
-		if m, bulk := chunk(c.Bulk(), base, end); !bulk {
-			for i := base; i < base+m; i++ {
-				scalar(c, i)
+	// pass registers a pass over the n words whose dispatches open with
+	// pre and whose chunks run body, transitioning to next at the end.
+	pass := func(name string, next ID, pre func(f *Fuse, base int), body func(f *Fuse, lo, hi int) (int, bool), scalar func(c *Ctx, i int)) ID {
+		self := ID(len(rt.tasks))
+		tokC := dev.SectionToken(name, mcu.PhaseControl)
+		tokK := dev.SectionToken(name, mcu.PhaseKernel)
+		return rt.AddPass(name, name, ctl, 0, per, func(f *Fuse, d int) (ID, bool) {
+			base := d * per
+			end := min(base+per, n)
+			to := self
+			cursor[0] = int64(end)
+			if end >= n {
+				to, cursor[0] = next, 0
 			}
-		}
-		dev.SetSectionTok(tokC)
-		if end >= n {
-			c.Write(ctl, 0, 0)
-			return Done
-		}
-		c.Write(ctl, 0, int64(end))
-		return self
-	})
-	rt.SetFused(self, "scale", ctl, 0, per, func(f *Fuse, d int) (ID, bool) {
-		base := d * per
-		end := min(base+per, n)
-		next := self
-		cursor[0] = int64(end)
-		if end >= n {
-			next, cursor[0] = Done, 0
-		}
-		f.Section(tokC)
-		f.Read(ctl, 0, 1)
-		f.Section(tokK)
+			f.Section(tokC)
+			f.Read(ctl, 0, 1)
+			f.Section(tokK)
+			pre(f, base)
+			if m, bulk := body(f, base, end); !bulk && !f.Scalar(scalar, base, base+m) {
+				return to, false
+			}
+			f.Section(tokC)
+			return to, f.Write(ctl, 0, cursor)
+		})
+	}
+	pass("scale", 1, func(f *Fuse, base int) {
 		if base/per%3 == 0 {
 			f.Write(dst, base, placeholder)
 		}
-		if _, bulk := chunk(f, base, end); !bulk {
-			return next, false
-		}
-		f.Section(tokC)
-		return next, f.Write(ctl, 0, cursor)
-	})
-	return rt, []*mem.Region{src, dst, ctl, rt.state, rt.log}
+	}, chunk, scalar)
+	sum := func(c *Ctx, i int) {
+		dev := c.Dev()
+		dev.Op(mcu.OpFixedAdd)
+		c.Write(out, i, dev.Load(src, i)+c.Read(dst, i))
+	}
+	noBulk := pass("sum", Done, func(*Fuse, int) {}, func(_ *Fuse, lo, hi int) (int, bool) { return hi - lo, false }, sum)
+	return rt, []*mem.Region{src, dst, out, ctl, rt.state, rt.log}, noBulk
 }
 
 // TestFusedTasksMatchPerOp is the task runtime's own fused-vs-reference
@@ -119,8 +113,9 @@ func scaleProgram(t *testing.T, dev *mcu.Device, n, per int) (*Runtime, []*mem.R
 // out every few tasks, a run whose fusable dispatches are funded and
 // applied as whole tasks must actually fuse and must leave exactly the
 // energy.PerOp run's Stats (op counts, per-section maps, cycles, energy,
-// MaxRegionOps, reboots) and final FRAM — home words, cursor, control
-// state, and the redo log with its dead entries.
+// MaxRegionOps, reboots) and final FRAM — home words of both passes,
+// cursor, control state, and the redo log with its dead entries. The pass
+// with no bulk form must fuse none of its dispatches.
 func TestFusedTasksMatchPerOp(t *testing.T) {
 	powers := []struct {
 		name string
@@ -133,9 +128,9 @@ func TestFusedTasksMatchPerOp(t *testing.T) {
 	}
 	for _, pw := range powers {
 		for _, per := range []int{5, 8, 13} {
-			run := func(power energy.System) (*mcu.Device, [][]int64) {
+			run := func(power energy.System) (*mcu.Device, [][]int64, *Runtime, ID) {
 				dev := mcu.New(power)
-				rt, regions := scaleProgram(t, dev, 90, per)
+				rt, regions, noBulk := scaleProgram(t, dev, 90, per)
 				rt.Start(0)
 				if err := rt.Run(); err != nil {
 					t.Fatalf("%s/per=%d: %v", pw.name, per, err)
@@ -144,13 +139,22 @@ func TestFusedTasksMatchPerOp(t *testing.T) {
 				for _, r := range regions {
 					words = append(words, append([]int64(nil), r.ROWords()...))
 				}
-				return dev, words
+				return dev, words, rt, noBulk
 			}
-			fused, fw := run(pw.mk())
-			scalar, sw := run(energy.PerOp{S: pw.mk()})
+			fused, fw, frt, noBulk := run(pw.mk())
+			scalar, sw, _, _ := run(energy.PerOp{S: pw.mk()})
 			fs, ss := fused.Stats(), scalar.Stats()
 			if fused.FusedOps() == 0 {
 				t.Errorf("%s/per=%d: nothing fused", pw.name, per)
+			}
+			if frt.plan == nil || len(frt.plan.tasks[noBulk]) != (90+per-1)/per {
+				t.Errorf("%s/per=%d: no-bulk pass was not planned over its %d dispatches", pw.name, per, (90+per-1)/per)
+			} else {
+				for d, dp := range frt.plan.tasks[noBulk] {
+					if dp.prof >= 0 {
+						t.Errorf("%s/per=%d: no-bulk pass fuses dispatch %d", pw.name, per, d)
+					}
+				}
 			}
 			if scalar.FusedOps() != 0 {
 				t.Errorf("%s/per=%d: PerOp run fused %d ops", pw.name, per, scalar.FusedOps())
@@ -176,9 +180,11 @@ func TestFusedTasksMatchPerOp(t *testing.T) {
 // because it would re-write a word the task already privatized — leaves
 // the device's Stats and every FRAM word exactly as they were, so the
 // scalar fallback that follows charges each iteration once. A bulk chunk
-// in the same task does charge, so the probe sees the device.
+// in the same task does charge, so the probe sees the device. The probes
+// run in a pass body on an energy.PerOp device, which never plans, so the
+// body runs per op only.
 func TestDeclinedChunkChargesNothing(t *testing.T) {
-	dev := mcu.New(energy.Continuous{})
+	dev := mcu.New(energy.PerOp{S: energy.Continuous{}})
 	rt, err := New(dev, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -186,10 +192,12 @@ func TestDeclinedChunkChargesNothing(t *testing.T) {
 	const n = 16
 	src := dev.FRAM.MustAlloc("src", n, 2)
 	dst := dev.FRAM.MustAlloc("dst", n, 2)
+	ctl := dev.FRAM.MustAlloc("ctl", 1, 2)
 	for i := 0; i < n; i++ {
 		src.Put(i, int64(i))
 	}
 	rt.Share(dst)
+	rt.Share(ctl)
 	chunk, _ := scaleChunk(src, dst, n)
 	snapshot := func() (*mcu.Stats, [][]int64) {
 		var words [][]int64
@@ -198,9 +206,9 @@ func TestDeclinedChunkChargesNothing(t *testing.T) {
 		}
 		return dev.Stats(), words
 	}
-	probe := func(c *Ctx, name string, lo, hi int, wantBulk bool) {
+	probe := func(f *Fuse, name string, lo, hi int, wantBulk bool) {
 		s0, w0 := snapshot()
-		m, bulk := chunk(c.Bulk(), lo, hi)
+		m, bulk := chunk(f, lo, hi)
 		s1, w1 := snapshot()
 		switch {
 		case m != hi-lo || bulk != wantBulk:
@@ -213,12 +221,12 @@ func TestDeclinedChunkChargesNothing(t *testing.T) {
 			t.Errorf("%s: bulk chunk charged nothing", name)
 		}
 	}
-	rt.Add("probe", func(c *Ctx) ID {
-		probe(c, "short", 0, 3, false)
-		c.Write(dst, 9, 7) // privatize dst[9]
-		probe(c, "privatized", 8, 12, false)
-		probe(c, "bulk", 0, 8, true)
-		return Done
+	rt.AddPass("probe", "probe", ctl, 0, 1, func(f *Fuse, d int) (ID, bool) {
+		probe(f, "short", 0, 3, false)
+		f.Scalar(func(c *Ctx, i int) { c.Write(dst, i, 7) }, 9, 10) // privatize dst[9]
+		probe(f, "privatized", 8, 12, false)
+		probe(f, "bulk", 0, 8, true)
+		return Done, false
 	})
 	rt.Start(0)
 	if err := rt.Run(); err != nil {

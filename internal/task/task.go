@@ -18,15 +18,15 @@
 // task. A task is one atomic commit region, so when the device may fuse
 // (mcu.Device.CanFuse, and no observer on FRAM) Run funds runs of whole
 // tasks through mcu.ChargeTrain and applies their effects over raw words
-// (fuse.go). Only tasks with a fused form (SetFused) whose every chunk
-// would take the bulk path — fresh ReadRange, WriteRange and AccumulateRow
-// calls — fuse. A task with a short chunk, a re-write of a word it already
-// privatized, or no bulk form (a tile pool pass) runs per op, as does the
-// first task a train cannot fund, which browns out at the identical op.
-// Run decides per run, from the device as it is then; a task's bulk chunks
-// are one body, which its per-op form runs through Ctx.Bulk and its fused
-// form through the planning walk, once per task graph (Plan), and the
-// applying walk of every funded train.
+// (fuse.go). A pass task (AddPass) has one body, written against Fuse,
+// which runs per op, in the planning walk that compiles its Plan once per
+// task graph, and in the applying walk of every funded train. Only a pass
+// dispatch whose every chunk takes the bulk path — fresh Fuse.Read,
+// Fuse.Write and Fuse.Accumulate calls — fuses. A dispatch with a short
+// chunk, a re-write of a word it already privatized, or a chunk that
+// always declines (a tile pool pass) runs per op, as does the first task a
+// train cannot fund, which browns out at the identical op. Run decides per
+// run, from the device as it is then.
 package task
 
 import (
@@ -91,14 +91,14 @@ type Runtime struct {
 	lastReg, prevReg *mem.Region
 	lastID, prevID   int
 
-	// logScratch is the reusable staging buffer for WriteRange's
+	// logScratch is the reusable staging buffer for Fuse.Write's
 	// interleaved (address, value) log entries.
 	logScratch []int64
 
-	// ctx is the one Ctx every per-op dispatch gets, and fz the bulk-chunk
-	// executor: per op through Ctx.Bulk, and the fused-task walks. plan is
-	// the fused tasks' plan (UsePlan, or allocated by the first run that
-	// may fuse and finds none), compiled by the first run that may fuse.
+	// ctx is the one Ctx every per-op dispatch gets, and fz the pass
+	// bodies' executor in all three modes. plan is the pass tasks' plan
+	// (UsePlan, or allocated by the first run that may fuse and finds
+	// none), compiled by the first run that may fuse.
 	ctx  Ctx
 	fz   Fuse
 	plan *Plan
@@ -128,10 +128,10 @@ type taskEntry struct {
 	name string
 	f    Func
 
-	// fused is the task's fused form (SetFused), nil for tasks that
-	// always run per op; its dispatch d starts with cur[at] == d*per, and
-	// toks are its layer's sections by slot.
-	fused   FuseFunc
+	// pass is a pass task's body (AddPass), nil for a task added with Add;
+	// its dispatch d starts with cur[at] == d*per, and toks are its
+	// layer's sections by slot.
+	pass    PassFunc
 	cur     *mem.Region
 	at, per int
 	toks    [fuseSlots]mcu.SectionTok
@@ -248,10 +248,11 @@ func (rt *Runtime) Run() error {
 			}
 		}
 		for {
-			// Fused path: fund and apply runs of whole tasks; the dispatch
-			// it stops at runs per op below. Task ids are peeked free of
-			// charge; the fused tasks charge their own prologue loads.
-			for next := ID(rt.state.Get(stCur)); canFuse && next != Done && rt.tasks[next].fused != nil; next = ID(rt.state.Get(stCur)) {
+			// Fused path: fund and apply runs of whole pass dispatches; the
+			// dispatch it stops at runs per op below. Task ids are peeked
+			// free of charge; the fused tasks charge their own prologue
+			// loads.
+			for next := ID(rt.state.Get(stCur)); canFuse && next != Done && rt.tasks[next].pass != nil; next = ID(rt.state.Get(stCur)) {
 				if !fz.run(next) {
 					break
 				}
@@ -268,7 +269,14 @@ func (rt *Runtime) Run() error {
 			rt.dev.Emit(mcu.TraceTaskBegin, rt.tasks[cur].name, int64(cur))
 			rt.dev.Store(rt.state, stCount, 0)
 			rt.clearWriteSet()
-			next := rt.tasks[cur].f(&rt.ctx)
+			// A pass runs its body per op at the dispatch its cursor names.
+			var next ID
+			if e := &rt.tasks[cur]; e.pass != nil {
+				fz.mode = modePerOp
+				next, _ = e.pass(fz, int(e.cur.Get(e.at))/e.per)
+			} else {
+				next = e.f(&rt.ctx)
+			}
 			rt.commit(next)
 		}
 	})
@@ -297,7 +305,7 @@ func (rt *Runtime) replayAndFinish() {
 	dev.Emit(mcu.TraceTaskCommitReplay, layer, int64(n))
 	// The log is contiguous, so its reads charge as one bulk batch. The
 	// home-location writes commit in maximal consecutive-address runs:
-	// bulk WriteRange appends contiguous spans to the log, so most of a
+	// bulk Fuse.Write appends contiguous spans to the log, so most of a
 	// tile's entries replay as a handful of StoreRange batches — each
 	// charging exactly one store per word of the same kind the scalar
 	// loop would, so the brown-out lands on the identical op. Scattered
@@ -360,15 +368,6 @@ type Ctx struct {
 // reads of read-only data such as weights, which need no privatization.
 func (c *Ctx) Dev() *mcu.Device { return c.rt.dev }
 
-// Bulk returns the runtime's Fuse in per-op mode, for a task body's bulk
-// chunks written against Fuse: each call charges as the Device or Ctx
-// method it stands for.
-func (c *Ctx) Bulk() *Fuse {
-	f := &c.rt.fz
-	f.mode = modePerOp
-	return f
-}
-
 // Read reads task-shared data, observing the task's own uncommitted writes
 // (read-own-write through the redo log).
 func (c *Ctx) Read(r *mem.Region, i int) int64 {
@@ -399,15 +398,13 @@ func (c *Ctx) Write(r *mem.Region, i int, v int64) {
 	rt.dev.Store(rt.log, 2*n, rt.pack(id, i))
 	rt.dev.Store(rt.log, 2*n+1, v)
 	rt.dev.Store(rt.state, stCount, int64(n+1))
-	rt.wsSlot[id][i] = int32(n)
-	rt.wsMark[id][i] = rt.wsEpoch
+	rt.mark(id, i, 1, n)
 }
 
-// allFresh reports whether no word of [i, i+n) in shared region id has a
-// live write-set entry.
-func (rt *Runtime) allFresh(id, i, n int) bool {
+// fresh reports whether no word of r[i:i+n] has a live write-set entry.
+func (rt *Runtime) fresh(r *mem.Region, i, n int) bool {
 	epoch := rt.wsEpoch
-	for _, m := range rt.wsMark[id][i : i+n] {
+	for _, m := range rt.wsMark[rt.regionID(r)][i : i+n] {
 		if m == epoch {
 			return false
 		}
@@ -415,129 +412,14 @@ func (rt *Runtime) allFresh(id, i, n int) bool {
 	return true
 }
 
-// ReadRange is the bulk form of n consecutive Read calls of words
-// r[i:i+n], legal only when none of them is privatized (every read goes to
-// the home location). It charges the scalar calls' exact op multiset — n
-// privatization lookups, then n home loads — segment-grouped within the
-// current task, which never commits mid-range, and returns false without
-// charging anything when some word is privatized so the caller can fall
-// back to scalar Reads. Values are then read with r.Get, as with
-// Device.LoadRange.
-func (c *Ctx) ReadRange(r *mem.Region, i, n int) bool {
-	rt := c.rt
-	if n <= 0 {
-		return true
-	}
-	if !rt.allFresh(rt.regionID(r), i, n) {
-		return false
-	}
-	rt.dev.Ops(mcu.OpPrivatize, n)
-	rt.dev.LoadRange(r, i, n)
-	return true
-}
-
-// WriteRange is the bulk form of len(vals) consecutive Write calls to
-// words r[i:i+len(vals)] none of which the task has written before: every
-// word then appends a fresh redo-log entry, so the protocol traffic is
-// uniform and bulk-chargeable — per word one privatization lookup, one
-// log-count load, two contiguous log stores, and one log-count store,
-// segment-grouped within the current task. Returns false without side
-// effects when some word is already privatized (the scalar path's
-// in-place log update applies then). A power failure mid-range leaves
-// partial log contents that differ word-for-word from the scalar
-// interleaving, but an execution-phase failure restarts the task, which
-// resets the log count and write set before any of it can be read.
-func (c *Ctx) WriteRange(r *mem.Region, i int, vals []int64) bool {
-	rt := c.rt
-	n := len(vals)
-	if n == 0 {
-		return true
-	}
-	id := rt.regionID(r)
-	if !rt.allFresh(id, i, n) {
-		return false
-	}
-	dev := rt.dev
-	n0 := int(rt.state.Get(stCount))
-	if n0+n > rt.cap {
-		panic(fmt.Sprintf("task: redo log overflow (%d entries): task writes too much task-shared data", rt.cap))
-	}
-	dev.Ops(mcu.OpPrivatize, n)
-	// The log-count loads and stores hit the same state word n times; the
-	// state region is protocol-exempt from WAR tracking, so charging them
-	// as bulk FRAM ops is observationally identical to n scalar accesses.
-	dev.Ops(mcu.OpLoadFRAM, n)
-	if dev.Tracer() != nil {
-		for j := 0; j < n; j++ {
-			dev.Emit(mcu.TracePrivatize, r.Name, int64(n0+j))
-		}
-	}
-	if cap(rt.logScratch) < 2*n {
-		rt.logScratch = make([]int64, 2*n)
-	}
-	entries := rt.logScratch[:2*n]
-	for j := 0; j < n; j++ {
-		entries[2*j] = rt.pack(id, i+j)
-		entries[2*j+1] = vals[j]
-	}
-	dev.StoreRange(rt.log, 2*n0, entries)
-	dev.Ops(mcu.OpStoreFRAM, n)
-	rt.state.Put(stCount, int64(n0+n))
-	epoch := rt.wsEpoch
+// mark enters words [i, i+n) of shared region id in the write set, at log
+// slots n0, n0+1, ...
+func (rt *Runtime) mark(id, i, n, n0 int) {
 	slots, marks := rt.wsSlot[id], rt.wsMark[id]
 	for j := 0; j < n; j++ {
 		slots[i+j] = int32(n0 + j)
-		marks[i+j] = epoch
+		marks[i+j] = rt.wsEpoch
 	}
-	return true
-}
-
-// AccumulateRow is the bulk form of k successive read-modify-write pairs
-// (Read then Write) on the single word r[i], as a CSR row walk performs on
-// its row's partial accumulator: the first pair reads the home location and
-// appends a fresh redo-log entry, each later pair reads and rewrites that
-// log slot in place. It charges the scalar sequence's exact op multiset —
-// 2k privatization lookups, one home load (shadow-recorded), one log
-// append (log-count load, two log stores, log-count store), and k-1
-// in-place log loads and stores — and installs final as the entry's value;
-// the k-1 intermediate values are never materialized, which is unobservable
-// because an execution-phase failure restarts the task and resets the log
-// before any of them could be read. The per-pair arithmetic op (FixedAdd)
-// stays with the caller, as do the operand loads. Returns false without
-// side effects when r[i] is already privatized — the scalar in-place
-// update applies then — so callers can fall back per pair.
-func (c *Ctx) AccumulateRow(r *mem.Region, i, k int, final int64) bool {
-	rt := c.rt
-	if k <= 0 {
-		return true
-	}
-	id := rt.regionID(r)
-	if rt.wsMark[id][i] == rt.wsEpoch {
-		return false
-	}
-	dev := rt.dev
-	n := int(rt.state.Get(stCount))
-	if n >= rt.cap {
-		panic(fmt.Sprintf("task: redo log overflow (%d entries): task writes too much task-shared data", rt.cap))
-	}
-	dev.Ops(mcu.OpPrivatize, 2*k)
-	dev.LoadRange(r, i, 1) // first pair's home read
-	dev.Ops(mcu.OpLoadFRAM, 1)
-	dev.Emit(mcu.TracePrivatize, r.Name, int64(n))
-	if cap(rt.logScratch) < 2 {
-		rt.logScratch = make([]int64, 2)
-	}
-	entry := rt.logScratch[:2]
-	entry[0], entry[1] = rt.pack(id, i), final
-	dev.StoreRange(rt.log, 2*n, entry)
-	dev.Ops(mcu.OpStoreFRAM, 1)
-	rt.state.Put(stCount, int64(n+1))
-	// Later pairs: read and rewrite the log slot in place.
-	dev.Ops(mcu.OpLoadFRAM, k-1)
-	dev.Ops(mcu.OpStoreFRAM, k-1)
-	rt.wsSlot[id][i] = int32(n)
-	rt.wsMark[id][i] = rt.wsEpoch
-	return true
 }
 
 // TaskName returns the registered name of a task (for diagnostics).
