@@ -60,6 +60,7 @@ func brokenLayer(s *sonic.Exec, li int, parity bool, start sonic.Cursor) {
 		// Zero the in-place accumulator (write-only, idempotent — the bug
 		// is not here).
 		s.Loop(tokK, tokC, nil, start, q.Out, nil, func(o int) {
+			dev.Op(mcu.OpBranch)
 			dev.Store(acc, o, 0)
 		})
 		start = sonic.Cursor{Layer: start.Layer, Pass: 1}
@@ -70,6 +71,7 @@ func brokenLayer(s *sonic.Exec, li int, parity bool, start sonic.Cursor) {
 		// iteration after a brown-out reads the already-updated partial —
 		// the classic non-idempotent loop body.
 		s.Loop(tokK, tokC, nil, start, q.In*q.Out, nil, func(it int) {
+			dev.Op(mcu.OpBranch)
 			i, o := it/q.Out, it%q.Out
 			x := fixed.Q15(dev.Load(src, i))
 			wv := fixed.Q15(dev.Load(l.W, o*q.In+i))
@@ -83,6 +85,7 @@ func brokenLayer(s *sonic.Exec, li int, parity bool, start sonic.Cursor) {
 		fallthrough
 	default:
 		s.Loop(tokK, tokC, nil, start, q.Out, nil, func(o int) {
+			dev.Op(mcu.OpBranch)
 			bq := fixed.Q15(dev.Load(l.B, o))
 			a := fixed.Acc(dev.Load(acc, o))
 			dev.Op(mcu.OpFixedAdd)

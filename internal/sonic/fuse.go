@@ -5,20 +5,23 @@ import (
 )
 
 // Loop continuation as one driver. Every map-shaped inner loop of the
-// loop-continuation runtimes (SONIC, checkpointing, TAILS's finalize, the
-// campaign's Broken control) runs through Exec.Loop: each iteration ends
-// in one durable cursor store, so whenever UnitBlock could build the
-// loop's per-iteration charge profile as an mcu.Block the device funds a
-// whole number of commit units in one call (a one-segment
-// mcu.ChargeTrain) and the data movement for exactly those iterations
-// runs as one bulk loop over raw memory words (internal/kern). The first
-// unfunded iteration — and every iteration of a loop with no block, a
-// resume mid-checkpoint-period, or a device that may not fuse — runs the
-// loop's scalar body, so brown-outs land at the identical op index with
-// identical partial energy consumption, and logits, Stats, reboot
-// placement, and WAR records stay bit-exact (TestFusedScalarDifferential
-// and the golden corpus prove it per runtime). The sparse CSR walk, whose
-// row spans are heterogeneous multi-segment trains, keeps its own shape.
+// loop-continuation runtimes (SONIC, checkpointing, TAILS's LEA conv and
+// dense chunk walks and its finalize, the campaign's Broken control) runs
+// through Exec.Loop: each iteration ends in one durable cursor store, so
+// whenever UnitBlock could build the loop's per-iteration charge profile
+// as an mcu.Block the device funds a whole number of commit units in one
+// call (a one-segment mcu.ChargeTrain) and the data movement for exactly
+// those iterations runs as one bulk loop over raw memory words
+// (internal/kern). The first unfunded iteration — and every iteration of
+// a loop with no block, a resume mid-checkpoint-period, or a device that
+// may not fuse — runs the loop's scalar body, so brown-outs land at the
+// identical op index with identical partial energy consumption, and
+// logits, Stats, reboot placement, and WAR records stay bit-exact
+// (TestFusedScalarDifferential and the golden corpus prove it per
+// runtime). The body charges every op its block lists, the loop-head
+// branch of SONIC-style bodies included; the driver charges only the
+// commit. Only the sparse CSR walk, whose row spans are heterogeneous
+// multi-segment trains, keeps its own shape.
 
 // canFuse reports whether fused kernels may engage: the device allows it
 // (no journal or WAR shadow, at most an analysis-only tracer;
@@ -62,11 +65,12 @@ func (s *Exec) cursorKind() mcu.OpKind {
 // Pass and Pos and walks I over [start.I, n). Where blk (from UnitBlock)
 // can fund whole commit units, span(i0, m) performs those m iterations'
 // data movement in bulk and the cursor commits once; every other
-// iteration charges a branch in section tokK, runs body(i), and commits
-// its cursor in section tokC. A nil blk runs every iteration scalar (span
-// is then never called). Under periodic checkpointing units start only at
-// a durable commit (sinceCk == 0): mid-period the scalar path must reach
-// the next one first.
+// iteration runs body(i) with section tokK current, then commits its
+// cursor in section tokC. body charges exactly the ops blk lists for one
+// iteration, a loop-head branch included where the loop has one. A nil
+// blk runs every iteration scalar (span is then never called). Under
+// periodic checkpointing units start only at a durable commit (sinceCk
+// == 0): mid-period the scalar path must reach the next one first.
 func (s *Exec) Loop(tokK, tokC mcu.SectionTok, blk *mcu.Block, start Cursor, n int, span func(i0, m int), body func(i int)) {
 	dev := s.Dev
 	per := max(s.Every, 1)
@@ -81,7 +85,6 @@ func (s *Exec) Loop(tokK, tokC mcu.SectionTok, blk *mcu.Block, start Cursor, n i
 			}
 		}
 		dev.SetSectionTok(tokK)
-		dev.Op(mcu.OpBranch)
 		body(c.I)
 		dev.SetSectionTok(tokC)
 		c.I++

@@ -35,7 +35,7 @@ func TestLoopKeepsCursor(t *testing.T) {
 			blk := s.UnitBlock(tokC, mcu.BlockOp{Tok: tokK, Kind: mcu.OpBranch, N: 1})
 			start := Cursor{Layer: 3, Pass: 1, Pos: 5, I: 0}
 			spans, iters := 0, 0
-			s.Loop(tokK, tokC, blk, start, 16, func(i0, m int) { spans++ }, func(int) { iters++ })
+			s.Loop(tokK, tokC, blk, start, 16, func(i0, m int) { spans++ }, func(int) { iters++; dev.Op(mcu.OpBranch) })
 			want := start
 			want.I = 16
 			if got := Unpack(img.Ctl.Get(slotCursor)); got != want {

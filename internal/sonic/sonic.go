@@ -279,6 +279,7 @@ func (s *Exec) RunLayerSoftware(li int, parity bool, start Cursor) {
 		s.Loop(tokK, tokC, blk, start, l.Q.InShape.Len(), func(i0, m int) {
 			kern.ReLU(dstW, srcW, i0, i0, m)
 		}, func(i int) {
+			s.Dev.Op(mcu.OpBranch)
 			v := fixed.ReLU(fixed.Q15(s.Dev.Load(src, i)))
 			s.Dev.Store(dst, i, int64(v))
 		})
@@ -346,6 +347,7 @@ func (s *Exec) denseLayer(l *core.LayerImage, name string, src, dst *mem.Region,
 					kern.DenseMAC(dest.Words(), inter.ROWords(), wW, q.In, pos, o0, m, int64(x))
 				}
 			}, func(o int) {
+				dev.Op(mcu.OpBranch)
 				wv := fixed.Q15(dev.Load(l.W, o*q.In+pos))
 				dev.Op(mcu.OpFixedMul)
 				var a fixed.Acc
@@ -377,6 +379,7 @@ func (s *Exec) finalize(l *core.LayerImage, tokK, tokC mcu.SectionTok, start Cur
 	s.Loop(tokK, tokC, blk, start, q.Out, func(i0, m int) {
 		kern.FinalizeVec(dstW, partialW, bW, i0, i0, m, q.Shift)
 	}, func(o int) {
+		dev.Op(mcu.OpBranch)
 		bq := fixed.Q15(dev.Load(l.B, o))
 		a := fixed.Acc(dev.Load(partial, o))
 		dev.Op(mcu.OpFixedAdd)
@@ -446,6 +449,7 @@ func (s *Exec) sparseLayerBuffered(l *core.LayerImage, name string, src, dst *me
 	tokK := dev.SectionToken(name, mcu.PhaseKernel)
 	tokC := dev.SectionToken(name, mcu.PhaseControl)
 	s.Loop(tokK, tokC, nil, start, q.Out, nil, func(o int) {
+		dev.Op(mcu.OpBranch)
 		bq := fixed.Q15(dev.Load(l.B, o))
 		var a fixed.Acc
 		if final != nil {

@@ -95,6 +95,7 @@ func (s *Exec) convLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Regio
 					kern.ConvMAC(dest.Words(), inter.ROWords(), srcW, base, srcBase, posOff, i0, m, int64(wv))
 				}
 			}, func(i int) {
+				dev.Op(mcu.OpBranch)
 				x := fixed.Q15(dev.Load(src, srcBase+int(posOff[i])))
 				dev.Op(mcu.OpFixedMul)
 				var a fixed.Acc
@@ -117,6 +118,7 @@ func (s *Exec) convLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Regio
 	// except for fully-pruned filters — the partial load and add) but
 	// varies across filters, so each filter's segment has its own block.
 	fin := func(i int) {
+		dev.Op(mcu.OpBranch)
 		f := int(filterOf[i])
 		var par int64
 		if l.FinPar != nil {
@@ -213,6 +215,7 @@ func (s *Exec) sparseLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Reg
 		s.Loop(tokK, tokC, blkZero, start, q.Out, func(i0, m int) {
 			kern.Zero(accW, i0, m)
 		}, func(o int) {
+			dev.Op(mcu.OpBranch)
 			dev.Store(acc, o, 0)
 		})
 		dev.Store(ctl, slotRead, 0)
@@ -347,6 +350,7 @@ func (s *Exec) poolLayer(l *core.LayerImage, tl *tape.Layer, src, dst *mem.Regio
 	s.Loop(tokK, tokC, blk, start, len(poolBase), func(i0, m int) {
 		kern.MaxPool(dstW, srcW, poolBase, q.Window, w, i0, m)
 	}, func(i int) {
+		s.Dev.Op(mcu.OpBranch)
 		rowStart := int(poolBase[i])
 		best := fixed.MinusOne
 		for ky := 0; ky < q.Window; ky++ {

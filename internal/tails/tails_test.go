@@ -1,6 +1,7 @@
 package tails
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/dnn"
 	"repro/internal/energy"
 	"repro/internal/fixed"
+	"repro/internal/intermittest"
 	"repro/internal/mcu"
 	"repro/internal/sonic"
 )
@@ -108,6 +110,50 @@ func TestCalibrationPersistsAndHalves(t *testing.T) {
 	}
 	if img2.Cal.Get(calTile) != before {
 		t.Error("calibration should be one-time")
+	}
+}
+
+// rebootBudget wraps a power system and panics at its recharge past
+// limit, so a run that livelocks fails its test instead of hanging it.
+type rebootBudget struct {
+	energy.System
+	limit int
+}
+
+func (b *rebootBudget) Recharge() float64 {
+	if b.limit--; b.limit < 0 {
+		panic("reboot budget exhausted")
+	}
+	return b.System.Recharge()
+}
+
+// A buffer that cannot fund even a minTile calibration trial must end the
+// run as does-not-complete: retrying the same minTile trial is not
+// progress, so calibration commits only a new candidate.
+func TestTAILSCalibrationDoesNotComplete(t *testing.T) {
+	qm, x := intermittest.TinyModel(1)
+	qin := qm.QuantizeInput(x)
+	for _, uF := range []float64{1, 2, 3} {
+		power := &rebootBudget{
+			System: energy.NewIntermittent(energy.CapBank(uF*1e-6), energy.ConstantHarvester{Watts: 1e-3}),
+			limit:  1000,
+		}
+		dev, img := deploy(t, qm, power)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%.0f uF: %v after %d reboots", uF, r, dev.Stats().Reboots)
+				}
+			}()
+			_, err := (TAILS{}).Infer(img, qin)
+			if !errors.Is(err, mcu.ErrDoesNotComplete) {
+				t.Errorf("%.0f uF: got %v, want does-not-complete", uF, err)
+			}
+		}()
+		if tile := CalibratedTile(img); tile != 0 {
+			t.Errorf("%.0f uF: calibrated tile %d, want none", uF, tile)
+		}
+		t.Logf("%.0f uF: does-not-complete after %d reboots", uF, dev.Stats().Reboots)
 	}
 }
 
