@@ -565,7 +565,7 @@ func TestFusedFraction(t *testing.T) {
 		{baseline.Tile{TileSize: 128}, 0.50, map[string]counts{"cont": {1718, 2610}, "rf-100uF": {1644, 2937}}},
 		{sonic.SONIC{}, 0.90, map[string]counts{"cont": {1264, 1320}, "rf-100uF": {1264, 1320}}},
 		{checkpoint.Checkpoint{Interval: 8}, 0.60, map[string]counts{"cont": {3674, 5480}, "rf-100uF": {3516, 5513}}},
-		{tails.TAILS{}, 0.70, map[string]counts{"cont": {1195, 1541}, "rf-100uF": {1195, 1541}}},
+		{tails.TAILS{}, 0.70, map[string]counts{"cont": {1126, 1541}, "rf-100uF": {1126, 1541}}},
 	}
 	for _, row := range rows {
 		t.Run(row.rt.Name(), func(t *testing.T) {

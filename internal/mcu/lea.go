@@ -76,40 +76,13 @@ func checkLEAFootprint(words int) {
 	}
 }
 
-// The Check functions are the operand-bank and footprint checks each LEA
-// invocation runs. A fused caller that performs LEA's arithmetic itself
-// (with internal/kern, after funding whole iterations) runs them once
-// where it builds the iteration's charge profile.
-
-// CheckMacV panics unless LEAMacV may run over n elements of x and y.
-func CheckMacV(x, y *mem.Region, n int) {
-	checkLEAOperand("x", x)
-	checkLEAOperand("y", y)
-	checkLEAFootprint(2 * n)
-}
-
-// CheckFIR panics unless LEAFIR may compute outN outputs of a coefN-tap
-// filter from in and coef into out.
-func CheckFIR(out, in, coef *mem.Region, coefN, outN int) {
-	checkLEAOperand("out", out)
-	checkLEAOperand("in", in)
-	checkLEAOperand("coef", coef)
-	checkLEAFootprint(outN + coefN + outN + coefN - 1)
-}
-
-// CheckAddV panics unless LEAAddV may add n elements of a and b into dst.
-func CheckAddV(dst, a, b *mem.Region, n int) {
-	checkLEAOperand("dst", dst)
-	checkLEAOperand("a", a)
-	checkLEAOperand("b", b)
-	checkLEAFootprint(3 * n)
-}
-
 // LEAMacV computes the Q15 dot product of x[xOff:xOff+n] and y[yOff:yOff+n]
 // into a 32-bit accumulator (LEA's MAC instruction). Operands must be in
 // SRAM. Charges one invocation plus one element cost per MAC.
 func (d *Device) LEAMacV(x *mem.Region, xOff int, y *mem.Region, yOff, n int) fixed.Acc {
-	CheckMacV(x, y, n)
+	checkLEAOperand("x", x)
+	checkLEAOperand("y", y)
+	checkLEAFootprint(2 * n)
 	d.Emit(TraceLEA, "macv", int64(n))
 	d.Op(OpLEAInvoke)
 	// One bulk charge for the whole vector. All operands are SRAM, which a
@@ -131,7 +104,10 @@ func (d *Device) LEAMacV(x *mem.Region, xOff int, y *mem.Region, yOff, n int) fi
 // rescaling is the software's problem, as on real hardware).
 func (d *Device) LEAFIR(out *mem.Region, outOff int, in *mem.Region, inOff int,
 	coef *mem.Region, coefOff, coefN, outN int) {
-	CheckFIR(out, in, coef, coefN, outN)
+	checkLEAOperand("out", out)
+	checkLEAOperand("in", in)
+	checkLEAOperand("coef", coef)
+	checkLEAFootprint(outN + coefN + outN + coefN - 1)
 	d.Emit(TraceLEA, "fir", int64(outN))
 	d.Op(OpLEAInvoke)
 	// Bulk charge for the whole invocation; operands and outputs are SRAM,
@@ -146,7 +122,10 @@ func (d *Device) LEAFIR(out *mem.Region, outOff int, in *mem.Region, inOff int,
 // partial convolution results.
 func (d *Device) LEAAddV(dst *mem.Region, dstOff int, a *mem.Region, aOff int,
 	b *mem.Region, bOff, n int) {
-	CheckAddV(dst, a, b, n)
+	checkLEAOperand("dst", dst)
+	checkLEAOperand("a", a)
+	checkLEAOperand("b", b)
+	checkLEAFootprint(3 * n)
 	d.Emit(TraceLEA, "addv", int64(n))
 	d.Op(OpLEAInvoke)
 	d.Ops(OpLEAElem, n) // bulk charge; SRAM-only effects (see LEAFIR)

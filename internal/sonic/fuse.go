@@ -6,8 +6,8 @@ import (
 
 // Loop continuation as one driver. Every map-shaped inner loop of the
 // loop-continuation runtimes (SONIC, checkpointing, TAILS's LEA conv and
-// dense chunk walks and its finalize, the campaign's Broken control) runs
-// through Exec.Loop: each iteration ends in one durable cursor store, so
+// dense chunk walks — which pass no block — and its finalize, the
+// campaign's Broken control) runs through Exec.Loop: each iteration ends in one durable cursor store, so
 // whenever UnitBlock could build the loop's per-iteration charge profile
 // as an mcu.Block the device funds a whole number of commit units in one
 // call (a one-segment mcu.ChargeTrain) and the data movement for exactly

@@ -39,40 +39,33 @@ func leaModel(t testing.TB) (*dnn.QuantModel, []fixed.Q15) {
 }
 
 // resumeWatch is an analysis-only tracer (ChargeCycleKinds, so fusion
-// stays on) that notes a reboot resuming layer 0's chunk pass at I > 0
-// from a fused commit. A fused span's commit event comes before its
-// cursor store (the span is charged before it runs), a scalar commit's
-// after it, so a reboot that finds the cursor moved since the last commit
-// event resumes from a fused commit. It also panics past a reboot
-// budget, so a run that livelocks fails the test instead of hanging it.
+// stays on elsewhere) that notes a reboot resuming layer 0's chunk pass at
+// I > 0, i.e. from a chunk commit the driver made. It also panics past a
+// reboot budget, so a run that livelocks fails the test instead of
+// hanging it.
 type resumeWatch struct {
-	img      *core.Image
-	atCommit int64
-	reboots  int
-	hit      bool
+	img     *core.Image
+	reboots int
+	hit     bool
 }
 
 func (w *resumeWatch) TraceMask() uint32 { return mcu.ChargeCycleKinds }
 
 func (w *resumeWatch) TraceEvent(e mcu.TraceEvent) {
-	cur := w.img.Ctl.Get(0) // SONIC's cursor slot
-	switch e.Kind {
-	case mcu.TraceCommit:
-		w.atCommit = cur
-	case mcu.TraceReboot:
-		if w.reboots++; w.reboots > 1000 {
-			panic("reboot budget exhausted")
-		}
-		c := sonic.Unpack(cur)
-		if cur != w.atCommit && c.Layer == 0 && c.Pass == 0 && c.I > 0 {
-			w.hit = true
-		}
+	if e.Kind != mcu.TraceReboot {
+		return
+	}
+	if w.reboots++; w.reboots > 1000 {
+		panic("reboot budget exhausted")
+	}
+	c := sonic.Unpack(w.img.Ctl.Get(0)) // SONIC's cursor slot
+	if c.Layer == 0 && c.Pass == 0 && c.I > 0 {
+		w.hit = true
 	}
 }
 
 // leaRun is one inference on a fresh device: its core.Finish outcome,
-// fused op count, final FRAM image, and whether it resumed mid-conv from
-// a fused commit.
+// fused op count, final FRAM image, and whether it resumed mid-conv.
 type leaRun struct {
 	out     core.Outcome
 	fused   int64
@@ -102,14 +95,14 @@ func runLEA(t *testing.T, qm *dnn.QuantModel, qin []fixed.Q15, rt TAILS, p energ
 }
 
 // TestLEALoopsFusedMatchPerOp is the in-package oracle for TAILS's LEA
-// conv and dense chunk walks: for every variant, at the calibrated tile
-// and at a preset 8-word tile (short last chunks, multi-chunk dense rows),
-// under continuous power and a 19 uF capacitor under which every row
-// reboots mid-conv from a fused commit with I > 0, the fused run must
-// equal the energy.PerOp run on the core.Finish outcome and every FRAM
-// word. Both sides run the same chunk body, so exact total op counts,
-// recorded while the walks were still hand-written, pin the op stream
-// they share.
+// conv and dense chunk walks on the loop-continuation driver: for every
+// variant, at the calibrated tile and at a preset 8-word tile (short last
+// chunks, multi-chunk dense rows), under continuous power and a 19 uF
+// capacitor under which every row reboots mid-conv with I > 0, the fused
+// run (whose other loops fuse around the chunk walks) must equal the
+// energy.PerOp run on the core.Finish outcome and every FRAM word. Both
+// sides run the same chunk body, so exact total op counts, recorded while
+// the walks were still hand-written, pin the op stream they share.
 func TestLEALoopsFusedMatchPerOp(t *testing.T) {
 	qm, qin := leaModel(t)
 	powers := []struct {
@@ -150,7 +143,7 @@ func TestLEALoopsFusedMatchPerOp(t *testing.T) {
 						t.Errorf("%s: fused run fused %d ops, per-op run %d; want > 0 and 0", row, fused.fused, ref.fused)
 					}
 					if pw.name != "cont" && !fused.resumed {
-						t.Errorf("%s: no reboot resumed mid-conv from a fused commit", row)
+						t.Errorf("%s: no reboot resumed mid-conv", row)
 					}
 					if !reflect.DeepEqual(fused.out, ref.out) {
 						t.Errorf("%s: outcome diverges:\nfused  %+v\nper-op %+v", row, fused.out, ref.out)

@@ -20,12 +20,12 @@
 //     buffer, and persists the result in FRAM; a buffer that cannot fund
 //     even a minimum-size trial ends the run as does-not-complete.
 //
-// Every inner loop — the conv and dense chunk walks as well as the
-// software layers — runs through SONIC's loop-continuation driver
-// (sonic.Exec.Loop): each chunk ends in one cursor commit, and where
-// fusion may engage, runs of full chunks are funded as whole units and
-// their DMA, pre-shift and LEA arithmetic run as bulk word loops
-// (internal/kern) over the same SRAM scratch.
+// Every inner loop that commits per iteration — the conv and dense chunk
+// walks as well as the software layers — runs through SONIC's
+// loop-continuation driver (sonic.Exec.Loop), which owns the cursor
+// commit, the resume point and the choice to fuse. The chunk walks pass
+// no block: each chunk runs its scalar body, whose LEA, DMA and software
+// kernels already charge in bulk.
 package tails
 
 import (
@@ -294,8 +294,12 @@ func (t TAILS) fir(dev *mcu.Device, out *mem.Region, outOff int, in *mem.Region,
 	}
 	// Bulk charge for the whole software FIR; all operands live in SRAM,
 	// lost at brown-out, so the grouped charge order is unobservable.
-	var ops [5]mcu.BlockOp
-	chargeOps(dev, t.firOps(ops[:0], 0, coefN, outN))
+	total := outN * coefN
+	dev.Ops(mcu.OpBranch, total)
+	dev.Ops(mcu.OpFixedMul, total)
+	dev.Ops(mcu.OpFixedAdd, total)
+	dev.Ops(mcu.OpLoadSRAM, 2*total)
+	dev.Ops(mcu.OpStoreSRAM, outN)
 	kern.FIR(out.Words(), in.ROWords(), coef.ROWords(), outOff, inOff, coefOff, coefN, outN)
 }
 
@@ -304,8 +308,10 @@ func (t TAILS) macv(dev *mcu.Device, x *mem.Region, xOff int, y *mem.Region, yOf
 	if !t.SoftwareLEA {
 		return dev.LEAMacV(x, xOff, y, yOff, n)
 	}
-	var ops [4]mcu.BlockOp
-	chargeOps(dev, t.macvOps(ops[:0], 0, n))
+	dev.Ops(mcu.OpBranch, n)
+	dev.Ops(mcu.OpFixedMul, n)
+	dev.Ops(mcu.OpFixedAdd, n)
+	dev.Ops(mcu.OpLoadSRAM, 2*n)
 	return fixed.Acc(kern.DotQ15(x.ROWords(), y.ROWords(), xOff, yOff, n))
 }
 
@@ -316,8 +322,9 @@ func (t TAILS) addv(dev *mcu.Device, dst *mem.Region, dstOff int, a *mem.Region,
 		dev.LEAAddV(dst, dstOff, a, aOff, b, bOff, n)
 		return
 	}
-	var ops [3]mcu.BlockOp
-	chargeOps(dev, t.addvOps(ops[:0], 0, n))
+	dev.Ops(mcu.OpFixedAdd, n)
+	dev.Ops(mcu.OpLoadSRAM, 2*n)
+	dev.Ops(mcu.OpStoreSRAM, n)
 	kern.AddSatV(dst.Words(), a.ROWords(), b.ROWords(), dstOff, aOff, bOff, n)
 }
 
@@ -328,77 +335,10 @@ func preShiftRow(dev *mcu.Device, r *mem.Region, off, n, sh int) {
 	if sh <= 0 {
 		return
 	}
-	var ops [3]mcu.BlockOp
-	chargeOps(dev, shiftOps(ops[:0], 0, n))
+	dev.Ops(mcu.OpLoadSRAM, n)
+	dev.Ops(mcu.OpAdd, n) // shift sequence
+	dev.Ops(mcu.OpStoreSRAM, n)
 	kern.ShiftRight(r.Words(), off, n, sh)
-}
-
-// The *Ops helpers append the charges one call of blockIn, fir, macv,
-// addv or preShiftRow makes, in charge order, as block ops attributed to
-// tok, so a fused loop can describe its full chunk as one mcu.Block; the
-// software kernels charge through them too.
-
-// chargeOps charges ops in order in the device's current section (their
-// tokens are ignored).
-func chargeOps(dev *mcu.Device, ops []mcu.BlockOp) {
-	for _, op := range ops {
-		dev.Ops(op.Kind, op.N)
-	}
-}
-
-// moveOps appends blockIn's charges for moving n > 0 words from src to
-// dst.
-func (t TAILS) moveOps(ops []mcu.BlockOp, tok mcu.SectionTok, dst, src *mem.Region, n int) []mcu.BlockOp {
-	if t.SoftwareDMA {
-		return append(ops, mcu.BlockOp{Tok: tok, Kind: mcu.LoadOp(src), N: n},
-			mcu.BlockOp{Tok: tok, Kind: mcu.StoreOp(dst), N: n})
-	}
-	return append(ops, mcu.BlockOp{Tok: tok, Kind: mcu.OpDMASetup, N: 1},
-		mcu.BlockOp{Tok: tok, Kind: mcu.OpDMAWord, N: n})
-}
-
-// firOps appends fir's charges for outN outputs of a coefN-tap filter.
-func (t TAILS) firOps(ops []mcu.BlockOp, tok mcu.SectionTok, coefN, outN int) []mcu.BlockOp {
-	total := outN * coefN
-	if !t.SoftwareLEA {
-		return append(ops, mcu.BlockOp{Tok: tok, Kind: mcu.OpLEAInvoke, N: 1},
-			mcu.BlockOp{Tok: tok, Kind: mcu.OpLEAElem, N: total})
-	}
-	return append(ops, mcu.BlockOp{Tok: tok, Kind: mcu.OpBranch, N: total},
-		mcu.BlockOp{Tok: tok, Kind: mcu.OpFixedMul, N: total},
-		mcu.BlockOp{Tok: tok, Kind: mcu.OpFixedAdd, N: total},
-		mcu.BlockOp{Tok: tok, Kind: mcu.OpLoadSRAM, N: 2 * total},
-		mcu.BlockOp{Tok: tok, Kind: mcu.OpStoreSRAM, N: outN})
-}
-
-// macvOps appends macv's charges for an n-element dot product.
-func (t TAILS) macvOps(ops []mcu.BlockOp, tok mcu.SectionTok, n int) []mcu.BlockOp {
-	if !t.SoftwareLEA {
-		return append(ops, mcu.BlockOp{Tok: tok, Kind: mcu.OpLEAInvoke, N: 1},
-			mcu.BlockOp{Tok: tok, Kind: mcu.OpLEAElem, N: n})
-	}
-	return append(ops, mcu.BlockOp{Tok: tok, Kind: mcu.OpBranch, N: n},
-		mcu.BlockOp{Tok: tok, Kind: mcu.OpFixedMul, N: n},
-		mcu.BlockOp{Tok: tok, Kind: mcu.OpFixedAdd, N: n},
-		mcu.BlockOp{Tok: tok, Kind: mcu.OpLoadSRAM, N: 2 * n})
-}
-
-// addvOps appends addv's charges for an n-element vector add.
-func (t TAILS) addvOps(ops []mcu.BlockOp, tok mcu.SectionTok, n int) []mcu.BlockOp {
-	if !t.SoftwareLEA {
-		return append(ops, mcu.BlockOp{Tok: tok, Kind: mcu.OpLEAInvoke, N: 1},
-			mcu.BlockOp{Tok: tok, Kind: mcu.OpLEAElem, N: n})
-	}
-	return append(ops, mcu.BlockOp{Tok: tok, Kind: mcu.OpFixedAdd, N: n},
-		mcu.BlockOp{Tok: tok, Kind: mcu.OpLoadSRAM, N: 2 * n},
-		mcu.BlockOp{Tok: tok, Kind: mcu.OpStoreSRAM, N: n})
-}
-
-// shiftOps appends preShiftRow's charges for shifting n words.
-func shiftOps(ops []mcu.BlockOp, tok mcu.SectionTok, n int) []mcu.BlockOp {
-	return append(ops, mcu.BlockOp{Tok: tok, Kind: mcu.OpLoadSRAM, N: n},
-		mcu.BlockOp{Tok: tok, Kind: mcu.OpAdd, N: n}, // shift sequence
-		mcu.BlockOp{Tok: tok, Kind: mcu.OpStoreSRAM, N: n})
 }
 
 // shiftBias rescales a Q15 bias (at scale in+w) into the layer's final
@@ -436,68 +376,44 @@ func shiftBiasValue(b fixed.Q15, shift int) fixed.Q15 {
 // chunks are summed in order, results are bit-identical to the host
 // reference.
 //
-// Each output's chunk walk runs through the loop-continuation driver: the
-// first chunk (no partial to load) and the later full chunks each have a
-// block, and a short last chunk runs scalar. The output's finalize is the
-// outer step.
+// Each output's chunk walk runs through the loop-continuation driver,
+// scalar; the output's finalize and its commit are the outer step.
 func (t TAILS) denseLayer(s *sonic.Exec, sc *scratch, l *core.LayerImage, name string,
 	src, dst *mem.Region, start sonic.Cursor) {
 	q := l.Q
 	dev := s.Dev
 	ctl := s.Img.Ctl
-	chunk := min(tile(s), hwMaxTile, q.In)
+	chunk := min(tile(s), hwMaxTile)
 	chunks := (q.In + chunk - 1) / chunk
-	full := q.In / chunk
 	tokC := dev.SectionToken(name, mcu.PhaseControl)
 	tokK := dev.SectionToken(name, mcu.PhaseKernel)
 
 	// Double-buffered wide partial for the in-flight output row.
 	partialSlot := func(ck int) int { return slotDensePartialA + (ck & 1) }
 
-	blkFirst := t.denseBlock(s, sc, tokK, tokC, l, src, chunk, false)
-	blkRest := t.denseBlock(s, sc, tokK, tokC, l, src, chunk, true)
-	wW, srcW := l.W.ROWords(), src.ROWords()
-	for o := start.Pos; o < q.Out; o++ {
-		// span moves the data of m funded full chunks over raw words,
-		// staging each through the SRAM scratch as the chunk body does.
-		span := func(ck0, m int) {
-			inW, outW := sc.in.Words(), sc.out.Words()
-			for ck := ck0; ck < ck0+m; ck++ {
-				c0 := ck * chunk
-				kern.Copy(inW, wW, 0, o*q.In+c0, chunk)
-				kern.Copy(outW, srcW, 0, c0, chunk)
-				var partial int64
-				if ck > 0 {
-					partial = ctl.Get(partialSlot(ck - 1))
-				}
-				ctl.Put(partialSlot(ck), partial+kern.DotQ15(inW, outW, 0, 0, chunk))
-			}
+	var o int
+	// The chunk body enters the kernel section only around the MAC, so the
+	// driver runs it from the control section.
+	chunkBody := func(ck int) {
+		c0 := ck * chunk
+		n := min(chunk, q.In-c0)
+		t.blockIn(dev, sc.in, 0, l.W, o*q.In+c0, n)
+		t.blockIn(dev, sc.out, 0, src, c0, n)
+		var partial fixed.Acc
+		if ck > 0 {
+			partial = fixed.Acc(dev.Load(ctl, partialSlot(ck-1)))
 		}
-		body := func(ck int) {
-			c0 := ck * chunk
-			n := min(chunk, q.In-c0)
-			t.blockIn(dev, sc.in, 0, l.W, o*q.In+c0, n)
-			t.blockIn(dev, sc.out, 0, src, c0, n)
-			var partial fixed.Acc
-			if ck > 0 {
-				partial = fixed.Acc(dev.Load(ctl, partialSlot(ck-1)))
-			}
-			dev.SetSectionTok(tokK)
-			partial += t.macv(dev, sc.in, 0, sc.out, 0, n)
-			dev.SetSectionTok(tokC)
-			dev.Store(ctl, partialSlot(ck), int64(partial))
-		}
-		// The body enters the kernel section only around the MAC, so the
-		// driver runs it from the control section.
+		dev.SetSectionTok(tokK)
+		partial += t.macv(dev, sc.in, 0, sc.out, 0, n)
+		dev.SetSectionTok(tokC)
+		dev.Store(ctl, partialSlot(ck), int64(partial))
+	}
+	for o = start.Pos; o < q.Out; o++ {
 		c := sonic.Cursor{Layer: start.Layer, Pos: o}
 		if o == start.Pos {
 			c.I = start.I
 		}
-		s.Loop(tokC, tokC, blkFirst, c, 1, span, body)
-		c.I = max(c.I, 1)
-		s.Loop(tokC, tokC, blkRest, c, full, span, body)
-		c.I = max(c.I, full)
-		s.Loop(tokC, tokC, nil, c, chunks, nil, body)
+		s.Loop(tokC, tokC, nil, c, chunks, nil, chunkBody)
 		// Finalize output o from the last chunk's partial. Idempotent:
 		// re-execution re-reads the same partial and rewrites the same
 		// value.
@@ -508,26 +424,4 @@ func (t TAILS) denseLayer(s *sonic.Exec, sc *scratch, l *core.LayerImage, name s
 		dev.Store(dst, o, int64(acc.AddQ(bq).SatShiftSigned(q.Shift)))
 		s.Checkpoint(sonic.Cursor{Layer: start.Layer, Pos: o + 1})
 	}
-}
-
-// denseBlock is the charge profile of one full dense chunk of n inputs,
-// or nil when fusion may not engage: the weight and input DMAs, for a
-// chunk after the first (rest) the previous partial's load, the MAC, and
-// the partial's store. Building it runs the LEA operand checks the fused
-// chunks' MAC would run.
-func (t TAILS) denseBlock(s *sonic.Exec, sc *scratch, tokK, tokC mcu.SectionTok, l *core.LayerImage,
-	src *mem.Region, n int, rest bool) *mcu.Block {
-	var buf [16]mcu.BlockOp // room for the longest profile and UnitBlock's ops
-	ops := t.moveOps(buf[:0], tokC, sc.in, l.W, n)
-	ops = t.moveOps(ops, tokC, sc.out, src, n)
-	if rest {
-		ops = append(ops, mcu.BlockOp{Tok: tokC, Kind: mcu.LoadOp(s.Img.Ctl), N: 1})
-	}
-	ops = t.macvOps(ops, tokK, n)
-	ops = append(ops, mcu.BlockOp{Tok: tokC, Kind: mcu.StoreOp(s.Img.Ctl), N: 1})
-	blk := s.UnitBlock(tokC, ops...)
-	if blk != nil && !t.SoftwareLEA {
-		mcu.CheckMacV(sc.in, sc.out, n)
-	}
-	return blk
 }

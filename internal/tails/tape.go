@@ -3,7 +3,6 @@ package tails
 import (
 	"repro/internal/core"
 	"repro/internal/fixed"
-	"repro/internal/kern"
 	"repro/internal/mcu"
 	"repro/internal/mem"
 	"repro/internal/sonic"
@@ -24,13 +23,8 @@ import (
 // device state, not model state, so each chunk derives its (row, chunk)
 // split from the iteration index; the (f, oy) and (ci, ky) decodes and the
 // derived coefficient/input/accumulator offsets all come from the row and
-// generation tables.
-//
-// Each generation's chunk walk runs through the loop-continuation driver.
-// A full chunk charges a fixed op multiset (the first generation has no
-// partial to accumulate, so it has its own block), so funded runs of full
-// chunks execute as bulk word loops; where the tile does not divide the
-// row, each row's short last chunk is its own scalar segment.
+// generation tables. Each generation's chunk walk runs through the
+// loop-continuation driver, scalar.
 func (t TAILS) convLayer(s *sonic.Exec, sc *scratch, l *core.LayerImage, tl *tape.Layer,
 	src, dst *mem.Region, start sonic.Cursor) {
 	q := l.Q
@@ -60,54 +54,30 @@ func (t TAILS) convLayer(s *sonic.Exec, sc *scratch, l *core.LayerImage, tl *tap
 	tokC := dev.SectionToken(tl.Name, mcu.PhaseControl)
 
 	if start.Pass == 0 {
-		kw := q.KW
-		inN := ct + kw - 1
 		chunks := (ow + ct - 1) / ct
-		blkFirst := t.convBlock(s, sc, tokK, tokC, l, src, ct, preShift, false)
-		blkRest := t.convBlock(s, sc, tokK, tokC, l, src, ct, preShift, true)
-		wW, srcW := l.W.ROWords(), src.ROWords()
 		for pos := start.Pos; pos < gens; pos++ {
 			dev.SetSectionTok(tokC)
 			genSrc := int(genSrcTab[pos])
 			coefOff := int(genCoefTab[pos])
 			dest, inter := sonic.AccBufs(s.Img, pos)
-			blk := blkRest
-			if pos == 0 {
-				blk = blkFirst
+			c := sonic.Cursor{Layer: start.Layer, Pos: pos}
+			if pos == start.Pos {
+				c.I = start.I
 			}
-			// span moves the data of m funded full chunks over raw words,
-			// staging each through the SRAM scratch as the chunk body does.
-			span := func(i0, m int) {
-				inW, outW, coefW := sc.in.Words(), sc.out.Words(), sc.coef.Words()
-				destW, interW := dest.Words(), inter.ROWords()
-				for i := i0; i < i0+m; i++ {
-					row, c0 := i/chunks, i%chunks*ct
-					acc := int(rowAcc[row]) + c0
-					kern.Copy(coefW, wW, 0, int(rowCoef[row])+coefOff, kw)
-					kern.Copy(inW, srcW, 0, genSrc+int(rowSrcY[row])+c0, inN)
-					if preShift > 0 {
-						kern.ShiftRight(inW, 0, inN, preShift)
-					}
-					kern.FIR(outW, inW, coefW, 0, 0, 0, kw, ct)
-					if pos > 0 {
-						kern.Copy(outW, interW, ct, acc, ct)
-						kern.AddSatV(outW, outW, outW, 0, 0, ct, ct)
-					}
-					kern.Copy(destW, outW, acc, 0, ct)
-				}
-			}
-			chunk := func(i int) {
+			// The chunk body enters the kernel section only around FIR and
+			// addv, so the driver runs it from the control section.
+			s.Loop(tokC, tokC, nil, c, rows*chunks, nil, func(i int) {
 				row, c0 := i/chunks, i%chunks*ct
 				n := min(ct, ow-c0)
 				// Weight row for (f, ci, ky): KW taps. Pruned filters are
 				// used densely (zero-padded), as §7.2 describes.
-				t.blockIn(dev, sc.coef, 0, l.W, int(rowCoef[row])+coefOff, kw)
+				t.blockIn(dev, sc.coef, 0, l.W, int(rowCoef[row])+coefOff, q.KW)
 				acc := int(rowAcc[row]) + c0
 				// Input segment covering n outputs: n+KW-1 samples.
-				t.blockIn(dev, sc.in, 0, src, genSrc+int(rowSrcY[row])+c0, n+kw-1)
-				preShiftRow(dev, sc.in, 0, n+kw-1, preShift)
+				t.blockIn(dev, sc.in, 0, src, genSrc+int(rowSrcY[row])+c0, n+q.KW-1)
+				preShiftRow(dev, sc.in, 0, n+q.KW-1, preShift)
 				dev.SetSectionTok(tokK)
-				t.fir(dev, sc.out, 0, sc.in, 0, sc.coef, 0, kw, n)
+				t.fir(dev, sc.out, 0, sc.in, 0, sc.coef, 0, q.KW, n)
 				dev.SetSectionTok(tokC)
 				if pos > 0 {
 					t.blockIn(dev, sc.out, n, inter, acc, n)
@@ -116,24 +86,7 @@ func (t TAILS) convLayer(s *sonic.Exec, sc *scratch, l *core.LayerImage, tl *tap
 					dev.SetSectionTok(tokC)
 				}
 				t.blockOut(dev, dest, acc, sc.out, 0, n)
-			}
-			// The chunk body enters the kernel section only around FIR and
-			// addv, so the driver runs it from the control section.
-			c := sonic.Cursor{Layer: start.Layer, Pos: pos}
-			if pos == start.Pos {
-				c.I = start.I
-			}
-			if n := rows * chunks; ow%ct == 0 {
-				s.Loop(tokC, tokC, blk, c, n, span, chunk)
-			} else {
-				for c.I < n {
-					short := c.I/chunks*chunks + chunks - 1
-					s.Loop(tokC, tokC, blk, c, short, span, chunk)
-					c.I = max(c.I, short)
-					s.Loop(tokC, tokC, nil, c, short+1, nil, chunk)
-					c.I = short + 1
-				}
-			}
+			})
 			s.Transition(tl.Name, sonic.Cursor{Layer: start.Layer, Pos: pos + 1})
 		}
 		start = sonic.Cursor{Layer: start.Layer, Pass: 1}
@@ -175,35 +128,4 @@ func (t TAILS) convLayer(s *sonic.Exec, sc *scratch, l *core.LayerImage, tl *tap
 		dev.Op(mcu.OpFixedAdd)
 		dev.Store(dst, i, int64(fixed.Add(v, bq)))
 	})
-}
-
-// convBlock is the charge profile of one full conv chunk of ct outputs,
-// or nil when fusion may not engage: the coefficient and input DMAs, the
-// software pre-shift, FIR, for a generation after the first (rest) the
-// partial DMA and addv, and the result DMA. Building it runs the LEA
-// operand checks the fused chunks' FIR and addv would run.
-func (t TAILS) convBlock(s *sonic.Exec, sc *scratch, tokK, tokC mcu.SectionTok, l *core.LayerImage,
-	src *mem.Region, ct, preShift int, rest bool) *mcu.Block {
-	kw := l.Q.KW
-	inN := ct + kw - 1
-	var buf [24]mcu.BlockOp // room for the longest profile and UnitBlock's ops
-	ops := t.moveOps(buf[:0], tokC, sc.coef, l.W, kw)
-	ops = t.moveOps(ops, tokC, sc.in, src, inN)
-	if preShift > 0 {
-		ops = shiftOps(ops, tokC, inN)
-	}
-	ops = t.firOps(ops, tokK, kw, ct)
-	if rest {
-		ops = t.moveOps(ops, tokC, sc.out, s.Img.AccA, ct)
-		ops = t.addvOps(ops, tokK, ct)
-	}
-	ops = t.moveOps(ops, tokC, s.Img.AccA, sc.out, ct)
-	blk := s.UnitBlock(tokC, ops...)
-	if blk != nil && !t.SoftwareLEA {
-		mcu.CheckFIR(sc.out, sc.in, sc.coef, kw, ct)
-		if rest {
-			mcu.CheckAddV(sc.out, sc.out, sc.out, ct)
-		}
-	}
-	return blk
 }
