@@ -41,8 +41,8 @@ func (t Tile) Name() string { return fmt.Sprintf("tile-%d", t.TileSize) }
 const tileCursorSlot = 0
 
 // minBulk is the chunk length below which a chunk body declines the bulk
-// path (per op the pass body runs the scalar passFn over it, and the
-// dispatch does not fuse): tiny chunks don't amortize the range machinery.
+// path per op (the pass body runs the scalar passFn over it): tiny chunks
+// don't amortize the range machinery.
 const minBulk = 4
 
 // Infer builds the task graph over the deployed image and drives it to
@@ -130,23 +130,27 @@ type passFn func(c *task.Ctx, iter int)
 
 // chunkFn is a pass's bulk form, run by the pass's one task body in all
 // three of task.Fuse's modes. It takes the first chunk of iterations
-// [lo, hi) — a run uniform in op kinds and contiguous in memory — and
-// returns the chunk's length n and whether the chunk took the bulk path.
-// Every gate (n >= minBulk, Fresh on each task-shared range it touches)
-// comes before its first charge, so a declined chunk charges nothing: per
-// op the body then runs the scalar passFn over the chunk's n iterations,
-// and a planned dispatch with a declined chunk does not fuse. A bulk chunk
-// charges the scalar body's op multiset per iteration, grouped by kind in
-// the order the per-op path charges it. A pass with no bulk form declines
-// every chunk (noBulk).
+// [lo, hi) — a run uniform in op kinds, and for its task-shared accesses
+// contiguous in memory — and returns the chunk's length n and whether the
+// chunk took the bulk path. A bulk chunk charges the scalar body's op
+// multiset per iteration, grouped by kind; a task-shared word the
+// dispatch already wrote costs what the scalar body's in-place log update
+// does (task.Fuse.Read, Write). Planning and applying, every chunk takes
+// the bulk path, so every tile dispatch fuses. Per op the order of the
+// charges decides where a brown-out lands, and each pass keeps one per-op
+// order: a chunk's per-op gates (f.PerOp: n >= minBulk, and Fresh on a
+// range the dispatch may already have written) come before its first
+// charge, so a declined chunk charges nothing and the body runs the scalar
+// passFn over its n iterations. The pool pass and a pruned conv-acc pass
+// decline every chunk per op. Only the accumulating passes can meet a word
+// their dispatch wrote: every other pass writes disjoint chunks and never
+// reads what it writes, and a sparse row's nonzeros are one chunk of a
+// dispatch, so their chunks have no Fresh gate (per op, task.Fuse panics
+// on a bulk write to a privatized word).
 type chunkFn func(f *task.Fuse, lo, hi int) (n int, bulk bool)
 
-// noBulk is the chunk of a pass with no bulk form: it declines all of
-// [lo, hi), so the pass runs its scalar body per op and never fuses.
-func noBulk(_ *task.Fuse, lo, hi int) (int, bool) { return hi - lo, false }
-
 // addPassFn registers a pass: name, layer label, iteration count, scalar
-// body, and chunk body (noBulk for scalar-only passes).
+// body, and chunk body.
 type addPassFn func(name, layer string, n int, f passFn, chunk chunkFn)
 
 // tileBuilder assembles the per-layer pass tasks. Because the layer graph
@@ -204,7 +208,7 @@ func (b *tileBuilder) build() (bool, error) {
 			vals := make([]int64, b.k)
 			addPass("relu", layer, q.InShape.Len(), reluIter, func(f *task.Fuse, lo, hi int) (int, bool) {
 				n := hi - lo
-				if n < minBulk || !f.Fresh(src, lo, n) || !f.Fresh(dst, lo, n) {
+				if n < minBulk && f.PerOp() {
 					return n, false
 				}
 				f.Ops(mcu.OpBranch, n)
@@ -258,7 +262,8 @@ func (b *tileBuilder) build() (bool, error) {
 				lo += n
 			}
 			f.Section(tokC)
-			return to, f.Write(ctl, tileCursorSlot, b.cursor[:])
+			f.Write(ctl, tileCursorSlot, b.cursor[:])
+			return to, true
 		})
 	}
 	return parity, nil
@@ -306,49 +311,59 @@ func (b *tileBuilder) convPasses(addPass addPassFn,
 		b.zeroPass(addPass, "conv-zero", layer, q.F*positions)
 	}
 
-	// accIter is the scalar conv-acc body; accChunk (dense weights only)
-	// is its bulk form, chunked by filter element and output row so every
-	// charged range is uniform in op kinds and contiguous in memory.
+	// accIter is the scalar conv-acc body; accChunk is its bulk form,
+	// chunked by walked element and output row so every charged range is
+	// uniform in op kinds and contiguous in memory. A pruned layer's chunk
+	// also charges n loads of the element's NZ word, and declines every
+	// chunk per op; per op a dense chunk declines on partials an earlier
+	// element of the same filter in the dispatch already wrote.
 	accIter := func(c *task.Ctx, it int) {
 		c.Dev().Op(mcu.OpBranch)
 		apply(c, it/positions, it%positions)
 	}
-	accChunk := chunkFn(noBulk)
-	if l.NZ == nil {
-		vals := make([]int64, b.k)
-		wKind := mcu.LoadOp(l.W)
-		accChunk = func(f *task.Fuse, lo, hi int) (int, bool) {
-			e, i0, n := convChunk(lo, hi, positions, ow)
-			first := wFirst[e]
-			pos0 := int(wAcc[e]) + i0
-			// An accumulating chunk's gate is its accumulator read, which
-			// charges nothing when it declines: the privatization probe
-			// and the read are one scan of the write set, not two.
-			if n < minBulk || first && !f.Fresh(acc, pos0, n) || !first && !f.Read(acc, pos0, n) {
-				return n, false
-			}
-			f.Ops(mcu.OpBranch, n)
-			// n loads of the same read-only weight word, bulk-charged;
-			// per-word shadow records only matter for words that are
-			// later written, which deployed weights never are.
-			f.Ops(wKind, n)
-			srcStart := int(wSrc[e]) + int(posTab[i0])
-			f.Load(src, srcStart, n)
-			f.Ops(mcu.OpFixedMul, n)
-			if !first {
-				f.Ops(mcu.OpFixedAdd, n)
-			}
-			if !f.Planning() {
-				wv := int64(fixed.Q15(l.W.Get(e)))
-				if first {
-					kern.MulRow(vals, src.ROWords(), srcStart, n, wv)
-				} else {
-					kern.MACRow(vals, acc.ROWords(), src.ROWords(), pos0, srcStart, n, wv)
-				}
-			}
-			f.Write(acc, pos0, vals[:n])
-			return n, true
+	vals := make([]int64, b.k)
+	wKind := mcu.LoadOp(l.W)
+	accChunk := func(f *task.Fuse, lo, hi int) (int, bool) {
+		if l.NZ != nil && f.PerOp() {
+			return hi - lo, false
 		}
+		e, i0, n := convChunk(lo, hi, positions, ow)
+		widx := e
+		if l.NZ != nil {
+			widx = int(l.NZ.Get(e))
+		}
+		first := l.NZ == nil && wFirst[widx]
+		pos0 := int(wAcc[widx]) + i0
+		if f.PerOp() && (n < minBulk || !first && !f.Fresh(acc, pos0, n)) {
+			return n, false
+		}
+		if !first {
+			f.Read(acc, pos0, n)
+		}
+		f.Ops(mcu.OpBranch, n)
+		if l.NZ != nil {
+			f.Ops(mcu.LoadOp(l.NZ), n) // n loads of the same read-only NZ word
+		}
+		// n loads of the same read-only weight word, bulk-charged;
+		// per-word shadow records only matter for words that are
+		// later written, which deployed weights never are.
+		f.Ops(wKind, n)
+		srcStart := int(wSrc[widx]) + int(posTab[i0])
+		f.Load(src, srcStart, n)
+		f.Ops(mcu.OpFixedMul, n)
+		if !first {
+			f.Ops(mcu.OpFixedAdd, n)
+		}
+		if !f.Planning() {
+			wv := int64(fixed.Q15(l.W.Get(widx)))
+			if first {
+				kern.MulRow(vals, src.ROWords(), srcStart, n, wv)
+			} else {
+				kern.MACRow(vals, acc.ROWords(), src.ROWords(), pos0, srcStart, n, wv)
+			}
+		}
+		f.Write(acc, pos0, vals[:n])
+		return n, true
 	}
 	addPass("conv-acc", layer, tl.Elems*positions, accIter, accChunk)
 
@@ -365,7 +380,7 @@ func (b *tileBuilder) convPasses(addPass addPassFn,
 	bKind := mcu.LoadOp(l.B)
 	addPass("conv-fin", layer, q.F*positions, finIter, func(f *task.Fuse, lo, hi int) (int, bool) {
 		n := min(hi-lo, positions-lo%positions) // one filter: a single bias word
-		if n < minBulk || !f.Fresh(acc, lo, n) || !f.Fresh(dst, lo, n) {
+		if n < minBulk && f.PerOp() {
 			return n, false
 		}
 		f.Ops(mcu.OpBranch, n)
@@ -424,7 +439,9 @@ func (b *tileBuilder) densePasses(addPass addPassFn,
 	addPass("fc-acc", layer, q.In*q.Out, accIter, func(f *task.Fuse, lo, hi int) (int, bool) {
 		i, o0 := lo/q.Out, lo%q.Out
 		n := min(hi-lo, q.Out-o0) // one input element
-		if n < minBulk || !f.Fresh(acc, o0, n) {
+		// Per op a chunk declines on partials an earlier input element of
+		// the dispatch already wrote (q.Out below the tile size).
+		if f.PerOp() && (n < minBulk || !f.Fresh(acc, o0, n)) {
 			return n, false
 		}
 		f.Ops(mcu.OpBranch, n)
@@ -459,7 +476,7 @@ func (b *tileBuilder) zeroPass(addPass addPassFn, name, layer string, n int) {
 	zeros := make([]int64, b.k)
 	addPass(name, layer, n, zeroIter, func(f *task.Fuse, lo, hi int) (int, bool) {
 		n := hi - lo
-		if n < minBulk || !f.Fresh(acc, lo, n) {
+		if n < minBulk && f.PerOp() {
 			return n, false
 		}
 		f.Ops(mcu.OpBranch, n)
@@ -485,7 +502,7 @@ func (b *tileBuilder) finPass(addPass addPassFn, name string,
 	finVals := make([]int64, b.k)
 	addPass(name, layer, q.Out, finIter, func(f *task.Fuse, lo, hi int) (int, bool) {
 		n := hi - lo
-		if n < minBulk || !f.Fresh(acc, lo, n) || !f.Fresh(dst, lo, n) {
+		if n < minBulk && f.PerOp() {
 			return n, false
 		}
 		f.Ops(mcu.OpBranch, n)
@@ -537,7 +554,7 @@ func (b *tileBuilder) sparsePasses(addPass addPassFn,
 	addPass("spfc-acc", layer, len(q.W), accIter, func(f *task.Fuse, lo, hi int) (int, bool) {
 		row := hostRowOf(rowPtr, lo)
 		n := min(hi-lo, int(rowPtr[row+1])-lo) // this row's nonzeros within the tile
-		if n < minBulk || !f.Fresh(acc, row, 1) {
+		if n < minBulk && f.PerOp() {
 			return n, false
 		}
 		s := searchSteps(q.Out, row)
@@ -606,11 +623,16 @@ func sparseRowOf(dev *mcu.Device, l *core.LayerImage, p, rows int) int {
 }
 
 // poolPass emits the pooling pass: one output element per iteration, with
-// each window's origin read from the program's PoolBase table.
+// each window's origin read from the program's PoolBase table. Its bulk
+// form charges, per output, window² branches and window² source loads and
+// one fresh write; per op it declines every chunk.
 func (b *tileBuilder) poolPass(addPass addPassFn,
 	q *dnn.QuantLayer, tl *tape.Layer, src, dst *mem.Region) {
 	w := q.InShape[2]
 	poolBase := tl.PoolBase
+	win2 := q.Window * q.Window
+	srcKind := mcu.LoadOp(src)
+	vals := make([]int64, b.k)
 	addPass("pool", tl.Name, len(poolBase), func(c *task.Ctx, i int) {
 		dev := c.Dev()
 		origin := int(poolBase[i])
@@ -624,5 +646,17 @@ func (b *tileBuilder) poolPass(addPass addPassFn,
 			}
 		}
 		c.Write(dst, i, int64(best))
-	}, noBulk)
+	}, func(f *task.Fuse, lo, hi int) (int, bool) {
+		n := hi - lo
+		if f.PerOp() {
+			return n, false
+		}
+		f.Ops(mcu.OpBranch, n*win2)
+		f.Ops(srcKind, n*win2)
+		if !f.Planning() {
+			kern.MaxPool(vals, src.ROWords(), poolBase[lo:hi], q.Window, w, 0, n)
+		}
+		f.Write(dst, lo, vals[:n])
+		return n, true
+	})
 }

@@ -13,34 +13,40 @@ import (
 //
 // A task is one atomic commit region — prologue, body, two-phase commit
 // ending in Progress — which is exactly the unit mcu.ChargeTrain funds.
-// A pass dispatch whose body takes the bulk path in every chunk (every
-// task-shared read and write a fresh Fuse.Read, Write or Accumulate, so its
-// redo log is a plain append of distinct words) charges an op multiset
-// that is a pure function of its dispatch index, so a Plan — per dispatch
-// of every pass, whether it fuses, its redo-log entry count, its
-// transition target and its op multiset by section slot — is compiled once
-// per task graph, for a tile runtime once per (model, tile size), by the
-// first run that may fuse. When the device may fuse, Run hands the
-// dispatch at a pass's cursor to Fuse.run: it looks up the following
-// dispatches' entries, maps their multisets to the device's tokens and
-// interned blocks (once per multiset and runtime), ChargeTrain funds a
-// prefix of whole tasks, and an applying walk performs exactly the funded
-// tasks' effects over raw words — home words, redo-log words (dead entries
-// beyond the last task's count included) and control state, as the per-op
-// path leaves them. The first unfunded task runs on the per-op path and
-// browns out at the identical op index.
+// A pass dispatch whose body takes the bulk path in every chunk charges an
+// op multiset that is a pure function of its dispatch index: every
+// task-shared access is a Fuse.Read, Write or Accumulate, and the write set
+// they build is the same on every run. A bulk access splits host-side at
+// write-set boundaries: a fresh word is a home load or a new redo-log
+// entry, and a word the dispatch already privatized is a log load or an
+// in-place log store, as Ctx.Read and Ctx.Write charge them. So a Plan —
+// per dispatch of every pass, whether it fuses, its redo-log entry count,
+// whether it re-writes a privatized word, its transition target and its op
+// multiset by section slot — is compiled once per task graph, for a tile
+// runtime once per (model, tile size), by the first run that may fuse.
+// When the device may fuse, Run hands the dispatch at a pass's cursor to
+// Fuse.run: it looks up the following dispatches' entries, maps their
+// multisets to the device's tokens and interned blocks (once per multiset
+// and runtime), ChargeTrain funds a prefix of whole tasks, and an applying
+// walk performs exactly the funded tasks' effects over raw words — home
+// words, redo-log words (in-place updates, and dead entries beyond the
+// last task's count, included) and control state, as the per-op path
+// leaves them. The first unfunded task runs on the per-op path and browns
+// out at the identical op index.
 //
 // A pass has one body (PassFunc), run by Fuse in all three modes: per op,
 // where every call charges the device; planning, where it counts; and
-// applying. Each bulk access's op sequence is written once, in Read, Write
-// and Accumulate, and charged through Ops and Load, which act by mode. A
-// chunk checks its gates (Fresh, or a Read that charges nothing when it
-// declines) before its first charge, so a declined chunk charges nothing:
-// per op the body then runs the chunk's scalar form (Scalar), and a
-// planned dispatch with a declined chunk — below the bulk threshold,
-// re-writing a word the task already privatized, or in a pass with no bulk
-// form — runs per op. Whether a run fuses is decided per run, from the
-// device as it is then.
+// applying. Each bulk access's op multiset is written once, in Read, Write
+// and Accumulate, and charged through Ops and Load, which act by mode. Per
+// op a chunk's bulk form charges its ops grouped by kind, which is not the
+// scalar order, so per op a chunk declines — before its first charge —
+// wherever that order would move a brown-out (short chunks, words already
+// privatized (Fresh), passes whose bulk form only planning and applying
+// take) and the body runs the chunk's scalar form (Scalar); per op every
+// bulk access then touches fresh words only. Planning and applying, a
+// chunk takes its bulk form throughout, so a pass whose chunks all have
+// one fuses every dispatch. Whether a run fuses is decided per run, from
+// the device as it is then.
 
 // PassFunc is a pass task's one body; d is the dispatch's index in the
 // pass. It charges the dispatch through f — f.Section, f.Ops, f.Load,
@@ -52,7 +58,7 @@ import (
 // charges, which may depend only on d, never on the device's state. The
 // applying walk calls it again for each funded dispatch, in order
 // (f.Planning() false), to perform its data movement, every task-shared
-// write through f.Write or f.Accumulate, which cannot decline then.
+// write through f.Write or f.Accumulate.
 type PassFunc func(f *Fuse, d int) (next ID, ok bool)
 
 // AddPass registers a pass task, one that dispatches itself over a cursor,
@@ -84,11 +90,14 @@ const fuseSlots = 3
 type profile [fuseSlots][mcu.NumOps]int32
 
 // dispatch is one planned dispatch: its transition target, redo-log entry
-// count, and multiset's index in Plan.profs (-1: it does not fuse).
+// count, multiset's index in Plan.profs (-1: it does not fuse), and
+// whether it re-writes a word it privatized, so its applying walk keeps
+// the write set.
 type dispatch struct {
 	next    ID
 	entries int32
 	prof    int32
+	split   bool
 }
 
 // Plan is the compiled fused form of a task graph: every pass's
@@ -143,6 +152,12 @@ type Fuse struct {
 	// overwrites, so they need no write (applying).
 	log, state []int64
 	n, skip    int
+
+	// split marks a dispatch that re-writes a word it privatized: planning,
+	// set by its first such write; applying, taken from the plan. Only such
+	// a dispatch keeps the write set while applying, for its in-place log
+	// updates.
+	split bool
 }
 
 // Fuse modes.
@@ -161,6 +176,10 @@ func (f *Fuse) init(rt *Runtime) {
 // Planning reports whether the current walk records charges (true) or
 // performs them: applying a funded dispatch, or running per op.
 func (f *Fuse) Planning() bool { return f.mode == modePlan }
+
+// PerOp reports whether the current walk charges the device op by op, in
+// the order the body issues them; a chunk's per-op gates apply then only.
+func (f *Fuse) PerOp() bool { return f.mode == modePerOp }
 
 // Section switches the following ops to t, one of the task's three
 // section slots: per op it is Device.SetSectionTok, planning it selects
@@ -228,68 +247,114 @@ func (f *Fuse) load(r *mem.Region, i, n int) {
 func (f *Fuse) add(s int, k mcu.OpKind, n int) { f.prof[s][k] += int32(n) }
 
 // Fresh reports whether none of the words r[i:i+n] is privatized in the
-// task's write set (planning, the planned dispatch's own): a chunk's gate,
-// free of charge, which Read, Write and Accumulate re-verify before
-// charging. Applying, every word is fresh: the plan vouched for it. The
-// one call in it keeps it inlinable.
-func (f *Fuse) Fresh(r *mem.Region, i, n int) bool {
-	return f.mode == modeApply || f.rt.fresh(r, i, n)
-}
+// task's write set: a chunk's per-op gate, free of charge. Per op a bulk
+// access must touch fresh words only, so a chunk whose range may hold a
+// word the dispatch already wrote declines per op unless Fresh vouches for
+// it; that scan is the range's only one per op.
+func (f *Fuse) Fresh(r *mem.Region, i, n int) bool { return f.rt.privatized(r, i, n) == 0 }
 
 // Read is the bulk form of n consecutive Ctx.Read calls of words r[i:i+n]
-// (n == 1 also stands for one), legal only when none of them is
-// privatized, so every read goes to the home location: n privatization
-// lookups, then n home loads, segment-grouped within the task, which never
-// commits mid-range. It reports whether it took the bulk path, and charges
-// nothing when it did not, so a chunk may use it as its gate. Values are
-// then read with r.Get, as with Device.LoadRange.
-func (f *Fuse) Read(r *mem.Region, i, n int) bool {
-	if !f.Fresh(r, i, n) {
-		return false
-	}
+// (n == 1 also stands for one): n privatization lookups, then a load per
+// word — from its home location when it is fresh, from its redo-log slot
+// when the task already privatized it — segment-grouped within the task,
+// which never commits mid-range. Per op every word is fresh (the chunk's
+// gate), so the loads are home loads. Values are then read with r.Get:
+// the applying walk keeps home words current with the dispatch's own
+// writes, so a privatized word reads its logged value there.
+func (f *Fuse) Read(r *mem.Region, i, n int) {
 	f.Ops(mcu.OpPrivatize, n)
+	if f.mode == modePlan {
+		k := f.rt.privatized(r, i, n)
+		f.cnt[mcu.LoadOp(r)] += int32(n - k)
+		f.cnt[mcu.LoadOp(f.rt.log)] += int32(k)
+		return
+	}
 	f.Load(r, i, n)
-	return true
 }
 
 // Write is the bulk form of len(vals) consecutive Ctx.Write calls to words
-// r[i:i+len(vals)] none of which the task has written before, each then a
-// privatization lookup and a fresh redo-log entry (logAppend). It reports
-// whether it took the bulk path, and charges nothing when some word is
-// already privatized (the scalar in-place log update applies then).
-func (f *Fuse) Write(r *mem.Region, i int, vals []int64) bool {
-	if !f.Fresh(r, i, len(vals)) {
-		return false
-	}
+// r[i:i+len(vals)]: a privatization lookup each, then a fresh redo-log
+// entry (logAppend) for a word the task has not written, or an in-place
+// store to its log slot (inPlace) for one it has, the range split
+// host-side at write-set boundaries. Per op every word is fresh (the
+// chunk's gate).
+func (f *Fuse) Write(r *mem.Region, i int, vals []int64) {
 	f.Ops(mcu.OpPrivatize, len(vals))
-	f.logAppend(r, i, vals)
-	return true
+	if !f.splits() {
+		f.logAppend(r, i, vals)
+		return
+	}
+	rt := f.rt
+	id := rt.regionID(r)
+	marks, epoch := rt.wsMark[id][i:i+len(vals)], rt.wsEpoch
+	for j := 0; j < len(vals); {
+		priv := marks[j] == epoch
+		m := j + 1
+		for m < len(vals) && (marks[m] == epoch) == priv {
+			m++
+		}
+		if priv {
+			f.inPlace(r, id, i+j, vals[j:m])
+		} else {
+			f.logAppend(r, i+j, vals[j:m])
+		}
+		j = m
+	}
 }
 
 // Accumulate is the bulk form of k successive read-modify-write pairs
 // (Ctx.Read then Ctx.Write) on the single word r[i], as a CSR row walk
-// performs on its row's partial accumulator: the first pair reads the home
-// location and appends a fresh redo-log entry, each later pair reads and
-// rewrites that log slot in place. It charges the scalar sequence's op
-// multiset — 2k privatization lookups, one home load, one log append, and
-// k-1 in-place log loads and stores — and installs final as the entry's
-// value; the k-1 intermediate values are never materialized, which is
-// unobservable because an execution-phase failure restarts the task and
-// resets the log before any of them could be read. The per-pair arithmetic
-// op (FixedAdd) stays with the caller, as do the operand loads. It reports
-// whether it took the bulk path, and charges nothing when r[i] is already
-// privatized.
-func (f *Fuse) Accumulate(r *mem.Region, i, k int, final int64) bool {
-	if !f.Fresh(r, i, 1) {
-		return false
-	}
+// performs on its row's partial accumulator. On a fresh word the first
+// pair reads the home location and appends a fresh redo-log entry, and
+// each later pair reads and rewrites that log slot in place: 2k
+// privatization lookups, one home load, one log append, and k-1 in-place
+// log loads and stores. On a word the task already privatized every pair
+// reads and rewrites its log slot: 2k lookups, k log loads and k log
+// stores. It installs final as the entry's value; the intermediate values
+// are never materialized, which is unobservable because an
+// execution-phase failure restarts the task and resets the log before any
+// of them could be read. The per-pair arithmetic op (FixedAdd) stays with
+// the caller, as do the operand loads. Per op r[i] is fresh.
+func (f *Fuse) Accumulate(r *mem.Region, i, k int, final int64) {
 	f.Ops(mcu.OpPrivatize, 2*k)
-	f.Load(r, i, 1) // the first pair's home read
 	v := [1]int64{final}
+	if f.splits() && !f.Fresh(r, i, 1) {
+		f.Ops(mcu.LoadOp(f.rt.log), k)
+		f.Ops(mcu.StoreOp(f.rt.log), k-1)
+		f.inPlace(r, f.rt.regionID(r), i, v[:])
+		return
+	}
+	f.Load(r, i, 1) // the first pair's home read
 	f.logAppend(r, i, v[:])
 	f.Ops(mcu.OpLoadFRAM, k-1)
 	f.Ops(mcu.OpStoreFRAM, k-1)
-	return true
+}
+
+// splits reports whether bulk writes split at write-set boundaries:
+// planning, and applying a dispatch the plan found re-writing a word it
+// privatized. Per op every bulk write is fresh.
+func (f *Fuse) splits() bool {
+	return f.mode == modePlan || f.mode == modeApply && f.split
+}
+
+// inPlace is the bulk form of Ctx.Write's in-place update for words
+// r[i:i+len(vals)] of shared region id, each already privatized by the
+// dispatch: one log store per word to its entry's value, with no new entry
+// and no log-count access. Applying, it stores the entries no later
+// funded dispatch of the train rewrites, and the home words, as the
+// commit's replay will.
+func (f *Fuse) inPlace(r *mem.Region, id, i int, vals []int64) {
+	if f.mode == modePlan {
+		f.split = true
+		f.Ops(mcu.StoreOp(f.rt.log), len(vals))
+		return
+	}
+	for j, s := range f.rt.wsSlot[id][i : i+len(vals)] {
+		if int(s) >= f.skip {
+			f.log[2*s+1] = vals[j]
+		}
+	}
+	copy(r.Words()[i:], vals)
 }
 
 // logAppend appends fresh redo-log entries holding vals for words
@@ -303,18 +368,26 @@ func (f *Fuse) Accumulate(r *mem.Region, i, k int, final int64) bool {
 // resets the log count and write set before any of it can be read.
 // Planning, it also records the commit's home stores. Applying, it writes
 // the entries no later funded dispatch of the train rewrites, and the
-// home words, as the commit's replay will: exact because a bulk dispatch
-// never reads a word it wrote.
+// home words, as the commit's replay will, which keeps them current for
+// the dispatch's own later reads; a dispatch that splits also enters the
+// words in the write set. Per op, a word the task already privatized
+// panics: its chunk must have declined.
 func (f *Fuse) logAppend(r *mem.Region, i int, vals []int64) {
 	rt, n := f.rt, len(vals)
 	if f.mode == modeApply {
 		// Most of a train's entries are rewritten by a later dispatch, so
-		// the region is resolved only for entries written here.
-		if j0 := max(f.skip-f.n, 0); j0 < n {
+		// the region is resolved only for entries written here, or for the
+		// write set of a dispatch that splits.
+		if j0 := max(f.skip-f.n, 0); j0 < n || f.split {
 			id := rt.regionID(r)
-			lw := f.log[2*f.n : 2*(f.n+n)]
-			for j := j0; j < n; j++ {
-				lw[2*j], lw[2*j+1] = rt.pack(id, i+j), vals[j]
+			if j0 < n {
+				lw := f.log[2*f.n : 2*(f.n+n)]
+				for j := j0; j < n; j++ {
+					lw[2*j], lw[2*j+1] = rt.pack(id, i+j), vals[j]
+				}
+			}
+			if f.split {
+				rt.mark(id, i, n, f.n)
 			}
 		}
 		f.n += n
@@ -347,7 +420,9 @@ func (f *Fuse) logAppend(r *mem.Region, i int, vals []int64) {
 		f.dev.StoreRange(rt.log, 2*f.n, entries)
 	}
 	f.Ops(mcu.OpStoreFRAM, n)
-	rt.mark(id, i, n, f.n)
+	if !rt.mark(id, i, n, f.n) && f.mode == modePerOp {
+		panic(fmt.Sprintf("task: bulk write re-writes a privatized word of %q per op: its chunk must decline", r.Name))
+	}
 	f.n += n
 	if f.mode == modePerOp {
 		rt.state.Put(stCount, int64(f.n))
@@ -369,11 +444,11 @@ func (p *Plan) compile(rt *Runtime) {
 		f.toks = &e.toks
 		seen := map[profile]int32{}
 		for d := 0; ; d++ {
-			f.prof, f.n = profile{}, 0
+			f.prof, f.n, f.split = profile{}, 0, false
 			f.cnt = &f.prof[0]
 			rt.clearWriteSet()
 			next, ok := e.pass(f, d)
-			dp := dispatch{next: next, entries: int32(f.n), prof: -1}
+			dp := dispatch{next: next, entries: int32(f.n), prof: -1, split: f.split}
 			if ok {
 				f.endPlan()
 				pi, known := seen[f.prof]
@@ -497,9 +572,13 @@ func (f *Fuse) run(cur ID) bool {
 			f.later[j], later = later, max(later, int(plan[d+j].entries))
 		}
 		for j := 0; j < m; j++ {
-			f.n, f.skip = 0, f.later[j]
+			dp := &plan[d+j]
+			f.n, f.skip, f.split = 0, f.later[j], dp.split
+			if f.split {
+				rt.clearWriteSet()
+			}
 			next, _ := e.pass(f, d+j)
-			if next != plan[d+j].next {
+			if next != dp.next {
 				panic("task: plan compiled from another task graph")
 			}
 			f.state[stPhase], f.state[stCur], f.state[stNext], f.state[stCount] = phaseExec, int64(next), int64(next), 0

@@ -20,13 +20,13 @@
 // tasks through mcu.ChargeTrain and applies their effects over raw words
 // (fuse.go). A pass task (AddPass) has one body, written against Fuse,
 // which runs per op, in the planning walk that compiles its Plan once per
-// task graph, and in the applying walk of every funded train. Only a pass
-// dispatch whose every chunk takes the bulk path — fresh Fuse.Read,
-// Fuse.Write and Fuse.Accumulate calls — fuses. A dispatch with a short
-// chunk, a re-write of a word it already privatized, or a chunk that
-// always declines (a tile pool pass) runs per op, as does the first task a
-// train cannot fund, which browns out at the identical op. Run decides per
-// run, from the device as it is then.
+// task graph, and in the applying walk of every funded train. A pass
+// dispatch whose every chunk takes the bulk path — Fuse.Read, Fuse.Write
+// and Fuse.Accumulate calls, which model the redo log's fresh appends and
+// in-place updates alike — fuses; one with a chunk that has no bulk form
+// runs per op, as does the first task a train cannot fund, which browns
+// out at the identical op. Run decides per run, from the device as it is
+// then.
 package task
 
 import (
@@ -401,25 +401,28 @@ func (c *Ctx) Write(r *mem.Region, i int, v int64) {
 	rt.mark(id, i, 1, n)
 }
 
-// fresh reports whether no word of r[i:i+n] has a live write-set entry.
-func (rt *Runtime) fresh(r *mem.Region, i, n int) bool {
-	epoch := rt.wsEpoch
+// privatized counts the words of r[i:i+n] with a live write-set entry.
+func (rt *Runtime) privatized(r *mem.Region, i, n int) int {
+	epoch, k := rt.wsEpoch, 0
 	for _, m := range rt.wsMark[rt.regionID(r)][i : i+n] {
 		if m == epoch {
-			return false
+			k++
 		}
 	}
-	return true
+	return k
 }
 
 // mark enters words [i, i+n) of shared region id in the write set, at log
-// slots n0, n0+1, ...
-func (rt *Runtime) mark(id, i, n, n0 int) {
-	slots, marks := rt.wsSlot[id], rt.wsMark[id]
-	for j := 0; j < n; j++ {
-		slots[i+j] = int32(n0 + j)
-		marks[i+j] = rt.wsEpoch
+// slots n0, n0+1, ..., and reports whether none of them had an entry.
+func (rt *Runtime) mark(id, i, n, n0 int) bool {
+	slots, marks, epoch := rt.wsSlot[id][i:i+n], rt.wsMark[id][i:i+n], rt.wsEpoch
+	fresh := true
+	for j := range marks {
+		fresh = fresh && marks[j] != epoch
+		slots[j] = int32(n0 + j)
+		marks[j] = epoch
 	}
+	return fresh
 }
 
 // TaskName returns the registered name of a task (for diagnostics).
