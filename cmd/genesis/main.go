@@ -26,8 +26,7 @@ func main() {
 		out      = flag.String("out", "", "path to save the chosen quantized model")
 		csv      = flag.Bool("csv", false, "emit CSV instead of text tables")
 		perLayer = flag.Bool("perlayer", false, "greedily refine the chosen config with per-layer moves")
-		serial   = flag.Bool("serial", false, "evaluate configurations on a single goroutine")
-		workers  = flag.Int("workers", 0, "config-evaluation worker bound (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "config- and example-evaluation worker bound (0 = GOMAXPROCS, 1 = one goroutine at a time)")
 	)
 	flag.Parse()
 
@@ -41,7 +40,6 @@ func main() {
 	}
 	opts.Seed = *seed
 	opts.FRAMBudgetBytes = *budget
-	opts.ForceSerial = *serial
 	opts.Workers = *workers
 
 	fmt.Printf("GENESIS sweep for %s (%d configurations)...\n", *net, len(opts.Configs()))

@@ -38,7 +38,6 @@ func main() {
 		outDir = flag.String("out", "", "also write each table as CSV into this directory")
 		seed   = flag.Uint64("seed", 1, "rng seed")
 		cache  = flag.String("cache", "", "report/model cache directory (warm runs skip training)")
-		serial = flag.Bool("serial", false, "disable parallel preparation (single goroutine)")
 	)
 	flag.Parse()
 	if err := profiler.Start(); err != nil {
@@ -88,10 +87,8 @@ func main() {
 		return
 	}
 
-	fmt.Fprintf(os.Stderr, "preparing models with GENESIS (quick=%v serial=%v cache=%q)...\n",
-		*quick, *serial, *cache)
-	prepared, err := harness.PrepareAll(harness.PrepareOptions{
-		Seed: *seed, Quick: *quick, CacheDir: *cache, ForceSerial: *serial})
+	fmt.Fprintf(os.Stderr, "preparing models with GENESIS (quick=%v cache=%q)...\n", *quick, *cache)
+	prepared, err := harness.PrepareAll(harness.PrepareOptions{Seed: *seed, Quick: *quick, CacheDir: *cache})
 	if err != nil {
 		fail(err)
 	}

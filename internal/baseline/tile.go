@@ -41,8 +41,8 @@ func (t Tile) Name() string { return fmt.Sprintf("tile-%d", t.TileSize) }
 const tileCursorSlot = 0
 
 // minBulk is the chunk length below which a chunk body declines the bulk
-// path per op (the pass body runs the scalar passFn over it): tiny chunks
-// don't amortize the range machinery.
+// path per op (the pass body runs the scalar passFn over it), which keeps
+// short chunks' per-op stream in scalar order.
 const minBulk = 4
 
 // Infer builds the task graph over the deployed image and drives it to
@@ -133,20 +133,21 @@ type passFn func(c *task.Ctx, iter int)
 // [lo, hi) — a run uniform in op kinds, and for its task-shared accesses
 // contiguous in memory — and returns the chunk's length n and whether the
 // chunk took the bulk path. A bulk chunk charges the scalar body's op
-// multiset per iteration, grouped by kind; a task-shared word the
-// dispatch already wrote costs what the scalar body's in-place log update
-// does (task.Fuse.Read, Write). Planning and applying, every chunk takes
-// the bulk path, so every tile dispatch fuses. Per op the order of the
-// charges decides where a brown-out lands, and each pass keeps one per-op
-// order: a chunk's per-op gates (f.PerOp: n >= minBulk, and Fresh on a
-// range the dispatch may already have written) come before its first
-// charge, so a declined chunk charges nothing and the body runs the scalar
-// passFn over its n iterations. The pool pass and a pruned conv-acc pass
-// decline every chunk per op. Only the accumulating passes can meet a word
-// their dispatch wrote: every other pass writes disjoint chunks and never
-// reads what it writes, and a sparse row's nonzeros are one chunk of a
-// dispatch, so their chunks have no Fresh gate (per op, task.Fuse panics
-// on a bulk write to a privatized word).
+// multiset per iteration, grouped by kind; a task-shared word the dispatch
+// already wrote costs what the scalar body's in-place log update does
+// (task.Fuse.Read, Write). Planning and applying, every chunk takes the
+// bulk path (task.Fuse.Scalar panics there), so every tile dispatch fuses.
+// Per op the order of the charges decides where a brown-out lands, and
+// each pass keeps one per-op order: a chunk's per-op gates (f.PerOp:
+// n >= minBulk, and Fresh on a range the dispatch may already have
+// written) come before its first charge, so a declined chunk charges
+// nothing and the body runs the scalar passFn over its n iterations. The
+// pool pass and a pruned conv-acc pass decline every chunk per op. Only
+// the accumulating passes can meet a word their dispatch wrote: every
+// other pass writes disjoint chunks and never reads what it writes, and a
+// sparse row's nonzeros are one chunk of a dispatch, so their chunks have
+// no Fresh gate (per op, task.Fuse panics on a bulk write to a privatized
+// word).
 type chunkFn func(f *task.Fuse, lo, hi int) (n int, bulk bool)
 
 // addPassFn registers a pass: name, layer label, iteration count, scalar
@@ -243,7 +244,7 @@ func (b *tileBuilder) build() (bool, error) {
 		self := task.ID(pi)
 		tokC := b.img.Dev.SectionToken(p.layer, mcu.PhaseControl)
 		tokK := b.img.Dev.SectionToken(p.layer, mcu.PhaseKernel)
-		b.rt.AddPass(p.name, p.layer, ctl, tileCursorSlot, b.k, func(f *task.Fuse, d int) (task.ID, bool) {
+		b.rt.AddPass(p.name, p.layer, ctl, tileCursorSlot, b.k, func(f *task.Fuse, d int) task.ID {
 			base := d * b.k
 			end := min(base+b.k, p.n)
 			to := self
@@ -256,14 +257,14 @@ func (b *tileBuilder) build() (bool, error) {
 			f.Section(tokK)
 			for lo := base; lo < end; {
 				n, bulk := p.chunk(f, lo, end)
-				if !bulk && !f.Scalar(p.f, lo, lo+n) {
-					return to, false
+				if !bulk {
+					f.Scalar(p.f, lo, lo+n)
 				}
 				lo += n
 			}
 			f.Section(tokC)
 			f.Write(ctl, tileCursorSlot, b.cursor[:])
-			return to, true
+			return to
 		})
 	}
 	return parity, nil

@@ -17,8 +17,8 @@ import (
 // The reductions are integer counts (correct predictions, confusion-cell
 // tallies), which are order-independent, so the sharded result is
 // bit-identical to the serial one for any worker count. That equivalence is
-// what lets genesis run the sweep in parallel while still matching the
-// ForceSerial oracle (TestGenesisParallelDeterministic).
+// what lets genesis run the sweep with any worker count and still produce
+// the Workers 1 report (TestGenesisParallelDeterministic).
 
 // minShard is the smallest number of examples worth a dedicated worker;
 // below it the clone-decode cost dominates.

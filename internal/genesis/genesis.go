@@ -115,13 +115,11 @@ type Options struct {
 	PruneLevels []float64
 	RankFracs   []float64
 
-	// Workers bounds the per-config fan-out of Run (0 = GOMAXPROCS).
-	// ForceSerial pins the entire run to a single goroutine with serial
-	// per-example evaluation; it exists so tests can prove the parallel
-	// path bit-identical to the serial one. Neither knob affects results,
-	// and both are excluded from the report-cache OptionsHash.
-	Workers     int
-	ForceSerial bool
+	// Workers bounds the per-config fan-out of Run and the per-example
+	// fan-out of each config's evaluation (0 = GOMAXPROCS); Workers 1 runs
+	// the sweep on a single goroutine at a time. It does not affect
+	// results, and is excluded from the report-cache OptionsHash.
+	Workers int
 }
 
 // DefaultOptions returns a sweep sized for the synthetic datasets.
@@ -180,44 +178,36 @@ func Run(opts Options) (*Report, error) {
 	report := &Report{Options: opts, Dataset: ds.String(), Chosen: -1}
 	configs := opts.Configs()
 	report.Results = make([]Result, len(configs))
-	if opts.ForceSerial {
-		for i, c := range configs {
-			report.Results[i] = evaluateClone(base.Clone(), ds, c, opts, 1)
-		}
-	} else {
-		// Each worker evaluates on a private decode of the trained base
-		// (Clone is itself an Encode/Decode round-trip, so a decoded copy
-		// is exactly what the serial path's Clone produces). Results land
-		// at their config's index, and every per-example reduction is an
-		// order-independent integer count, so the report is bit-identical
-		// to the ForceSerial path — see TestGenesisParallelDeterministic.
-		var raw bytes.Buffer
-		if err := base.Encode(&raw); err != nil {
-			return nil, err
-		}
-		blob := raw.Bytes()
-		workers := opts.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i, c := range configs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, c Config) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				n, err := dnn.Decode(bytes.NewReader(blob))
-				if err != nil {
-					report.Results[i] = Result{Config: c, Err: fmt.Sprintf("clone: %v", err)}
-					return
-				}
-				report.Results[i] = evaluateClone(n, ds, c, opts, 0)
-			}(i, c)
-		}
-		wg.Wait()
+	// Each worker evaluates on a private decode of the trained base. Results
+	// land at their config's index, and every per-example reduction is an
+	// order-independent integer count, so the report is bit-identical for
+	// every worker count — see TestGenesisParallelDeterministic.
+	var raw bytes.Buffer
+	if err := base.Encode(&raw); err != nil {
+		return nil, err
 	}
+	blob := raw.Bytes()
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i, c := range configs {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int, c Config) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			n, err := dnn.Decode(bytes.NewReader(blob))
+			if err != nil {
+				report.Results[i] = Result{Config: c, Err: fmt.Sprintf("clone: %v", err)}
+				return
+			}
+			report.Results[i] = evaluateClone(n, ds, c, opts)
+		}(i, c)
+	}
+	wg.Wait()
 	best := -1.0
 	for i := range report.Results {
 		r := &report.Results[i]
@@ -249,9 +239,9 @@ func (o Options) Configs() []Config {
 
 // evaluateClone applies a configuration to an already-private copy of the
 // trained base network (the caller hands over ownership), fine-tunes,
-// quantizes, measures, and scores it. evalWorkers is passed through to the
-// sharded accuracy/confusion passes (1 = fully serial, 0 = auto).
-func evaluateClone(n *dnn.Network, ds *dataset.Dataset, c Config, opts Options, evalWorkers int) Result {
+// quantizes, measures, and scores it. opts.Workers is passed through to the
+// sharded accuracy/confusion passes (1 = serial, 0 = auto).
+func evaluateClone(n *dnn.Network, ds *dataset.Dataset, c Config, opts Options) Result {
 	if err := Apply(n, c); err != nil {
 		return Result{Config: c, Err: fmt.Sprintf("apply: %v", err)}
 	}
@@ -263,7 +253,7 @@ func evaluateClone(n *dnn.Network, ds *dataset.Dataset, c Config, opts Options, 
 		ft.MaxSamplesPerEpoch = opts.MaxSamplesPerEpoch
 		dnn.Train(n, ds, ft)
 	}
-	res := evaluateNetwork(n, ds, opts, evalWorkers)
+	res := evaluateNetwork(n, ds, opts, opts.Workers)
 	res.Config = c
 	return res
 }

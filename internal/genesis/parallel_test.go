@@ -9,15 +9,17 @@ import (
 
 // TestGenesisParallelDeterministic is the equivalence oracle for the
 // parallel sweep: for every evaluation network, a run fanned out across
-// workers must produce a report bit-identical — accuracies, rates, MACs,
-// param bytes, measured energies, IMpJ, and the chosen config — to a run
-// pinned to a single goroutine by ForceSerial. Run under -race, this also
-// exercises the fan-out paths for data races.
+// four workers, per config and per example, must produce a report
+// bit-identical — accuracies, rates, MACs, param bytes, measured
+// energies, IMpJ, and the chosen config — to a run with Workers 1, which
+// evaluates one config at a time and each config's examples on one
+// goroutine. Run under -race, this also exercises the fan-out paths for
+// data races.
 func TestGenesisParallelDeterministic(t *testing.T) {
 	for _, net := range []string{"mnist", "har", "okg"} {
 		t.Run(net, func(t *testing.T) {
 			so := smallOptions(net)
-			so.ForceSerial = true
+			so.Workers = 1
 			serial, err := Run(so)
 			if err != nil {
 				t.Fatalf("serial run: %v", err)

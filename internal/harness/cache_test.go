@@ -92,15 +92,16 @@ func TestReportCacheLifecycle(t *testing.T) {
 }
 
 // TestOptionsHashIgnoresParallelismKnobs pins the cache-key contract:
-// Workers and ForceSerial do not affect results (the determinism oracle
-// proves it), so serial and parallel runs must share cache entries.
+// Workers does not affect results (the determinism oracle proves it), so
+// runs with any worker count must share cache entries.
 func TestOptionsHashIgnoresParallelismKnobs(t *testing.T) {
 	a := genesisOptions("har", PrepareOptions{Seed: 5, Quick: true})
-	b := a
-	b.Workers = 7
-	b.ForceSerial = true
-	if OptionsHash(a) != OptionsHash(b) {
-		t.Error("parallelism knobs changed the cache key")
+	for _, w := range []int{1, 7} {
+		b := a
+		b.Workers = w
+		if OptionsHash(a) != OptionsHash(b) {
+			t.Errorf("Workers %d changed the cache key", w)
+		}
 	}
 	c := a
 	c.FRAMBudgetBytes++

@@ -39,19 +39,16 @@ type PrepareOptions struct {
 	Quick    bool   // small training budgets for tests
 	CacheDir string // if set, reports and chosen models are cached here
 
-	// ForceSerial pins preparation to a single goroutine end to end
-	// (networks, configs, and per-example evaluation); Workers bounds the
-	// per-config fan-out inside each sweep (0 = GOMAXPROCS). Neither
-	// affects results — see TestGenesisParallelDeterministic.
-	ForceSerial bool
-	Workers     int
+	// Workers bounds the per-config and per-example fan-out inside each
+	// sweep (0 = GOMAXPROCS). It does not affect results — see
+	// TestGenesisParallelDeterministic.
+	Workers int
 }
 
 // genesisOptions builds the sweep options for a network.
 func genesisOptions(net string, po PrepareOptions) genesis.Options {
 	o := genesis.DefaultOptions(net)
 	o.Seed = po.Seed
-	o.ForceSerial = po.ForceSerial
 	o.Workers = po.Workers
 	if po.Quick {
 		o.TrainSamples, o.TestSamples = 360, 90
@@ -111,16 +108,6 @@ func Prepare(net string, po PrepareOptions) (*Prepared, error) {
 func PrepareAll(po PrepareOptions) ([]*Prepared, error) {
 	nets := Networks()
 	out := make([]*Prepared, len(nets))
-	if po.ForceSerial {
-		for i, net := range nets {
-			p, err := Prepare(net, po)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = p
-		}
-		return out, nil
-	}
 	errs := make([]error, len(nets))
 	var wg sync.WaitGroup
 	for i, net := range nets {

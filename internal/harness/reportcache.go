@@ -16,10 +16,10 @@ import (
 // genesis.Options field that can influence the sweep's outcome, so a warm
 // run of the paper pipeline skips training entirely and any change to the
 // sweep inputs (seed, sample counts, budgets, prune/rank grids, ...)
-// invalidates the entry automatically. The parallelism knobs (Workers,
-// ForceSerial) are deliberately excluded — parallel and serial runs produce
-// bit-identical reports (see TestGenesisParallelDeterministic), so they
-// share cache entries.
+// invalidates the entry automatically. The parallelism knob (Workers) is
+// deliberately excluded — runs with any worker count produce bit-identical
+// reports (see TestGenesisParallelDeterministic), so they share cache
+// entries.
 
 // reportCacheVersion invalidates all entries when the Report encoding or
 // the hash recipe changes.
@@ -82,7 +82,7 @@ func loadReportCache(dir string, opts genesis.Options) *genesis.Report {
 		return nil
 	}
 	// The stored copy carries sanitized options (no runtime interface, no
-	// parallelism knobs); restore the caller's so downstream consumers see
+	// parallelism knob); restore the caller's so downstream consumers see
 	// exactly what a cold Run would have recorded.
 	rec.Report.Options = opts
 	return rec.Report
@@ -95,12 +95,11 @@ func saveReportCache(dir string, opts genesis.Options, rep *genesis.Report) erro
 		return err
 	}
 	// gob cannot encode the non-nil MeasureRuntime interface (and the
-	// parallelism knobs must not leak into shared entries), so the stored
+	// parallelism knob must not leak into shared entries), so the stored
 	// copy carries sanitized options; loadReportCache restores them.
 	cp := *rep
 	cp.Options.MeasureRuntime = nil
 	cp.Options.Workers = 0
-	cp.Options.ForceSerial = false
 	tmp, err := os.CreateTemp(dir, "report-*.tmp")
 	if err != nil {
 		return err

@@ -432,10 +432,9 @@ func (d *Device) FusedOps() int64 { return d.fusedOps }
 // whole-block funding is exact; count-based fault-injection systems and
 // the energy.PerOp reference take the scalar path, so failure schedules
 // keep their op-exact placement and the reference runs no fused kernel.
-// When it holds, SONIC-family loops and tile tasks whose bodies are all
-// bulk chunks run as ChargeTrain spans; other tile tasks (short chunks,
-// privatized re-writes, pool) and the first unfunded iteration of any
-// span charge per op or per bulk range as before.
+// When it holds, SONIC-family loops and tile tasks run as ChargeTrain
+// spans; the first unfunded iteration of any span charges per op or per
+// bulk range.
 func (d *Device) CanFuse() bool {
 	return d.journal == nil && d.shadow == nil &&
 		d.traceMask&^ChargeCycleKinds == 0 && (d.intPower != nil || d.contPower)

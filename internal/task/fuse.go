@@ -44,22 +44,20 @@ import (
 // privatized (Fresh), passes whose bulk form only planning and applying
 // take) and the body runs the chunk's scalar form (Scalar); per op every
 // bulk access then touches fresh words only. Planning and applying, a
-// chunk takes its bulk form throughout, so a pass whose chunks all have
-// one fuses every dispatch. Whether a run fuses is decided per run, from
-// the device as it is then.
+// chunk takes its bulk form throughout, so every dispatch fuses. Whether a
+// run fuses is decided per run, from the device as it is then.
 
 // PassFunc is a pass task's one body; d is the dispatch's index in the
 // pass. It charges the dispatch through f — f.Section, f.Ops, f.Load,
-// f.Read, f.Write and f.Accumulate — running a declined chunk through
-// f.Scalar, and returns the dispatch's transition target and whether the
-// dispatch took the bulk path throughout. Per op, Run calls it at the
-// dispatch the pass's cursor names. The planning walk that compiles a Plan
-// calls it for every dispatch d = 0, 1, ... in turn, recording its
-// charges, which may depend only on d, never on the device's state. The
-// applying walk calls it again for each funded dispatch, in order
-// (f.Planning() false), to perform its data movement, every task-shared
-// write through f.Write or f.Accumulate.
-type PassFunc func(f *Fuse, d int) (next ID, ok bool)
+// f.Read, f.Write and f.Accumulate — running a chunk it declines per op
+// through f.Scalar, and returns the dispatch's transition target. Per op,
+// Run calls it at the dispatch the pass's cursor names. The planning walk
+// that compiles a Plan calls it for every dispatch d = 0, 1, ... in turn,
+// recording its charges, which may depend only on d, never on the
+// device's state. The applying walk calls it again for each funded
+// dispatch, in order (f.Planning() false), to perform its data movement,
+// every task-shared write through f.Write or f.Accumulate.
+type PassFunc func(f *Fuse, d int) ID
 
 // AddPass registers a pass task, one that dispatches itself over a cursor,
 // and returns its ID: its dispatch d starts with word at of cur holding
@@ -90,9 +88,8 @@ const fuseSlots = 3
 type profile [fuseSlots][mcu.NumOps]int32
 
 // dispatch is one planned dispatch: its transition target, redo-log entry
-// count, multiset's index in Plan.profs (-1: it does not fuse), and
-// whether it re-writes a word it privatized, so its applying walk keeps
-// the write set.
+// count, multiset's index in Plan.profs, and whether it re-writes a word
+// it privatized, so its applying walk keeps the write set.
 type dispatch struct {
 	next    ID
 	entries int32
@@ -201,18 +198,16 @@ func (f *Fuse) Section(t mcu.SectionTok) {
 	panic("task: pass charges a section outside its layer's slots")
 }
 
-// Scalar is a declined chunk's fallback: per op it runs body, the chunk's
-// scalar form, over iterations [lo, hi) through the runtime's Ctx and
-// reports true; planning or applying it reports false, for a dispatch with
-// a declined chunk does not fuse.
-func (f *Fuse) Scalar(body func(c *Ctx, i int), lo, hi int) bool {
+// Scalar is a declined chunk's fallback: it runs body, the chunk's scalar
+// form, over iterations [lo, hi) through the runtime's Ctx. A chunk
+// declines per op only; planning or applying, Scalar panics.
+func (f *Fuse) Scalar(body func(c *Ctx, i int), lo, hi int) {
 	if f.mode != modePerOp {
-		return false
+		panic("task: a chunk declined the bulk path outside per op")
 	}
 	for i := lo; i < hi; i++ {
 		body(&f.rt.ctx, i)
 	}
-	return true
 }
 
 // Ops is Device.Ops(k, n). It stays small enough to inline into chunk
@@ -447,19 +442,15 @@ func (p *Plan) compile(rt *Runtime) {
 			f.prof, f.n, f.split = profile{}, 0, false
 			f.cnt = &f.prof[0]
 			rt.clearWriteSet()
-			next, ok := e.pass(f, d)
-			dp := dispatch{next: next, entries: int32(f.n), prof: -1, split: f.split}
-			if ok {
-				f.endPlan()
-				pi, known := seen[f.prof]
-				if !known {
-					pi = int32(len(p.profs))
-					seen[f.prof] = pi
-					p.profs = append(p.profs, f.prof)
-				}
-				dp.prof = pi
+			next := e.pass(f, d)
+			f.endPlan()
+			pi, known := seen[f.prof]
+			if !known {
+				pi = int32(len(p.profs))
+				seen[f.prof] = pi
+				p.profs = append(p.profs, f.prof)
 			}
-			p.tasks[id] = append(p.tasks[id], dp)
+			p.tasks[id] = append(p.tasks[id], dispatch{next: next, entries: int32(f.n), prof: pi, split: f.split})
 			if next != ID(id) {
 				break
 			}
@@ -512,10 +503,10 @@ func (f *Fuse) block(e *taskEntry, pi int32, tokP mcu.SectionTok) *mcu.Block {
 }
 
 // run funds and applies consecutive dispatches of task cur, starting at the
-// dispatch its cursor names. It stops at the first dispatch that cannot
-// fuse or cannot be funded, which the caller then runs per op, or after a
-// dispatch that transitions away, reporting true so the caller tries to
-// fuse the next task.
+// dispatch its cursor names. It stops at the first dispatch that would
+// overflow the redo log or cannot be funded, which the caller then runs
+// per op, or after a dispatch that transitions away, reporting true so the
+// caller tries to fuse the next task.
 func (f *Fuse) run(cur ID) bool {
 	rt, dev := f.rt, f.dev
 	e := &rt.tasks[cur]
@@ -535,7 +526,7 @@ func (f *Fuse) run(cur ID) bool {
 		planned, stop := 0, false
 		for limit := 1; planned < limit; planned++ {
 			dp := &plan[d+planned]
-			if dp.prof < 0 || int(dp.entries) > rt.cap {
+			if int(dp.entries) > rt.cap {
 				stop = true
 				break
 			}
@@ -577,11 +568,10 @@ func (f *Fuse) run(cur ID) bool {
 			if f.split {
 				rt.clearWriteSet()
 			}
-			next, _ := e.pass(f, d+j)
-			if next != dp.next {
+			if e.pass(f, d+j) != dp.next {
 				panic("task: plan compiled from another task graph")
 			}
-			f.state[stPhase], f.state[stCur], f.state[stNext], f.state[stCount] = phaseExec, int64(next), int64(next), 0
+			f.state[stPhase], f.state[stCur], f.state[stNext], f.state[stCount] = phaseExec, int64(dp.next), int64(dp.next), 0
 		}
 		d += m
 		if m < planned {

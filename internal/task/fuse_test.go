@@ -2,6 +2,7 @@ package task
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/energy"
@@ -46,17 +47,17 @@ func scaleChunk(src, dst *mem.Region, per int) (chunk func(f *Fuse, lo, hi int) 
 // scaleChunk over n words; every third dispatch first writes a
 // placeholder to its first word, so its chunk re-writes a privatized word
 // (fresh and privatized words in one range), and with per = 8 the last
-// dispatch is a short chunk. The second pass, out[i] = src[i]+dst[i], has
-// no bulk form: its chunk always declines. The third, rewriteChunk over
-// acc, re-reads and re-writes words its dispatch already privatized and
-// alternates long and short dispatches, so a funded train's later
-// dispatch rewrites fewer log entries than an earlier one's in-place
-// updates reach. Each pass has one body: per op a declined chunk runs the
-// scalar body; planning, only the no-bulk pass's chunk declines, and its
-// dispatches do not fuse. It returns
-// the runtime, the regions whose final words the program leaves behind,
-// and the no-bulk and rewrite passes' IDs.
-func scaleProgram(t *testing.T, dev *mcu.Device, n, per int) (*Runtime, []*mem.Region, ID, ID) {
+// dispatch is a short chunk. The second pass, out[i] = src[i]+dst[i],
+// runs sumChunk, which declines every chunk per op, as tile's pool pass
+// and pruned conv-acc pass do. The third, rewriteChunk over acc, re-reads
+// and re-writes words its dispatch already privatized and alternates long
+// and short dispatches, so a funded train's later dispatch rewrites fewer
+// log entries than an earlier one's in-place updates reach. Each pass has
+// one body: per op a declined chunk runs the scalar body; planning and
+// applying, every chunk takes its bulk form, so every dispatch fuses. It
+// returns the runtime, the regions whose final words the program leaves
+// behind, and the rewrite pass's ID.
+func scaleProgram(t *testing.T, dev *mcu.Device, n, per int) (*Runtime, []*mem.Region, ID) {
 	t.Helper()
 	rt, err := New(dev, 64)
 	if err != nil {
@@ -83,7 +84,7 @@ func scaleProgram(t *testing.T, dev *mcu.Device, n, per int) (*Runtime, []*mem.R
 		self := ID(len(rt.tasks))
 		tokC := dev.SectionToken(name, mcu.PhaseControl)
 		tokK := dev.SectionToken(name, mcu.PhaseKernel)
-		return rt.AddPass(name, name, ctl, 0, per, func(f *Fuse, d int) (ID, bool) {
+		return rt.AddPass(name, name, ctl, 0, per, func(f *Fuse, d int) ID {
 			base := d * per
 			end := min(base+per, n)
 			to := self
@@ -95,12 +96,12 @@ func scaleProgram(t *testing.T, dev *mcu.Device, n, per int) (*Runtime, []*mem.R
 			f.Read(ctl, 0, 1)
 			f.Section(tokK)
 			pre(f, base)
-			if m, bulk := body(f, base, end); !bulk && !f.Scalar(scalar, base, base+m) {
-				return to, false
+			if m, bulk := body(f, base, end); !bulk {
+				f.Scalar(scalar, base, base+m)
 			}
 			f.Section(tokC)
 			f.Write(ctl, 0, cursor)
-			return to, true
+			return to
 		})
 	}
 	pass("scale", 1, func(f *Fuse, base int) {
@@ -113,7 +114,24 @@ func scaleProgram(t *testing.T, dev *mcu.Device, n, per int) (*Runtime, []*mem.R
 		dev.Op(mcu.OpFixedAdd)
 		c.Write(out, i, dev.Load(src, i)+c.Read(dst, i))
 	}
-	noBulk := pass("sum", 2, func(*Fuse, int) {}, func(_ *Fuse, lo, hi int) (int, bool) { return hi - lo, false }, sum)
+	sumVals := make([]int64, per)
+	sumChunk := func(f *Fuse, lo, hi int) (int, bool) {
+		n := hi - lo
+		if f.PerOp() {
+			return n, false
+		}
+		f.Ops(mcu.OpFixedAdd, n)
+		f.Load(src, lo, n)
+		f.Read(dst, lo, n)
+		if !f.Planning() {
+			for j := 0; j < n; j++ {
+				sumVals[j] = src.Get(lo+j) + dst.Get(lo+j)
+			}
+		}
+		f.Write(out, lo, sumVals[:n])
+		return n, true
+	}
+	pass("sum", 2, func(*Fuse, int) {}, sumChunk, sum)
 	rewrite := pass("rewrite", Done, func(f *Fuse, base int) {
 		if base/per%2 == 0 {
 			f.Write(acc, base+1, placeholder)
@@ -130,7 +148,7 @@ func scaleProgram(t *testing.T, dev *mcu.Device, n, per int) (*Runtime, []*mem.R
 			}
 		}
 	})
-	return rt, []*mem.Region{src, dst, out, acc, ctl, rt.state, rt.log}, noBulk, rewrite
+	return rt, []*mem.Region{src, dst, out, acc, ctl, rt.state, rt.log}, rewrite
 }
 
 // rewriteChunk returns the bulk body of a pass that accumulates
@@ -179,15 +197,15 @@ func rewriteChunk(src, acc *mem.Region, per int) func(f *Fuse, lo, hi int) (int,
 
 // TestFusedTasksMatchPerOp is the task runtime's own fused-vs-reference
 // oracle: under continuous power and a capacitor small enough to brown
-// out every few tasks, a run whose fusable dispatches are funded and
-// applied as whole tasks must actually fuse and must leave exactly the
-// energy.PerOp run's Stats (op counts, per-section maps, cycles, energy,
-// MaxRegionOps, reboots) and final FRAM — home words of every pass,
-// cursor, control state, and the raw redo log with its in-place updates
-// and dead entries. The pass with no bulk form must fuse none of its
-// dispatches; the others, short chunks and privatized re-writes included,
-// must fuse every one, and the rewrite pass's must all split at
-// write-set boundaries.
+// out every few tasks, a run whose dispatches are funded and applied as
+// whole tasks must actually fuse and must leave exactly the energy.PerOp
+// run's Stats (op counts, per-section maps, cycles, energy, MaxRegionOps,
+// reboots) and final FRAM — home words of every pass, cursor, control
+// state, and the raw redo log with its in-place updates and dead entries.
+// Every dispatch of every pass — short chunks, privatized re-writes and
+// the pass whose chunks all decline per op included — must plan a
+// multiset, and the rewrite pass's must all split at write-set
+// boundaries.
 func TestFusedTasksMatchPerOp(t *testing.T) {
 	powers := []struct {
 		name string
@@ -200,9 +218,9 @@ func TestFusedTasksMatchPerOp(t *testing.T) {
 	}
 	for _, pw := range powers {
 		for _, per := range []int{5, 8, 13} {
-			run := func(power energy.System) (*mcu.Device, [][]int64, *Runtime, ID, ID) {
+			run := func(power energy.System) (*mcu.Device, [][]int64, *Runtime, ID) {
 				dev := mcu.New(power)
-				rt, regions, noBulk, rewrite := scaleProgram(t, dev, 90, per)
+				rt, regions, rewrite := scaleProgram(t, dev, 90, per)
 				rt.Start(0)
 				if err := rt.Run(); err != nil {
 					t.Fatalf("%s/per=%d: %v", pw.name, per, err)
@@ -211,21 +229,26 @@ func TestFusedTasksMatchPerOp(t *testing.T) {
 				for _, r := range regions {
 					words = append(words, append([]int64(nil), r.ROWords()...))
 				}
-				return dev, words, rt, noBulk, rewrite
+				return dev, words, rt, rewrite
 			}
-			fused, fw, frt, noBulk, rewrite := run(pw.mk())
-			scalar, sw, _, _, _ := run(energy.PerOp{S: pw.mk()})
+			fused, fw, frt, rewrite := run(pw.mk())
+			scalar, sw, _, _ := run(energy.PerOp{S: pw.mk()})
 			fs, ss := fused.Stats(), scalar.Stats()
 			if fused.FusedOps() == 0 {
 				t.Errorf("%s/per=%d: nothing fused", pw.name, per)
 			}
-			if frt.plan == nil || len(frt.plan.tasks[noBulk]) != (90+per-1)/per {
-				t.Errorf("%s/per=%d: no-bulk pass was not planned over its %d dispatches", pw.name, per, (90+per-1)/per)
+			dispatches := (90 + per - 1) / per
+			if frt.plan == nil || len(frt.plan.tasks) != 3 {
+				t.Errorf("%s/per=%d: the three passes were not planned", pw.name, per)
 			} else {
 				for id, dps := range frt.plan.tasks {
+					if len(dps) != dispatches {
+						t.Errorf("%s/per=%d: task %d planned %d dispatches, want %d", pw.name, per, id, len(dps), dispatches)
+					}
 					for d, dp := range dps {
-						if fuses := ID(id) != noBulk; (dp.prof >= 0) != fuses || ID(id) == rewrite && !dp.split {
-							t.Errorf("%s/per=%d: task %d dispatch %d: fuses %v, splits %v", pw.name, per, id, d, dp.prof >= 0, dp.split)
+						if dp.prof < 0 || int(dp.prof) >= len(frt.plan.profs) || ID(id) == rewrite && !dp.split {
+							t.Errorf("%s/per=%d: task %d dispatch %d: multiset %d of %d, splits %v",
+								pw.name, per, id, d, dp.prof, len(frt.plan.profs), dp.split)
 						}
 					}
 				}
@@ -295,15 +318,49 @@ func TestDeclinedChunkChargesNothing(t *testing.T) {
 			t.Errorf("%s: bulk chunk charged nothing", name)
 		}
 	}
-	rt.AddPass("probe", "probe", ctl, 0, 1, func(f *Fuse, d int) (ID, bool) {
+	rt.AddPass("probe", "probe", ctl, 0, 1, func(f *Fuse, d int) ID {
 		probe(f, "short", 0, 3, false)
 		f.Scalar(func(c *Ctx, i int) { c.Write(dst, i, 7) }, 9, 10) // privatize dst[9]
 		probe(f, "privatized", 8, 12, false)
 		probe(f, "bulk", 0, 8, true)
-		return Done, false
+		return Done
 	})
 	rt.Start(0)
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestChunkDeclinedOutsidePerOpPanics pins the other half of the chunk
+// contract: a chunk declines the bulk path per op only, so a pass body
+// that falls back to its scalar form while planning breaks the plan, and
+// Fuse.Scalar must panic rather than plan a dispatch that charges nothing
+// for the declined chunk. A device that may fuse compiles the plan on its
+// first run, where the decline happens.
+func TestChunkDeclinedOutsidePerOpPanics(t *testing.T) {
+	dev := mcu.New(energy.Continuous{})
+	rt, err := New(dev, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	src := dev.FRAM.MustAlloc("src", n, 2)
+	dst := dev.FRAM.MustAlloc("dst", n, 2)
+	ctl := dev.FRAM.MustAlloc("ctl", 1, 2)
+	rt.Share(dst)
+	rt.Share(ctl)
+	_, scalar := scaleChunk(src, dst, n)
+	rt.AddPass("decline", "decline", ctl, 0, n, func(f *Fuse, d int) ID {
+		f.Scalar(scalar, 0, n) // declines in every mode
+		return Done
+	})
+	rt.Start(0)
+	defer func() {
+		if r := recover(); r == nil {
+			t.Error("a chunk declined while planning, and Fuse.Scalar did not panic")
+		} else if s, _ := r.(string); !strings.Contains(s, "outside per op") {
+			t.Errorf("panic %v, want Fuse.Scalar's outside-per-op panic", r)
+		}
+	}()
+	rt.Run()
 }

@@ -20,13 +20,13 @@
 // tasks through mcu.ChargeTrain and applies their effects over raw words
 // (fuse.go). A pass task (AddPass) has one body, written against Fuse,
 // which runs per op, in the planning walk that compiles its Plan once per
-// task graph, and in the applying walk of every funded train. A pass
-// dispatch whose every chunk takes the bulk path — Fuse.Read, Fuse.Write
-// and Fuse.Accumulate calls, which model the redo log's fresh appends and
-// in-place updates alike — fuses; one with a chunk that has no bulk form
-// runs per op, as does the first task a train cannot fund, which browns
-// out at the identical op. Run decides per run, from the device as it is
-// then.
+// task graph, and in the applying walk of every funded train. Planning and
+// applying, every chunk takes the bulk path — Fuse.Read, Fuse.Write and
+// Fuse.Accumulate calls, which model the redo log's fresh appends and
+// in-place updates alike — so every pass dispatch fuses; a chunk declines
+// the bulk path per op only, to keep the scalar op order. The first task
+// a train cannot fund runs per op and browns out at the identical op. Run
+// decides per run, from the device as it is then.
 package task
 
 import (
@@ -273,7 +273,7 @@ func (rt *Runtime) Run() error {
 			var next ID
 			if e := &rt.tasks[cur]; e.pass != nil {
 				fz.mode = modePerOp
-				next, _ = e.pass(fz, int(e.cur.Get(e.at))/e.per)
+				next = e.pass(fz, int(e.cur.Get(e.at))/e.per)
 			} else {
 				next = e.f(&rt.ctx)
 			}
