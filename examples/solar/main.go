@@ -1,9 +1,12 @@
 // Solar deployment with an energy trace. A batteryless sensor runs HAR
 // inference from a small solar array whose output varies wildly with the
-// time of day. The example records the capacitor's charge level while
-// SONIC infers through dozens of power failures — the sawtooth of the
-// paper's Fig. 6 — renders it as an ASCII strip, and verifies that the
-// classifications are identical to a bench run on continuous power.
+// time of day. The device's tracer records the capacitor's charge level
+// on every charge-cycle event while SONIC infers through dozens of power
+// failures — the sawtooth of the paper's Fig. 6 — and the example renders
+// the first inference's levels as an ASCII strip and verifies that the
+// classifications are identical to a bench run on continuous power. The
+// analysis-only tracer keeps the fused kernels engaged, so the traced run
+// is the same fast run an untraced deployment takes.
 //
 //	go run ./examples/solar
 package main
@@ -16,6 +19,7 @@ import (
 	"repro"
 	"repro/internal/energy"
 	"repro/internal/mcu"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -37,11 +41,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Solar deployment: a 5 mW-peak array, sampled through a recorder so
-	// we can plot the capacitor's charge level.
-	rec := energy.NewRecorder(
-		energy.NewIntermittent(energy.Cap100uF, energy.NewSolarHarvester(5e-3, 7)), 400)
-	dev := mcu.New(rec)
+	// Solar deployment: a 5 mW-peak array on the 100 uF bank, traced so we
+	// can plot the capacitor's charge level. Every event carries the level
+	// the device samples from the capacitor.
+	power := energy.NewIntermittent(energy.Cap100uF, energy.NewSolarHarvester(5e-3, 7))
+	dev := mcu.New(power)
+	buf := trace.NewAnalysisBuffer(1 << 13)
+	dev.SetTracer(buf)
 	img, err := repro.Deploy(dev, model)
 	if err != nil {
 		log.Fatal(err)
@@ -66,20 +72,35 @@ func main() {
 	fmt.Printf("\n%d power failures, %.2f mJ consumed, %.2f s spent recharging\n",
 		st.Reboots, st.EnergyMJ(), st.DeadSeconds)
 	fmt.Println("all solar-powered results identical to the continuous-power bench run")
+	var ops int64
+	for _, n := range st.OpCount {
+		ops += n
+	}
+	fmt.Printf("%d of %d operations ran fused under the tracer\n", dev.FusedOps(), ops)
+	if buf.Drops() > 0 {
+		log.Fatalf("trace ring overflowed (%d events dropped)", buf.Drops())
+	}
 
-	// Render the capacitor sawtooth (subsampled).
-	trace := rec.Trace()
+	// The first inference's levels: events from the first run-begin up to
+	// the second.
+	var levels []float64
+	for _, e := range buf.Events() {
+		if e.Kind == mcu.TraceRunBegin && len(levels) > 0 {
+			break
+		}
+		levels = append(levels, e.LevelNJ)
+	}
+	full := power.BufferEnergy()
 	fmt.Printf("\ncapacitor charge over the first inference (%d samples, full = %.1f uJ):\n",
-		len(trace), rec.BufferEnergy()/1e3)
+		len(levels), full/1e3)
 	const width = 64
-	full := rec.BufferEnergy()
+	step := max(1, (len(levels)+width-1)/width)
 	var b strings.Builder
 	for row := 4; row >= 0; row-- {
 		lo := float64(row) / 5 * full
 		b.WriteString("  |")
-		for i := 0; i < width && i < len(trace); i++ {
-			p := trace[i*max(1, len(trace)/width)]
-			if p.LevelNJ >= lo {
+		for i := 0; i < width && i*step < len(levels); i++ {
+			if levels[i*step] >= lo {
 				b.WriteByte('#')
 			} else {
 				b.WriteByte(' ')
@@ -87,13 +108,6 @@ func main() {
 		}
 		b.WriteByte('\n')
 	}
-	b.WriteString("  +" + strings.Repeat("-", width) + "> ops\n")
+	b.WriteString("  +" + strings.Repeat("-", width) + "> events\n")
 	fmt.Print(b.String())
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -9,7 +9,7 @@
 // The implementation runs SONIC's idempotent kernels under a periodic
 // checkpoint policy: the durable loop cursor (standing in for the saved
 // register file) is written only every Interval-th iteration, at a cost of
-// a RegWords-word volatile-state dump, and iterations in between keep
+// a DefaultRegWords-word volatile-state dump, and iterations in between keep
 // their indices in registers. Structural boundaries where range
 // re-execution would not be idempotent (buffer swaps, layer transitions,
 // and every sparse undo-logging iteration) always checkpoint — the same
@@ -40,8 +40,6 @@ const DefaultRegWords = 64
 type Checkpoint struct {
 	// Interval is the number of loop iterations between checkpoints.
 	Interval int
-	// RegWords overrides the modelled dump size (default DefaultRegWords).
-	RegWords int
 }
 
 // Name identifies the runtime, e.g. "ckpt-64".
@@ -59,11 +57,7 @@ func (c Checkpoint) Prepare(img *core.Image) (core.Prepared, error) {
 	if c.Interval < 2 {
 		return nil, fmt.Errorf("checkpoint: interval must be >= 2 (got %d); use SONIC for per-iteration durability", c.Interval)
 	}
-	reg := c.RegWords
-	if reg == 0 {
-		reg = DefaultRegWords
-	}
-	e := sonic.Exec{Img: img, Dev: img.Dev, Prog: tape.Get(img.Model), Every: c.Interval, RegWords: reg}
+	e := sonic.Exec{Img: img, Dev: img.Dev, Prog: tape.Get(img.Model), Every: c.Interval, RegWords: DefaultRegWords}
 	return sonic.NewRunner(e, c.Name(), int64(c.Interval), func(e *sonic.Exec) {
 		e.Run((*sonic.Exec).RunLayerSoftware)
 	}), nil

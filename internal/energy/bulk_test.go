@@ -2,7 +2,6 @@ package energy
 
 import (
 	"math/rand/v2"
-	"reflect"
 	"testing"
 )
 
@@ -27,14 +26,6 @@ func refConsume(s System, pj int64) bool {
 		}
 		s.count++
 		return s.count < gap
-	case *Recorder:
-		ok := refConsume(s.Inner, pj)
-		s.ops++
-		if s.ops%s.SampleEvery == 0 || !ok {
-			s.points = append(s.points, TracePoint{OpIndex: s.ops,
-				LevelNJ: float64(max(s.Inner.remainingPJ, 0)) * 1e-3, DeadSec: s.dead})
-		}
-		return ok
 	}
 	panic("refConsume: no reference for this system")
 }
@@ -73,13 +64,8 @@ func intLevel(a, b System) (int64, int64, bool) {
 	return unwrap(a).(*Intermittent).remainingPJ, unwrap(b).(*Intermittent).remainingPJ, true
 }
 
-func recLevel(a, b System) (int64, int64, bool) {
-	return unwrap(a).(*Recorder).Inner.remainingPJ, unwrap(b).(*Recorder).Inner.remainingPJ, true
-}
-
 func pairs() []bulkPair {
 	rf := ConstantHarvester{Watts: DefaultRFWatts}
-	mkRec := func() System { return NewRecorder(NewIntermittent(Cap100uF, rf), 7) }
 	im := NewIntermittent(Cap100uF, rf)
 	return []bulkPair{
 		{name: "continuous", bulk: Continuous{}, ref: Continuous{}},
@@ -97,9 +83,8 @@ func pairs() []bulkPair {
 		{name: "fail-schedule-periodic",
 			bulk: &FailSchedule{Gaps: []int{97, 13, 1, 250}, Period: 61},
 			ref:  &FailSchedule{Gaps: []int{97, 13, 1, 250}, Period: 61}},
-		{name: "recorder", bulk: mkRec(), ref: mkRec(), level: recLevel},
 		// The reference power system the device oracles run on, over a
-		// capacitor, a periodic fault schedule and a recorder.
+		// capacitor and a periodic fault schedule.
 		{name: "per-op-intermittent",
 			bulk:  PerOp{S: NewIntermittent(Cap100uF, rf)},
 			ref:   NewIntermittent(Cap100uF, rf),
@@ -107,7 +92,6 @@ func pairs() []bulkPair {
 		{name: "per-op-fail-schedule",
 			bulk: PerOp{S: &FailSchedule{Gaps: []int{97, 13, 1, 250}, Period: 61}},
 			ref:  &FailSchedule{Gaps: []int{97, 13, 1, 250}, Period: 61}},
-		{name: "per-op-recorder", bulk: PerOp{S: mkRec()}, ref: mkRec(), level: recLevel},
 	}
 }
 
@@ -117,8 +101,7 @@ func pairs() []bulkPair {
 // device's devirtualized per-op charge) and recharges leaves the system in
 // a state bit-identical to the same interleaving replayed op by op through
 // the independent per-op reference — including the funded count of every
-// partial batch (the failing op's exact index) and, for Recorder, the
-// recorded sample points.
+// partial batch (the failing op's exact index).
 func TestConsumeNMatchesScalar(t *testing.T) {
 	costs := []float64{0, 0.1, 2.5, 10.4, 32.1, 100}
 	for _, p := range pairs() {
@@ -167,13 +150,6 @@ func TestConsumeNMatchesScalar(t *testing.T) {
 			if p.single != nil && singles == 0 {
 				t.Fatalf("the per-op entry point was never exercised")
 			}
-			if rb, ok := unwrap(p.bulk).(*Recorder); ok {
-				rs := p.ref.(*Recorder)
-				if len(rb.Trace()) == 0 || !reflect.DeepEqual(rb.Trace(), rs.Trace()) {
-					t.Fatalf("recorder traces diverge: bulk %d points, reference %d points",
-						len(rb.Trace()), len(rs.Trace()))
-				}
-			}
 		})
 	}
 }
@@ -183,10 +159,9 @@ func TestConsumeNMatchesScalar(t *testing.T) {
 // the device's devirtualized per-op charge, and for every other system,
 // PerOp included, the one-op ConsumeN(pj, 1) call the device charges
 // through. A stream of single ops with recharges on failure must fund
-// exactly the ops the reference funds and leave the same level and, for
-// Recorder, the same sample points. Every eighth op on a capacitor-backed system costs the
-// remaining level give or take one picojoule, so the >= 0 brown-out
-// boundary is hit exactly.
+// exactly the ops the reference funds and leave the same level. Every
+// eighth op on a capacitor-backed system costs the remaining level give
+// or take one picojoule, so the >= 0 brown-out boundary is hit exactly.
 func TestConsumePJMatchesConsume(t *testing.T) {
 	costs := []float64{0, 0.1, 2.5, 10.4, 32.1, 100}
 	for _, p := range pairs() {
@@ -226,13 +201,6 @@ func TestConsumePJMatchesConsume(t *testing.T) {
 			}
 			if p.level != nil && boundary == 0 {
 				t.Fatalf("the brown-out boundary was never exercised")
-			}
-			if rb, ok := unwrap(p.bulk).(*Recorder); ok {
-				rs := p.ref.(*Recorder)
-				if len(rb.Trace()) == 0 || !reflect.DeepEqual(rb.Trace(), rs.Trace()) {
-					t.Fatalf("recorder traces diverge: per-op %d points, reference %d points",
-						len(rb.Trace()), len(rs.Trace()))
-				}
 			}
 		})
 	}

@@ -472,88 +472,3 @@ func (h *TraceHarvester) PowerW() float64 {
 	h.pos = (h.pos + 1) % len(h.Trace)
 	return w
 }
-
-// TracePoint is one sample of the energy buffer's state over a run.
-type TracePoint struct {
-	OpIndex int     // ops charged so far
-	LevelNJ float64 // remaining buffered energy
-	DeadSec float64 // cumulative recharge time so far
-}
-
-// Recorder wraps a power system and samples the buffer level every
-// SampleEvery operations, producing the sawtooth energy trace of the
-// paper's Fig. 6 (charge, drain, fail, recharge). It adds no energy cost.
-type Recorder struct {
-	Inner       *Intermittent
-	SampleEvery int
-
-	points []TracePoint
-	ops    int
-	dead   float64
-}
-
-// NewRecorder wraps an intermittent power system.
-func NewRecorder(inner *Intermittent, sampleEvery int) *Recorder {
-	if sampleEvery < 1 {
-		sampleEvery = 1
-	}
-	return &Recorder{Inner: inner, SampleEvery: sampleEvery}
-}
-
-// ConsumeN forwards a batch to the wrapped capacitor and reconstructs the
-// intermediate sample points analytically: the level after the j-th op of
-// the batch is start − j·dec, so the recorded trace is bit-identical to
-// sampling after each of n one-op charges — every SampleEvery-th op plus
-// the failing op unconditionally — without walking every op.
-func (r *Recorder) ConsumeN(dec int64, n int) int {
-	start := r.Inner.remainingPJ
-	funded := r.Inner.ConsumeN(dec, n)
-	consumed := funded
-	failed := funded < n
-	if failed {
-		consumed++ // the failing op is also counted and sampled
-	}
-	// Sample at every multiple of SampleEvery within the batch.
-	j0 := r.SampleEvery - r.ops%r.SampleEvery
-	for j := j0; j <= consumed; j += r.SampleEvery {
-		r.points = append(r.points, TracePoint{OpIndex: r.ops + j,
-			LevelNJ: float64(max(start-int64(j)*dec, 0)) * 1e-3, DeadSec: r.dead})
-	}
-	// The failing op samples unconditionally (once: the multiples loop
-	// above already covered it when it lands on a sample boundary).
-	if failed && (r.ops+consumed)%r.SampleEvery != 0 {
-		r.points = append(r.points, TracePoint{OpIndex: r.ops + consumed,
-			LevelNJ: float64(max(start-int64(consumed)*dec, 0)) * 1e-3, DeadSec: r.dead})
-	}
-	r.ops += consumed
-	return funded
-}
-
-// Recharge forwards and records the refill.
-func (r *Recorder) Recharge() float64 {
-	d := r.Inner.Recharge()
-	r.dead += d
-	r.points = append(r.points, TracePoint{OpIndex: r.ops,
-		LevelNJ: float64(r.Inner.remainingPJ) * 1e-3, DeadSec: r.dead})
-	return d
-}
-
-// BufferEnergy forwards to the wrapped system.
-func (r *Recorder) BufferEnergy() float64 { return r.Inner.BufferEnergy() }
-
-// LevelNJ forwards to the wrapped system.
-func (r *Recorder) LevelNJ() float64 { return r.Inner.LevelNJ() }
-
-// ObservedHarvestW forwards to the wrapped system.
-func (r *Recorder) ObservedHarvestW() float64 { return r.Inner.ObservedHarvestW() }
-
-// Reset forwards and clears the trace.
-func (r *Recorder) Reset() {
-	r.Inner.Reset()
-	r.points = nil
-	r.ops = 0
-	r.dead = 0
-}
-
-// Trace returns the recorded samples.
-func (r *Recorder) Trace() []TracePoint { return r.points }

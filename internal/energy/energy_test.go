@@ -192,59 +192,6 @@ func TestTraceHarvester(t *testing.T) {
 	}
 }
 
-func TestRecorderSawtooth(t *testing.T) {
-	inner := NewIntermittent(Cap100uF, ConstantHarvester{Watts: 1e-3})
-	r := NewRecorder(inner, 10)
-	// Drain through two full charge cycles.
-	for cycles := 0; cycles < 2; {
-		if !consume(r, 100) {
-			r.Recharge()
-			cycles++
-		}
-	}
-	pts := r.Trace()
-	if len(pts) < 10 {
-		t.Fatalf("too few samples: %d", len(pts))
-	}
-	// The trace must be a sawtooth: strictly decreasing runs punctuated by
-	// jumps back to (near) full.
-	full := inner.BufferEnergy()
-	refills, drops := 0, 0
-	for i := 1; i < len(pts); i++ {
-		switch {
-		case pts[i].LevelNJ > pts[i-1].LevelNJ:
-			refills++
-			if math.Abs(pts[i].LevelNJ-full) > 1 {
-				t.Fatalf("refill to %v, want full %v", pts[i].LevelNJ, full)
-			}
-		case pts[i].LevelNJ < pts[i-1].LevelNJ:
-			drops++
-		}
-	}
-	if refills != 2 {
-		t.Errorf("refills = %d, want 2", refills)
-	}
-	if drops < 5 {
-		t.Errorf("expected a draining sawtooth, got %d drops", drops)
-	}
-	if pts[len(pts)-1].DeadSec <= 0 {
-		t.Error("dead time should accumulate in the trace")
-	}
-	r.Reset()
-	if len(r.Trace()) != 0 {
-		t.Error("reset should clear the trace")
-	}
-}
-
-func TestRecorderWithDevice(t *testing.T) {
-	// The recorder satisfies energy.System and can power a device.
-	inner := NewIntermittent(Cap100uF, ConstantHarvester{Watts: 1e-3})
-	var sys System = NewRecorder(inner, 5)
-	if !consume(sys, 1) {
-		t.Fatal("first op should succeed")
-	}
-}
-
 func TestFailScheduleBoundaries(t *testing.T) {
 	f := NewFailSchedule([]int{3, 2})
 	// Cycle 0: ops 1,2 succeed, op 3 fails.
@@ -314,15 +261,5 @@ func TestObservedHarvestWVariable(t *testing.T) {
 	want := 2.0 / (1/1e-3 + 1/3e-3)
 	if w := p.ObservedHarvestW(); math.Abs(w-want)/want > 1e-9 {
 		t.Fatalf("observed %v W, want %v W", w, want)
-	}
-}
-
-func TestRecorderForwardsObservedHarvest(t *testing.T) {
-	p := NewIntermittent(Cap100uF, ConstantHarvester{Watts: DefaultRFWatts})
-	r := NewRecorder(p, 4)
-	consume(r, p.Cap.UsableNJ()+1)
-	r.Recharge()
-	if w := r.ObservedHarvestW(); math.Abs(w-DefaultRFWatts) > 1e-12 {
-		t.Fatalf("recorder observed %v W, want %v W", w, DefaultRFWatts)
 	}
 }

@@ -107,11 +107,6 @@ type Options struct {
 	// filled per configuration from measurement.
 	App imodel.Params
 
-	// MeasureRuntime is the inference implementation whose energy defines
-	// EInfer (default TAILS — the deployed system is SONIC & TAILS, and
-	// the paper derives per-operation energies from that prototype).
-	MeasureRuntime core.Runtime
-
 	PruneLevels []float64
 	RankFracs   []float64
 
@@ -281,12 +276,10 @@ func evaluateNetwork(n *dnn.Network, ds *dataset.Dataset, opts Options, evalWork
 	res.ParamBytes = qm.WeightWords() * 2
 	res.Feasible = res.ParamBytes <= opts.FRAMBudgetBytes
 
-	// Measure inference energy on the device model. Each call builds its
+	// Measure inference energy on the device model under TAILS: the
+	// deployed system is SONIC & TAILS, and the paper derives
+	// per-operation energies from that prototype. Each call builds its
 	// own mcu.Device, so concurrent workers never share device state.
-	rt := opts.MeasureRuntime
-	if rt == nil {
-		rt = tails.TAILS{}
-	}
 	dev := mcu.New(energy.Continuous{})
 	img, err := core.Deploy(dev, qm)
 	if err != nil {
@@ -295,7 +288,7 @@ func evaluateNetwork(n *dnn.Network, ds *dataset.Dataset, opts Options, evalWork
 		return res
 	}
 	defer img.Release()
-	if _, err := rt.Infer(img, qm.QuantizeInput(ds.Test[0].X)); err != nil {
+	if _, err := (tails.TAILS{}).Infer(img, qm.QuantizeInput(ds.Test[0].X)); err != nil {
 		res.Feasible = false
 		res.Err = fmt.Sprintf("infer: %v", err)
 		return res

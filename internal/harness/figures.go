@@ -232,7 +232,7 @@ func RunAll(prepared []*Prepared) (*Eval, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			input := c.p.Model.QuantizeInput(c.p.Input)
-			ev.Results[i], _, errs[i] = measure(c.p.Net, c.p.Model, c.rt, c.pw, input, nil)
+			ev.Results[i], _, errs[i] = measure(c.p.Net, c.p.Model, c.rt, c.pw.Make(), c.pw.Name, input, nil)
 		}(i, c)
 	}
 	wg.Wait()

@@ -67,14 +67,6 @@ func (r *nvRuntime) nvImage() []int64 {
 	return out
 }
 
-// perOpSpec is pw on the energy.PerOp reference path: every op charged
-// one at a time through the power system's interface, no fused kernels.
-func perOpSpec(pw PowerSpec) PowerSpec {
-	ref := pw
-	ref.New = func(uint64) energy.System { return energy.PerOp{S: pw.Make()} }
-	return ref
-}
-
 // nvCompare asserts two final FRAM images are bit-identical, naming the
 // first differing word.
 func nvCompare(t *testing.T, label string, fused, scalar []int64) {
@@ -222,13 +214,13 @@ func TestFusedScalarDifferential(t *testing.T) {
 func TestTrackWastedMatchesTraceAnalysis(t *testing.T) {
 	qm, x := intermittest.TinyModel(1)
 	qin := qm.QuantizeInput(x)
-	capacitor := PowerSpec{Name: "100uF", New: func(uint64) energy.System {
+	capacitor := func() energy.System {
 		return energy.NewIntermittent(energy.Cap100uF, energy.ConstantHarvester{Watts: 1e-3})
-	}}
+	}
 
 	for _, rt := range oracleRuntimes() {
 		t.Run(rt.Name(), func(t *testing.T) {
-			cont, _, err := measure("tiny", qm, rt, Powers()[0], qin, nil)
+			cont, _, err := measure("tiny", qm, rt, energy.Continuous{}, "cont", qin, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,17 +229,21 @@ func TestTrackWastedMatchesTraceAnalysis(t *testing.T) {
 				total += int(n)
 			}
 			gaps := []int{total / 3, total / 4, total / 5}
-			schedule := PowerSpec{Name: fmt.Sprintf("fail%v", gaps), New: func(uint64) energy.System {
-				return energy.NewFailSchedule(gaps)
-			}}
+			schedule := func() energy.System { return energy.NewFailSchedule(gaps) }
 			wasted := 0
 			for _, c := range []struct {
-				label string
-				pw    PowerSpec
-			}{{"100uF", capacitor}, {"per-op-100uF", perOpSpec(capacitor)}, {schedule.Name, schedule}} {
-				label, pw := c.label, c.pw
-				traced, a, terr := MeasureTraced("tiny", qm, rt, pw, qin, trace.NewAnalysisBuffer(256))
-				plain, _, perr := measure("tiny", qm, rt, pw, qin, nil)
+				label, name string
+				mk          func() energy.System
+			}{
+				{"100uF", "100uF", capacitor},
+				{"per-op-100uF", "100uF", func() energy.System { return energy.PerOp{S: capacitor()} }},
+				{fmt.Sprintf("fail%v", gaps), fmt.Sprintf("fail%v", gaps), schedule},
+			} {
+				label := c.label
+				buf := trace.NewAnalysisBuffer(256)
+				traced, _, terr := measure("tiny", qm, rt, c.mk(), c.name, qin, buf)
+				a := buf.Analysis()
+				plain, _, perr := measure("tiny", qm, rt, c.mk(), c.name, qin, nil)
 				if terr != nil || perr != nil {
 					t.Fatalf("%s: traced: %v, untraced: %v", label, terr, perr)
 				}
@@ -383,12 +379,13 @@ type tracedObservation struct {
 }
 
 // tracedRun measures one cell through an analysis-only trace buffer with
-// every fast path pw allows (perOpSpec(pw) is the reference path).
+// every fast path power allows (an energy.PerOp power is the reference
+// path).
 func tracedRun(net string, qm *dnn.QuantModel, qin []fixed.Q15,
-	rt core.Runtime, pw PowerSpec) tracedObservation {
+	rt core.Runtime, power energy.System, name string) tracedObservation {
 	buf := trace.NewAnalysisBuffer(256)
 	nv := &nvRuntime{Runtime: rt}
-	res, logits, err := measure(net, qm, nv, pw, qin, buf)
+	res, logits, err := measure(net, qm, nv, power, name, qin, buf)
 	a := buf.Analysis()
 	return tracedObservation{res: res, logits: logits, a: a,
 		events: uint64(buf.Len()) + buf.Drops(), nv: nv.nvImage(), err: err}
@@ -441,24 +438,22 @@ func tracedCompare(t *testing.T, label string, fused, scalar tracedObservation) 
 //
 // CI greps for each row's PASS line under -race.
 func TestTracedFusedDifferential(t *testing.T) {
-	var fusedSpecs []PowerSpec
-	for _, pw := range fusedPowers() {
-		mk := pw.mk
-		fusedSpecs = append(fusedSpecs, PowerSpec{Name: pw.name,
-			New: func(uint64) energy.System { return mk() }})
-	}
 	type set struct {
 		net    string
 		qm     *dnn.QuantModel
 		qin    []fixed.Q15
-		powers []PowerSpec
+		powers []fusedPower
 	}
 	p := prepQuick(t, "har")
-	prepared := set{p.Net, p.Model, p.Model.QuantizeInput(p.Input), Powers()}
+	var paper []fusedPower
+	for _, pw := range Powers() {
+		paper = append(paper, fusedPower{name: pw.Name, mk: pw.Make})
+	}
+	prepared := set{p.Net, p.Model, p.Model.QuantizeInput(p.Input), paper}
 
 	for _, row := range oracleRows() {
 		rt := row.rt
-		sets := []set{{row.m.qm.Name, row.m.qm, row.m.qin, fusedSpecs}}
+		sets := []set{{row.m.qm.Name, row.m.qm, row.m.qin, fusedPowers()}}
 		if row.m.qm.Name == "tiny" {
 			sets = append(sets, prepared)
 		}
@@ -466,9 +461,9 @@ func TestTracedFusedDifferential(t *testing.T) {
 			for _, set := range sets {
 				fusedCells := 0
 				for _, pw := range set.powers {
-					cell := set.net + "/" + pw.Name
-					fused := tracedRun(set.net, set.qm, set.qin, rt, pw)
-					scalar := tracedRun(set.net, set.qm, set.qin, rt, perOpSpec(pw))
+					cell := set.net + "/" + pw.name
+					fused := tracedRun(set.net, set.qm, set.qin, rt, pw.mk(), pw.name)
+					scalar := tracedRun(set.net, set.qm, set.qin, rt, energy.PerOp{S: pw.mk()}, pw.name)
 					tracedCompare(t, cell, fused, scalar)
 					if fused.events < scalar.events {
 						fusedCells++
@@ -500,11 +495,11 @@ func TestFig9RealNetworksFusedScalar(t *testing.T) {
 			for _, pw := range Powers() {
 				cell := net + "/" + rt.Name() + "/" + pw.Name
 				fnv, snv := &nvRuntime{Runtime: rt}, &nvRuntime{Runtime: rt}
-				fused, fl, err := measure(net, p.Model, fnv, pw, qin, nil)
+				fused, fl, err := measure(net, p.Model, fnv, pw.Make(), pw.Name, qin, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", cell, err)
 				}
-				scalar, sl, err := measure(net, p.Model, snv, perOpSpec(pw), qin, nil)
+				scalar, sl, err := measure(net, p.Model, snv, energy.PerOp{S: pw.Make()}, pw.Name, qin, nil)
 				if err != nil {
 					t.Fatalf("%s: scalar: %v", cell, err)
 				}

@@ -20,22 +20,18 @@ import (
 // use — so the Fig. 9 harness, the CLIs, and fleet specs can no longer
 // drift apart on capacitor sizes or harvester parameters. Seed feeds the
 // harvester RNG of stochastic systems; deterministic systems ignore it,
-// so the zero value is fine for the paper's RF bank.
+// so the zero value is fine for the paper's RF bank. A spec builds only
+// what the vocabulary declares: a devirtualized capacitor or continuous
+// power, never a wrapper that would take a run off the fused path.
 type PowerSpec struct {
 	Name string
 	Seed uint64
 	// Spec declares the power system (capacitor, harvester class, params).
 	Spec energy.SystemSpec
-	// New, when non-nil, overrides Spec for systems the declarative
-	// vocabulary cannot express — e.g. test-only fault injectors.
-	New func(seed uint64) energy.System
 }
 
 // Make builds a fresh instance of the power system from the spec's seed.
 func (p PowerSpec) Make() energy.System {
-	if p.New != nil {
-		return p.New(p.Seed)
-	}
 	sys, err := p.Spec.New(p.Seed)
 	if err != nil {
 		// Powers()/StochasticPowers() only hand out valid specs; a bad
@@ -120,7 +116,7 @@ type RunResult struct {
 // inferences — so the steady-state figure is what the paper's repeated
 // measurements observe. For continuous power SteadySec equals live time.
 func Measure(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec, input []fixed.Q15) (RunResult, error) {
-	res, _, err := measure(net, qm, rt, p, input, nil)
+	res, _, err := measure(net, qm, rt, p.Make(), p.Name, input, nil)
 	res.Commits, res.WastedCycles, res.WastedEnergyNJ = 0, 0, 0
 	return res, err
 }
@@ -136,16 +132,17 @@ func MeasureTraced(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
 	if buf == nil {
 		buf = trace.NewBuffer(4096)
 	}
-	res, _, err := measure(net, qm, rt, p, input, buf)
+	res, _, err := measure(net, qm, rt, p.Make(), p.Name, input, buf)
 	return res, buf.Analysis(), err
 }
 
 // measure is the one measurement path behind Measure, MeasureTraced and
-// RunAll. The oracles reach the energy.PerOp reference path through it
-// with a PowerSpec whose New wraps the power system; tracer may be nil.
-func measure(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
+// RunAll: it runs rt on a fresh device powered by power, reported under
+// the name power. The oracles hand it the energy.PerOp reference or a
+// fault schedule directly; tracer may be nil.
+func measure(net string, qm *dnn.QuantModel, rt core.Runtime, power energy.System, name string,
 	input []fixed.Q15, tracer *trace.Buffer) (RunResult, []fixed.Q15, error) {
-	dev := mcu.New(p.Make())
+	dev := mcu.New(power)
 	if tracer != nil {
 		dev.SetTracer(tracer)
 	}
@@ -162,13 +159,13 @@ func measure(net string, qm *dnn.QuantModel, rt core.Runtime, p PowerSpec,
 	}
 	o, err := core.Finish(dev, logits, ierr)
 	st := o.Stats
-	res := RunResult{Net: net, Runtime: rt.Name(), Power: p.Name, ClockHz: dev.Cost.ClockHz}
+	res := RunResult{Net: net, Runtime: rt.Name(), Power: name, ClockHz: dev.Cost.ClockHz}
 	res.LiveSec = st.LiveSeconds(dev.Cost.ClockHz)
 	res.DeadSec = st.DeadSeconds
 	res.EnergyMJ = st.EnergyMJ()
 	res.Reboots = st.Reboots
 	res.SteadySec = res.LiveSec
-	if p.Name != "cont" {
+	if name != "cont" {
 		res.SteadySec += st.EnergyNJ() * 1e-9 / harvestWatts(dev.Power)
 	}
 	res.Commits, res.WastedCycles, res.WastedEnergyNJ = st.Commits, st.WastedCycles, st.WastedNJ

@@ -43,11 +43,9 @@ func OptionsHash(o genesis.Options) string {
 	fmt.Fprintf(h, "fram=%d\ninteresting=%d\n", o.FRAMBudgetBytes, o.Interesting)
 	fmt.Fprintf(h, "app=%s,%s,%s,%s,%s,%s\n",
 		f(o.App.P), f(o.App.TP), f(o.App.TN), f(o.App.ESense), f(o.App.EComm), f(o.App.EInfer))
-	rt := "tails" // the genesis.Run default when MeasureRuntime is nil
-	if o.MeasureRuntime != nil {
-		rt = o.MeasureRuntime.Name()
-	}
-	fmt.Fprintf(h, "runtime=%s\n", rt)
+	// genesis.Run measures EInfer on TAILS; the constant line keeps the
+	// address of entries written when the runtime was an option.
+	fmt.Fprintf(h, "runtime=tails\n")
 	fmt.Fprintf(h, "prune=")
 	for _, p := range o.PruneLevels {
 		fmt.Fprintf(h, "%s,", f(p))
@@ -81,8 +79,8 @@ func loadReportCache(dir string, opts genesis.Options) *genesis.Report {
 	if rec.Version != reportCacheVersion || rec.Hash != OptionsHash(opts) || rec.Report == nil {
 		return nil
 	}
-	// The stored copy carries sanitized options (no runtime interface, no
-	// parallelism knob); restore the caller's so downstream consumers see
+	// The stored copy carries sanitized options (no parallelism knob);
+	// restore the caller's so downstream consumers see
 	// exactly what a cold Run would have recorded.
 	rec.Report.Options = opts
 	return rec.Report
@@ -94,11 +92,9 @@ func saveReportCache(dir string, opts genesis.Options, rep *genesis.Report) erro
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	// gob cannot encode the non-nil MeasureRuntime interface (and the
-	// parallelism knob must not leak into shared entries), so the stored
-	// copy carries sanitized options; loadReportCache restores them.
+	// The parallelism knob must not leak into shared entries, so the
+	// stored copy carries sanitized options; loadReportCache restores them.
 	cp := *rep
-	cp.Options.MeasureRuntime = nil
 	cp.Options.Workers = 0
 	tmp, err := os.CreateTemp(dir, "report-*.tmp")
 	if err != nil {

@@ -1,11 +1,15 @@
 package harness
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/energy"
+	"repro/internal/intermittest"
+	"repro/internal/mcu"
+	"repro/internal/sonic"
 	"repro/internal/trace"
 )
 
@@ -18,14 +22,13 @@ func TestTraceNeutrality(t *testing.T) {
 	input := p.Model.QuantizeInput(p.Input)
 	// Fail every 60k operations: enough for the protected runtimes to make
 	// progress between failures, and several reboots per inference.
-	failing := PowerSpec{Name: "failinj", New: func(uint64) energy.System {
-		return energy.NewFailAfterOps(60000, 60000)
-	}}
+	failing := func() energy.System { return energy.NewFailAfterOps(60000, 60000) }
 	runtimes := append(Runtimes(), core.Runtime(checkpoint.Checkpoint{Interval: 64}))
 	for _, rt := range runtimes {
-		plain, perr := Measure(p.Net, p.Model, rt, failing, input)
+		plain, _, perr := measure(p.Net, p.Model, rt, failing(), "failinj", input, nil)
 		buf := trace.NewBuffer(1024) // small, so the ring wraps
-		traced, a, terr := MeasureTraced(p.Net, p.Model, rt, failing, input, buf)
+		traced, _, terr := measure(p.Net, p.Model, rt, failing(), "failinj", input, buf)
+		a := buf.Analysis()
 		if (perr == nil) != (terr == nil) {
 			t.Fatalf("%s: error mismatch: %v vs %v", rt.Name(), perr, terr)
 		}
@@ -44,6 +47,57 @@ func TestTraceNeutrality(t *testing.T) {
 		if a.Reboots != plain.Reboots {
 			t.Errorf("%s: analysis reboots %d vs device %d", rt.Name(), a.Reboots, plain.Reboots)
 		}
+	}
+}
+
+// TestTracedLevelSawtooth checks the capacitor sawtooth of the paper's
+// Fig. 6 as the device tracer records it: SONIC on the tiny model at
+// 12 µF (fusedPowers' rf-12uF row), traced by an analysis-only buffer on
+// the bare capacitor, must run fused, carry a sampled buffer level on
+// every event, refill to the full buffer on every recharge, and drain
+// between refills.
+func TestTracedLevelSawtooth(t *testing.T) {
+	qm, x := intermittest.TinyModel(1)
+	power := energy.NewIntermittent(energy.CapBank(12e-6), energy.ConstantHarvester{Watts: 1e-3})
+	dev := mcu.New(power)
+	buf := trace.NewAnalysisBuffer(4096)
+	dev.SetTracer(buf)
+	img, err := core.Deploy(dev, qm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (sonic.SONIC{}).Infer(img, qm.QuantizeInput(x)); err != nil {
+		t.Fatal(err)
+	}
+	if dev.FusedOps() == 0 {
+		t.Error("the traced run never fused")
+	}
+	if buf.Drops() > 0 {
+		t.Fatalf("trace ring overflowed (%d events dropped)", buf.Drops())
+	}
+	full := power.BufferEnergy()
+	refills, drained := 0, true
+	low := math.Inf(1) // the lowest level since the last refill
+	for i, e := range buf.Events() {
+		if e.LevelNJ < 0 {
+			t.Fatalf("event %d (%v) carries no buffer level", i, e.Kind)
+		}
+		if e.Kind != mcu.TraceRechargeDone {
+			low = min(low, e.LevelNJ)
+			continue
+		}
+		if math.Abs(e.LevelNJ-full) > 1e-3 {
+			t.Errorf("refill %d to %v nJ, want the full buffer %v nJ", refills, e.LevelNJ, full)
+		}
+		drained = drained && low < full
+		refills++
+		low = math.Inf(1)
+	}
+	if refills < 2 {
+		t.Fatalf("%d refills, want at least 2", refills)
+	}
+	if !drained {
+		t.Error("the level did not fall between two refills")
 	}
 }
 
