@@ -211,12 +211,6 @@ func FinalizeConst(dst, acc []int64, bias int64, dstOff, srcOff, m, shift int) {
 	}
 }
 
-// Copy copies src[srcOff:srcOff+m] into dst[dstOff:dstOff+m] (the DMA
-// block move).
-func Copy(dst, src []int64, dstOff, srcOff, m int) {
-	copy(dst[dstOff:dstOff+m], src[srcOff:srcOff+m])
-}
-
 // DotQ15 is the LEA vector MAC: the wide dot product of
 // x[xOff:xOff+n] and y[yOff:yOff+n] (plain int64 multiply-adds, the
 // expansion of fixed.Acc.MAC over Q15 words).

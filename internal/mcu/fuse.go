@@ -58,9 +58,6 @@ type Block struct {
 	next    *Block // the next interned block with the same hash
 }
 
-// UnitOps returns the charged operations per fused iteration.
-func (b *Block) UnitOps() int64 { return b.unitOps }
-
 // NewBlock returns the charge profile for one fused-loop iteration. The
 // listed ops must be exactly the multiset the scalar iteration charges,
 // and the last entry's token must be the section the scalar iteration

@@ -116,13 +116,6 @@ func (t *Tensor) RandNormal(rng *rand.Rand, stddev float64) {
 	}
 }
 
-// RandUniform fills t with uniform noise in [lo, hi).
-func (t *Tensor) RandUniform(rng *rand.Rand, lo, hi float64) {
-	for i := range t.data {
-		t.data[i] = lo + rng.Float64()*(hi-lo)
-	}
-}
-
 // AddScaled accumulates alpha*src into t elementwise.
 func (t *Tensor) AddScaled(alpha float64, src *Tensor) {
 	if len(src.data) != len(t.data) {
